@@ -101,7 +101,7 @@ InvariantAuditor::checkBlockManager(const BlockManager &kv, SimTime now)
     for (const KvOwnerUsage &u : kv.ownerUsage()) {
         block_sum += u.blocks;
         shared.owners.push_back(
-            {u.owner, u.sharedTokens, kv.ownerSharedIds(u.owner)});
+            {u.owner, u.sharedTokens, kv.ownerSharedIds(u.slot)});
         if (u.tokens < 0 || u.blocks < 0) {
             report("kv-owner-accounting",
                    detail::composeMessage("owner ", u.owner,
@@ -423,21 +423,47 @@ InvariantAuditor::checkSchedulerView(const SchedulerAuditView &view,
     // newest sampled token has no KV yet — its entry is appended when
     // the token is fed back next iteration — so the expected
     // allocation there is one behind the context length.
+    //
+    // The KV manager finds a request's record only through the slot
+    // the request carries, so a slot must be open under that
+    // request's own id (a stale slot reused by another request would
+    // silently merge two requests' KV), and every open slot must be
+    // carried by a queued request (a leaked slot holds blocks no
+    // request will ever release).
     if (kv != nullptr) {
+        std::unordered_set<std::uint32_t> carried;
         auto check_kv = [&](const Request *req) {
+            KvSlot slot = req->kvSlot();
+            std::int64_t owned = 0;
+            std::int64_t shared = 0;
+            if (slot.valid()) {
+                if (!kv->owns(slot) || kv->ownerOf(slot) != req->id()) {
+                    report("kv-slot-owner",
+                           detail::composeMessage(
+                               "request ", req->id(), " carries KV slot ",
+                               slot, ", which ",
+                               kv->owns(slot)
+                                   ? detail::composeMessage(
+                                         "is open for owner ",
+                                         kv->ownerOf(slot))
+                                   : std::string("is not open")),
+                           now);
+                    return;
+                }
+                carried.insert(slot.value());
+                owned = kv->ownedTokens(slot);
+                shared = kv->sharedTokens(slot);
+            }
             std::int64_t expected =
                 req->phase() == RequestPhase::Decoding
                     ? req->contextLength() - 1
                     : req->contextLength();
-            std::int64_t held = kv->ownedTokens(req->id()) +
-                                kv->sharedTokens(req->id());
+            std::int64_t held = owned + shared;
             if (held != expected) {
                 report("kv-request-agreement",
                        detail::composeMessage(
                            "request ", req->id(), " holds ", held,
-                           " KV tokens (",
-                           kv->ownedTokens(req->id()), " private + ",
-                           kv->sharedTokens(req->id()),
+                           " KV tokens (", owned, " private + ", shared,
                            " shared) but expected ", expected,
                            " (context ", req->contextLength(), ")"),
                        now);
@@ -447,6 +473,18 @@ InvariantAuditor::checkSchedulerView(const SchedulerAuditView &view,
             check_kv(req);
         for (const Request *req : view.decodes)
             check_kv(req);
+        for (const KvOwnerUsage &u : kv->ownerUsage()) {
+            if (carried.count(u.slot.value()) == 0) {
+                report("kv-slot-orphan",
+                       detail::composeMessage(
+                           "KV slot ", u.slot, " is open for owner ",
+                           u.owner, " (", u.tokens, " private + ",
+                           u.sharedTokens,
+                           " shared tokens) but no queued request "
+                           "carries it"),
+                       now);
+            }
+        }
     }
 }
 

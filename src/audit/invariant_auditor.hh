@@ -159,8 +159,10 @@ class InvariantAuditor
      * Check a scheduler's queues via its audit view: decode batch
      * within bounds; at full level, queue exclusivity, phase/queue
      * agreement, pending-token accounting and priority ordering.
-     * @p kv, when non-null, enables the cross-layer check that every
-     * queued request's KV allocation equals its context length.
+     * @p kv, when non-null, enables the cross-layer checks that every
+     * queued request's KV allocation equals its context length, that
+     * every queued request's KV slot is open under its own id, and
+     * that no open slot belongs to a request the queues do not hold.
      */
     void checkScheduler(const Scheduler &sched, const BlockManager *kv,
                         SimTime now);

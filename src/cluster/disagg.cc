@@ -30,6 +30,7 @@ DecodeReplica::admit(std::unique_ptr<Request> req)
     QOSERVE_ASSERT(req->phase() == RequestPhase::Decoding,
                    "decode pool admits decoding requests only");
     Request *ptr = req.get();
+    ptr->setKvSlot(kv_.open(ptr->id()));
     auto [it, inserted] = owned_.emplace(req->id(), std::move(req));
     QOSERVE_ASSERT(inserted, "duplicate decode admission");
     pending_.push_back(ptr);
@@ -104,7 +105,7 @@ DecodeReplica::maybeStart()
            active_.size() < static_cast<std::size_t>(maxBatch_)) {
         Request *r = pending_.front();
         std::int64_t reserve = r->contextLength() + r->decodeRemaining();
-        if (!kv_.grow(r->id(), TokenCount{reserve}))
+        if (!kv_.grow(r->kvSlot(), TokenCount{reserve}))
             break;
         pending_.pop_front();
         active_.push_back(r);
@@ -138,7 +139,7 @@ DecodeReplica::completeIteration(std::vector<Request *> batch)
     std::vector<Request *> done(mid, active_.end());
     active_.erase(mid, active_.end());
     for (Request *r : done) {
-        kv_.release(r->id());
+        kv_.release(r->kvSlot());
         RequestRecord rec = r->record();
         owned_.erase(r->id());
         if (onComplete_)

@@ -128,7 +128,8 @@ Replica::attachCachedPrefix(Request *req)
 {
     if (!prefixCache_->enabled() || prefixBypass_)
         return;
-    int tokens = prefixCache_->attach(req->id(), req->spec(), eq_.now());
+    req->setKvSlot(kv_.open(req->id()));
+    int tokens = prefixCache_->attach(req->kvSlot(), req->spec(), eq_.now());
     if (tokens > 0)
         req->attachCachedPrefix(TokenCount{tokens});
 }

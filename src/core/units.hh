@@ -280,6 +280,44 @@ class RequestId
     std::uint64_t id_ = 0;
 };
 
+/** Dense index of an open KV ownership record in one replica's
+ *  BlockManager. A default-constructed slot names no record. */
+class KvSlot
+{
+  public:
+    constexpr KvSlot() = default;
+
+    constexpr explicit KvSlot(std::uint32_t index) : index_(index) {}
+
+    constexpr std::uint32_t value() const { return index_; }
+
+    /** False for the default "no slot" value. */
+    constexpr bool valid() const { return index_ != kNone; }
+
+    friend constexpr bool
+    operator==(KvSlot a, KvSlot b)
+    {
+        return a.index_ == b.index_;
+    }
+
+    friend constexpr bool
+    operator!=(KvSlot a, KvSlot b)
+    {
+        return a.index_ != b.index_;
+    }
+
+    friend std::ostream &
+    operator<<(std::ostream &out, KvSlot slot)
+    {
+        return out << slot.index_;
+    }
+
+  private:
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+    std::uint32_t index_ = kNone;
+};
+
 } // namespace qoserve
 
 template <> struct std::hash<qoserve::ReplicaId>

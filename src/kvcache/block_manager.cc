@@ -41,28 +41,59 @@ BlockManager::utilization() const
            static_cast<double>(totalBlocks_);
 }
 
+void
+BlockManager::notOpen(KvSlot slot, const char *op) const
+{
+    if (slot.value() < owners_.size()) {
+        QOSERVE_PANIC(op, " of unknown KV owner: slot ", slot,
+                      " was released (last owner ",
+                      owners_[slot.value()].owner,
+                      "; double free, or a stale slot)");
+    }
+    QOSERVE_PANIC(op, " of unknown KV owner: slot ", slot,
+                  " is not open (the request never allocated, or a "
+                  "crash released every slot)");
+}
+
+KvSlot
+BlockManager::open(KvOwnerId owner)
+{
+    std::uint32_t index;
+    if (freeSlots_.empty()) {
+        index = static_cast<std::uint32_t>(owners_.size());
+        QOSERVE_ASSERT(KvSlot{index}.valid(), "KV slot table overflow");
+        owners_.emplace_back();
+    } else {
+        index = freeSlots_.back();
+        freeSlots_.pop_back();
+    }
+    Ownership &o = owners_[index];
+    o.owner = owner;
+    o.open = true;
+    return KvSlot{index};
+}
+
 std::int64_t
-BlockManager::blocksNeeded(KvOwnerId owner, TokenCount growth) const
+BlockManager::blocksNeeded(const Ownership &o, TokenCount growth) const
 {
     std::int64_t new_tokens = growth.value();
     QOSERVE_ASSERT(new_tokens >= 0, "negative token growth");
-    std::int64_t current = 0;
-    std::int64_t blocks = 0;
-    auto it = owners_.find(owner);
-    if (it != owners_.end()) {
-        current = it->second.tokens;
-        blocks = it->second.blocks;
-    }
-    std::int64_t target_tokens = current + new_tokens;
+    std::int64_t target_tokens = o.tokens + new_tokens;
     std::int64_t target_blocks =
         (target_tokens + blockTokens_ - 1) / blockTokens_;
-    return target_blocks - blocks;
+    return target_blocks - o.blocks;
+}
+
+std::int64_t
+BlockManager::blocksNeeded(KvSlot slot, TokenCount new_tokens) const
+{
+    return blocksNeeded(record(slot, "block estimate"), new_tokens);
 }
 
 bool
-BlockManager::canGrow(KvOwnerId owner, TokenCount new_tokens) const
+BlockManager::canGrow(KvSlot slot, TokenCount new_tokens) const
 {
-    std::int64_t needed = blocksNeeded(owner, new_tokens);
+    std::int64_t needed = blocksNeeded(slot, new_tokens);
     if (needed <= freeBlocks())
         return true;
     // Evictable cached blocks can be reclaimed on demand, but only if
@@ -71,51 +102,32 @@ BlockManager::canGrow(KvOwnerId owner, TokenCount new_tokens) const
 }
 
 bool
-BlockManager::grow(KvOwnerId owner, TokenCount growth)
+BlockManager::growBlocks(Ownership &o, TokenCount growth)
 {
-    std::int64_t new_tokens = growth.value();
-    std::int64_t needed = blocksNeeded(owner, growth);
+    std::int64_t needed = blocksNeeded(o, growth);
     // Reclaim cold cached blocks only when that can actually satisfy
     // the request — a doomed grow must not drain the cache for free.
+    // The handler only drops cache references, so it never touches
+    // the ownership table and `o` stays valid across the call.
     if (needed > freeBlocks() && needed <= availableBlocks() &&
         evictionHandler_) {
         evictionHandler_(needed - freeBlocks());
     }
     if (needed > freeBlocks())
         return false;
-    Ownership &o = owners_[owner];
-    o.tokens += new_tokens;
+    o.tokens += growth.value();
     o.blocks += needed;
     usedBlocks_ += needed;
     return true;
 }
 
-std::int64_t
-BlockManager::ownedTokens(KvOwnerId owner) const
-{
-    auto it = owners_.find(owner);
-    return it == owners_.end() ? 0 : it->second.tokens;
-}
-
-std::int64_t
-BlockManager::ownedBlocks(KvOwnerId owner) const
-{
-    auto it = owners_.find(owner);
-    return it == owners_.end() ? 0 : it->second.blocks;
-}
-
 void
-BlockManager::release(KvOwnerId owner)
+BlockManager::release(KvSlot slot)
 {
-    auto it = owners_.find(owner);
-    if (it == owners_.end()) {
-        QOSERVE_PANIC("release of unknown KV owner ", owner,
-                      " (double free, or the request never "
-                      "allocated)");
-    }
-    usedBlocks_ -= it->second.blocks;
+    Ownership &o = record(slot, "release");
+    usedBlocks_ -= o.blocks;
     QOSERVE_ASSERT(usedBlocks_ >= 0, "block accounting underflow");
-    for (KvBlockId id : it->second.sharedIds) {
+    for (KvBlockId id : o.sharedIds) {
         auto sit = shared_.find(id);
         QOSERVE_ASSERT(sit != shared_.end(),
                        "owner references unknown shared block");
@@ -130,7 +142,14 @@ BlockManager::release(KvOwnerId owner)
             ++evictableBlocks_;
         }
     }
-    owners_.erase(it);
+    // Keep the owner id (for the stale-slot panic) and the shared-id
+    // capacity (for the next owner); reset the rest.
+    o.tokens = 0;
+    o.blocks = 0;
+    o.sharedTokens = 0;
+    o.sharedIds.clear();
+    o.open = false;
+    freeSlots_.push_back(slot.value());
 }
 
 std::int64_t
@@ -138,6 +157,7 @@ BlockManager::releaseAll()
 {
     std::int64_t freed = usedBlocks_;
     owners_.clear();
+    freeSlots_.clear();
     shared_.clear();
     cacheHeldBlocks_ = 0;
     evictableBlocks_ = 0;
@@ -149,12 +169,13 @@ std::vector<KvOwnerUsage>
 BlockManager::ownerUsage() const
 {
     std::vector<KvOwnerUsage> usage;
-    usage.reserve(owners_.size());
-    // The map is iterated only to snapshot it; the sort below makes
-    // the result independent of hash order.
-    // qoserve-lint: allow(unordered-iter)
-    for (const auto &[owner, o] : owners_) {
-        usage.push_back({owner, o.tokens, o.blocks, o.sharedTokens,
+    usage.reserve(numOwners());
+    for (std::size_t i = 0; i < owners_.size(); ++i) {
+        const Ownership &o = owners_[i];
+        if (!o.open)
+            continue;
+        usage.push_back({o.owner, KvSlot{static_cast<std::uint32_t>(i)},
+                         o.tokens, o.blocks, o.sharedTokens,
                          static_cast<std::int64_t>(o.sharedIds.size())});
     }
     std::sort(usage.begin(), usage.end(),
@@ -175,13 +196,10 @@ BlockManager::setCacheWatermark(std::int64_t blocks)
 }
 
 std::vector<KvBlockId>
-BlockManager::convertToCached(KvOwnerId owner, int count)
+BlockManager::convertToCached(KvSlot slot, int count)
 {
     QOSERVE_ASSERT(count > 0, "conversion of zero blocks");
-    auto it = owners_.find(owner);
-    QOSERVE_ASSERT(it != owners_.end(),
-                   "conversion for unknown KV owner");
-    Ownership &o = it->second;
+    Ownership &o = record(slot, "conversion");
     // Only full blocks are shareable: count must fit in the owner's
     // whole private blocks, not its partially-filled tail.
     QOSERVE_ASSERT(o.tokens / blockTokens_ >= count,
@@ -210,11 +228,10 @@ BlockManager::convertToCached(KvOwnerId owner, int count)
 }
 
 void
-BlockManager::attachShared(KvOwnerId owner,
-                           const std::vector<KvBlockId> &ids)
+BlockManager::attachShared(KvSlot slot, const std::vector<KvBlockId> &ids)
 {
     QOSERVE_ASSERT(!ids.empty(), "attach of zero shared blocks");
-    Ownership &o = owners_[owner];
+    Ownership &o = record(slot, "attach");
     for (KvBlockId id : ids) {
         auto it = shared_.find(id);
         if (it == shared_.end())
@@ -230,13 +247,10 @@ BlockManager::attachShared(KvOwnerId owner,
 }
 
 void
-BlockManager::dedupToShared(KvOwnerId owner,
-                            const std::vector<KvBlockId> &ids)
+BlockManager::dedupToShared(KvSlot slot, const std::vector<KvBlockId> &ids)
 {
     QOSERVE_ASSERT(!ids.empty(), "dedup of zero blocks");
-    auto it = owners_.find(owner);
-    QOSERVE_ASSERT(it != owners_.end(), "dedup for unknown KV owner");
-    Ownership &o = it->second;
+    Ownership &o = record(slot, "dedup");
     auto count = static_cast<std::int64_t>(ids.size());
     QOSERVE_ASSERT(o.tokens / blockTokens_ >= count,
                    "dedup exceeds owner's full private blocks");
@@ -287,30 +301,6 @@ BlockManager::sharedRefs(KvBlockId id) const
 {
     auto it = shared_.find(id);
     return it == shared_.end() ? 0 : it->second.refs;
-}
-
-std::int64_t
-BlockManager::sharedTokens(KvOwnerId owner) const
-{
-    auto it = owners_.find(owner);
-    return it == owners_.end() ? 0 : it->second.sharedTokens;
-}
-
-std::int64_t
-BlockManager::ownerSharedBlocks(KvOwnerId owner) const
-{
-    auto it = owners_.find(owner);
-    return it == owners_.end()
-               ? 0
-               : static_cast<std::int64_t>(it->second.sharedIds.size());
-}
-
-std::vector<KvBlockId>
-BlockManager::ownerSharedIds(KvOwnerId owner) const
-{
-    auto it = owners_.find(owner);
-    return it == owners_.end() ? std::vector<KvBlockId>{}
-                               : it->second.sharedIds;
 }
 
 std::vector<KvSharedBlockInfo>

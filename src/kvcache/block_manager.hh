@@ -10,6 +10,15 @@
  * simulation — the same constraint the paper's selective-preemption
  * policy is designed around (§3.4).
  *
+ * Ownership lives in a dense table indexed by slot. Whoever first
+ * puts KV on a request — the scheduler on its first prefill chunk,
+ * the replica before a prefix-cache attach, the decode pool at
+ * admission — opens a slot and stores it in the Request; release()
+ * closes it again and the next open() reuses it. Every decode
+ * iteration grows every running request by one token, so that grow
+ * is an inline index into the table: no hash lookup, and no block
+ * arithmetic unless the private tail block is full.
+ *
  * On top of the private per-owner chains sits a shared-block layer
  * used by the prefix cache (src/prefixcache): a full block computed
  * by one request can be converted into a reference-counted shared
@@ -25,10 +34,12 @@
 
 #include <cstdint>
 #include <functional>
-
-#include "core/units.hh"
 #include <unordered_map>
+#include <utility>
 #include <vector>
+
+#include "core/check_level.hh"
+#include "core/units.hh"
 
 namespace qoserve {
 
@@ -42,6 +53,7 @@ using KvBlockId = std::uint64_t;
 struct KvOwnerUsage
 {
     KvOwnerId owner = 0;
+    KvSlot slot;
     std::int64_t tokens = 0;
     std::int64_t blocks = 0;
 
@@ -66,6 +78,13 @@ struct KvSharedBlockInfo
  * Tracks, per owner, how many tokens are cached and how many blocks
  * that consumes. Allocation is all-or-nothing: a request either gets
  * blocks for all requested tokens or none.
+ *
+ * Owners are addressed by slot, never by id: open() hands out a
+ * dense index into the ownership table (recycled through a free
+ * list), the caller keeps it beside the request, and every later
+ * call goes straight to that record. Each record still carries its
+ * owner id, so snapshots and messages speak in request ids. Using a
+ * slot that is not open (never opened, or already released) panics.
  */
 class BlockManager
 {
@@ -113,75 +132,112 @@ class BlockManager
     double utilization() const;
 
     /**
-     * Blocks needed to extend @p owner by @p new_tokens tokens.
+     * Open an empty ownership record for @p owner and return its
+     * slot. The most recently released slot is reused first.
+     */
+    KvSlot open(KvOwnerId owner);
+
+    /** True if @p slot names an open record (possibly empty). */
+    bool owns(KvSlot slot) const
+    {
+        return slot.value() < owners_.size() &&
+               owners_[slot.value()].open;
+    }
+
+    /** Owner id recorded in open slot @p slot. */
+    KvOwnerId ownerOf(KvSlot slot) const
+    {
+        return record(slot, "owner lookup").owner;
+    }
+
+    /**
+     * Blocks needed to extend @p slot by @p new_tokens tokens.
      *
      * Accounts for slack already present in the owner's last
      * partially-filled block. Shared blocks are always full, so only
      * the private region enters the computation.
      */
-    std::int64_t blocksNeeded(KvOwnerId owner,
-                              TokenCount new_tokens) const;
+    std::int64_t blocksNeeded(KvSlot slot, TokenCount new_tokens) const;
 
     /** True if grow() for the same arguments would succeed. */
-    bool canGrow(KvOwnerId owner, TokenCount new_tokens) const;
+    bool canGrow(KvSlot slot, TokenCount new_tokens) const;
 
     /**
-     * Extend @p owner's cached tokens by @p new_tokens.
+     * Extend @p slot's cached tokens by @p new_tokens.
      *
-     * If free blocks alone cannot satisfy the request but evictable
-     * cached blocks exist, the eviction handler (when installed) is
-     * asked to reclaim the shortfall first.
+     * Growth that fits the slack of the private tail block — every
+     * decode token but one per block — touches only the slot's
+     * record. Otherwise, if free blocks alone cannot satisfy the
+     * request but evictable cached blocks exist, the eviction handler
+     * (when installed) is asked to reclaim the shortfall first.
      *
      * @return True on success; false (with no state change beyond any
      *         evictions performed) if the required blocks are not
      *         available.
      */
-    bool grow(KvOwnerId owner, TokenCount new_tokens);
-
-    /** Tokens privately cached for @p owner (0 if unknown). */
-    std::int64_t ownedTokens(KvOwnerId owner) const;
-
-    /** Private blocks currently held by @p owner (0 if unknown). */
-    std::int64_t ownedBlocks(KvOwnerId owner) const;
-
-    /** True if @p owner has an allocation record (possibly empty). */
-    bool owns(KvOwnerId owner) const
+    bool grow(KvSlot slot, TokenCount new_tokens)
     {
-        return owners_.find(owner) != owners_.end();
+        Ownership *o;
+        if constexpr (audit::cheapChecks())
+            o = &record(slot, "grow");
+        else
+            o = &owners_[slot.value()];
+        std::int64_t n = new_tokens.value();
+        // Private blocks always cover their tokens with less than one
+        // block of slack, so growth within the tail needs no block.
+        if (n >= 0 && o->tokens + n <= o->blocks * blockTokens_) {
+            o->tokens += n;
+            return true;
+        }
+        return growBlocks(*o, new_tokens);
+    }
+
+    /** Tokens privately cached in @p slot. */
+    std::int64_t ownedTokens(KvSlot slot) const
+    {
+        return record(slot, "token query").tokens;
+    }
+
+    /** Private blocks currently held by @p slot. */
+    std::int64_t ownedBlocks(KvSlot slot) const
+    {
+        return record(slot, "block query").blocks;
     }
 
     /**
-     * Release every block owned by @p owner, dropping its references
-     * on shared blocks (a shared block whose refcount reaches zero is
-     * freed; one left holding only the cache reference becomes
-     * evictable).
+     * Release every block held by @p slot and close the slot,
+     * dropping its references on shared blocks (a shared block whose
+     * refcount reaches zero is freed; one left holding only the cache
+     * reference becomes evictable).
      *
-     * Freeing an owner with no allocation record — a double free, or
-     * a free of a request that never allocated — panics: both point
-     * at scheduler bookkeeping corruption that would otherwise decay
-     * silently into wrong capacity numbers. Callers completing
-     * requests that may legitimately never have allocated check
-     * owns() first.
+     * Releasing a slot that is not open — a double free, or a slot
+     * never opened — panics: both point at scheduler bookkeeping
+     * corruption that would otherwise decay silently into wrong
+     * capacity numbers.
      */
-    void release(KvOwnerId owner);
+    void release(KvSlot slot);
 
     /**
-     * Release every block of every owner at once — the crash path: a
-     * failed replica's cache dies with the process, so no per-owner
-     * bookkeeping survives to double-free later. Shared blocks die
-     * too; the prefix cache must drop its tree separately (it holds
-     * block ids, not block state).
+     * Release every block of every owner and close every slot — the
+     * crash path: a failed replica's cache dies with the process, so
+     * no per-owner bookkeeping survives to double-free later. Shared
+     * blocks die too; the prefix cache must drop its tree separately
+     * (it holds block ids, not block state).
      *
      * @return Blocks freed.
      */
     std::int64_t releaseAll();
 
-    /** Number of distinct owners holding blocks. */
-    std::size_t numOwners() const { return owners_.size(); }
+    /** Number of open slots. */
+    std::size_t numOwners() const
+    {
+        return owners_.size() - freeSlots_.size();
+    }
 
     /**
      * Per-owner usage snapshot for the invariant auditor and
-     * diagnostics, sorted by owner id (deterministic order).
+     * diagnostics, one entry per open slot, sorted by owner id
+     * (deterministic order).
      */
     std::vector<KvOwnerUsage> ownerUsage() const;
 
@@ -218,7 +274,7 @@ class BlockManager
     }
 
     /**
-     * Convert @p count full blocks of @p owner's private region into
+     * Convert @p count full blocks of @p slot's private region into
      * cache-held shared blocks the owner keeps referencing. The
      * owner must hold at least @p count full private blocks and the
      * conversion must fit under the cache watermark (both enforced —
@@ -229,22 +285,22 @@ class BlockManager
      *         parents always sort before children — the eviction
      *         tie-break relies on this).
      */
-    std::vector<KvBlockId> convertToCached(KvOwnerId owner, int count);
+    std::vector<KvBlockId> convertToCached(KvSlot slot, int count);
 
     /**
-     * Add @p owner as a reference holder on each of @p ids (a cache
-     * hit: the owner reuses the blocks instead of recomputing them).
-     * Each id must name a live shared block.
+     * Add @p slot's owner as a reference holder on each of @p ids (a
+     * cache hit: the owner reuses the blocks instead of recomputing
+     * them). Each id must name a live shared block.
      */
-    void attachShared(KvOwnerId owner, const std::vector<KvBlockId> &ids);
+    void attachShared(KvSlot slot, const std::vector<KvBlockId> &ids);
 
     /**
-     * Replace @p owner's private copies of already-cached blocks with
+     * Replace @p slot's private copies of already-cached blocks with
      * references to the shared copies in @p ids, freeing the
      * duplicate physical blocks (one full private block per id). The
      * owner must hold at least ids.size() full private blocks.
      */
-    void dedupToShared(KvOwnerId owner, const std::vector<KvBlockId> &ids);
+    void dedupToShared(KvSlot slot, const std::vector<KvBlockId> &ids);
 
     /**
      * Drop the cache's reference on shared block @p id (eviction).
@@ -258,14 +314,24 @@ class BlockManager
     /** Refcount of shared block @p id (0 if unknown). */
     std::int64_t sharedRefs(KvBlockId id) const;
 
-    /** Tokens @p owner holds through shared blocks (0 if unknown). */
-    std::int64_t sharedTokens(KvOwnerId owner) const;
+    /** Tokens @p slot holds through shared blocks. */
+    std::int64_t sharedTokens(KvSlot slot) const
+    {
+        return record(slot, "shared-token query").sharedTokens;
+    }
 
-    /** Shared blocks @p owner references (0 if unknown). */
-    std::int64_t ownerSharedBlocks(KvOwnerId owner) const;
+    /** Shared blocks @p slot references. */
+    std::int64_t ownerSharedBlocks(KvSlot slot) const
+    {
+        return static_cast<std::int64_t>(
+            record(slot, "shared-block query").sharedIds.size());
+    }
 
-    /** Shared-block ids @p owner references (empty if unknown). */
-    std::vector<KvBlockId> ownerSharedIds(KvOwnerId owner) const;
+    /** Shared-block ids @p slot references. */
+    const std::vector<KvBlockId> &ownerSharedIds(KvSlot slot) const
+    {
+        return record(slot, "shared-id query").sharedIds;
+    }
 
     /**
      * Shared-block snapshot for the invariant auditor, sorted by
@@ -274,12 +340,15 @@ class BlockManager
     std::vector<KvSharedBlockInfo> sharedBlockTable() const;
 
   private:
-    struct Ownership
+    /** One slot of the ownership table; 64 bytes, one cache line. */
+    struct alignas(64) Ownership
     {
         std::int64_t tokens = 0;
         std::int64_t blocks = 0;
         std::int64_t sharedTokens = 0;
+        KvOwnerId owner = 0;
         std::vector<KvBlockId> sharedIds;
+        bool open = false;
     };
 
     struct SharedBlock
@@ -288,10 +357,37 @@ class BlockManager
         bool cacheHeld = false;
     };
 
+    /** The open record at @p slot; panics, naming @p op, otherwise. */
+    const Ownership &
+    record(KvSlot slot, const char *op) const
+    {
+        if (!owns(slot)) [[unlikely]]
+            notOpen(slot, op);
+        return owners_[slot.value()];
+    }
+
+    Ownership &
+    record(KvSlot slot, const char *op)
+    {
+        return const_cast<Ownership &>(std::as_const(*this).record(slot, op));
+    }
+
+    [[noreturn]] void notOpen(KvSlot slot, const char *op) const;
+
+    /** grow() past the tail block's slack: allocates blocks. */
+    bool growBlocks(Ownership &o, TokenCount new_tokens);
+
+    /** blocksNeeded() on a resolved record. */
+    std::int64_t blocksNeeded(const Ownership &o,
+                              TokenCount new_tokens) const;
+
     int blockTokens_;
     std::int64_t totalBlocks_;
     std::int64_t usedBlocks_ = 0;
-    std::unordered_map<KvOwnerId, Ownership> owners_;
+
+    /** Ownership table indexed by slot, and its closed slots. */
+    std::vector<Ownership> owners_;
+    std::vector<std::uint32_t> freeSlots_;
 
     std::unordered_map<KvBlockId, SharedBlock> shared_;
     KvBlockId nextSharedId_ = 1;

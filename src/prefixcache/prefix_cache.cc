@@ -128,7 +128,7 @@ PrefixCache::matchDepth(const std::vector<std::uint64_t> &keys) const
 }
 
 int
-PrefixCache::attach(KvOwnerId owner, const RequestSpec &spec, SimTime now)
+PrefixCache::attach(KvSlot slot, const RequestSpec &spec, SimTime now)
 {
     if (!cfg_.enabled)
         return 0;
@@ -162,22 +162,22 @@ PrefixCache::attach(KvOwnerId owner, const RequestSpec &spec, SimTime now)
         ids.reserve(static_cast<std::size_t>(full));
         for (int i = 0; i < full; ++i)
             ids.push_back(nodes_.find(keys[i])->second.block);
-        kv_.attachShared(owner, ids);
+        kv_.attachShared(slot, ids);
     }
     if (tail > 0) {
-        bool grown = kv_.grow(owner, TokenCount{tail});
+        bool grown = kv_.grow(slot, TokenCount{tail});
         QOSERVE_ASSERT(grown, "COW copy failed after free-block check");
         ++stats_.cowCopies;
     }
     ++stats_.hits;
     stats_.tokensAttached += tokens;
     if (trace_ != nullptr)
-        trace_->emit(TraceEventKind::CacheHit, owner, tokens);
+        trace_->emit(TraceEventKind::CacheHit, spec.id, tokens);
     return static_cast<int>(tokens);
 }
 
 void
-PrefixCache::insert(KvOwnerId owner, const RequestSpec &spec, SimTime now)
+PrefixCache::insert(KvSlot slot, const RequestSpec &spec, SimTime now)
 {
     if (!cfg_.enabled)
         return;
@@ -210,20 +210,20 @@ PrefixCache::insert(KvOwnerId owner, const RequestSpec &spec, SimTime now)
     // block it did not attach at admission (the tree grew after its
     // lookup, or it recomputed after preemption); move its reference
     // onto the shared copy and free the duplicate.
-    auto attached = kv_.ownerSharedBlocks(owner);
+    auto attached = kv_.ownerSharedBlocks(slot);
     if (static_cast<std::int64_t>(match) > attached) {
         std::vector<KvBlockId> dups;
         dups.reserve(match - static_cast<std::size_t>(attached));
         for (std::size_t i = static_cast<std::size_t>(attached);
              i < match; ++i)
             dups.push_back(nodes_.find(keys[i])->second.block);
-        kv_.dedupToShared(owner, dups);
+        kv_.dedupToShared(slot, dups);
     }
 
     if (match >= cache_to)
         return;
     int count = static_cast<int>(cache_to - match);
-    std::vector<KvBlockId> ids = kv_.convertToCached(owner, count);
+    std::vector<KvBlockId> ids = kv_.convertToCached(slot, count);
     std::uint64_t parent = match == 0 ? kNoParent : keys[match - 1];
     for (int i = 0; i < count; ++i) {
         std::uint64_t key = keys[match + static_cast<std::size_t>(i)];

@@ -125,25 +125,26 @@ class PrefixCache
 
     /**
      * Cache lookup at admission: match @p spec's prompt against the
-     * tree, attach the matched blocks to @p owner, and COW-copy the
-     * partial tail if the match covers the whole prompt (capped one
-     * token short so at least one real prefill token remains and the
-     * first-token emission path is unchanged).
+     * tree, attach the matched blocks to open slot @p slot (owned by
+     * request spec.id), and COW-copy the partial tail if the match
+     * covers the whole prompt (capped one token short so at least one
+     * real prefill token remains and the first-token emission path is
+     * unchanged).
      *
      * @return Prompt tokens now covered by attached KV (0 on miss).
      */
-    int attach(KvOwnerId owner, const RequestSpec &spec, SimTime now);
+    int attach(KvSlot slot, const RequestSpec &spec, SimTime now);
 
     /**
-     * Insert a finished prefill's prompt blocks into the tree: the
-     * owner's private full blocks beyond the current match are
+     * Insert a finished prefill's prompt blocks into the tree: slot
+     * @p slot's private full blocks beyond the current match are
      * converted into cache-held shared blocks (and private
      * duplicates of already-cached blocks are deduplicated onto the
      * shared copies). Evicts cold blocks to stay under the
      * watermark; caches only the leading part of the prefix when the
      * cache cannot shrink enough.
      */
-    void insert(KvOwnerId owner, const RequestSpec &spec, SimTime now);
+    void insert(KvSlot slot, const RequestSpec &spec, SimTime now);
 
     /**
      * Side-effect-free match length in tokens (capped like attach)

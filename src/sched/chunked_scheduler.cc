@@ -129,7 +129,9 @@ ChunkedScheduler::tryScheduleChunk(Request *req, Batch &batch, int budget,
     if (take <= 0)
         return 0;
 
-    if (!env_.kv->grow(req->id(), TokenCount{take}))
+    if (!req->kvSlot().valid())
+        req->setKvSlot(env_.kv->open(req->id()));
+    if (!env_.kv->grow(req->kvSlot(), TokenCount{take}))
         return 0;
 
     ScheduledChunk chunk;
@@ -271,10 +273,17 @@ ChunkedScheduler::finish(Request *req)
 {
     if (env_.trace != nullptr)
         env_.trace->emit(TraceEventKind::Finish, req->id());
-    env_.kv->release(req->id());
+    releaseKv(req);
     onCompositionChange();
     if (onComplete_)
         onComplete_(req);
+}
+
+void
+ChunkedScheduler::releaseKv(Request *req)
+{
+    env_.kv->release(req->kvSlot());
+    req->setKvSlot(KvSlot{});
 }
 
 bool
@@ -301,7 +310,7 @@ ChunkedScheduler::preemptForKv(SimTime now)
         prefillQueue_.erase(victim);
         partiallyPrefilled_.erase(victim);
         pendingPrefill_ -= victim->prefillRemaining();
-        env_.kv->release(victim->id());
+        releaseKv(victim);
         victim->resetAfterKvPreemption();
         pendingPrefill_ += victim->prefillRemaining();
         victim->cachedPriority = priorityOf(*victim, now);
@@ -320,7 +329,7 @@ ChunkedScheduler::preemptForKv(SimTime now)
         return false;
     victim = decodes_.back();
     decodes_.pop_back();
-    env_.kv->release(victim->id());
+    releaseKv(victim);
     victim->resetAfterKvPreemption();
     victim->cachedPriority = priorityOf(*victim, now);
     prefillQueue_.insert(victim);
@@ -363,7 +372,7 @@ ChunkedScheduler::onBatchComplete(const Batch &batch, SimTime end)
             // the shared-prefix cache so later requests with the same
             // prefix can skip recomputing them.
             if (env_.prefixCache != nullptr)
-                env_.prefixCache->insert(req->id(), req->spec(), end);
+                env_.prefixCache->insert(req->kvSlot(), req->spec(), end);
             break;
           case RequestPhase::Finished:
             partiallyPrefilled_.erase(req);
@@ -371,7 +380,7 @@ ChunkedScheduler::onBatchComplete(const Batch &batch, SimTime end)
             // their final chunk; cache their prompt before the KV is
             // released (the blocks survive as cache-held copies).
             if (env_.prefixCache != nullptr)
-                env_.prefixCache->insert(req->id(), req->spec(), end);
+                env_.prefixCache->insert(req->kvSlot(), req->spec(), end);
             finish(req);
             break;
           default:
@@ -384,7 +393,7 @@ ChunkedScheduler::onBatchComplete(const Batch &batch, SimTime end)
         if (req->phase() != RequestPhase::Decoding)
             continue; // Evicted by a KV preemption this iteration.
         while (req->phase() == RequestPhase::Decoding &&
-               !env_.kv->grow(req->id(), TokenCount{1})) {
+               !env_.kv->grow(req->kvSlot(), TokenCount{1})) {
             if (!preemptForKv(end)) {
                 QOSERVE_PANIC("KV exhausted: request ", req->id(),
                               " cannot fit even alone");

@@ -204,6 +204,9 @@ class ChunkedScheduler : public Scheduler
     /** Finish bookkeeping for a completed request. */
     void finish(Request *req);
 
+    /** Release @p req's KV slot (all its blocks) and clear it. */
+    void releaseKv(Request *req);
+
     SchedulerEnv env_;
     ChunkedSchedulerConfig cfg_;
     PrefillQueue prefillQueue_;

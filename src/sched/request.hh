@@ -12,13 +12,14 @@
 
 #include <cstdint>
 
+#include "core/units.hh"
 #include "workload/qos.hh"
 #include "workload/trace.hh"
 
 namespace qoserve {
 
 /** Lifecycle phase of a request. */
-enum class RequestPhase
+enum class RequestPhase : std::uint8_t
 {
     WaitingPrefill, ///< In the prefill queue, no tokens processed yet.
     Prefilling,     ///< Some prefill chunks processed.
@@ -247,6 +248,14 @@ class Request
     /** Cached priority key used by schedulers' ordered queues. */
     double cachedPriority = 0.0;
 
+    /** This request's slot in its replica's BlockManager; invalid
+     *  while the request holds no KV record there. */
+    KvSlot kvSlot() const { return kvSlot_; }
+
+    /** Record the slot the BlockManager opened for this request (or
+     *  KvSlot{} once it is released). */
+    void setKvSlot(KvSlot slot) { kvSlot_ = slot; }
+
     /** Final record; meaningful once phase() == Finished. */
     const RequestRecord &record() const { return record_; }
 
@@ -260,6 +269,8 @@ class Request
     // over pooled requests stay within the first cache lines and
     // never drag the cold spec/tier/record payload in.
     RequestPhase phase_ = RequestPhase::WaitingPrefill;
+    bool relegated_ = false;
+    KvSlot kvSlot_;
     int prefillDone_ = 0;
     int decodeDone_ = 0;
 
@@ -271,7 +282,6 @@ class Request
      *  prefill (0 unless restored from a failure snapshot). */
     int resumedTokens_ = 0;
 
-    bool relegated_ = false;
     SimTime lastTokenTime_ = kTimeNever;
 
     // Cold payload: read at admission and completion, not per

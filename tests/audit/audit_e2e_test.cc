@@ -182,6 +182,45 @@ TEST(AuditE2E, FaultedRunsAuditClean)
     }
 }
 
+TEST(AuditE2E, KvPressureRunsClean)
+{
+    // A replica with room for only 12k KV tokens: requests are
+    // KV-preempted, release their slots and open fresh ones when
+    // rescheduled, so slot reuse runs under the full-level slot
+    // ownership checks every iteration.
+    Trace trace = smallTrace(41);
+    for (Policy policy : {Policy::QoServe, Policy::SarathiFcfs}) {
+        ServingConfig cfg;
+        cfg.policy = policy;
+        cfg.useForestPredictor = false;
+        std::int64_t spare = cfg.hw.kvCapacityTokens() - 12000;
+        cfg.hw.gpu.memCapacity -=
+            static_cast<double>(spare) *
+            static_cast<double>(cfg.hw.model.kvBytesPerToken());
+        ASSERT_EQ(cfg.hw.kvCapacityTokens(), 12000);
+        auto predictor = makePredictor(cfg);
+        ClusterSim::Config ccfg;
+        ccfg.replica.hw = cfg.hw;
+        ccfg.replica.perfParams = cfg.perfParams;
+        ccfg.predictor = predictor.get();
+
+        ClusterSim sim(ccfg, trace);
+        InvariantAuditor::Options opts;
+        opts.level = audit::CheckLevel::Full;
+        opts.failFast = false;
+        InvariantAuditor auditor(opts);
+        sim.setAuditor(&auditor);
+        sim.addReplicaGroup(1, makeSchedulerFactory(cfg));
+        int preemptions = 0;
+        for (const RequestRecord &rec : sim.run().records())
+            preemptions += rec.kvPreemptions;
+
+        EXPECT_GT(preemptions, 0) << policyName(policy);
+        EXPECT_TRUE(auditor.clean())
+            << policyName(policy) << ": " << describe(auditor);
+    }
+}
+
 TEST(AuditE2E, PrefixCacheRunsClean)
 {
     // The full cached-prefill stack — radix tree, COW tails, LRU

@@ -227,7 +227,8 @@ TEST(InvariantAuditor, DetectsKvRequestDisagreement)
     BlockManager kv(TokenCount{1 << 14}, TokenCount{16});
     // Allocate the wrong number of tokens for request 9 (a decoding
     // request must own contextLength() - 1).
-    ASSERT_TRUE(kv.grow(9, TokenCount{req->contextLength() + 5}));
+    req->setKvSlot(kv.open(9));
+    ASSERT_TRUE(kv.grow(req->kvSlot(), TokenCount{req->contextLength() + 5}));
     auto view = makeView({}, {req.get()});
     auto auditor = makeAuditor();
     auditor.checkSchedulerView(view, &kv, SimTime{0.0});
@@ -240,19 +241,68 @@ TEST(InvariantAuditor, AgreeingKvIsClean)
     BlockManager kv(TokenCount{1 << 14}, TokenCount{16});
     // The newest sampled token has no KV entry yet, so a consistent
     // decoding request owns one token less than its context.
-    ASSERT_TRUE(kv.grow(9, TokenCount{req->contextLength() - 1}));
+    req->setKvSlot(kv.open(9));
+    ASSERT_TRUE(kv.grow(req->kvSlot(), TokenCount{req->contextLength() - 1}));
     auto view = makeView({}, {req.get()});
     auto auditor = makeAuditor();
     auditor.checkSchedulerView(view, &kv, SimTime{0.0});
     EXPECT_TRUE(auditor.clean());
 }
 
+TEST(InvariantAuditor, DetectsStaleKvSlot)
+{
+    // Request 9 still carries a slot that was released and reopened
+    // for request 10: without the owner check both requests would
+    // read request 10's KV.
+    auto stale = makeDecodingRequest(9, 64, 8);
+    auto other = makeDecodingRequest(10, 64, 8);
+    BlockManager kv(TokenCount{1 << 14}, TokenCount{16});
+    stale->setKvSlot(kv.open(9));
+    kv.release(stale->kvSlot());
+    other->setKvSlot(kv.open(10));
+    ASSERT_EQ(other->kvSlot(), stale->kvSlot());
+    ASSERT_TRUE(kv.grow(other->kvSlot(),
+                        TokenCount{other->contextLength() - 1}));
+    auto auditor = makeAuditor();
+    auditor.checkSchedulerView(makeView({}, {stale.get(), other.get()}),
+                               &kv, SimTime{0.0});
+    EXPECT_EQ(soleViolation(auditor), "kv-slot-owner");
+    EXPECT_EQ(auditor.violationCount(), 1u);
+
+    // A slot that is simply closed is caught the same way.
+    auto closed = makeDecodingRequest(11, 64, 8);
+    closed->setKvSlot(KvSlot{7});
+    auto auditor2 = makeAuditor();
+    auditor2.checkSchedulerView(makeView({}, {closed.get()}), &kv,
+                                SimTime{0.0});
+    EXPECT_FALSE(auditor2.clean());
+    EXPECT_EQ(auditor2.violations().front().invariant, "kv-slot-owner");
+}
+
+TEST(InvariantAuditor, DetectsOpenSlotNoQueuedRequestCarries)
+{
+    auto req = makeDecodingRequest(9, 64, 8);
+    BlockManager kv(TokenCount{1 << 14}, TokenCount{16});
+    req->setKvSlot(kv.open(9));
+    ASSERT_TRUE(kv.grow(req->kvSlot(),
+                        TokenCount{req->contextLength() - 1}));
+    // A leaked slot: open and holding blocks, but no request carries it.
+    ASSERT_TRUE(kv.grow(kv.open(12), TokenCount{20}));
+    auto auditor = makeAuditor();
+    auditor.checkSchedulerView(makeView({}, {req.get()}), &kv,
+                               SimTime{0.0});
+    EXPECT_EQ(soleViolation(auditor), "kv-slot-orphan");
+    EXPECT_EQ(auditor.violationCount(), 1u);
+}
+
 TEST(InvariantAuditor, HealthyBlockManagerPasses)
 {
     BlockManager kv(TokenCount{1024}, TokenCount{16});
-    ASSERT_TRUE(kv.grow(1, TokenCount{100}));
-    ASSERT_TRUE(kv.grow(2, TokenCount{37}));
-    kv.release(1);
+    KvSlot s1 = kv.open(1);
+    ASSERT_TRUE(kv.grow(s1, TokenCount{100}));
+    KvSlot s2 = kv.open(2);
+    ASSERT_TRUE(kv.grow(s2, TokenCount{37}));
+    kv.release(s1);
     auto auditor = makeAuditor();
     auditor.checkBlockManager(kv, SimTime{0.0});
     EXPECT_TRUE(auditor.clean());
@@ -356,8 +406,9 @@ TEST(InvariantAuditor, WatermarkOverrunOnLiveManager)
     // reconfiguring the watermark below the current holdings.
     BlockManager kv(TokenCount{320}, TokenCount{16});
     kv.setCacheWatermark(4);
-    ASSERT_TRUE(kv.grow(1, TokenCount{48}));
-    kv.convertToCached(1, 3);
+    KvSlot s1 = kv.open(1);
+    ASSERT_TRUE(kv.grow(s1, TokenCount{48}));
+    kv.convertToCached(s1, 3);
     kv.setCacheWatermark(2);
     auto auditor = makeAuditor();
     auditor.checkBlockManager(kv, SimTime{0.0});
@@ -368,10 +419,12 @@ TEST(InvariantAuditor, HealthySharedBlocksPassCheckBlockManager)
 {
     BlockManager kv(TokenCount{320}, TokenCount{16});
     kv.setCacheWatermark(8);
-    ASSERT_TRUE(kv.grow(1, TokenCount{48}));
-    auto ids = kv.convertToCached(1, 2);
-    kv.attachShared(2, ids);
-    kv.release(1);
+    KvSlot s1 = kv.open(1);
+    ASSERT_TRUE(kv.grow(s1, TokenCount{48}));
+    auto ids = kv.convertToCached(s1, 2);
+    KvSlot s2 = kv.open(2);
+    kv.attachShared(s2, ids);
+    kv.release(s1);
     auto auditor = makeAuditor();
     auditor.checkBlockManager(kv, SimTime{0.0});
     EXPECT_TRUE(auditor.clean());
@@ -401,8 +454,9 @@ TEST(InvariantAuditor, DetectsTreeBlockTheManagerDropped)
     spec.id = 1;
     spec.promptTokens = 32;
     spec.promptSegments = {{7, 32}};
-    ASSERT_TRUE(kv.grow(1, TokenCount{32}));
-    cache.insert(1, spec, SimTime{1.0});
+    KvSlot s1 = kv.open(1);
+    ASSERT_TRUE(kv.grow(s1, TokenCount{32}));
+    cache.insert(s1, spec, SimTime{1.0});
     ASSERT_EQ(cache.nodeCount(), 2u);
 
     BlockManager other(TokenCount{320}, TokenCount{16});
@@ -420,8 +474,9 @@ TEST(InvariantAuditor, DetectsCacheHeldBlockMissingFromTree)
     PrefixCacheConfig cfg;
     cfg.enabled = true;
     PrefixCache cache(kv, cfg);
-    ASSERT_TRUE(kv.grow(1, TokenCount{32}));
-    kv.convertToCached(1, 2);
+    KvSlot s1 = kv.open(1);
+    ASSERT_TRUE(kv.grow(s1, TokenCount{32}));
+    kv.convertToCached(s1, 2);
 
     auto auditor = makeAuditor();
     auditor.checkPrefixCache(cache, kv, SimTime{0.0});
@@ -439,8 +494,9 @@ TEST(InvariantAuditor, ConsistentPrefixCachePasses)
     spec.id = 1;
     spec.promptTokens = 32;
     spec.promptSegments = {{7, 32}};
-    ASSERT_TRUE(kv.grow(1, TokenCount{32}));
-    cache.insert(1, spec, SimTime{1.0});
+    KvSlot s1 = kv.open(1);
+    ASSERT_TRUE(kv.grow(s1, TokenCount{32}));
+    cache.insert(s1, spec, SimTime{1.0});
 
     auto auditor = makeAuditor();
     auditor.checkPrefixCache(cache, kv, SimTime{0.0});
@@ -466,9 +522,10 @@ TEST(InvariantAuditor, CrashWithSurvivingSharedBlocksIsReported)
     EXPECT_TRUE(auditor.clean());
 
     // ...but shared blocks surviving the crash-release are a leak.
-    ASSERT_TRUE(kv.grow(1, TokenCount{32}));
-    kv.convertToCached(1, 2);
-    kv.release(1); // Cache-held, evictable — and nothing else.
+    KvSlot s1 = kv.open(1);
+    ASSERT_TRUE(kv.grow(s1, TokenCount{32}));
+    kv.convertToCached(s1, 2);
+    kv.release(s1); // Cache-held, evictable — and nothing else.
     auto auditor2 = makeAuditor();
     auditor2.onReplicaCrash(kv, sched, 0, SimTime{2.0});
     EXPECT_FALSE(auditor2.clean());

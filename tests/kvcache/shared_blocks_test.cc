@@ -16,9 +16,10 @@ namespace {
 TEST(SharedBlocks, ConvertMovesFullBlocksToShared)
 {
     BlockManager bm(TokenCount{160}, TokenCount{16}); // 10 blocks
+    KvSlot s1 = bm.open(1);
     bm.setCacheWatermark(5);
-    ASSERT_TRUE(bm.grow(1, TokenCount{64})); // 4 full blocks
-    auto ids = bm.convertToCached(1, 3);
+    ASSERT_TRUE(bm.grow(s1, TokenCount{64})); // 4 full blocks
+    auto ids = bm.convertToCached(s1, 3);
     ASSERT_EQ(ids.size(), 3u);
     // Ids are monotonic: parents sort before children.
     EXPECT_LT(ids[0], ids[1]);
@@ -27,10 +28,10 @@ TEST(SharedBlocks, ConvertMovesFullBlocksToShared)
     // No physical movement: the owner still covers 64 tokens, now
     // split 16 private / 48 shared.
     EXPECT_EQ(bm.usedBlocks(), 4);
-    EXPECT_EQ(bm.ownedTokens(1), 16);
-    EXPECT_EQ(bm.ownedBlocks(1), 1);
-    EXPECT_EQ(bm.sharedTokens(1), 48);
-    EXPECT_EQ(bm.ownerSharedBlocks(1), 3);
+    EXPECT_EQ(bm.ownedTokens(s1), 16);
+    EXPECT_EQ(bm.ownedBlocks(s1), 1);
+    EXPECT_EQ(bm.sharedTokens(s1), 48);
+    EXPECT_EQ(bm.ownerSharedBlocks(s1), 3);
     EXPECT_EQ(bm.sharedBlockCount(), 3);
     EXPECT_EQ(bm.cacheHeldBlocks(), 3);
     // Owner + cache hold each block: nothing is evictable yet.
@@ -42,10 +43,11 @@ TEST(SharedBlocks, ConvertMovesFullBlocksToShared)
 TEST(SharedBlocks, ReleaseLeavesCacheHeldBlocksEvictable)
 {
     BlockManager bm(TokenCount{160}, TokenCount{16});
+    KvSlot s1 = bm.open(1);
     bm.setCacheWatermark(5);
-    ASSERT_TRUE(bm.grow(1, TokenCount{48}));
-    auto ids = bm.convertToCached(1, 3);
-    bm.release(1);
+    ASSERT_TRUE(bm.grow(s1, TokenCount{48}));
+    auto ids = bm.convertToCached(s1, 3);
+    bm.release(s1);
 
     // The blocks survive the owner: the cache still holds them, and
     // with refs down to one they are all evictable.
@@ -60,21 +62,23 @@ TEST(SharedBlocks, ReleaseLeavesCacheHeldBlocksEvictable)
 TEST(SharedBlocks, AttachAddsAndReleaseDropsReferences)
 {
     BlockManager bm(TokenCount{160}, TokenCount{16});
+    KvSlot s1 = bm.open(1);
+    KvSlot s2 = bm.open(2);
     bm.setCacheWatermark(5);
-    ASSERT_TRUE(bm.grow(1, TokenCount{32}));
-    auto ids = bm.convertToCached(1, 2);
-    bm.release(1);
+    ASSERT_TRUE(bm.grow(s1, TokenCount{32}));
+    auto ids = bm.convertToCached(s1, 2);
+    bm.release(s1);
     ASSERT_EQ(bm.evictableBlocks(), 2);
 
     // A cache hit pins the blocks again.
-    bm.attachShared(2, ids);
-    EXPECT_EQ(bm.sharedTokens(2), 32);
-    EXPECT_EQ(bm.ownerSharedBlocks(2), 2);
+    bm.attachShared(s2, ids);
+    EXPECT_EQ(bm.sharedTokens(s2), 32);
+    EXPECT_EQ(bm.ownerSharedBlocks(s2), 2);
     EXPECT_EQ(bm.evictableBlocks(), 0);
     for (KvBlockId id : ids)
         EXPECT_EQ(bm.sharedRefs(id), 2);
 
-    bm.release(2);
+    bm.release(s2);
     EXPECT_EQ(bm.evictableBlocks(), 2);
     EXPECT_EQ(bm.usedBlocks(), 2);
 }
@@ -82,9 +86,10 @@ TEST(SharedBlocks, AttachAddsAndReleaseDropsReferences)
 TEST(SharedBlocks, DropCacheRefFreesUnreferencedBlock)
 {
     BlockManager bm(TokenCount{160}, TokenCount{16});
+    KvSlot s1 = bm.open(1);
     bm.setCacheWatermark(5);
-    ASSERT_TRUE(bm.grow(1, TokenCount{32}));
-    auto ids = bm.convertToCached(1, 2);
+    ASSERT_TRUE(bm.grow(s1, TokenCount{32}));
+    auto ids = bm.convertToCached(s1, 2);
 
     // While the owner holds the block, dropping the cache ref keeps
     // the physical block alive.
@@ -95,7 +100,7 @@ TEST(SharedBlocks, DropCacheRefFreesUnreferencedBlock)
 
     // Once the owner is gone the cache held the last reference and
     // the drop frees the block.
-    bm.release(1);
+    bm.release(s1);
     EXPECT_EQ(bm.usedBlocks(), 1);
     EXPECT_TRUE(bm.dropCacheRef(ids[1]));
     EXPECT_EQ(bm.usedBlocks(), 0);
@@ -106,22 +111,24 @@ TEST(SharedBlocks, DropCacheRefFreesUnreferencedBlock)
 TEST(SharedBlocks, DedupReplacesPrivateCopiesAndFreesBlocks)
 {
     BlockManager bm(TokenCount{160}, TokenCount{16});
+    KvSlot s1 = bm.open(1);
+    KvSlot s2 = bm.open(2);
     bm.setCacheWatermark(5);
-    ASSERT_TRUE(bm.grow(1, TokenCount{32}));
-    auto ids = bm.convertToCached(1, 2);
+    ASSERT_TRUE(bm.grow(s1, TokenCount{32}));
+    auto ids = bm.convertToCached(s1, 2);
 
     // A second request recomputed the same two blocks privately (it
     // missed the cache at admission), plus a private tail.
-    ASSERT_TRUE(bm.grow(2, TokenCount{40}));
+    ASSERT_TRUE(bm.grow(s2, TokenCount{40}));
     ASSERT_EQ(bm.usedBlocks(), 5);
-    bm.dedupToShared(2, ids);
+    bm.dedupToShared(s2, ids);
 
     // The duplicates are freed; the owner now references the shared
     // copies and keeps its 8-token tail.
     EXPECT_EQ(bm.usedBlocks(), 3);
-    EXPECT_EQ(bm.ownedTokens(2), 8);
-    EXPECT_EQ(bm.ownedBlocks(2), 1);
-    EXPECT_EQ(bm.sharedTokens(2), 32);
+    EXPECT_EQ(bm.ownedTokens(s2), 8);
+    EXPECT_EQ(bm.ownedBlocks(s2), 1);
+    EXPECT_EQ(bm.sharedTokens(s2), 32);
     for (KvBlockId id : ids)
         EXPECT_EQ(bm.sharedRefs(id), 3);
 }
@@ -129,10 +136,12 @@ TEST(SharedBlocks, DedupReplacesPrivateCopiesAndFreesBlocks)
 TEST(SharedBlocks, GrowEvictsThroughHandlerWhenFreeBlocksShort)
 {
     BlockManager bm(TokenCount{64}, TokenCount{16}); // 4 blocks
+    KvSlot s1 = bm.open(1);
+    KvSlot s2 = bm.open(2);
     bm.setCacheWatermark(4);
-    ASSERT_TRUE(bm.grow(1, TokenCount{48}));
-    std::vector<KvBlockId> ids = bm.convertToCached(1, 3);
-    bm.release(1);
+    ASSERT_TRUE(bm.grow(s1, TokenCount{48}));
+    std::vector<KvBlockId> ids = bm.convertToCached(s1, 3);
+    bm.release(s1);
     ASSERT_EQ(bm.freeBlocks(), 1);
     ASSERT_EQ(bm.evictableBlocks(), 3);
 
@@ -151,20 +160,22 @@ TEST(SharedBlocks, GrowEvictsThroughHandlerWhenFreeBlocksShort)
     });
 
     // 40 tokens need 3 blocks; only 1 is free, so 2 must be evicted.
-    EXPECT_TRUE(bm.canGrow(2, TokenCount{40}));
-    EXPECT_TRUE(bm.grow(2, TokenCount{40}));
+    EXPECT_TRUE(bm.canGrow(s2, TokenCount{40}));
+    EXPECT_TRUE(bm.grow(s2, TokenCount{40}));
     EXPECT_EQ(handler_calls, 1);
-    EXPECT_EQ(bm.ownedTokens(2), 40);
+    EXPECT_EQ(bm.ownedTokens(s2), 40);
     EXPECT_EQ(bm.cacheHeldBlocks(), 1);
 }
 
 TEST(SharedBlocks, DoomedGrowDoesNotDrainTheCache)
 {
     BlockManager bm(TokenCount{64}, TokenCount{16}); // 4 blocks
+    KvSlot s1 = bm.open(1);
+    KvSlot s2 = bm.open(2);
     bm.setCacheWatermark(4);
-    ASSERT_TRUE(bm.grow(1, TokenCount{32}));
-    bm.convertToCached(1, 2);
-    bm.release(1);
+    ASSERT_TRUE(bm.grow(s1, TokenCount{32}));
+    bm.convertToCached(s1, 2);
+    bm.release(s1);
     ASSERT_EQ(bm.availableBlocks(), 4);
 
     std::int64_t handler_calls = 0;
@@ -175,8 +186,8 @@ TEST(SharedBlocks, DoomedGrowDoesNotDrainTheCache)
 
     // 5 blocks can never be satisfied, even evicting everything: the
     // handler must not be consulted for a request that is doomed.
-    EXPECT_FALSE(bm.canGrow(2, TokenCount{80}));
-    EXPECT_FALSE(bm.grow(2, TokenCount{80}));
+    EXPECT_FALSE(bm.canGrow(s2, TokenCount{80}));
+    EXPECT_FALSE(bm.grow(s2, TokenCount{80}));
     EXPECT_EQ(handler_calls, 0);
     EXPECT_EQ(bm.evictableBlocks(), 2);
 }
@@ -184,26 +195,30 @@ TEST(SharedBlocks, DoomedGrowDoesNotDrainTheCache)
 TEST(SharedBlocks, GrowWithoutHandlerIgnoresEvictableBlocks)
 {
     BlockManager bm(TokenCount{64}, TokenCount{16});
+    KvSlot s1 = bm.open(1);
+    KvSlot s2 = bm.open(2);
     bm.setCacheWatermark(4);
-    ASSERT_TRUE(bm.grow(1, TokenCount{48}));
-    bm.convertToCached(1, 3);
-    bm.release(1);
+    ASSERT_TRUE(bm.grow(s1, TokenCount{48}));
+    bm.convertToCached(s1, 3);
+    bm.release(s1);
     ASSERT_EQ(bm.freeBlocks(), 1);
 
     // No handler installed: only genuinely free blocks count.
-    EXPECT_FALSE(bm.canGrow(2, TokenCount{32}));
-    EXPECT_FALSE(bm.grow(2, TokenCount{32}));
-    EXPECT_TRUE(bm.grow(2, TokenCount{16}));
+    EXPECT_FALSE(bm.canGrow(s2, TokenCount{32}));
+    EXPECT_FALSE(bm.grow(s2, TokenCount{32}));
+    EXPECT_TRUE(bm.grow(s2, TokenCount{16}));
 }
 
 TEST(SharedBlocks, ConvertPastWatermarkPanics)
 {
     BlockManager bm(TokenCount{160}, TokenCount{16});
+    KvSlot s1 = bm.open(1);
+    KvSlot s2 = bm.open(2);
     bm.setCacheWatermark(2);
-    ASSERT_TRUE(bm.grow(1, TokenCount{64}));
-    bm.convertToCached(1, 2);
-    ASSERT_TRUE(bm.grow(2, TokenCount{64}));
-    EXPECT_DEATH(bm.convertToCached(2, 1), "watermark");
+    ASSERT_TRUE(bm.grow(s1, TokenCount{64}));
+    bm.convertToCached(s1, 2);
+    ASSERT_TRUE(bm.grow(s2, TokenCount{64}));
+    EXPECT_DEATH(bm.convertToCached(s2, 1), "watermark");
 }
 
 TEST(SharedBlocks, ZeroWatermarkIsFatal)
@@ -215,10 +230,12 @@ TEST(SharedBlocks, ZeroWatermarkIsFatal)
 TEST(SharedBlocks, ReleaseAllDestroysSharedState)
 {
     BlockManager bm(TokenCount{160}, TokenCount{16});
+    KvSlot s1 = bm.open(1);
+    KvSlot s2 = bm.open(2);
     bm.setCacheWatermark(5);
-    ASSERT_TRUE(bm.grow(1, TokenCount{64}));
-    bm.convertToCached(1, 4);
-    ASSERT_TRUE(bm.grow(2, TokenCount{16}));
+    ASSERT_TRUE(bm.grow(s1, TokenCount{64}));
+    bm.convertToCached(s1, 4);
+    ASSERT_TRUE(bm.grow(s2, TokenCount{16}));
 
     EXPECT_EQ(bm.releaseAll(), 5);
     EXPECT_EQ(bm.usedBlocks(), 0);
@@ -231,12 +248,16 @@ TEST(SharedBlocks, ReleaseAllDestroysSharedState)
 TEST(SharedBlocks, BlockIdsStayMonotonicAcrossReleaseAll)
 {
     BlockManager bm(TokenCount{160}, TokenCount{16});
+    KvSlot s1 = bm.open(1);
     bm.setCacheWatermark(5);
-    ASSERT_TRUE(bm.grow(1, TokenCount{32}));
-    auto before = bm.convertToCached(1, 2);
+    ASSERT_TRUE(bm.grow(s1, TokenCount{32}));
+    auto before = bm.convertToCached(s1, 2);
     bm.releaseAll();
-    ASSERT_TRUE(bm.grow(1, TokenCount{32}));
-    auto after = bm.convertToCached(1, 2);
+    // The crash closed every slot; the restarted owner opens anew.
+    EXPECT_FALSE(bm.owns(s1));
+    s1 = bm.open(1);
+    ASSERT_TRUE(bm.grow(s1, TokenCount{32}));
+    auto after = bm.convertToCached(s1, 2);
     // A recycled id could alias a stale tree entry after a crash;
     // monotonic ids make that structurally impossible.
     EXPECT_GT(after.front(), before.back());
@@ -245,10 +266,12 @@ TEST(SharedBlocks, BlockIdsStayMonotonicAcrossReleaseAll)
 TEST(SharedBlocks, OwnerUsageAndTableReportSharedState)
 {
     BlockManager bm(TokenCount{160}, TokenCount{16});
+    KvSlot s1 = bm.open(1);
+    KvSlot s2 = bm.open(2);
     bm.setCacheWatermark(5);
-    ASSERT_TRUE(bm.grow(1, TokenCount{40}));
-    auto ids = bm.convertToCached(1, 2);
-    bm.attachShared(2, ids);
+    ASSERT_TRUE(bm.grow(s1, TokenCount{40}));
+    auto ids = bm.convertToCached(s1, 2);
+    bm.attachShared(s2, ids);
 
     auto usage = bm.ownerUsage();
     ASSERT_EQ(usage.size(), 2u);
@@ -268,8 +291,8 @@ TEST(SharedBlocks, OwnerUsageAndTableReportSharedState)
         EXPECT_TRUE(info.cacheHeld);
     }
 
-    EXPECT_EQ(bm.ownerSharedIds(1), ids);
-    EXPECT_EQ(bm.ownerSharedIds(2), ids);
+    EXPECT_EQ(bm.ownerSharedIds(s1), ids);
+    EXPECT_EQ(bm.ownerSharedIds(s2), ids);
 }
 
 } // namespace

@@ -88,12 +88,12 @@ TEST(PrefixBlockKeys, UniquePromptsNeverCollide)
 /** Drive one request through its lifecycle: attach at admission,
  *  grow the remaining prompt privately, insert at prefill end. */
 int
-serveRequest(BlockManager &kv, PrefixCache &cache, KvOwnerId owner,
+serveRequest(BlockManager &kv, PrefixCache &cache, KvSlot slot,
              const RequestSpec &s, SimTime now)
 {
-    int cached = cache.attach(owner, s, now);
-    EXPECT_TRUE(kv.grow(owner, TokenCount{s.promptTokens - cached}));
-    cache.insert(owner, s, now);
+    int cached = cache.attach(slot, s, now);
+    EXPECT_TRUE(kv.grow(slot, TokenCount{s.promptTokens - cached}));
+    cache.insert(slot, s, now);
     return cached;
 }
 
@@ -103,9 +103,10 @@ TEST(PrefixCache, DisabledCacheIsInert)
     PrefixCache cache(kv, PrefixCacheConfig{});
     EXPECT_FALSE(cache.enabled());
     RequestSpec s = spec(1, {{7, 64}});
-    EXPECT_EQ(cache.attach(1, s, SimTime{0.0}), 0);
-    ASSERT_TRUE(kv.grow(1, TokenCount{64}));
-    cache.insert(1, s, SimTime{0.0});
+    KvSlot s1 = kv.open(1);
+    EXPECT_EQ(cache.attach(s1, s, SimTime{0.0}), 0);
+    ASSERT_TRUE(kv.grow(s1, TokenCount{64}));
+    cache.insert(s1, s, SimTime{0.0});
     EXPECT_EQ(cache.nodeCount(), 0u);
     EXPECT_EQ(cache.stats().lookups, 0);
     EXPECT_EQ(kv.sharedBlockCount(), 0);
@@ -123,23 +124,25 @@ TEST(PrefixCache, InsertPopulatesTreeAndAttachReusesIt)
 
     // First request misses and contributes its 4 full prompt blocks.
     RequestSpec first = spec(1, {{7, 64}, {9, 32}});
-    EXPECT_EQ(serveRequest(kv, cache, 1, first, SimTime{1.0}), 0);
+    KvSlot s1 = kv.open(1);
+    EXPECT_EQ(serveRequest(kv, cache, s1, first, SimTime{1.0}), 0);
     EXPECT_EQ(cache.nodeCount(), 6u);
     EXPECT_EQ(cache.stats().lookups, 1);
     EXPECT_EQ(cache.stats().hits, 0);
     EXPECT_EQ(cache.stats().blocksInserted, 6);
-    kv.release(1);
+    kv.release(s1);
 
     // A second request sharing only the system prompt reuses the
     // four blocks of that segment.
     RequestSpec second = spec(2, {{7, 64}, {11, 32}});
-    int cached = cache.attach(2, second, SimTime{2.0});
+    KvSlot s2 = kv.open(2);
+    int cached = cache.attach(s2, second, SimTime{2.0});
     EXPECT_EQ(cached, 64);
     EXPECT_EQ(cache.stats().hits, 1);
     EXPECT_EQ(cache.stats().tokensAttached, 64);
     EXPECT_EQ(cache.stats().cowCopies, 0);
-    EXPECT_EQ(kv.sharedTokens(2), 64);
-    EXPECT_EQ(kv.ownedTokens(2), 0);
+    EXPECT_EQ(kv.sharedTokens(s2), 64);
+    EXPECT_EQ(kv.ownedTokens(s2), 0);
 }
 
 TEST(PrefixCache, FullPromptMatchCowCopiesTheTail)
@@ -150,26 +153,28 @@ TEST(PrefixCache, FullPromptMatchCowCopiesTheTail)
     PrefixCache cache(kv, cfg);
 
     RequestSpec s = spec(1, {{7, 64}});
-    serveRequest(kv, cache, 1, s, SimTime{1.0});
-    kv.release(1);
+    KvSlot s1 = kv.open(1);
+    serveRequest(kv, cache, s1, s, SimTime{1.0});
+    kv.release(s1);
 
     // Identical prompt: the match covers all 64 tokens but the attach
     // is capped at 63 so one real prefill token remains; the partial
     // fourth block is copied privately (COW).
     RequestSpec again = spec(2, {{7, 64}});
-    int cached = cache.attach(2, again, SimTime{2.0});
+    KvSlot s2 = kv.open(2);
+    int cached = cache.attach(s2, again, SimTime{2.0});
     EXPECT_EQ(cached, 63);
     EXPECT_EQ(cache.stats().cowCopies, 1);
-    EXPECT_EQ(kv.sharedTokens(2), 48); // 3 full shared blocks
-    EXPECT_EQ(kv.ownedTokens(2), 15);  // the COW'd tail
+    EXPECT_EQ(kv.sharedTokens(s2), 48); // 3 full shared blocks
+    EXPECT_EQ(kv.ownedTokens(s2), 15);  // the COW'd tail
 
     // Finishing the prefill dedups the recomputed fourth block onto
     // the cached copy instead of inserting a duplicate.
-    ASSERT_TRUE(kv.grow(2, TokenCount{1}));
-    cache.insert(2, again, SimTime{2.0});
+    ASSERT_TRUE(kv.grow(s2, TokenCount{1}));
+    cache.insert(s2, again, SimTime{2.0});
     EXPECT_EQ(cache.nodeCount(), 4u);
-    EXPECT_EQ(kv.sharedTokens(2), 64);
-    EXPECT_EQ(kv.ownedTokens(2), 0);
+    EXPECT_EQ(kv.sharedTokens(s2), 64);
+    EXPECT_EQ(kv.ownedTokens(s2), 0);
 }
 
 TEST(PrefixCache, CowTailNeedsAFreeBlock)
@@ -181,18 +186,20 @@ TEST(PrefixCache, CowTailNeedsAFreeBlock)
     PrefixCache cache(kv, cfg);
 
     RequestSpec s = spec(1, {{7, 64}});
-    serveRequest(kv, cache, 1, s, SimTime{1.0});
-    kv.release(1);
+    KvSlot s1 = kv.open(1);
+    serveRequest(kv, cache, s1, s, SimTime{1.0});
+    kv.release(s1);
     ASSERT_EQ(kv.freeBlocks(), 0);
 
     // All four blocks are cached and none are free: the full-block
     // part of the match attaches, but the COW tail is dropped rather
     // than evicting (the eviction could reclaim the very block the
     // copy reads from).
-    int cached = cache.attach(2, spec(2, {{7, 64}}), SimTime{2.0});
+    KvSlot s2 = kv.open(2);
+    int cached = cache.attach(s2, spec(2, {{7, 64}}), SimTime{2.0});
     EXPECT_EQ(cached, 48);
     EXPECT_EQ(cache.stats().cowCopies, 0);
-    EXPECT_EQ(kv.ownedTokens(2), 0);
+    EXPECT_EQ(kv.ownedTokens(s2), 0);
 }
 
 TEST(PrefixCache, ProbeMatchesAttachWithoutSideEffects)
@@ -202,8 +209,9 @@ TEST(PrefixCache, ProbeMatchesAttachWithoutSideEffects)
     cfg.enabled = true;
     PrefixCache cache(kv, cfg);
 
-    serveRequest(kv, cache, 1, spec(1, {{7, 64}, {9, 32}}), SimTime{1.0});
-    kv.release(1);
+    KvSlot s1 = kv.open(1);
+    serveRequest(kv, cache, s1, spec(1, {{7, 64}, {9, 32}}), SimTime{1.0});
+    kv.release(s1);
 
     RequestSpec partial = spec(2, {{7, 64}, {11, 32}});
     RequestSpec exact = spec(3, {{7, 64}, {9, 32}});
@@ -218,7 +226,8 @@ TEST(PrefixCache, ProbeMatchesAttachWithoutSideEffects)
     EXPECT_EQ(kv.numOwners(), 0u);
 
     // And probe agrees with what attach then delivers.
-    EXPECT_EQ(cache.attach(2, partial, SimTime{2.0}), 64);
+    KvSlot s2 = kv.open(2);
+    EXPECT_EQ(cache.attach(s2, partial, SimTime{2.0}), 64);
 }
 
 TEST(PrefixCache, EvictionIsLruLeafOnlyWithIdTieBreak)
@@ -229,10 +238,12 @@ TEST(PrefixCache, EvictionIsLruLeafOnlyWithIdTieBreak)
     PrefixCache cache(kv, cfg);
 
     // Two chains inserted at distinct times, then both released.
-    serveRequest(kv, cache, 1, spec(1, {{7, 32}}), SimTime{1.0});  // blocks A0<A1
-    serveRequest(kv, cache, 2, spec(2, {{9, 32}}), SimTime{2.0});  // blocks B0<B1
-    kv.release(1);
-    kv.release(2);
+    KvSlot s1 = kv.open(1);
+    serveRequest(kv, cache, s1, spec(1, {{7, 32}}), SimTime{1.0});  // blocks A0<A1
+    KvSlot s2 = kv.open(2);
+    serveRequest(kv, cache, s2, spec(2, {{9, 32}}), SimTime{2.0});  // blocks B0<B1
+    kv.release(s1);
+    kv.release(s2);
     auto table = kv.sharedBlockTable();
     ASSERT_EQ(table.size(), 4u);
     KvBlockId a0 = table[0].id, a1 = table[1].id;
@@ -265,14 +276,17 @@ TEST(PrefixCache, AttachRefreshesLruOrder)
     cfg.enabled = true;
     PrefixCache cache(kv, cfg);
 
-    serveRequest(kv, cache, 1, spec(1, {{7, 16}}), SimTime{1.0});
-    serveRequest(kv, cache, 2, spec(2, {{9, 16}}), SimTime{2.0});
-    kv.release(1);
-    kv.release(2);
+    KvSlot s1 = kv.open(1);
+    serveRequest(kv, cache, s1, spec(1, {{7, 16}}), SimTime{1.0});
+    KvSlot s2 = kv.open(2);
+    serveRequest(kv, cache, s2, spec(2, {{9, 16}}), SimTime{2.0});
+    kv.release(s1);
+    kv.release(s2);
 
     // Touch the older chain: a hit at t=10 makes it the newer one.
-    EXPECT_EQ(cache.attach(3, spec(3, {{7, 32}}), SimTime{10.0}), 16);
-    kv.release(3);
+    KvSlot s3 = kv.open(3);
+    EXPECT_EQ(cache.attach(s3, spec(3, {{7, 32}}), SimTime{10.0}), 16);
+    kv.release(s3);
 
     // Eviction now reclaims the untouched chain (content 9) first.
     auto before = kv.sharedBlockTable();
@@ -290,11 +304,12 @@ TEST(PrefixCache, PinnedBlocksAreNotEvictable)
     cfg.enabled = true;
     PrefixCache cache(kv, cfg);
 
-    serveRequest(kv, cache, 1, spec(1, {{7, 32}}), SimTime{1.0});
+    KvSlot s1 = kv.open(1);
+    serveRequest(kv, cache, s1, spec(1, {{7, 32}}), SimTime{1.0});
     // Owner 1 still references both blocks: nothing can be evicted.
     EXPECT_EQ(cache.evictBlocks(2), 0);
     EXPECT_EQ(cache.nodeCount(), 2u);
-    kv.release(1);
+    kv.release(s1);
     EXPECT_EQ(cache.evictBlocks(2), 2);
 }
 
@@ -309,18 +324,20 @@ TEST(PrefixCache, InsertCachesOnlyWhatTheWatermarkAllows)
     // The owner still pins every cached block, so the insert cannot
     // evict its way to room: only the leading two blocks enter.
     RequestSpec s = spec(1, {{7, 64}});
-    EXPECT_EQ(cache.attach(1, s, SimTime{1.0}), 0);
-    ASSERT_TRUE(kv.grow(1, TokenCount{64}));
-    cache.insert(1, s, SimTime{1.0});
+    KvSlot s1 = kv.open(1);
+    EXPECT_EQ(cache.attach(s1, s, SimTime{1.0}), 0);
+    ASSERT_TRUE(kv.grow(s1, TokenCount{64}));
+    cache.insert(s1, s, SimTime{1.0});
     EXPECT_EQ(cache.nodeCount(), 2u);
     EXPECT_EQ(kv.cacheHeldBlocks(), 2);
-    EXPECT_EQ(kv.sharedTokens(1), 32);
-    EXPECT_EQ(kv.ownedTokens(1), 32);
+    EXPECT_EQ(kv.sharedTokens(s1), 32);
+    EXPECT_EQ(kv.ownedTokens(s1), 32);
 
     // Once the pins are gone a new insert evicts the cold blocks to
     // make room for its own, still respecting the watermark.
-    kv.release(1);
-    serveRequest(kv, cache, 2, spec(2, {{9, 64}}), SimTime{2.0});
+    kv.release(s1);
+    KvSlot s2 = kv.open(2);
+    serveRequest(kv, cache, s2, spec(2, {{9, 64}}), SimTime{2.0});
     EXPECT_EQ(cache.nodeCount(), 2u);
     EXPECT_EQ(kv.cacheHeldBlocks(), 2);
     EXPECT_EQ(cache.stats().blocksEvicted, 2);
@@ -333,7 +350,8 @@ TEST(PrefixCache, DropAllForgetsTheTree)
     cfg.enabled = true;
     PrefixCache cache(kv, cfg);
 
-    serveRequest(kv, cache, 1, spec(1, {{7, 64}}), SimTime{1.0});
+    KvSlot s1 = kv.open(1);
+    serveRequest(kv, cache, s1, spec(1, {{7, 64}}), SimTime{1.0});
     ASSERT_EQ(cache.nodeCount(), 4u);
 
     // The crash path: the manager releases every block, then the
@@ -345,9 +363,11 @@ TEST(PrefixCache, DropAllForgetsTheTree)
     EXPECT_TRUE(cache.auditView().treeBlocks.empty());
 
     // The rebuilt tree serves hits again.
-    serveRequest(kv, cache, 2, spec(2, {{7, 64}}), SimTime{2.0});
-    kv.release(2);
-    EXPECT_EQ(cache.attach(3, spec(3, {{7, 64}}), SimTime{3.0}), 63);
+    KvSlot s2 = kv.open(2);
+    serveRequest(kv, cache, s2, spec(2, {{7, 64}}), SimTime{2.0});
+    kv.release(s2);
+    KvSlot s3 = kv.open(3);
+    EXPECT_EQ(cache.attach(s3, spec(3, {{7, 64}}), SimTime{3.0}), 63);
 }
 
 TEST(PrefixCache, AuditViewMirrorsTheSharedTable)
@@ -357,7 +377,8 @@ TEST(PrefixCache, AuditViewMirrorsTheSharedTable)
     cfg.enabled = true;
     PrefixCache cache(kv, cfg);
 
-    serveRequest(kv, cache, 1, spec(1, {{7, 48}}), SimTime{1.0});
+    KvSlot s1 = kv.open(1);
+    serveRequest(kv, cache, s1, spec(1, {{7, 48}}), SimTime{1.0});
     auto view = cache.auditView();
     EXPECT_TRUE(view.populated);
     EXPECT_EQ(view.nodeCount, 3u);
@@ -387,7 +408,7 @@ TEST(PrefixCache, RandomizedLifecycleKeepsInvariants)
     InvariantAuditor auditor(opts);
 
     Rng rng(20240805);
-    std::vector<std::pair<KvOwnerId, RequestSpec>> active;
+    std::vector<std::pair<KvSlot, RequestSpec>> active;
     KvOwnerId next_owner = 1;
     SimTime now;
 
@@ -418,13 +439,14 @@ TEST(PrefixCache, RandomizedLifecycleKeepsInvariants)
                 s = uniqueSpec(owner, 16 + static_cast<int>(
                                           rng.nextU64() % 80));
             }
-            int cached = cache.attach(owner, s, now);
+            KvSlot slot = kv.open(owner);
+            int cached = cache.attach(slot, s, now);
             ASSERT_LE(cached, s.promptTokens - 1);
-            if (kv.grow(owner, TokenCount{s.promptTokens - cached})) {
-                cache.insert(owner, s, now);
-                active.emplace_back(owner, s);
+            if (kv.grow(slot, TokenCount{s.promptTokens - cached})) {
+                cache.insert(slot, s, now);
+                active.emplace_back(slot, s);
             } else {
-                kv.release(owner); // admission failed: roll back
+                kv.release(slot); // admission failed: roll back
             }
         }
         auditor.checkBlockManager(kv, now);
@@ -435,8 +457,8 @@ TEST(PrefixCache, RandomizedLifecycleKeepsInvariants)
     }
 
     // Drain and make sure the cache alone survives, fully evictable.
-    for (auto &[owner, s] : active)
-        kv.release(owner);
+    for (auto &[slot, s] : active)
+        kv.release(slot);
     auditor.checkBlockManager(kv, now);
     auditor.checkPrefixCache(cache, kv, now);
     EXPECT_TRUE(auditor.clean()) << describe(auditor);

@@ -116,14 +116,19 @@ TEST_F(ChunkedSchedulerTest, KvGrowsWithProgressAndReleasesAtEnd)
 
     SimTime now;
     runIteration(sched, fx_.perf, now);
-    EXPECT_EQ(fx_.kv.ownedTokens(1), 256);
+    ASSERT_TRUE(req->kvSlot().valid());
+    EXPECT_EQ(fx_.kv.ownerOf(req->kvSlot()), 1u);
+    EXPECT_EQ(fx_.kv.ownedTokens(req->kvSlot()), 256);
 
     runIteration(sched, fx_.perf, now); // decode token 2
-    EXPECT_EQ(fx_.kv.ownedTokens(1), 257);
+    EXPECT_EQ(fx_.kv.ownedTokens(req->kvSlot()), 257);
 
+    KvSlot slot = req->kvSlot();
     while (sched.hasWork())
         runIteration(sched, fx_.perf, now);
-    EXPECT_EQ(fx_.kv.ownedTokens(1), 0);
+    EXPECT_FALSE(req->kvSlot().valid());
+    EXPECT_FALSE(fx_.kv.owns(slot));
+    EXPECT_EQ(fx_.kv.usedBlocks(), 0);
 }
 
 TEST_F(ChunkedSchedulerTest, DecodeBatchCapHoldsBackFinalChunk)

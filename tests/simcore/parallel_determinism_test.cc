@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -290,11 +292,29 @@ TEST(ParallelDeterminism, GoodputSearchIsIdenticalAcrossJobCounts)
 {
     // Synthetic load runner with a crisp capacity knee; the search
     // result and the set of probed points must not depend on jobs.
-    auto make_runner = [](double capacity,
-                          std::vector<double> *probes) {
+    // The runner is called from pool workers, so probes are recorded
+    // under a lock; their order depends on thread timing, so only the
+    // sorted sets are compared.
+    struct ProbeLog
+    {
+        std::mutex mutex;
+        std::vector<double> qps;
+
+        std::vector<double>
+        sorted()
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            std::vector<double> out = qps;
+            std::sort(out.begin(), out.end());
+            return out;
+        }
+    };
+    auto make_runner = [](double capacity, ProbeLog *probes) {
         return [capacity, probes](double qps) {
-            if (probes != nullptr)
-                probes->push_back(qps);
+            if (probes != nullptr) {
+                std::lock_guard<std::mutex> lock(probes->mutex);
+                probes->qps.push_back(qps);
+            }
             RunSummary s;
             s.count = 100;
             s.violationRate = qps <= capacity ? 0.0 : 0.5;
@@ -310,7 +330,7 @@ TEST(ParallelDeterminism, GoodputSearchIsIdenticalAcrossJobCounts)
 
         double serial = measureMaxGoodput(
             make_runner(capacity, nullptr), {}, serial_search);
-        std::vector<double> parallel_probes;
+        ProbeLog parallel_probes;
         double parallel = measureMaxGoodput(
             make_runner(capacity, &parallel_probes), {},
             parallel_search);
@@ -318,11 +338,12 @@ TEST(ParallelDeterminism, GoodputSearchIsIdenticalAcrossJobCounts)
         EXPECT_EQ(serial, parallel) << "capacity=" << capacity;
         // The parallel probe set is a superset of the serial one
         // (no early exit), but every probe lies on the same
-        // deterministic grid: re-running yields the same sequence.
-        std::vector<double> again;
+        // deterministic grid: re-running probes the same points.
+        ProbeLog again;
         measureMaxGoodput(make_runner(capacity, &again), {},
                           parallel_search);
-        EXPECT_EQ(parallel_probes, again) << "capacity=" << capacity;
+        EXPECT_EQ(parallel_probes.sorted(), again.sorted())
+            << "capacity=" << capacity;
     }
 }
 
