@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,15 @@ struct DatasetCase
     std::string name;
     double prompt_p50, prompt_p90, decode_p50, decode_p90;
 };
+
+// Without this, gtest names each case by a byte dump of the param,
+// which includes the std::string's heap pointer and so changes from
+// one process to the next.
+void
+PrintTo(const DatasetCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class DatasetQuantiles : public ::testing::TestWithParam<DatasetCase>
 {
