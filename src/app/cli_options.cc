@@ -5,9 +5,7 @@
 
 #include "app/cli_options.hh"
 
-#include <cstdlib>
-#include <sstream>
-
+#include "core/csv.hh"
 #include "simcore/logging.hh"
 
 namespace qoserve {
@@ -17,38 +15,20 @@ namespace {
 double
 parseDouble(const std::string &flag, const std::string &value)
 {
-    try {
-        std::size_t pos = 0;
-        double v = std::stod(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument("trailing characters");
-        return v;
-    } catch (const std::exception &) {
-        QOSERVE_FATAL("flag ", flag, ": not a number: '", value, "'");
-    }
+    return requireNumber<double>(value, "flag ", flag);
 }
 
 std::uint64_t
 parseU64(const std::string &flag, const std::string &value)
 {
-    try {
-        std::size_t pos = 0;
-        std::uint64_t v = std::stoull(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument("trailing characters");
-        return v;
-    } catch (const std::exception &) {
-        QOSERVE_FATAL("flag ", flag, ": not an integer: '", value, "'");
-    }
+    return requireNumber<std::uint64_t>(value, "flag ", flag);
 }
 
 std::vector<double>
 parseMix(const std::string &flag, const std::string &value)
 {
     std::vector<double> mix;
-    std::istringstream iss(value);
-    std::string part;
-    while (std::getline(iss, part, ','))
+    for (const std::string &part : splitCsv(value))
         mix.push_back(parseDouble(flag, part));
     return mix;
 }

@@ -11,9 +11,21 @@
 #include <ostream>
 #include <string>
 
+#include "core/csv.hh"
 #include "simcore/logging.hh"
 
 namespace qoserve {
+
+namespace {
+
+const char *const kRecordsHeader =
+    "id,arrival,prompt_tokens,decode_tokens,tier_id,important,"
+    "ttft,ttlt,max_tbt,tbt_misses,violated,relegated,"
+    "kv_preemptions,retries,retry_exhausted";
+const char *const kRollingHeader = "window_start,value,count";
+const char *const kSummaryHeader = "metric,value";
+
+} // namespace
 
 void
 writeRecordsCsvHeader(std::ostream &out)
@@ -21,9 +33,7 @@ writeRecordsCsvHeader(std::ostream &out)
     // max_digits10: doubles survive the round trip through
     // readRecordsCsv bit-exactly (the explainer joins on these).
     out << std::setprecision(17);
-    out << "id,arrival,prompt_tokens,decode_tokens,tier_id,important,"
-           "ttft,ttlt,max_tbt,tbt_misses,violated,relegated,"
-           "kv_preemptions,retries,retry_exhausted\n";
+    out << kRecordsHeader << '\n';
 }
 
 void
@@ -86,18 +96,15 @@ void
 writeRecordsCsvFile(const MetricsCollector &collector,
                     const std::string &path)
 {
-    std::ofstream out(path);
-    if (!out)
-        QOSERVE_FATAL("cannot open records file for writing: ", path);
-    writeRecordsCsv(collector, out);
-    if (!out)
-        QOSERVE_FATAL("error writing records file: ", path);
+    writeArtefactFile(path, "records", [&](std::ostream &out) {
+        writeRecordsCsv(collector, out);
+    });
 }
 
 void
 writeSummaryCsv(const RunSummary &summary, std::ostream &out)
 {
-    out << "metric,value\n";
+    out << kSummaryHeader << '\n';
     out << "count," << summary.count << '\n';
     out << "violation_rate," << summary.violationRate << '\n';
     out << "violation_rate_with_tbt," << summary.violationRateWithTbt
@@ -140,137 +147,37 @@ writeSummaryCsv(const RunSummary &summary, std::ostream &out)
     }
 }
 
-namespace {
-
-/** Strict double parse: the whole field must be consumed. stod
- *  accepts "inf", so infinite latencies round-trip. */
-double
-parseCsvDouble(const char *what, const std::string &field,
-               std::size_t line_no)
-{
-    std::size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(field, &pos);
-    } catch (const std::exception &) {
-        QOSERVE_FATAL(what, " CSV line ", line_no,
-                      ": value is not a number: '", field, "'");
-    }
-    if (pos != field.size())
-        QOSERVE_FATAL(what, " CSV line ", line_no,
-                      ": trailing characters after value: '", field,
-                      "'");
-    return value;
-}
-
-/** Strict integer parse of a CSV field. */
-std::int64_t
-parseCsvInt(const char *what, const std::string &field,
-            std::size_t line_no)
-{
-    std::size_t pos = 0;
-    long long value = 0;
-    try {
-        value = std::stoll(field, &pos);
-    } catch (const std::exception &) {
-        QOSERVE_FATAL(what, " CSV line ", line_no,
-                      ": value is not an integer: '", field, "'");
-    }
-    if (pos != field.size())
-        QOSERVE_FATAL(what, " CSV line ", line_no,
-                      ": trailing characters after value: '", field,
-                      "'");
-    return value;
-}
-
-/** Split @p line on commas; fatal unless exactly @p want fields. */
-std::vector<std::string>
-splitCsvFields(const char *what, const std::string &line,
-               std::size_t want, std::size_t line_no)
-{
-    std::vector<std::string> fields;
-    std::size_t start = 0;
-    while (true) {
-        std::size_t comma = line.find(',', start);
-        if (comma == std::string::npos) {
-            fields.push_back(line.substr(start));
-            break;
-        }
-        fields.push_back(line.substr(start, comma - start));
-        start = comma + 1;
-    }
-    if (fields.size() != want)
-        QOSERVE_FATAL(what, " CSV line ", line_no, ": expected ", want,
-                      " fields, got ", fields.size(), ": '", line, "'");
-    return fields;
-}
-
-double
-parseSummaryValue(const std::string &field, std::size_t line_no)
-{
-    return parseCsvDouble("summary", field, line_no);
-}
-
-} // namespace
-
 std::vector<RecordsCsvRow>
 readRecordsCsv(std::istream &in)
 {
-    static const std::string kHeader =
-        "id,arrival,prompt_tokens,decode_tokens,tier_id,important,"
-        "ttft,ttlt,max_tbt,tbt_misses,violated,relegated,"
-        "kv_preemptions,retries,retry_exhausted";
     std::vector<RecordsCsvRow> rows;
-    std::string line;
-    std::size_t line_no = 0;
-    bool saw_header = false;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty())
-            QOSERVE_FATAL("records CSV line ", line_no, ": empty line");
-        if (!saw_header) {
-            if (line != kHeader)
-                QOSERVE_FATAL("records CSV line ", line_no,
-                              ": unexpected header: '", line, "'");
-            saw_header = true;
-            continue;
-        }
-        auto f = splitCsvFields("records", line, 15, line_no);
+    CsvReader csv(in, "records", kRecordsHeader);
+    while (csv.next()) {
         RecordsCsvRow row;
-        row.id = static_cast<std::uint64_t>(
-            parseCsvInt("records", f[0], line_no));
-        row.arrival = parseCsvDouble("records", f[1], line_no);
-        row.promptTokens = parseCsvInt("records", f[2], line_no);
-        row.decodeTokens = parseCsvInt("records", f[3], line_no);
-        row.tierId = static_cast<int>(
-            parseCsvInt("records", f[4], line_no));
-        row.important = parseCsvInt("records", f[5], line_no) != 0;
-        row.ttft = parseCsvDouble("records", f[6], line_no);
-        row.ttlt = parseCsvDouble("records", f[7], line_no);
-        row.maxTbt = parseCsvDouble("records", f[8], line_no);
-        row.tbtMisses = parseCsvInt("records", f[9], line_no);
-        row.violated = parseCsvInt("records", f[10], line_no) != 0;
-        row.relegated = parseCsvInt("records", f[11], line_no) != 0;
-        row.kvPreemptions = parseCsvInt("records", f[12], line_no);
-        row.retries = static_cast<int>(
-            parseCsvInt("records", f[13], line_no));
-        row.retryExhausted = parseCsvInt("records", f[14], line_no) != 0;
+        row.id = csv.number<std::uint64_t>(0);
+        row.arrival = csv.number<double>(1);
+        row.promptTokens = csv.number<std::int64_t>(2);
+        row.decodeTokens = csv.number<std::int64_t>(3);
+        row.tierId = csv.number<int>(4);
+        row.important = csv.number<int>(5) != 0;
+        row.ttft = csv.number<double>(6);
+        row.ttlt = csv.number<double>(7);
+        row.maxTbt = csv.number<double>(8);
+        row.tbtMisses = csv.number<std::int64_t>(9);
+        row.violated = csv.number<int>(10) != 0;
+        row.relegated = csv.number<int>(11) != 0;
+        row.kvPreemptions = csv.number<std::int64_t>(12);
+        row.retries = csv.number<int>(13);
+        row.retryExhausted = csv.number<int>(14) != 0;
         rows.push_back(row);
     }
-    if (!saw_header)
-        QOSERVE_FATAL("records CSV is empty (missing header)");
     return rows;
 }
 
 std::vector<RecordsCsvRow>
 readRecordsCsvFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        QOSERVE_FATAL("cannot open records file for reading: ", path);
-    return readRecordsCsv(in);
+    return readArtefactFile(path, "records", readRecordsCsv);
 }
 
 void
@@ -278,7 +185,7 @@ writeRollingCsv(const std::vector<RollingPoint> &points,
                 std::ostream &out)
 {
     out << std::setprecision(17);
-    out << "window_start,value,count\n";
+    out << kRollingHeader << '\n';
     for (const RollingPoint &p : points) {
         out << p.windowStart << ',' << p.value << ',' << p.count
             << '\n';
@@ -289,37 +196,12 @@ std::vector<RollingPoint>
 readRollingCsv(std::istream &in)
 {
     std::vector<RollingPoint> points;
-    std::string line;
-    std::size_t line_no = 0;
-    bool saw_header = false;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty())
-            QOSERVE_FATAL("rolling CSV line ", line_no, ": empty line");
-        if (!saw_header) {
-            if (line != "window_start,value,count")
-                QOSERVE_FATAL("rolling CSV line ", line_no,
-                              ": expected header "
-                              "'window_start,value,count', got '",
-                              line, "'");
-            saw_header = true;
-            continue;
-        }
-        auto f = splitCsvFields("rolling", line, 3, line_no);
-        RollingPoint p;
-        p.windowStart = SimTime{parseCsvDouble("rolling", f[0], line_no)};
-        p.value = parseCsvDouble("rolling", f[1], line_no);
-        std::int64_t count = parseCsvInt("rolling", f[2], line_no);
-        if (count < 0)
-            QOSERVE_FATAL("rolling CSV line ", line_no,
-                          ": negative count");
-        p.count = static_cast<std::size_t>(count);
-        points.push_back(p);
+    CsvReader csv(in, "rolling", kRollingHeader);
+    while (csv.next()) {
+        points.push_back({SimTime{csv.number<double>(0)},
+                          csv.number<double>(1),
+                          csv.number<std::size_t>(2)});
     }
-    if (!saw_header)
-        QOSERVE_FATAL("rolling CSV is empty (missing header)");
     return points;
 }
 
@@ -327,47 +209,19 @@ std::vector<SummaryCsvRow>
 readSummaryCsv(std::istream &in)
 {
     std::vector<SummaryCsvRow> rows;
-    std::string line;
-    std::size_t line_no = 0;
-    bool saw_header = false;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty())
-            QOSERVE_FATAL("summary CSV line ", line_no, ": empty line");
-        if (!saw_header) {
-            if (line != "metric,value")
-                QOSERVE_FATAL("summary CSV line ", line_no,
-                              ": expected header 'metric,value', got '",
-                              line, "'");
-            saw_header = true;
-            continue;
-        }
-        std::size_t comma = line.find(',');
-        if (comma == std::string::npos ||
-            line.find(',', comma + 1) != std::string::npos)
-            QOSERVE_FATAL("summary CSV line ", line_no,
-                          ": expected 2 fields: '", line, "'");
-        SummaryCsvRow row;
-        row.key = line.substr(0, comma);
-        if (row.key.empty())
-            QOSERVE_FATAL("summary CSV line ", line_no, ": empty key");
-        row.value = parseSummaryValue(line.substr(comma + 1), line_no);
-        rows.push_back(std::move(row));
+    CsvReader csv(in, "summary", kSummaryHeader);
+    while (csv.next()) {
+        if (csv.field(0).empty())
+            csv.fail("empty key");
+        rows.push_back({csv.field(0), csv.number<double>(1)});
     }
-    if (!saw_header)
-        QOSERVE_FATAL("summary CSV is empty (missing header)");
     return rows;
 }
 
 std::vector<SummaryCsvRow>
 readSummaryCsvFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        QOSERVE_FATAL("cannot open summary file for reading: ", path);
-    return readSummaryCsv(in);
+    return readArtefactFile(path, "summary", readSummaryCsv);
 }
 
 void

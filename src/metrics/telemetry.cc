@@ -6,9 +6,9 @@
 #include "metrics/telemetry.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <ostream>
 
+#include "core/csv.hh"
 #include "simcore/logging.hh"
 
 namespace qoserve {
@@ -126,12 +126,8 @@ TelemetryRecorder::writeCsv(std::ostream &out) const
 void
 TelemetryRecorder::writeCsvFile(const std::string &path) const
 {
-    std::ofstream out(path);
-    if (!out)
-        QOSERVE_FATAL("cannot open telemetry file for writing: ", path);
-    writeCsv(out);
-    if (!out)
-        QOSERVE_FATAL("error writing telemetry file: ", path);
+    writeArtefactFile(path, "telemetry",
+                      [this](std::ostream &out) { writeCsv(out); });
 }
 
 } // namespace qoserve

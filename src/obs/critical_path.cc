@@ -6,15 +6,30 @@
 #include "obs/critical_path.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
-#include "simcore/logging.hh"
+#include "core/csv.hh"
 
 namespace qoserve {
+
+namespace {
+
+const char *const kCriticalCsvHeader =
+    "phase,replica,seconds,dominant_requests";
+
+int
+phaseByName(const CsvReader &csv)
+{
+    for (int p = 0; p < kTracePhases; ++p)
+        if (csv.field(0) == tracePhaseName(static_cast<TracePhase>(p)))
+            return p;
+    csv.fail("unknown phase: '", csv.field(0), "'");
+}
+
+} // namespace
 
 CriticalSegment
 CriticalPath::dominant() const
@@ -159,7 +174,7 @@ writeCriticalAggregateCsv(const CriticalAggregate &agg,
 {
     std::ostringstream fmt;
     fmt << std::setprecision(17);
-    out << "phase,replica,seconds,dominant_requests\n";
+    out << kCriticalCsvHeader << '\n';
     fmt << "total,-1," << agg.totalSeconds << ',' << agg.requests
         << '\n';
     for (const auto &[key, entry] : agg.cells) {
@@ -174,130 +189,45 @@ void
 writeCriticalAggregateCsvFile(const CriticalAggregate &agg,
                               const std::string &path)
 {
-    std::ofstream out(path);
-    if (!out)
-        QOSERVE_FATAL("cannot open critical-path file for writing: ",
-                      path);
-    writeCriticalAggregateCsv(agg, out);
-    if (!out)
-        QOSERVE_FATAL("error writing critical-path file: ", path);
+    writeArtefactFile(path, "critical-path", [&](std::ostream &out) {
+        writeCriticalAggregateCsv(agg, out);
+    });
 }
-
-namespace {
-
-int
-phaseByName(const std::string &name, std::size_t line_no)
-{
-    for (int p = 0; p < kTracePhases; ++p)
-        if (name == tracePhaseName(static_cast<TracePhase>(p)))
-            return p;
-    QOSERVE_FATAL("critical-path CSV line ", line_no,
-                  ": unknown phase: '", name, "'");
-}
-
-double
-parseCpDouble(const std::string &field, std::size_t line_no)
-{
-    std::size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(field, &pos);
-    } catch (const std::exception &) {
-        QOSERVE_FATAL("critical-path CSV line ", line_no,
-                      ": not a number: '", field, "'");
-    }
-    if (pos != field.size())
-        QOSERVE_FATAL("critical-path CSV line ", line_no,
-                      ": trailing characters: '", field, "'");
-    return value;
-}
-
-std::int64_t
-parseCpInt(const std::string &field, std::size_t line_no)
-{
-    std::size_t pos = 0;
-    std::int64_t value = 0;
-    try {
-        value = std::stoll(field, &pos);
-    } catch (const std::exception &) {
-        QOSERVE_FATAL("critical-path CSV line ", line_no,
-                      ": not an integer: '", field, "'");
-    }
-    if (pos != field.size())
-        QOSERVE_FATAL("critical-path CSV line ", line_no,
-                      ": trailing characters: '", field, "'");
-    return value;
-}
-
-} // namespace
 
 CriticalAggregate
 readCriticalAggregateCsv(std::istream &in)
 {
     CriticalAggregate agg;
-    std::string line;
-    std::size_t line_no = 0;
-    bool saw_header = false;
     bool saw_total = false;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty())
-            QOSERVE_FATAL("critical-path CSV line ", line_no,
-                          ": empty line");
-        if (!saw_header) {
-            if (line != "phase,replica,seconds,dominant_requests")
-                QOSERVE_FATAL("critical-path CSV line ", line_no,
-                              ": unexpected header: '", line, "'");
-            saw_header = true;
-            continue;
-        }
-        std::vector<std::string> fields;
-        std::istringstream iss(line);
-        std::string field;
-        while (std::getline(iss, field, ','))
-            fields.push_back(field);
-        if (fields.size() != 4)
-            QOSERVE_FATAL("critical-path CSV line ", line_no,
-                          ": expected 4 fields, got ", fields.size());
-        if (fields[0] == "total") {
+    CsvReader csv(in, "critical-path", kCriticalCsvHeader);
+    while (csv.next()) {
+        if (csv.field(0) == "total") {
             if (saw_total)
-                QOSERVE_FATAL("critical-path CSV line ", line_no,
-                              ": duplicate total row");
+                csv.fail("duplicate total row");
             saw_total = true;
-            agg.totalSeconds = parseCpDouble(fields[2], line_no);
-            agg.requests = static_cast<std::uint64_t>(
-                parseCpInt(fields[3], line_no));
+            agg.totalSeconds = csv.number<double>(2);
+            agg.requests = csv.number<std::uint64_t>(3);
             continue;
         }
-        int phase = phaseByName(fields[0], line_no);
-        int replica =
-            static_cast<int>(parseCpInt(fields[1], line_no));
+        int phase = phaseByName(csv);
+        int replica = csv.number<int>(1);
         CriticalAggregate::Entry entry;
-        entry.seconds = parseCpDouble(fields[2], line_no);
-        entry.dominantRequests = static_cast<std::uint64_t>(
-            parseCpInt(fields[3], line_no));
+        entry.seconds = csv.number<double>(2);
+        entry.dominantRequests = csv.number<std::uint64_t>(3);
         if (!agg.cells.emplace(std::make_pair(phase, replica), entry)
                  .second)
-            QOSERVE_FATAL("critical-path CSV line ", line_no,
-                          ": duplicate cell");
+            csv.fail("duplicate cell");
     }
-    if (!saw_header)
-        QOSERVE_FATAL("critical-path CSV is empty (missing header)");
     if (!saw_total)
-        QOSERVE_FATAL("critical-path CSV has no total row");
+        csv.fail("no total row");
     return agg;
 }
 
 CriticalAggregate
 readCriticalAggregateCsvFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        QOSERVE_FATAL("cannot open critical-path file for reading: ",
-                      path);
-    return readCriticalAggregateCsv(in);
+    return readArtefactFile(path, "critical-path",
+                            readCriticalAggregateCsv);
 }
 
 } // namespace qoserve

@@ -5,12 +5,12 @@
 
 #include "obs/metrics_registry.hh"
 
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <set>
 #include <sstream>
 
+#include "core/csv.hh"
 #include "simcore/logging.hh"
 
 namespace qoserve {
@@ -139,12 +139,8 @@ MetricsRegistry::writeCsv(std::ostream &out) const
 void
 MetricsRegistry::writeCsvFile(const std::string &path) const
 {
-    std::ofstream out(path);
-    if (!out)
-        QOSERVE_FATAL("cannot open metrics file for writing: ", path);
-    writeCsv(out);
-    if (!out)
-        QOSERVE_FATAL("error writing metrics file: ", path);
+    writeArtefactFile(path, "metrics",
+                      [this](std::ostream &out) { writeCsv(out); });
 }
 
 MetricsSampler::MetricsSampler(EventQueue &eq, MetricsRegistry &registry,

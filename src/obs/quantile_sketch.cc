@@ -6,17 +6,25 @@
 #include "obs/quantile_sketch.hh"
 
 #include <cmath>
-#include <fstream>
 #include <iomanip>
 #include <istream>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
+#include "core/csv.hh"
 #include "simcore/logging.hh"
 
 namespace qoserve {
+
+namespace {
+
+const char *const kSketchCsvHeader = "sketch,field,value";
+
+} // namespace
 
 QuantileSketch::QuantileSketch(double relative_error)
     : relativeError_(relative_error),
@@ -156,7 +164,7 @@ writeSketchBankCsv(const std::map<std::string, QuantileSketch> &bank,
     // exactly; counts are integers and exact by construction.
     std::ostringstream fmt;
     fmt << std::setprecision(17);
-    out << "sketch,field,value\n";
+    out << kSketchCsvHeader << '\n';
     for (const auto &[name, sk] : bank) {
         QOSERVE_ASSERT(!name.empty() &&
                            name.find(',') == std::string::npos &&
@@ -178,66 +186,12 @@ void
 writeSketchBankCsvFile(const std::map<std::string, QuantileSketch> &bank,
                        const std::string &path)
 {
-    std::ofstream out(path);
-    if (!out)
-        QOSERVE_FATAL("cannot open sketch file for writing: ", path);
-    writeSketchBankCsv(bank, out);
-    if (!out)
-        QOSERVE_FATAL("error writing sketch file: ", path);
+    writeArtefactFile(path, "sketch", [&](std::ostream &out) {
+        writeSketchBankCsv(bank, out);
+    });
 }
 
 namespace {
-
-double
-parseSketchDouble(const std::string &field, std::size_t line_no)
-{
-    std::size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(field, &pos);
-    } catch (const std::exception &) {
-        QOSERVE_FATAL("sketch CSV line ", line_no, ": not a number: '",
-                      field, "'");
-    }
-    if (pos != field.size())
-        QOSERVE_FATAL("sketch CSV line ", line_no,
-                      ": trailing characters: '", field, "'");
-    return value;
-}
-
-std::uint64_t
-parseSketchCount(const std::string &field, std::size_t line_no)
-{
-    std::size_t pos = 0;
-    std::uint64_t value = 0;
-    try {
-        value = std::stoull(field, &pos);
-    } catch (const std::exception &) {
-        QOSERVE_FATAL("sketch CSV line ", line_no,
-                      ": not a count: '", field, "'");
-    }
-    if (pos != field.size())
-        QOSERVE_FATAL("sketch CSV line ", line_no,
-                      ": trailing characters: '", field, "'");
-    return value;
-}
-
-std::int32_t
-parseBucketKey(const std::string &field, std::size_t line_no)
-{
-    std::size_t pos = 0;
-    long long value = 0;
-    try {
-        value = std::stoll(field, &pos);
-    } catch (const std::exception &) {
-        QOSERVE_FATAL("sketch CSV line ", line_no,
-                      ": malformed bucket key: 'b", field, "'");
-    }
-    if (pos != field.size())
-        QOSERVE_FATAL("sketch CSV line ", line_no,
-                      ": malformed bucket key: 'b", field, "'");
-    return static_cast<std::int32_t>(value);
-}
 
 /** State of the sketch currently being assembled. */
 struct PendingSketch
@@ -253,14 +207,13 @@ struct PendingSketch
 };
 
 void
-finishPending(PendingSketch &pending, std::size_t line_no,
+finishPending(PendingSketch &pending, const CsvReader &csv,
               std::map<std::string, QuantileSketch> &bank)
 {
     if (pending.name.empty())
         return;
     if (!pending.sawAlpha)
-        QOSERVE_FATAL("sketch CSV line ", line_no, ": sketch '",
-                      pending.name, "' has no alpha row");
+        csv.fail("sketch '", pending.name, "' has no alpha row");
     bank.emplace(pending.name,
                  QuantileSketch::fromParts(
                      pending.alpha, pending.zero, pending.inf,
@@ -276,81 +229,52 @@ readSketchBankCsv(std::istream &in)
 {
     std::map<std::string, QuantileSketch> bank;
     PendingSketch pending;
-    std::string line;
-    std::size_t line_no = 0;
-    bool saw_header = false;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty())
-            QOSERVE_FATAL("sketch CSV line ", line_no, ": empty line");
-        if (!saw_header) {
-            if (line != "sketch,field,value")
-                QOSERVE_FATAL("sketch CSV line ", line_no,
-                              ": unexpected header: '", line, "'");
-            saw_header = true;
-            continue;
-        }
-        std::vector<std::string> fields;
-        std::istringstream iss(line);
-        std::string field;
-        while (std::getline(iss, field, ','))
-            fields.push_back(field);
-        if (fields.size() != 3)
-            QOSERVE_FATAL("sketch CSV line ", line_no,
-                          ": expected 3 fields, got ", fields.size());
-        const std::string &name = fields[0];
-        const std::string &key = fields[1];
-        const std::string &value = fields[2];
+    CsvReader csv(in, "sketch", kSketchCsvHeader);
+    while (csv.next()) {
+        const std::string &name = csv.field(0);
+        const std::string &key = csv.field(1);
         if (name.empty())
-            QOSERVE_FATAL("sketch CSV line ", line_no,
-                          ": empty sketch name");
+            csv.fail("empty sketch name");
         if (name != pending.name) {
-            finishPending(pending, line_no, bank);
+            finishPending(pending, csv, bank);
             if (bank.count(name) != 0)
-                QOSERVE_FATAL("sketch CSV line ", line_no,
-                              ": sketch '", name,
-                              "' appears twice (rows must be "
-                              "contiguous per sketch)");
+                csv.fail("sketch '", name,
+                         "' appears twice (rows must be contiguous per "
+                         "sketch)");
             pending.name = name;
         }
         if (key == "alpha") {
-            pending.alpha = parseSketchDouble(value, line_no);
+            pending.alpha = csv.number<double>(2);
             pending.sawAlpha = true;
         } else if (key == "zero") {
-            pending.zero = parseSketchCount(value, line_no);
+            pending.zero = csv.number<std::uint64_t>(2);
         } else if (key == "inf") {
-            pending.inf = parseSketchCount(value, line_no);
+            pending.inf = csv.number<std::uint64_t>(2);
         } else if (key == "min") {
-            pending.minValue = parseSketchDouble(value, line_no);
+            pending.minValue = csv.number<double>(2);
         } else if (key == "max_finite") {
-            pending.maxFinite = parseSketchDouble(value, line_no);
+            pending.maxFinite = csv.number<double>(2);
         } else if (!key.empty() && key[0] == 'b') {
-            std::int32_t bkey = parseBucketKey(key.substr(1), line_no);
+            std::optional<std::int32_t> bkey =
+                parseNumber<std::int32_t>(std::string_view(key).substr(1));
+            if (!bkey)
+                csv.fail("malformed bucket key: '", key, "'");
             if (!pending.buckets.empty() &&
-                bkey <= pending.buckets.rbegin()->first)
-                QOSERVE_FATAL("sketch CSV line ", line_no,
-                              ": bucket keys out of order");
-            pending.buckets[bkey] = parseSketchCount(value, line_no);
+                *bkey <= pending.buckets.rbegin()->first)
+                csv.fail("bucket keys out of order");
+            pending.buckets[*bkey] = csv.number<std::uint64_t>(2);
         } else {
-            QOSERVE_FATAL("sketch CSV line ", line_no,
-                          ": unknown field: '", key, "'");
+            csv.fail("unknown field: '", key, "'");
         }
     }
-    if (!saw_header)
-        QOSERVE_FATAL("sketch CSV is empty (missing header)");
-    finishPending(pending, line_no, bank);
+    finishPending(pending, csv, bank);
     return bank;
 }
 
 std::map<std::string, QuantileSketch>
 readSketchBankCsvFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        QOSERVE_FATAL("cannot open sketch file for reading: ", path);
-    return readSketchBankCsv(in);
+    return readArtefactFile(path, "sketch", readSketchBankCsv);
 }
 
 } // namespace qoserve

@@ -7,12 +7,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <set>
 #include <sstream>
 
+#include "core/csv.hh"
 #include "simcore/logging.hh"
 
 namespace qoserve {
@@ -398,12 +398,9 @@ writeDiffHtml(const RunDiff &diff, std::ostream &out)
 void
 writeDiffHtmlFile(const RunDiff &diff, const std::string &path)
 {
-    std::ofstream out(path);
-    if (!out)
-        QOSERVE_FATAL("cannot open HTML report for writing: ", path);
-    writeDiffHtml(diff, out);
-    if (!out)
-        QOSERVE_FATAL("error writing HTML report: ", path);
+    writeArtefactFile(path, "HTML report", [&](std::ostream &out) {
+        writeDiffHtml(diff, out);
+    });
 }
 
 } // namespace qoserve

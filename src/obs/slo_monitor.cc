@@ -6,15 +6,21 @@
 #include "obs/slo_monitor.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
+#include "core/csv.hh"
 #include "simcore/logging.hh"
 
 namespace qoserve {
+
+namespace {
+
+const char *const kAlertsCsvHeader = "tier,raised,cleared,peak_burn";
+
+} // namespace
 
 SloMonitor::SloMonitor(EventQueue &eq, TraceScope scope,
                        SloMonitorConfig cfg)
@@ -133,7 +139,7 @@ writeAlertsCsv(const std::vector<SloAlert> &alerts, std::ostream &out)
 {
     std::ostringstream fmt;
     fmt << std::setprecision(17);
-    out << "tier,raised,cleared,peak_burn\n";
+    out << kAlertsCsvHeader << '\n';
     for (const SloAlert &a : alerts) {
         fmt.str("");
         fmt << a.tier << ',' << a.raised << ',' << a.cleared << ','
@@ -146,82 +152,31 @@ void
 writeAlertsCsvFile(const std::vector<SloAlert> &alerts,
                    const std::string &path)
 {
-    std::ofstream out(path);
-    if (!out)
-        QOSERVE_FATAL("cannot open alert file for writing: ", path);
-    writeAlertsCsv(alerts, out);
-    if (!out)
-        QOSERVE_FATAL("error writing alert file: ", path);
+    writeArtefactFile(path, "alert", [&](std::ostream &out) {
+        writeAlertsCsv(alerts, out);
+    });
 }
-
-namespace {
-
-double
-parseAlertDouble(const std::string &field, std::size_t line_no)
-{
-    std::size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(field, &pos);
-    } catch (const std::exception &) {
-        QOSERVE_FATAL("alert CSV line ", line_no, ": not a number: '",
-                      field, "'");
-    }
-    if (pos != field.size())
-        QOSERVE_FATAL("alert CSV line ", line_no,
-                      ": trailing characters: '", field, "'");
-    return value;
-}
-
-} // namespace
 
 std::vector<SloAlert>
 readAlertsCsv(std::istream &in)
 {
     std::vector<SloAlert> alerts;
-    std::string line;
-    std::size_t line_no = 0;
-    bool saw_header = false;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty())
-            QOSERVE_FATAL("alert CSV line ", line_no, ": empty line");
-        if (!saw_header) {
-            if (line != "tier,raised,cleared,peak_burn")
-                QOSERVE_FATAL("alert CSV line ", line_no,
-                              ": unexpected header: '", line, "'");
-            saw_header = true;
-            continue;
-        }
-        std::vector<std::string> fields;
-        std::istringstream iss(line);
-        std::string field;
-        while (std::getline(iss, field, ','))
-            fields.push_back(field);
-        if (fields.size() != 4)
-            QOSERVE_FATAL("alert CSV line ", line_no,
-                          ": expected 4 fields, got ", fields.size());
+    CsvReader csv(in, "alert", kAlertsCsvHeader);
+    while (csv.next()) {
         SloAlert a;
-        a.tier = static_cast<int>(parseAlertDouble(fields[0], line_no));
-        a.raised = SimTime{parseAlertDouble(fields[1], line_no)};
-        a.cleared = SimTime{parseAlertDouble(fields[2], line_no)};
-        a.peakBurn = parseAlertDouble(fields[3], line_no);
+        a.tier = csv.number<int>(0);
+        a.raised = SimTime{csv.number<double>(1)};
+        a.cleared = SimTime{csv.number<double>(2)};
+        a.peakBurn = csv.number<double>(3);
         alerts.push_back(a);
     }
-    if (!saw_header)
-        QOSERVE_FATAL("alert CSV is empty (missing header)");
     return alerts;
 }
 
 std::vector<SloAlert>
 readAlertsCsvFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        QOSERVE_FATAL("cannot open alert file for reading: ", path);
-    return readAlertsCsv(in);
+    return readArtefactFile(path, "alert", readAlertsCsv);
 }
 
 } // namespace qoserve

@@ -6,10 +6,10 @@
 #include "obs/trace_export.hh"
 
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 #include <set>
 
+#include "core/csv.hh"
 #include "simcore/logging.hh"
 
 namespace qoserve {
@@ -440,12 +440,9 @@ void
 writePerfettoJsonFile(const std::vector<TraceEvent> &events,
                       const std::string &path)
 {
-    std::ofstream out(path);
-    if (!out)
-        QOSERVE_FATAL("cannot open trace file for writing: ", path);
-    writePerfettoJson(events, out);
-    if (!out)
-        QOSERVE_FATAL("error writing trace file: ", path);
+    writeArtefactFile(path, "trace", [&](std::ostream &out) {
+        writePerfettoJson(events, out);
+    });
 }
 
 } // namespace qoserve

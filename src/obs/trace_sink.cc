@@ -5,15 +5,32 @@
 
 #include "obs/trace_sink.hh"
 
-#include <fstream>
 #include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
+#include "core/csv.hh"
 #include "simcore/logging.hh"
 
 namespace qoserve {
+
+namespace {
+
+const char *const kTraceCsvHeader = "event,time,request,replica,arg,value";
+
+TraceEventKind
+kindByName(const CsvReader &csv)
+{
+    for (int k = 0; k < kTraceEventKinds; ++k) {
+        auto kind = static_cast<TraceEventKind>(k);
+        if (csv.field(0) == traceEventKindName(kind))
+            return kind;
+    }
+    csv.fail("unknown event kind: '", csv.field(0), "'");
+}
+
+} // namespace
 
 const char *
 traceEventKindName(TraceEventKind kind)
@@ -101,7 +118,7 @@ TraceSink::writeCsv(std::ostream &out) const
     // timestamps the exporters saw.
     std::ostringstream fmt;
     fmt << std::setprecision(17);
-    out << "event,time,request,replica,arg,value\n";
+    out << kTraceCsvHeader << '\n';
     for (const TraceEvent &ev : events_) {
         fmt.str("");
         fmt << traceEventKindName(ev.kind) << ',' << ev.time << ',';
@@ -118,116 +135,35 @@ TraceSink::writeCsv(std::ostream &out) const
 void
 TraceSink::writeCsvFile(const std::string &path) const
 {
-    std::ofstream out(path);
-    if (!out)
-        QOSERVE_FATAL("cannot open trace file for writing: ", path);
-    writeCsv(out);
-    if (!out)
-        QOSERVE_FATAL("error writing trace file: ", path);
+    writeArtefactFile(path, "trace",
+                      [this](std::ostream &out) { writeCsv(out); });
 }
-
-namespace {
-
-TraceEventKind
-kindByName(const std::string &name, std::size_t line_no)
-{
-    for (int k = 0; k < kTraceEventKinds; ++k) {
-        auto kind = static_cast<TraceEventKind>(k);
-        if (name == traceEventKindName(kind))
-            return kind;
-    }
-    QOSERVE_FATAL("trace CSV line ", line_no,
-                  ": unknown event kind: '", name, "'");
-}
-
-double
-parseTraceDouble(const std::string &field, std::size_t line_no)
-{
-    std::size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(field, &pos);
-    } catch (const std::exception &) {
-        QOSERVE_FATAL("trace CSV line ", line_no,
-                      ": not a number: '", field, "'");
-    }
-    if (pos != field.size())
-        QOSERVE_FATAL("trace CSV line ", line_no,
-                      ": trailing characters: '", field, "'");
-    return value;
-}
-
-std::int64_t
-parseTraceInt(const std::string &field, std::size_t line_no)
-{
-    std::size_t pos = 0;
-    std::int64_t value = 0;
-    try {
-        value = std::stoll(field, &pos);
-    } catch (const std::exception &) {
-        QOSERVE_FATAL("trace CSV line ", line_no,
-                      ": not an integer: '", field, "'");
-    }
-    if (pos != field.size())
-        QOSERVE_FATAL("trace CSV line ", line_no,
-                      ": trailing characters: '", field, "'");
-    return value;
-}
-
-} // namespace
 
 std::vector<TraceEvent>
 readTraceCsv(std::istream &in)
 {
     std::vector<TraceEvent> events;
-    std::string line;
-    std::size_t line_no = 0;
-    bool saw_header = false;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty())
-            QOSERVE_FATAL("trace CSV line ", line_no, ": empty line");
-        if (!saw_header) {
-            if (line != "event,time,request,replica,arg,value")
-                QOSERVE_FATAL("trace CSV line ", line_no,
-                              ": unexpected header: '", line, "'");
-            saw_header = true;
-            continue;
-        }
-        std::vector<std::string> fields;
-        std::istringstream iss(line);
-        std::string field;
-        while (std::getline(iss, field, ','))
-            fields.push_back(field);
-        if (fields.size() != 6)
-            QOSERVE_FATAL("trace CSV line ", line_no,
-                          ": expected 6 fields, got ", fields.size());
+    CsvReader csv(in, "trace", kTraceCsvHeader);
+    while (csv.next()) {
         TraceEvent ev;
-        ev.kind = kindByName(fields[0], line_no);
-        ev.time = SimTime{parseTraceDouble(fields[1], line_no)};
-        std::int64_t req = parseTraceInt(fields[2], line_no);
-        ev.request = req < 0 ? kNoTraceRequest
-                             : static_cast<std::uint64_t>(req);
-        ev.replica =
-            static_cast<int>(parseTraceInt(fields[3], line_no));
-        ev.arg = parseTraceInt(fields[4], line_no);
-        ev.value = parseTraceDouble(fields[5], line_no);
+        ev.kind = kindByName(csv);
+        ev.time = SimTime{csv.number<double>(1)};
+        ev.request = csv.field(2) == "-1" ? kNoTraceRequest
+                                          : csv.number<std::uint64_t>(2);
+        ev.replica = csv.number<int>(3);
+        ev.arg = csv.number<std::int64_t>(4);
+        ev.value = csv.number<double>(5);
         events.push_back(ev);
     }
-    if (!saw_header)
-        QOSERVE_FATAL("trace CSV is empty (missing header)");
     return events;
 }
 
 std::vector<TraceEvent>
 readTraceCsvFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        QOSERVE_FATAL("cannot open trace file for reading: ", path);
-    return readTraceCsv(in);
+    return readArtefactFile(path, "trace", [](std::istream &in) {
+        return readTraceCsv(in);
+    });
 }
 
 } // namespace qoserve

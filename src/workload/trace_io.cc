@@ -7,11 +7,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iomanip>
 #include <limits>
-#include <sstream>
 
+#include "core/csv.hh"
 #include "simcore/logging.hh"
 
 namespace qoserve {
@@ -27,109 +26,30 @@ const char *kHeaderSegments =
     "id,arrival,prompt_tokens,decode_tokens,tier_id,important,app_id,"
     "prompt_segments";
 
-std::vector<std::string>
-splitCsvLine(const std::string &line)
-{
-    std::vector<std::string> fields;
-    std::string field;
-    std::istringstream iss(line);
-    while (std::getline(iss, field, ','))
-        fields.push_back(field);
-    return fields;
-}
-
-// Strict field parsers: the whole field must be consumed, so trailing
-// garbage ("12x") and embedded whitespace are rejected with the field
-// name and line number rather than silently truncated by std::stoi.
-
-[[noreturn]] void
-fieldError(std::size_t line_no, const char *name, const std::string &value,
-           const char *what)
-{
-    QOSERVE_FATAL("trace line ", line_no, ": field '", name, "': ", what,
-                  ": '", value, "'");
-}
-
-std::uint64_t
-parseFieldU64(const std::string &value, const char *name,
-              std::size_t line_no)
-{
-    if (value.empty() || value[0] == '-')
-        fieldError(line_no, name, value, "expected unsigned integer");
-    std::size_t pos = 0;
-    std::uint64_t parsed = 0;
-    try {
-        parsed = std::stoull(value, &pos);
-    } catch (const std::exception &) {
-        fieldError(line_no, name, value, "expected unsigned integer");
-    }
-    if (pos != value.size())
-        fieldError(line_no, name, value,
-                   "trailing characters after integer");
-    return parsed;
-}
-
-int
-parseFieldInt(const std::string &value, const char *name,
-              std::size_t line_no)
-{
-    std::size_t pos = 0;
-    int parsed = 0;
-    try {
-        parsed = std::stoi(value, &pos);
-    } catch (const std::exception &) {
-        fieldError(line_no, name, value, "expected integer");
-    }
-    if (pos != value.size())
-        fieldError(line_no, name, value,
-                   "trailing characters after integer");
-    return parsed;
-}
-
-double
-parseFieldDouble(const std::string &value, const char *name,
-                 std::size_t line_no)
-{
-    std::size_t pos = 0;
-    double parsed = 0.0;
-    try {
-        parsed = std::stod(value, &pos);
-    } catch (const std::exception &) {
-        fieldError(line_no, name, value, "expected number");
-    }
-    if (pos != value.size())
-        fieldError(line_no, name, value,
-                   "trailing characters after number");
-    return parsed;
-}
+const char *const kWhat = "workload trace";
 
 std::vector<PromptSegment>
 parseSegments(const std::string &value, std::size_t line_no)
 {
+    const auto segmentError = [&](const std::string &item,
+                                  const char *what) {
+        csvFatal(kWhat, line_no, "field 'prompt_segments': ", what, ": '",
+                 item, "'");
+    };
     std::vector<PromptSegment> segments;
-    std::istringstream iss(value);
-    std::string item;
-    while (std::getline(iss, item, ';')) {
+    for (const std::string &item : splitCsv(value, ';')) {
         std::size_t colon = item.find(':');
         if (colon == std::string::npos || colon == 0 ||
-            colon + 1 >= item.size()) {
-            fieldError(line_no, "prompt_segments", item,
-                       "expected contentId:tokens");
-        }
+            colon + 1 == item.size())
+            segmentError(item, "expected contentId:tokens");
         PromptSegment seg;
-        seg.contentId = parseFieldU64(item.substr(0, colon),
-                                      "prompt_segments", line_no);
-        seg.tokens = parseFieldInt(item.substr(colon + 1),
-                                   "prompt_segments", line_no);
-        if (seg.tokens <= 0) {
-            fieldError(line_no, "prompt_segments", item,
-                       "segment tokens must be positive");
-        }
+        seg.contentId = parseCsvField<std::uint64_t>(
+            kWhat, line_no, "prompt_segments", item.substr(0, colon));
+        seg.tokens = parseCsvField<int>(kWhat, line_no, "prompt_segments",
+                                        item.substr(colon + 1));
+        if (seg.tokens <= 0)
+            segmentError(item, "segment tokens must be positive");
         segments.push_back(seg);
-    }
-    if (segments.empty()) {
-        fieldError(line_no, "prompt_segments", value,
-                   "expected '-' or contentId:tokens list");
     }
     return segments;
 }
@@ -172,12 +92,9 @@ writeTraceCsv(const Trace &trace, std::ostream &out)
 void
 writeTraceCsvFile(const Trace &trace, const std::string &path)
 {
-    std::ofstream out(path);
-    if (!out)
-        QOSERVE_FATAL("cannot open trace file for writing: ", path);
-    writeTraceCsv(trace, out);
-    if (!out)
-        QOSERVE_FATAL("error writing trace file: ", path);
+    writeArtefactFile(path, "trace", [&](std::ostream &out) {
+        writeTraceCsv(trace, out);
+    });
 }
 
 Trace
@@ -185,46 +102,42 @@ readTraceCsv(std::istream &in, TierTable tiers)
 {
     QOSERVE_ASSERT(!tiers.empty(), "tier table required");
 
+    // Traces come from foreign tools too, so this reader accepts
+    // CRLF line ends, blank lines and either header; fields are still
+    // strict.
     std::string line;
-    if (!std::getline(in, line))
-        QOSERVE_FATAL("empty trace file");
-    // Tolerate trailing carriage returns from foreign tools.
-    if (!line.empty() && line.back() == '\r')
-        line.pop_back();
+    if (!readCsvLine(in, line))
+        csvFatal(kWhat, 1, "empty input (missing header)");
     bool segments = line == kHeaderSegments;
     if (line != kHeader && !segments)
-        QOSERVE_FATAL("bad trace header: expected '", kHeader, "', got '",
-                      line, "'");
+        csvFatal(kWhat, 1, "unexpected header: '", line, "', expected '",
+                 kHeader, "'");
     std::size_t expected_fields = segments ? 8 : 7;
+    const std::vector<std::string> columns = splitCsv(kHeaderSegments);
 
     Trace trace;
     trace.tiers = std::move(tiers);
 
-    std::size_t line_no = 1;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
+    for (std::size_t line_no = 2; readCsvLine(in, line); ++line_no) {
         if (line.empty())
             continue;
-        auto fields = splitCsvLine(line);
-        if (fields.size() != expected_fields) {
-            QOSERVE_FATAL("trace line ", line_no, ": expected ",
-                          expected_fields, " fields, got ",
-                          fields.size());
-        }
+        auto fields = splitCsv(line);
+        if (fields.size() != expected_fields)
+            csvFatal(kWhat, line_no, "expected ", expected_fields,
+                     " fields, got ", fields.size(), ": '", line, "'");
+        // field(T{}, col): column col parsed strictly as a T.
+        auto field = [&](auto as, std::size_t col) {
+            return parseCsvField<decltype(as)>(kWhat, line_no,
+                                               columns[col], fields[col]);
+        };
         RequestSpec spec;
-        spec.id = parseFieldU64(fields[0], "id", line_no);
-        spec.arrival =
-            SimTime{parseFieldDouble(fields[1], "arrival", line_no)};
-        spec.promptTokens =
-            parseFieldInt(fields[2], "prompt_tokens", line_no);
-        spec.decodeTokens =
-            parseFieldInt(fields[3], "decode_tokens", line_no);
-        spec.tierId = parseFieldInt(fields[4], "tier_id", line_no);
-        spec.important =
-            parseFieldInt(fields[5], "important", line_no) != 0;
-        spec.appId = parseFieldInt(fields[6], "app_id", line_no);
+        spec.id = field(std::uint64_t{}, 0);
+        spec.arrival = SimTime{field(double{}, 1)};
+        spec.promptTokens = field(int{}, 2);
+        spec.decodeTokens = field(int{}, 3);
+        spec.tierId = field(int{}, 4);
+        spec.important = field(int{}, 5) != 0;
+        spec.appId = field(int{}, 6);
         if (segments && fields[7] != "-")
             spec.promptSegments = parseSegments(fields[7], line_no);
         if (!spec.promptSegments.empty()) {
@@ -232,21 +145,19 @@ readTraceCsv(std::istream &in, TierTable tiers)
             for (const PromptSegment &s : spec.promptSegments)
                 sum += s.tokens;
             if (sum != spec.promptTokens) {
-                QOSERVE_FATAL("trace line ", line_no,
-                              ": prompt segments sum to ", sum,
-                              " tokens but prompt_tokens is ",
-                              spec.promptTokens);
+                csvFatal(kWhat, line_no, "prompt segments sum to ", sum,
+                         " tokens but prompt_tokens is ",
+                         spec.promptTokens);
             }
         }
         if (spec.promptTokens <= 0 || spec.decodeTokens <= 0)
-            QOSERVE_FATAL("trace line ", line_no,
-                          ": token counts must be positive");
+            csvFatal(kWhat, line_no, "token counts must be positive");
         if (spec.tierId < 0 ||
             spec.tierId >= static_cast<int>(trace.tiers.size()))
-            QOSERVE_FATAL("trace line ", line_no, ": tier ", spec.tierId,
-                          " out of range");
+            csvFatal(kWhat, line_no, "tier ", spec.tierId,
+                     " out of range");
         if (spec.arrival < SimTime{})
-            QOSERVE_FATAL("trace line ", line_no, ": negative arrival");
+            csvFatal(kWhat, line_no, "negative arrival");
         trace.requests.push_back(spec);
     }
 
@@ -267,10 +178,9 @@ readTraceCsv(std::istream &in, TierTable tiers)
 Trace
 readTraceCsvFile(const std::string &path, TierTable tiers)
 {
-    std::ifstream in(path);
-    if (!in)
-        QOSERVE_FATAL("cannot open trace file: ", path);
-    return readTraceCsv(in, std::move(tiers));
+    return readArtefactFile(path, "trace", [&](std::istream &in) {
+        return readTraceCsv(in, std::move(tiers));
+    });
 }
 
 } // namespace qoserve

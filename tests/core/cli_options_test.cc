@@ -264,7 +264,11 @@ TEST(CliOptions, MissingValueIsFatal)
 TEST(CliOptions, MalformedNumberIsFatal)
 {
     EXPECT_DEATH(parseCliOptions({"--qps", "fast"}), "not a number");
-    EXPECT_DEATH(parseCliOptions({"--seed", "1.5"}), "not an integer");
+    EXPECT_DEATH(parseCliOptions({"--seed", "1.5"}),
+                 "--seed: not an unsigned integer: '1.5'");
+    // An unsigned flag must not wrap "-1" to 2^64 - 1.
+    EXPECT_DEATH(parseCliOptions({"--seed", "-1"}),
+                 "--seed: not an unsigned integer: '-1'");
 }
 
 TEST(CliOptions, RangeValidation)

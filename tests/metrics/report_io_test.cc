@@ -344,7 +344,8 @@ TEST(ReportIo, RollingCsvMatchesRollingLatencyOutput)
 TEST(ReportIo, RollingCsvNegativeCountIsFatal)
 {
     std::stringstream in("window_start,value,count\n0,1,-2\n");
-    EXPECT_DEATH(readRollingCsv(in), "negative");
+    EXPECT_DEATH(readRollingCsv(in),
+                 "line 2: field 'count': not an unsigned integer: '-2'");
 }
 
 TEST(ReportIo, SummaryCsvBadHeaderIsFatal)
@@ -363,7 +364,8 @@ TEST(ReportIo, SummaryCsvBadValueIsFatalWithLineNumber)
 TEST(ReportIo, SummaryCsvTrailingGarbageIsFatal)
 {
     std::stringstream in("metric,value\ncount,12x\n");
-    EXPECT_DEATH(readSummaryCsv(in), "trailing characters");
+    EXPECT_DEATH(readSummaryCsv(in),
+                 "line 2: field 'value': not a number: '12x'");
 }
 
 TEST(ReportIo, SummaryCsvWrongFieldCountIsFatal)

@@ -217,5 +217,16 @@ TEST(CriticalPathDeathTest, MalformedAggregateCsvIsFatal)
                  "duplicate cell");
 }
 
+TEST(CriticalPathDeathTest, NegativeDominantRequestsIsFatal)
+{
+    // dominant_requests is a count: "-1" must not wrap to 2^64 - 1.
+    std::istringstream in("phase,replica,seconds,dominant_requests\n"
+                          "total,-1,1.0,1\n"
+                          "decode,0,1.0,-1\n");
+    EXPECT_DEATH(readCriticalAggregateCsv(in),
+                 "critical-path CSV line 3: field 'dominant_requests': "
+                 "not an unsigned integer: '-1'");
+}
+
 } // namespace
 } // namespace qoserve

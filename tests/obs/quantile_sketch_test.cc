@@ -267,5 +267,24 @@ TEST(QuantileSketchDeathTest, MalformedBankCsvIsFatal)
                  "bucket");
 }
 
+TEST(QuantileSketchDeathTest, NegativeBankCountIsFatal)
+{
+    // A count is unsigned: "-3" must not wrap to 2^64 - 3.
+    auto parse = [](const std::string &text) {
+        std::istringstream in(text);
+        readSketchBankCsv(in);
+    };
+    EXPECT_DEATH(parse("sketch,field,value\n"
+                       "a,alpha,0.01\n"
+                       "a,zero,-3\n"),
+                 "sketch CSV line 3: field 'value': not an unsigned "
+                 "integer: '-3'");
+    EXPECT_DEATH(parse("sketch,field,value\n"
+                       "a,alpha,0.01\n"
+                       "a,b5,-3\n"),
+                 "sketch CSV line 3: field 'value': not an unsigned "
+                 "integer: '-3'");
+}
+
 } // namespace
 } // namespace qoserve

@@ -204,5 +204,14 @@ TEST(SloMonitorDeathTest, MalformedAlertCsvIsFatal)
                  "not a number");
 }
 
+TEST(SloMonitorDeathTest, FractionalAlertTierIsFatal)
+{
+    // A tier is an integer: "1.7" must not truncate to tier 1.
+    std::istringstream in("tier,raised,cleared,peak_burn\n"
+                          "1.7,1.0,2.0,3.0\n");
+    EXPECT_DEATH(readAlertsCsv(in),
+                 "alert CSV line 2: field 'tier': not an integer: '1.7'");
+}
+
 } // namespace
 } // namespace qoserve

@@ -81,7 +81,7 @@ TEST(TraceIo, WindowsLineEndingsAccepted)
 TEST(TraceIo, BadHeaderIsFatal)
 {
     std::stringstream in("nope\n0,1.0,100,10,0,1,0\n");
-    EXPECT_DEATH(readTraceCsv(in, paperTierTable()), "bad trace header");
+    EXPECT_DEATH(readTraceCsv(in, paperTierTable()), "workload trace CSV line 1: unexpected header: 'nope'");
 }
 
 TEST(TraceIo, WrongFieldCountIsFatal)
@@ -122,7 +122,7 @@ TEST(TraceIo, TrailingGarbageInFieldIsFatalWithLineNumber)
         "0,1.0,100,10,0,1,0\n"
         "1,2.0,12x,10,0,1,0\n");
     EXPECT_DEATH(readTraceCsv(in, paperTierTable()),
-                 "trace line 3: field 'prompt_tokens'");
+                 "trace CSV line 3: field 'prompt_tokens': not an integer: '12x'");
 }
 
 TEST(TraceIo, NonNumericArrivalIsFatal)
@@ -132,7 +132,7 @@ TEST(TraceIo, NonNumericArrivalIsFatal)
         "app_id\n"
         "0,soon,100,10,0,1,0\n");
     EXPECT_DEATH(readTraceCsv(in, paperTierTable()),
-                 "field 'arrival'.*expected number");
+                 "line 2: field 'arrival': not a number: 'soon'");
 }
 
 TEST(TraceIo, NegativeIdIsFatal)
@@ -143,7 +143,7 @@ TEST(TraceIo, NegativeIdIsFatal)
         "app_id\n"
         "-1,1.0,100,10,0,1,0\n");
     EXPECT_DEATH(readTraceCsv(in, paperTierTable()),
-                 "field 'id'.*expected unsigned integer");
+                 "line 2: field 'id': not an unsigned integer: '-1'");
 }
 
 TEST(TraceIo, EmptyFieldIsFatal)

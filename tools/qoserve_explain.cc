@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "core/csv.hh"
 #include "metrics/report_io.hh"
 #include "obs/critical_path.hh"
 #include "obs/explain.hh"
@@ -73,8 +74,7 @@ main(int argc, char **argv)
         } else if (flag == "--records") {
             records_path = need_value();
         } else if (flag == "--top") {
-            top_n = static_cast<std::size_t>(
-                std::strtoull(need_value().c_str(), nullptr, 10));
+            top_n = requireNumber<std::size_t>(need_value(), "flag ", flag);
         } else if (flag == "--critical-csv") {
             critical_path = need_value();
         } else {

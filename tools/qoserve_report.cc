@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/csv.hh"
 #include "obs/run_diff.hh"
 
 namespace {
@@ -103,10 +104,10 @@ main(int argc, char **argv)
             html_path = need_value();
         } else if (flag == "--latency-tolerance") {
             cfg.latencyTolerance =
-                std::strtod(need_value().c_str(), nullptr);
+                requireNumber<double>(need_value(), "flag ", flag);
         } else if (flag == "--share-tolerance") {
             cfg.shareTolerance =
-                std::strtod(need_value().c_str(), nullptr);
+                requireNumber<double>(need_value(), "flag ", flag);
         } else if (flag == "--fail-on-regression") {
             fail_on_regression = true;
         } else {

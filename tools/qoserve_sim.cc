@@ -14,7 +14,6 @@
  *       --summary-out summary.csv
  */
 
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -24,6 +23,7 @@
 #include "app/cli_options.hh"
 #include "app/qoserve.hh"
 #include "cluster/brownout.hh"
+#include "core/csv.hh"
 #include "fault/failure_domains.hh"
 #include "obs/metrics_registry.hh"
 #include "obs/quantile_sketch.hh"
@@ -400,12 +400,10 @@ main(int argc, char **argv)
     if (recordsWriter)
         recordsWriter->close();
     if (opts.summaryOut) {
-        std::ofstream out(*opts.summaryOut);
-        if (!out) {
-            std::cerr << "cannot write " << *opts.summaryOut << "\n";
-            return 1;
-        }
-        writeSummaryCsv(summary, out);
+        writeArtefactFile(*opts.summaryOut, "summary",
+                          [&](std::ostream &out) {
+                              writeSummaryCsv(summary, out);
+                          });
     }
     return 0;
 }
