@@ -7,7 +7,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <set>
 
 #include "bench_build_info.hh"
 
@@ -16,20 +15,13 @@ namespace bench {
 
 namespace {
 
-/** True when a config consults the trained forest predictor. */
-bool
-needsPredictor(const RunConfig &cfg)
-{
-    return cfg.policy == Policy::QoServe &&
-           cfg.qoserve.enableDynamicChunking;
-}
-
-/** Cache key of a hardware config. */
+/** Cache key of a predictor: its hardware, and the oracle marker. */
 std::string
-hwKey(const ReplicaHwConfig &hw)
+predictorKey(const ServingConfig &cfg)
 {
-    return hw.model.name + "/" + hw.gpu.name + "/tp" +
-           std::to_string(hw.tpDegree);
+    return cfg.hw.model.name + "/" + cfg.hw.gpu.name + "/tp" +
+           std::to_string(cfg.hw.tpDegree) +
+           (cfg.useForestPredictor ? "" : "/oracle");
 }
 
 } // namespace
@@ -42,23 +34,21 @@ PredictorCache::instance()
 }
 
 const LatencyPredictor *
-PredictorCache::get(const ReplicaHwConfig &hw)
+PredictorCache::get(const ServingConfig &cfg)
 {
+    if (!usesPredictor(cfg))
+        return nullptr;
     // Training runs under the lock: concurrent sweep tasks needing
     // the same (model, GPU, TP) block until the first finishes, then
     // share the result. Training itself is seed-deterministic, so
     // whichever task trains produces the same predictor.
     std::lock_guard<std::mutex> lock(mutex_);
-    std::string key = hwKey(hw);
+    std::string key = predictorKey(cfg);
     auto it = cache_.find(key);
     if (it == cache_.end()) {
         std::fprintf(stderr, "[bench] training forest predictor for %s\n",
                      key.c_str());
-        PerfModel model(hw);
-        it = cache_
-                 .emplace(key,
-                          std::make_unique<ForestLatencyPredictor>(model))
-                 .first;
+        it = cache_.emplace(key, makePredictor(cfg)).first;
     }
     return it->second.get();
 }
@@ -123,56 +113,20 @@ parseBenchArgs(const std::string &bench_name, int argc, char **argv)
     return opts;
 }
 
-ServingConfig
-toServingConfig(const RunConfig &cfg)
+ScenarioResult
+simulate(const Scenario &sc, const Trace &trace,
+         std::function<void(ClusterSim &)> before_run)
 {
-    ServingConfig sc;
-    sc.hw = cfg.hw;
-    sc.numReplicas = cfg.numReplicas;
-    sc.policy = cfg.policy;
-    sc.qoserve = cfg.qoserve;
-    sc.medha = cfg.medha;
-    sc.base = cfg.base;
-    return sc;
-}
-
-Trace
-makeTrace(const RunConfig &cfg, double qps)
-{
-    TraceBuilder builder = TraceBuilder()
-                               .dataset(cfg.dataset)
-                               .tiers(cfg.tiers)
-                               .tierMix(cfg.tierMix)
-                               .lowPriorityFraction(
-                                   cfg.lowPriorityFraction)
-                               .seed(cfg.seed);
-    PoissonArrivals arrivals(qps);
-    if (cfg.traceDuration > 0.0)
-        return builder.build(arrivals, cfg.traceDuration);
-    return builder.buildCount(arrivals, cfg.requestCount);
-}
-
-std::unique_ptr<ClusterSim>
-runForInspection(const RunConfig &cfg, const Trace &trace)
-{
-    ServingConfig sc = toServingConfig(cfg);
-
-    ClusterSim::Config cc;
-    cc.replica.hw = cfg.hw;
-    cc.predictor = needsPredictor(cfg)
-                       ? PredictorCache::instance().get(cfg.hw)
-                       : nullptr;
-
-    auto sim = std::make_unique<ClusterSim>(cc, trace);
-    sim->addReplicaGroup(cfg.numReplicas, makeSchedulerFactory(sc));
-    sim->run();
-    return sim;
+    RunHooks hooks;
+    hooks.predictor = PredictorCache::instance().get(sc.serving);
+    hooks.beforeRun = std::move(before_run);
+    return runScenario(sc, trace, hooks);
 }
 
 RunSummary
-runOnce(const RunConfig &cfg, double qps)
+runOnce(const Scenario &sc)
 {
-    return summarize(runForInspection(cfg, makeTrace(cfg, qps))->metrics());
+    return simulate(sc, buildTrace(sc)).summary;
 }
 
 std::vector<RunResult>
@@ -182,30 +136,29 @@ runMany(const std::vector<RunPoint> &points, int jobs)
     // tasks never serialize on the cache lock and the per-run wall
     // clocks measure simulation, not training waits. The training
     // itself parallelizes over trees.
-    std::set<std::string> trained;
-    for (const RunPoint &pt : points) {
-        if (needsPredictor(pt.cfg) && trained.insert(hwKey(pt.cfg.hw)).second)
-            PredictorCache::instance().get(pt.cfg.hw);
-    }
+    for (const RunPoint &pt : points)
+        PredictorCache::instance().get(pt.scenario.serving);
 
     return par::parallelMap(
         jobs, points.size(), [&points](std::size_t i) {
-            const RunPoint &pt = points[i];
             WallTimer timer;
             RunResult res;
-            res.summary = runOnce(pt.cfg, pt.qps);
+            res.summary = runOnce(points[i].scenario);
             res.wallSeconds = timer.seconds();
             return res;
         });
 }
 
 double
-goodput(const RunConfig &cfg, const GoodputSearch &search,
+goodput(const Scenario &sc, const GoodputSearch &search,
         const GoodputCriteria &criteria)
 {
-    if (needsPredictor(cfg))
-        PredictorCache::instance().get(cfg.hw); // pre-train, see runMany
-    LoadRunner runner = [&cfg](double qps) { return runOnce(cfg, qps); };
+    PredictorCache::instance().get(sc.serving); // pre-train, see runMany
+    LoadRunner runner = [&sc](double qps) {
+        Scenario probe = sc;
+        probe.qps = qps;
+        return runOnce(probe);
+    };
     return measureMaxGoodput(runner, criteria, search);
 }
 
@@ -218,7 +171,7 @@ toJsonRuns(const std::vector<RunPoint> &points,
     for (std::size_t i = 0; i < points.size(); ++i) {
         JsonRun jr;
         jr.label = points[i].label;
-        jr.qps = points[i].qps;
+        jr.qps = points[i].scenario.qps;
         jr.wallSeconds = results[i].wallSeconds;
         jr.requests = results[i].summary.count;
         runs.push_back(jr);

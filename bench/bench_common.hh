@@ -24,6 +24,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -39,52 +40,25 @@ namespace bench {
 inline constexpr std::uint64_t kSeed = 42;
 
 /**
- * Cache of trained forest predictors keyed by hardware config, so
- * sweeps pay the training cost once per (model, GPU, TP) like the
- * paper's per-configuration profiling (§3.6.1). get() is safe to
- * call from concurrent sweep tasks.
+ * Cache of trained predictors keyed by hardware config, so sweeps pay
+ * the training cost once per (model, GPU, TP) like the paper's
+ * per-configuration profiling (§3.6.1). get() is safe to call from
+ * concurrent sweep tasks.
  */
 class PredictorCache
 {
   public:
-    /** Get (or train) the predictor for @p hw. */
-    const LatencyPredictor *get(const ReplicaHwConfig &hw);
+    /** The predictor @p cfg runs with (trained by makePredictor() on
+     *  first use for its hardware), or null when usesPredictor(cfg)
+     *  is false. Benches keep the default perf-model params. */
+    const LatencyPredictor *get(const ServingConfig &cfg);
 
     /** Singleton shared by a bench binary. */
     static PredictorCache &instance();
 
   private:
     std::mutex mutex_;
-    std::map<std::string, std::unique_ptr<ForestLatencyPredictor>> cache_;
-};
-
-/**
- * One simulation run: @p policy at @p qps on a fresh trace.
- */
-struct RunConfig
-{
-    Policy policy = Policy::QoServe;
-    ReplicaHwConfig hw = llama3_8b_a100_tp1();
-    Dataset dataset = azureCode();
-    TierTable tiers = paperTierTable();
-    std::vector<double> tierMix{};
-    double lowPriorityFraction = 0.0;
-    int numReplicas = 1;
-    std::uint64_t seed = kSeed;
-    QoServeConfig qoserve{};
-    MedhaScheduler::Options medha{};
-    ChunkedSchedulerConfig base{};
-
-    /** Trace length in requests when running at fixed QPS. */
-    std::size_t requestCount = 1000;
-
-    /**
-     * Trace length in seconds; when positive it overrides
-     * requestCount. Load sweeps use durations long enough for TTLT
-     * deadlines (600/1800 s) to bind under sustained overload, as in
-     * the paper's multi-hour runs.
-     */
-    SimDuration traceDuration = 0.0;
+    std::map<std::string, std::shared_ptr<const LatencyPredictor>> cache_;
 };
 
 /** Common bench command-line options. */
@@ -110,24 +84,20 @@ struct BenchOptions
 BenchOptions parseBenchArgs(const std::string &bench_name, int argc,
                             char **argv);
 
-/** Build the ServingConfig for a RunConfig (predictor-cached). */
-ServingConfig toServingConfig(const RunConfig &cfg);
+/**
+ * Run @p trace under @p sc with the cached predictor; @p before_run
+ * sees the assembled cluster just before it runs (RunHooks).
+ */
+ScenarioResult simulate(const Scenario &sc, const Trace &trace,
+                        std::function<void(ClusterSim &)> before_run = {});
 
-/** Build this run's trace at the given QPS (Poisson arrivals). */
-Trace makeTrace(const RunConfig &cfg, double qps);
-
-/** Run once and summarize. */
-RunSummary runOnce(const RunConfig &cfg, double qps);
-
-/** Run once and return the cluster for detailed inspection. */
-std::unique_ptr<ClusterSim> runForInspection(const RunConfig &cfg,
-                                             const Trace &trace);
+/** Run @p sc on its own synthesized trace and summarize. */
+RunSummary runOnce(const Scenario &sc);
 
 /** One point of a sweep fan-out. */
 struct RunPoint
 {
-    RunConfig cfg;
-    double qps = 0.0;
+    Scenario scenario;
 
     /** Row/series label, carried into the perf JSON. */
     std::string label;
@@ -146,18 +116,19 @@ struct RunResult
  * Run every point, fanning across @p jobs worker threads (0 =
  * hardware concurrency), and join the results in point order.
  * Metrics are bit-identical for every job count: each point's trace
- * is derived from its own config seed and points share no mutable
+ * is derived from its own scenario seed and points share no mutable
  * state. Only the recorded wall-clock varies between runs.
  */
 std::vector<RunResult> runMany(const std::vector<RunPoint> &points,
                                int jobs);
 
 /**
- * Per-replica goodput of a config (paper §4.1.2: max QPS with <= 1%
- * violations), via bracket + parallel grid refinement. Probe
- * parallelism comes from @p search.jobs.
+ * Per-replica goodput of a scenario (paper §4.1.2: max QPS with <= 1%
+ * violations), via bracket + parallel grid refinement; each probe
+ * replaces the scenario's qps. Probe parallelism comes from
+ * @p search.jobs.
  */
-double goodput(const RunConfig &cfg, const GoodputSearch &search = {},
+double goodput(const Scenario &sc, const GoodputSearch &search = {},
                const GoodputCriteria &criteria = {});
 
 /** One row of the perf-trajectory JSON. */

@@ -48,10 +48,7 @@ run()
         ClusterSim::Config cc;
         cc.replica.hw = llama3_8b_a100_tp1();
         cc.admission = admission;
-        if (policy == Policy::QoServe) {
-            cc.predictor = bench::PredictorCache::instance().get(
-                llama3_8b_a100_tp1());
-        }
+        cc.predictor = bench::PredictorCache::instance().get(sc);
         ClusterSim sim(cc, trace);
         sim.addReplicaGroup(1, makeSchedulerFactory(sc));
         return Row{label, summarize(sim.run())};

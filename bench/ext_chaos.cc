@@ -34,7 +34,7 @@ namespace qoserve {
 namespace {
 
 /** One compound scenario: a failure shape x mitigation toggle. */
-struct Scenario
+struct ChaosCase
 {
     const char *name;
     bool zoneOutage = false;
@@ -42,7 +42,7 @@ struct Scenario
     bool mitigated = false;
 };
 
-constexpr Scenario kScenarios[] = {
+constexpr ChaosCase kCases[] = {
     {"healthy", false, false, false},
     {"healthy+mit", false, false, true},
     {"zone", true, false, false},
@@ -81,8 +81,8 @@ goodputRps(const ChaosResult &r)
 }
 
 ChaosResult
-runScenario(const Scenario &sc, bool smoke,
-            const LatencyPredictor *predictor)
+runCase(const ChaosCase &sc, bool smoke,
+        const LatencyPredictor *predictor)
 {
     // Burst-arrival workload: steady base load with a burst window in
     // the first half, sized so a healthy fleet absorbs it without
@@ -176,13 +176,13 @@ run(const bench::BenchOptions &opts, bool smoke, double goodput_floor)
                        "robustness extension (DESIGN.md §13)");
 
     const LatencyPredictor *predictor =
-        bench::PredictorCache::instance().get(llama3_8b_a100_tp1());
+        bench::PredictorCache::instance().get(ServingConfig{});
 
-    const std::size_t n = std::size(kScenarios);
+    const std::size_t n = std::size(kCases);
     bench::WallTimer suite;
     std::vector<ChaosResult> results = par::parallelMap(
         opts.jobs, n, [&predictor, smoke](std::size_t i) {
-            return runScenario(kScenarios[i], smoke, predictor);
+            return runCase(kCases[i], smoke, predictor);
         });
     double total_wall = suite.seconds();
 
@@ -194,7 +194,7 @@ run(const bench::BenchOptions &opts, bool smoke, double goodput_floor)
         const ChaosResult &r = results[i];
         std::printf(
             "%-14s %7.2f %7.2f %8.3f %6llu %6llu %6llu %6llu %6llu\n",
-            kScenarios[i].name, 100.0 * r.summary.availability,
+            kCases[i].name, 100.0 * r.summary.availability,
             100.0 * r.summary.violationRate, goodputRps(r),
             static_cast<unsigned long long>(r.breakerTrips),
             static_cast<unsigned long long>(r.deadlineCancelled),
@@ -215,7 +215,7 @@ run(const bench::BenchOptions &opts, bool smoke, double goodput_floor)
             std::fprintf(stderr,
                          "chaos invariant violated: scenario %s lost "
                          "requests (%zu recorded of %zu in trace)\n",
-                         kScenarios[i].name, r.recorded,
+                         kCases[i].name, r.recorded,
                          r.traceRequests);
             ++failures;
         }
@@ -257,7 +257,7 @@ run(const bench::BenchOptions &opts, bool smoke, double goodput_floor)
     runs.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         bench::JsonRun jr;
-        jr.label = kScenarios[i].name;
+        jr.label = kCases[i].name;
         jr.qps = 6.0;
         jr.wallSeconds = results[i].wallSeconds;
         jr.requests = results[i].recorded;

@@ -57,7 +57,7 @@ run()
         "the future work of Section 4.1.3 (extension study)");
 
     const LatencyPredictor *predictor =
-        bench::PredictorCache::instance().get(llama3_8b_a100_tp1());
+        bench::PredictorCache::instance().get(ServingConfig{});
 
     std::printf("two interactive classes (50 ms / 200 ms TBT), "
                 "ShareGPT decode lengths,\n3 prefill + 1 decode "

@@ -162,7 +162,7 @@ run()
                        "fault-injection extension (DESIGN.md §8)");
 
     const LatencyPredictor *predictor =
-        bench::PredictorCache::instance().get(llama3_8b_a100_tp1());
+        bench::PredictorCache::instance().get(ServingConfig{});
 
     crashSweep(predictor);
     stragglerSweep(predictor);

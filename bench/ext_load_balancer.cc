@@ -44,7 +44,7 @@ run()
                        "round-robin baseline of §4.1.1 (extension)");
 
     const LatencyPredictor *predictor =
-        bench::PredictorCache::instance().get(llama3_8b_a100_tp1());
+        bench::PredictorCache::instance().get(ServingConfig{});
 
     const LoadBalancePolicy policies[] = {
         LoadBalancePolicy::RoundRobin,

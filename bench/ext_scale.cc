@@ -46,29 +46,21 @@ constexpr double kQpsPerReplica = 2.0;
 ScaleResult
 runPoint(const ScalePoint &pt)
 {
-    bench::RunConfig cfg;
-    cfg.policy = pt.policy;
-    cfg.numReplicas = pt.replicas;
-    cfg.requestCount = pt.requests;
-    cfg.seed = 7;
-    const double qps = kQpsPerReplica * pt.replicas;
+    Scenario sc;
+    sc.serving.policy = pt.policy;
+    sc.serving.numReplicas = pt.replicas;
+    sc.qps = kQpsPerReplica * pt.replicas;
+    sc.requestCount = pt.requests;
+    sc.seed = 7;
 
     bench::WallTimer timer;
-    Trace trace = bench::makeTrace(cfg, qps);
-
-    ClusterSim::Config cc;
-    cc.replica.hw = cfg.hw;
-    cc.predictor = pt.policy == Policy::QoServe
-                       ? bench::PredictorCache::instance().get(cfg.hw)
-                       : nullptr;
-
-    ClusterSim sim(cc, trace);
     // Millions of records would dominate memory; stream-discard them
     // and keep only the counters.
-    sim.metricsCollector().setRetainRecords(false);
-    sim.addReplicaGroup(cfg.numReplicas,
-                        makeSchedulerFactory(bench::toServingConfig(cfg)));
-    sim.run();
+    ScenarioResult out =
+        bench::simulate(sc, buildTrace(sc), [](ClusterSim &sim) {
+            sim.metricsCollector().setRetainRecords(false);
+        });
+    ClusterSim &sim = *out.cluster;
 
     ScaleResult res;
     res.completed = sim.metrics().totalRecorded();
@@ -111,7 +103,7 @@ run(const bench::BenchOptions &opts, bool smoke)
 
     // Pre-train the forest predictor outside the timed region (and
     // outside the fan-out, so workers never serialize on it).
-    bench::PredictorCache::instance().get(bench::RunConfig{}.hw);
+    bench::PredictorCache::instance().get(ServingConfig{});
 
     bench::WallTimer suite;
     std::vector<ScaleResult> results = par::parallelMap(

@@ -26,17 +26,17 @@ capacityPart()
 
     // Per-tier goodput of a dedicated Sarathi silo.
     auto silo_goodput = [&](int tier_id, int chunk) {
-        bench::RunConfig cfg;
-        cfg.policy = Policy::SarathiFcfs;
-        cfg.base.fixedChunkTokens = chunk;
-        cfg.tierMix = std::vector<double>(3, 0.0);
-        cfg.tierMix[tier_id] = 1.0;
-        cfg.traceDuration = 1500.0;
-        cfg.seed = 51;
+        Scenario sc;
+        sc.serving.policy = Policy::SarathiFcfs;
+        sc.serving.base.fixedChunkTokens = chunk;
+        sc.tierMix = std::vector<double>(3, 0.0);
+        sc.tierMix[tier_id] = 1.0;
+        sc.duration = 1500.0;
+        sc.seed = 51;
         GoodputSearch search;
         search.maxQps = 32.0;
         search.resolutionQps = 0.125;
-        return bench::goodput(cfg, search);
+        return bench::goodput(sc, search);
     };
 
     double q1 = silo_goodput(0, 256);
@@ -48,9 +48,9 @@ capacityPart()
                     replicasForLoad(per_tier_qps, q2) +
                     replicasForLoad(per_tier_qps, q3);
 
-    bench::RunConfig shared;
-    shared.policy = Policy::QoServe;
-    shared.traceDuration = 1500.0;
+    Scenario shared;
+    shared.serving.policy = Policy::QoServe;
+    shared.duration = 1500.0;
     shared.seed = 51;
     GoodputSearch search;
     search.resolutionQps = 0.125;
@@ -87,13 +87,13 @@ burstPart()
                 "max latency (s)", "violations");
     bench::printRule(64);
     for (Policy policy : {Policy::SarathiFcfs, Policy::QoServe}) {
-        bench::RunConfig cfg;
-        cfg.policy = policy;
-        auto sim = bench::runForInspection(cfg, trace);
-        RunSummary s = summarize(sim->metrics());
+        Scenario sc;
+        sc.serving.policy = policy;
+        ScenarioResult res = bench::simulate(sc, trace);
+        const RunSummary &s = res.summary;
 
         double max_latency = 0.0;
-        for (const auto &rec : sim->metrics().records()) {
+        for (const auto &rec : res.cluster->metrics().records()) {
             max_latency = std::max(
                 max_latency,
                 headlineLatency(rec,

@@ -29,16 +29,17 @@ run()
     // simulator's QoServe knee sits near 6 QPS, so the sweep spans
     // the same relative positions.
     for (double qps : {4.0, 5.0, 5.5, 6.0, 6.5, 7.0, 8.0}) {
-        bench::RunConfig with;
-        with.policy = Policy::QoServe;
-        with.traceDuration = 1200.0;
+        Scenario with;
+        with.serving.policy = Policy::QoServe;
+        with.qps = qps;
+        with.duration = 1200.0;
         with.seed = 11;
 
-        bench::RunConfig without = with;
-        without.qoserve.enableEagerRelegation = false;
+        Scenario without = with;
+        without.serving.qoserve.enableEagerRelegation = false;
 
-        RunSummary s_with = bench::runOnce(with, qps);
-        RunSummary s_without = bench::runOnce(without, qps);
+        RunSummary s_with = bench::runOnce(with);
+        RunSummary s_without = bench::runOnce(without);
 
         std::printf("%-10.2f %-22.3f %-22.3f %-14.2f\n", qps,
                     s_without.p50Latency, s_with.p50Latency,

@@ -52,8 +52,17 @@ run(const bench::BenchOptions &opts)
             for (int p = 0; p < 3; ++p)
                 cells.push_back({h, d, p});
 
-    for (const HwCase &hw_case : hw_cases)
-        bench::PredictorCache::instance().get(hw_case.hw);
+    std::vector<Scenario> scenarios;
+    for (const Cell &cell : cells) {
+        Scenario sc;
+        sc.serving.policy = policies[cell.policy];
+        sc.serving.hw = hw_cases[cell.hw].hw;
+        sc.dataset = datasetByName(datasets[cell.ds]);
+        sc.duration = 1500.0;
+        sc.seed = 13;
+        bench::PredictorCache::instance().get(sc.serving);
+        scenarios.push_back(std::move(sc));
+    }
 
     struct CellResult
     {
@@ -63,18 +72,11 @@ run(const bench::BenchOptions &opts)
     bench::WallTimer suite;
     std::vector<CellResult> sweep = par::parallelMap(
         opts.jobs, cells.size(), [&](std::size_t i) {
-            const Cell &cell = cells[i];
-            bench::RunConfig cfg;
-            cfg.policy = policies[cell.policy];
-            cfg.hw = hw_cases[cell.hw].hw;
-            cfg.dataset = datasetByName(datasets[cell.ds]);
-            cfg.traceDuration = 1500.0;
-            cfg.seed = 13;
             GoodputSearch search;
             search.resolutionQps = 0.125;
             bench::WallTimer timer;
             CellResult res;
-            res.goodput = bench::goodput(cfg, search);
+            res.goodput = bench::goodput(scenarios[i], search);
             res.wallSeconds = timer.seconds();
             return res;
         });

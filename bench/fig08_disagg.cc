@@ -43,25 +43,25 @@ run()
     for (const HwCase &hw_case : hw_cases) {
         double results[3] = {0, 0, 0};
         for (int p = 0; p < 3; ++p) {
-            bench::RunConfig cfg;
-            cfg.policy = policies[p];
-            cfg.hw = hw_case.hw;
-            cfg.dataset = azureConv();
-            cfg.traceDuration = 1500.0;
-            cfg.seed = 17;
+            Scenario sc;
+            sc.serving.policy = policies[p];
+            sc.serving.hw = hw_case.hw;
+            sc.dataset = azureConv();
+            sc.duration = 1500.0;
+            sc.seed = 17;
             // §4.1.3: large default chunk of 8K on prefill nodes.
-            cfg.base.fixedChunkTokens = 8192;
-            cfg.qoserve.maxChunkTokens = 8192;
+            sc.serving.base.fixedChunkTokens = 8192;
+            sc.serving.qoserve.maxChunkTokens = 8192;
 
             GoodputSearch search;
             search.maxQps = 128.0;
             search.resolutionQps = 0.25;
 
-            LoadRunner runner = [&cfg](double qps) {
-                Trace trace =
-                    toPrefillOnlyTrace(bench::makeTrace(cfg, qps));
-                return summarize(
-                    bench::runForInspection(cfg, trace)->metrics());
+            LoadRunner runner = [&sc](double qps) {
+                Scenario probe = sc;
+                probe.qps = qps;
+                Trace trace = toPrefillOnlyTrace(buildTrace(probe));
+                return bench::simulate(probe, trace).summary;
             };
             results[p] = measureMaxGoodput(runner, {}, search);
         }

@@ -23,28 +23,19 @@ namespace {
 std::vector<BatchObservation>
 observe(Policy policy, double qps)
 {
-    bench::RunConfig cfg;
-    cfg.policy = policy;
-    cfg.dataset = azureConv();
-    cfg.requestCount = 1500;
-    cfg.seed = 19;
-
-    Trace trace = bench::makeTrace(cfg, qps);
-
-    ServingConfig sc = bench::toServingConfig(cfg);
-    ClusterSim::Config cc;
-    cc.replica.hw = cfg.hw;
-    cc.predictor = policy == Policy::QoServe
-                       ? bench::PredictorCache::instance().get(cfg.hw)
-                       : nullptr;
-
-    ClusterSim sim(cc, trace);
-    sim.addReplicaGroup(1, makeSchedulerFactory(sc));
+    Scenario sc;
+    sc.serving.policy = policy;
+    sc.dataset = azureConv();
+    sc.qps = qps;
+    sc.requestCount = 1500;
+    sc.seed = 19;
 
     std::vector<BatchObservation> observations;
-    sim.replica(0).setBatchObserver(
-        [&](const BatchObservation &obs) { observations.push_back(obs); });
-    sim.run();
+    bench::simulate(sc, buildTrace(sc), [&](ClusterSim &sim) {
+        sim.replica(0).setBatchObserver([&](const BatchObservation &obs) {
+            observations.push_back(obs);
+        });
+    });
     return observations;
 }
 

@@ -32,10 +32,10 @@ run(const bench::BenchOptions &opts)
     for (int p = 0; p < 4; ++p) {
         for (int l = 0; l < 5; ++l) {
             bench::RunPoint pt;
-            pt.cfg.policy = policies[p];
-            pt.cfg.traceDuration = 1200.0;
-            pt.cfg.seed = 23;
-            pt.qps = loads[l];
+            pt.scenario.serving.policy = policies[p];
+            pt.scenario.duration = 1200.0;
+            pt.scenario.seed = 23;
+            pt.scenario.qps = loads[l];
             pt.label = policyName(policies[p]);
             points.push_back(std::move(pt));
         }

@@ -49,10 +49,9 @@ run()
 
     for (Policy policy :
          {Policy::SarathiFcfs, Policy::SarathiEdf, Policy::QoServe}) {
-        bench::RunConfig cfg;
-        cfg.policy = policy;
-        RunSummary s = summarize(
-            bench::runForInspection(cfg, trace)->metrics());
+        Scenario sc;
+        sc.serving.policy = policy;
+        RunSummary s = bench::simulate(sc, trace).summary;
 
         double tier_viol[3] = {0, 0, 0};
         for (const auto &ts : s.tiers)

@@ -39,12 +39,13 @@ run()
     // series[policy][tier] = rolling points.
     std::map<int, std::map<int, std::vector<RollingPoint>>> series;
     for (int p = 0; p < 3; ++p) {
-        bench::RunConfig cfg;
-        cfg.policy = policies[p];
-        auto sim = bench::runForInspection(cfg, trace);
+        Scenario sc;
+        sc.serving.policy = policies[p];
+        ScenarioResult res = bench::simulate(sc, trace);
         for (int tier = 0; tier < 3; ++tier) {
-            series[p][tier] = rollingLatency(sim->metrics(), 60.0, 99.0,
-                                             tier, /*important=*/true);
+            series[p][tier] =
+                rollingLatency(res.cluster->metrics(), 60.0, 99.0, tier,
+                               /*important=*/true);
         }
     }
 

@@ -29,19 +29,19 @@ run(const bench::BenchOptions &opts)
     for (int a = 0; a < 4; ++a) {
         for (int l = 0; l < 5; ++l) {
             bench::RunPoint pt;
-            pt.cfg.policy = Policy::QoServe;
+            pt.scenario.serving.policy = Policy::QoServe;
             if (a < 3) {
-                pt.cfg.qoserve.alphaMsPerToken = alphas[a];
+                pt.scenario.serving.qoserve.alphaMsPerToken = alphas[a];
                 pt.label = "alpha=" + std::to_string(alphas[a]);
             } else {
-                pt.cfg.qoserve.adaptiveAlpha = true;
-                pt.cfg.qoserve.alphaLowLoadMs = 1.0;
-                pt.cfg.qoserve.alphaMsPerToken = 8.0;
+                pt.scenario.serving.qoserve.adaptiveAlpha = true;
+                pt.scenario.serving.qoserve.alphaLowLoadMs = 1.0;
+                pt.scenario.serving.qoserve.alphaMsPerToken = 8.0;
                 pt.label = "alpha=adaptive";
             }
-            pt.cfg.traceDuration = 1200.0;
-            pt.cfg.seed = 31;
-            pt.qps = loads[l];
+            pt.scenario.duration = 1200.0;
+            pt.scenario.seed = 31;
+            pt.scenario.qps = loads[l];
             points.push_back(std::move(pt));
         }
     }

@@ -48,26 +48,26 @@ syntheticLongPrefillTrace(double qps, std::size_t count)
     return trace;
 }
 
-bench::RunConfig
-medhaConfig()
+Scenario
+medhaScenario()
 {
-    bench::RunConfig cfg;
-    cfg.policy = Policy::Medha;
-    return cfg;
+    Scenario sc;
+    sc.serving.policy = Policy::Medha;
+    return sc;
 }
 
-bench::RunConfig
-qoserveDcOnlyConfig()
+Scenario
+qoserveDcOnlyScenario()
 {
     // Dynamic chunking only: hybrid priority and relegation off, so
     // ordering degenerates to per-class EDF == FCFS on a single
     // class (the paper's isolation methodology).
-    bench::RunConfig cfg;
-    cfg.policy = Policy::QoServe;
-    cfg.qoserve.enableHybridPriority = false;
-    cfg.qoserve.enableEagerRelegation = false;
-    cfg.qoserve.maxChunkTokens = 4096;
-    return cfg;
+    Scenario sc;
+    sc.serving.policy = Policy::QoServe;
+    sc.serving.qoserve.enableHybridPriority = false;
+    sc.serving.qoserve.enableEagerRelegation = false;
+    sc.serving.qoserve.maxChunkTokens = 4096;
+    return sc;
 }
 
 void
@@ -86,23 +86,14 @@ partA()
     Observed medha_obs, qos_obs;
 
     for (int which = 0; which < 2; ++which) {
-        bench::RunConfig cfg =
-            which == 0 ? medhaConfig() : qoserveDcOnlyConfig();
+        Scenario sc = which == 0 ? medhaScenario() : qoserveDcOnlyScenario();
         Observed &obs = which == 0 ? medha_obs : qos_obs;
-
-        ServingConfig sc = bench::toServingConfig(cfg);
-        ClusterSim::Config cc;
-        cc.replica.hw = cfg.hw;
-        cc.predictor = cfg.policy == Policy::QoServe
-                           ? bench::PredictorCache::instance().get(cfg.hw)
-                           : nullptr;
-        ClusterSim sim(cc, trace);
-        sim.addReplicaGroup(1, makeSchedulerFactory(sc));
-        sim.replica(0).setBatchObserver([&](const BatchObservation &o) {
-            if (obs.chunks.size() < 1000)
-                obs.chunks.push_back(o.prefillTokens);
+        bench::simulate(sc, trace, [&](ClusterSim &sim) {
+            sim.replica(0).setBatchObserver([&](const BatchObservation &o) {
+                if (obs.chunks.size() < 1000)
+                    obs.chunks.push_back(o.prefillTokens);
+            });
         });
-        sim.run();
     }
 
     std::printf("%-12s %-16s %-16s\n", "batch", "Medha chunk",
@@ -116,11 +107,10 @@ partA()
     }
 
     // Isolated goodput comparison.
-    auto goodput_of = [&](const bench::RunConfig &cfg) {
+    auto goodput_of = [&](const Scenario &sc) {
         LoadRunner runner = [&](double probe_qps) {
             Trace t = syntheticLongPrefillTrace(probe_qps, 80);
-            return summarize(
-                bench::runForInspection(cfg, t)->metrics());
+            return bench::simulate(sc, t).summary;
         };
         GoodputSearch search;
         search.startQps = 0.05;
@@ -131,8 +121,8 @@ partA()
         return measureMaxGoodput(runner, criteria, search);
     };
 
-    double medha_goodput = goodput_of(medhaConfig());
-    double qos_goodput = goodput_of(qoserveDcOnlyConfig());
+    double medha_goodput = goodput_of(medhaScenario());
+    double qos_goodput = goodput_of(qoserveDcOnlyScenario());
     bench::printRule(46);
     std::printf("goodput: Medha %.3f QPS, QoServe(DC-only) %.3f QPS "
                 "(+%.0f%%; paper: 0.26 vs 0.32, +23%%)\n",
@@ -154,19 +144,19 @@ partB()
     // Per-class goodput of a dedicated PolyServe deployment (Medha
     // chunking tuned to that class's TBT).
     auto polyserve_class_goodput = [&](int tier_id) {
-        bench::RunConfig cfg = medhaConfig();
-        cfg.tiers = two_classes;
-        cfg.tierMix = tier_id == 0 ? std::vector<double>{1.0, 0.0}
-                                   : std::vector<double>{0.0, 1.0};
-        cfg.dataset = azureConv();
-        cfg.traceDuration = 1200.0;
-        cfg.medha.tbtTarget = tier_id == 0 ? 0.05 : 0.10;
+        Scenario sc = medhaScenario();
+        sc.tiers = two_classes;
+        sc.tierMix = tier_id == 0 ? std::vector<double>{1.0, 0.0}
+                                  : std::vector<double>{0.0, 1.0};
+        sc.dataset = azureConv();
+        sc.duration = 1200.0;
+        sc.serving.medha.tbtTarget = tier_id == 0 ? 0.05 : 0.10;
         GoodputSearch search;
         search.maxQps = 32.0;
         search.resolutionQps = 0.25;
         GoodputCriteria criteria;
         criteria.includeTbt = true; // classes differ only in TBT
-        return bench::goodput(cfg, search, criteria);
+        return bench::goodput(sc, search, criteria);
     };
     double class_goodput[2] = {polyserve_class_goodput(0),
                                polyserve_class_goodput(1)};
@@ -182,12 +172,12 @@ partB()
             replicasForLoad(total_qps * (1.0 - q1_frac),
                             class_goodput[1]);
 
-        bench::RunConfig shared;
-        shared.policy = Policy::QoServe;
+        Scenario shared;
+        shared.serving.policy = Policy::QoServe;
         shared.tiers = two_classes;
         shared.tierMix = {q1_frac, 1.0 - q1_frac};
         shared.dataset = azureConv();
-        shared.traceDuration = 1200.0;
+        shared.duration = 1200.0;
         GoodputSearch search;
         search.maxQps = 32.0;
         search.resolutionQps = 0.25;

@@ -59,15 +59,15 @@ runSilo(const char *name, const Trace &trace, int q1, int q2, int q3)
 Row
 runShared(const char *name, const Trace &trace, int replicas)
 {
-    bench::RunConfig cfg;
-    cfg.policy = Policy::QoServe;
-    cfg.numReplicas = replicas;
-    auto sim = bench::runForInspection(cfg, trace);
-    RunSummary s = summarize(sim->metrics());
+    Scenario sc;
+    sc.serving.policy = Policy::QoServe;
+    sc.serving.numReplicas = replicas;
+    ScenarioResult res = bench::simulate(sc, trace);
+    const RunSummary &s = res.summary;
 
     Row row;
     row.name = name;
-    row.gpus = sim->totalGpus();
+    row.gpus = res.cluster->totalGpus();
     row.violations = 100.0 * s.violationRate;
     for (const auto &ts : s.tiers)
         row.p99[ts.tierId] = ts.tierId == 0 ? ts.p99Ttft : ts.p99Ttlt;

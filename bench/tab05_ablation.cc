@@ -17,21 +17,21 @@
 namespace qoserve {
 namespace {
 
-bench::RunConfig
-configFor(int stage)
+Scenario
+scenarioFor(int stage)
 {
-    bench::RunConfig cfg;
-    cfg.traceDuration = 1200.0;
-    cfg.seed = 41;
+    Scenario sc;
+    sc.duration = 1200.0;
+    sc.seed = 41;
     if (stage == 0) {
-        cfg.policy = Policy::SarathiEdf;
-        return cfg;
+        sc.serving.policy = Policy::SarathiEdf;
+        return sc;
     }
-    cfg.policy = Policy::QoServe;
-    cfg.qoserve.enableDynamicChunking = true;
-    cfg.qoserve.enableEagerRelegation = stage >= 2;
-    cfg.qoserve.enableHybridPriority = stage >= 3;
-    return cfg;
+    sc.serving.policy = Policy::QoServe;
+    sc.serving.qoserve.enableDynamicChunking = true;
+    sc.serving.qoserve.enableEagerRelegation = stage >= 2;
+    sc.serving.qoserve.enableHybridPriority = stage >= 3;
+    return sc;
 }
 
 void
@@ -44,7 +44,7 @@ run(const bench::BenchOptions &opts)
 
     // Eight independent computations: per stage, the goodput search
     // (tasks 0-3) and the fixed overload run at QPS 10 (tasks 4-7).
-    bench::PredictorCache::instance().get(configFor(1).hw);
+    bench::PredictorCache::instance().get(scenarioFor(1).serving);
     struct TaskResult
     {
         double value = 0.0;
@@ -54,16 +54,16 @@ run(const bench::BenchOptions &opts)
     std::vector<TaskResult> tasks = par::parallelMap(
         opts.jobs, std::size_t{8}, [&](std::size_t i) {
             int stage = static_cast<int>(i % 4);
-            bench::RunConfig cfg = configFor(stage);
+            Scenario sc = scenarioFor(stage);
             bench::WallTimer timer;
             TaskResult res;
             if (i < 4) {
                 GoodputSearch search;
                 search.resolutionQps = 0.05;
-                res.value = bench::goodput(cfg, search);
+                res.value = bench::goodput(sc, search);
             } else {
-                res.value =
-                    100.0 * bench::runOnce(cfg, 10.0).violationRate;
+                sc.qps = 10.0;
+                res.value = 100.0 * bench::runOnce(sc).violationRate;
             }
             res.wallSeconds = timer.seconds();
             return res;

@@ -28,12 +28,13 @@ runMix(const std::vector<double> &mix, const char *label, double qps)
 
     for (Policy policy :
          {Policy::SarathiFcfs, Policy::SarathiEdf, Policy::QoServe}) {
-        bench::RunConfig cfg;
-        cfg.policy = policy;
-        cfg.tierMix = mix;
-        cfg.traceDuration = 1200.0;
-        cfg.seed = 43;
-        RunSummary s = bench::runOnce(cfg, qps);
+        Scenario sc;
+        sc.serving.policy = policy;
+        sc.tierMix = mix;
+        sc.qps = qps;
+        sc.duration = 1200.0;
+        sc.seed = 43;
+        RunSummary s = bench::runOnce(sc);
 
         double med[3] = {0, 0, 0};
         for (const auto &ts : s.tiers)
@@ -55,15 +56,15 @@ runVaryingSlo()
     double results[2] = {0, 0};
     const Policy policies[] = {Policy::SarathiEdf, Policy::QoServe};
     for (int p = 0; p < 2; ++p) {
-        bench::RunConfig cfg;
-        cfg.policy = policies[p];
-        cfg.tiers = strictTierTable();
-        cfg.dataset = azureConv();
-        cfg.traceDuration = 1200.0;
-        cfg.seed = 47;
+        Scenario sc;
+        sc.serving.policy = policies[p];
+        sc.tiers = strictTierTable();
+        sc.dataset = azureConv();
+        sc.duration = 1200.0;
+        sc.seed = 47;
         GoodputSearch search;
         search.resolutionQps = 0.125;
-        results[p] = bench::goodput(cfg, search);
+        results[p] = bench::goodput(sc, search);
         std::printf("%-14s %16.2f\n", policyName(policies[p]),
                     results[p]);
     }

@@ -425,81 +425,13 @@ parseCliOptions(const std::vector<std::string> &args)
         }
     }
 
-    if (opts.qps <= 0.0)
-        QOSERVE_FATAL("--qps must be positive");
-    if (opts.duration <= 0.0)
-        QOSERVE_FATAL("--duration must be positive");
-    if (opts.serving.numReplicas < 1)
-        QOSERVE_FATAL("--replicas must be at least 1");
-    if (opts.fault.crashMtbf < 0.0)
-        QOSERVE_FATAL("--fault-mtbf must be non-negative");
-    if (opts.fault.crashesEnabled() && opts.fault.crashMttr <= 0.0)
-        QOSERVE_FATAL("--fault-mttr must be positive when crashes "
-                      "are enabled (got ",
-                      opts.fault.crashMttr,
-                      "): a zero repair time would leave replicas "
-                      "down forever");
-    if (opts.fault.stragglerMtbf < 0.0)
-        QOSERVE_FATAL("--straggler-mtbf must be non-negative");
-    if (opts.retry.initialBackoff <= 0.0)
-        QOSERVE_FATAL("--retry-backoff must be positive");
-    if (opts.domains.zones < 0)
-        QOSERVE_FATAL("--zones must be non-negative");
-    if (opts.domains.zones > opts.serving.numReplicas)
-        QOSERVE_FATAL("--zones (", opts.domains.zones,
-                      ") exceeds --replicas (",
-                      opts.serving.numReplicas, ")");
-    if (opts.domains.zoneMtbf < 0.0)
-        QOSERVE_FATAL("--zone-mtbf must be non-negative");
-    if (opts.domains.zoneMtbf > 0.0 && opts.domains.zones == 0)
-        QOSERVE_FATAL("--zone-mtbf requires --zones");
-    if (opts.domains.zoneOutagesEnabled() &&
-        opts.domains.zoneMttr <= 0.0)
-        QOSERVE_FATAL("--zone-mttr must be positive when zone "
-                      "outages are enabled");
-    if (opts.domains.partitionMtbf < 0.0)
-        QOSERVE_FATAL("--partition-mtbf must be non-negative");
-    if (opts.domains.partitionsEnabled()) {
-        if (opts.domains.partitionMttr <= 0.0)
-            QOSERVE_FATAL("--partition-mttr must be positive when "
-                          "partitions are enabled");
-        if (!(opts.domains.partitionFrac > 0.0) ||
-            opts.domains.partitionFrac > 1.0)
-            QOSERVE_FATAL("--partition-frac must be in (0, 1], got ",
-                          opts.domains.partitionFrac);
-    }
-    if (opts.breaker.failureThreshold < 0)
-        QOSERVE_FATAL("--breaker-threshold must be non-negative");
-    if (opts.breaker.enabled() && opts.breaker.cooldown <= 0.0)
-        QOSERVE_FATAL("--breaker-cooldown must be positive when the "
-                      "breaker is enabled");
-    if (opts.brownout.enabled) {
-        if (opts.brownout.interval <= 0.0)
-            QOSERVE_FATAL("--brownout-interval must be positive");
-        if (opts.brownout.enterBacklog <= 0.0)
-            QOSERVE_FATAL("--brownout-enter must be positive");
-        if (opts.brownout.exitBacklog < 0.0 ||
-            opts.brownout.exitBacklog >= opts.brownout.enterBacklog)
-            QOSERVE_FATAL("--brownout-exit must be in [0, enter): "
-                          "the hysteresis band must exist");
-        if (opts.brownout.capTokens <= 0)
-            QOSERVE_FATAL("--brownout-cap must be positive");
-        if (opts.brownout.shedTier >=
-            static_cast<int>(opts.tiers.size()))
-            QOSERVE_FATAL("--brownout-shed-tier ",
-                          opts.brownout.shedTier,
-                          " outside the tier table (",
-                          opts.tiers.size(), " tiers)");
-    }
-    if (opts.metricsInterval <= 0.0)
-        QOSERVE_FATAL("--metrics-interval must be positive");
+    opts.validate();
+
+    // Flags that only tune what another flag enables.
     if (metricsIntervalSet && !opts.metricsOut)
         QOSERVE_FATAL("--metrics-interval requires --metrics-out: "
                       "the cadence configures the metrics series "
                       "that flag enables");
-    if (!(opts.sketchAlpha > 0.0) || opts.sketchAlpha >= 1.0)
-        QOSERVE_FATAL("--sketch-alpha must be in (0, 1), got ",
-                      opts.sketchAlpha);
     if (sketchAlphaSet && !opts.sketchOut)
         QOSERVE_FATAL("--sketch-alpha requires --sketch-out: the "
                       "accuracy configures the sketch bank that flag "
@@ -508,38 +440,6 @@ parseCliOptions(const std::vector<std::string> &args)
         QOSERVE_FATAL("--slo-alert-* flags require --slo-monitor: "
                       "they configure the burn-rate monitor that "
                       "flag enables");
-    if (opts.sloAlertsOut && !opts.sloMonitor)
-        QOSERVE_FATAL("--slo-alerts-out requires --slo-monitor: "
-                      "there is no alert timeline without the "
-                      "monitor");
-    if (opts.sloMonitor) {
-        if (!(opts.sloAlert.budget > 0.0) ||
-            opts.sloAlert.budget > 1.0)
-            QOSERVE_FATAL("--slo-alert-budget must be in (0, 1], "
-                          "got ", opts.sloAlert.budget);
-        if (opts.sloAlert.burn <= 0.0)
-            QOSERVE_FATAL("--slo-alert-burn must be positive, got ",
-                          opts.sloAlert.burn);
-        if (opts.sloAlert.shortWindow <= 0.0)
-            QOSERVE_FATAL("--slo-alert-short must be positive, got ",
-                          opts.sloAlert.shortWindow);
-        if (opts.sloAlert.longWindow <= 0.0)
-            QOSERVE_FATAL("--slo-alert-long must be positive, got ",
-                          opts.sloAlert.longWindow);
-        if (opts.sloAlert.shortWindow > opts.sloAlert.longWindow)
-            QOSERVE_FATAL("--slo-alert-short (",
-                          opts.sloAlert.shortWindow,
-                          ") must not exceed --slo-alert-long (",
-                          opts.sloAlert.longWindow, ")");
-        if (opts.sloAlert.interval <= 0.0)
-            QOSERVE_FATAL("--slo-alert-interval must be positive, "
-                          "got ", opts.sloAlert.interval);
-    }
-    opts.serving.prefixCache.validate();
-    opts.sharedPrefix.validate();
-    if (opts.serving.cacheAffinityRouting &&
-        !opts.serving.prefixCache.enabled)
-        QOSERVE_FATAL("--cache-affinity requires --prefix-cache");
     return opts;
 }
 

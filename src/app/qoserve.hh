@@ -11,6 +11,7 @@
 #include "cluster/cluster.hh"
 #include "cluster/disagg.hh"
 #include "cluster/replica.hh"
+#include "app/scenario.hh"
 #include "app/serving_system.hh"
 #include "fault/fault_injector.hh"
 #include "kvcache/block_manager.hh"

@@ -5,6 +5,7 @@
 
 #include "app/serving_system.hh"
 
+#include "app/scenario.hh"
 #include "simcore/logging.hh"
 
 namespace qoserve {
@@ -74,12 +75,17 @@ makeSchedulerFactory(const ServingConfig &cfg)
     QOSERVE_PANIC("unknown policy");
 }
 
+bool
+usesPredictor(const ServingConfig &cfg)
+{
+    return cfg.policy == Policy::QoServe &&
+           cfg.qoserve.enableDynamicChunking;
+}
+
 std::shared_ptr<const LatencyPredictor>
 makePredictor(const ServingConfig &cfg)
 {
-    bool needs_predictor =
-        cfg.policy == Policy::QoServe && cfg.qoserve.enableDynamicChunking;
-    if (!needs_predictor)
+    if (!usesPredictor(cfg))
         return nullptr;
 
     PerfModel model(cfg.hw, cfg.perfParams);
@@ -91,38 +97,40 @@ makePredictor(const ServingConfig &cfg)
     return std::make_shared<OracleLatencyPredictor>(model);
 }
 
+namespace {
+
+/** The scenario ServingSystem runs: @p cfg, all else default. */
+Scenario
+scenarioFor(const ServingConfig &cfg)
+{
+    Scenario sc;
+    sc.serving = cfg;
+    return sc;
+}
+
+} // namespace
+
 ServingSystem::ServingSystem(ServingConfig cfg)
     : cfg_(std::move(cfg))
 {
-    QOSERVE_ASSERT(cfg_.numReplicas >= 1, "need at least one replica");
-    cfg_.prefixCache.validate();
-    if (cfg_.cacheAffinityRouting && !cfg_.prefixCache.enabled)
-        QOSERVE_FATAL("cache-affinity routing requires the prefix "
-                      "cache to be enabled");
+    scenarioFor(cfg_).validate();
     predictor_ = makePredictor(cfg_);
 }
 
 std::unique_ptr<ClusterSim>
 ServingSystem::serveForInspection(const Trace &trace)
 {
-    ClusterSim::Config cc;
-    cc.replica.hw = cfg_.hw;
-    cc.replica.perfParams = cfg_.perfParams;
-    cc.replica.prefixCache = cfg_.prefixCache;
-    cc.cacheAffinityRouting = cfg_.cacheAffinityRouting;
-    cc.predictor = predictor_.get();
-
-    auto sim = std::make_unique<ClusterSim>(cc, trace);
-    sim->addReplicaGroup(cfg_.numReplicas, makeSchedulerFactory(cfg_));
-    sim->run();
-    return sim;
+    RunHooks hooks;
+    hooks.predictor = predictor_.get();
+    return runScenario(scenarioFor(cfg_), trace, hooks).cluster;
 }
 
 RunSummary
 ServingSystem::serve(const Trace &trace)
 {
-    auto sim = serveForInspection(trace);
-    return summarize(sim->metrics());
+    RunHooks hooks;
+    hooks.predictor = predictor_.get();
+    return runScenario(scenarioFor(cfg_), trace, hooks).summary;
 }
 
 } // namespace qoserve

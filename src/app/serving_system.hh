@@ -112,14 +112,23 @@ struct ServingConfig
 SchedulerFactory makeSchedulerFactory(const ServingConfig &cfg);
 
 /**
+ * True when a configuration consults a latency predictor: QoServe
+ * with dynamic chunking on. makePredictor(), runScenario() and the
+ * benches' predictor cache all decide with this one rule.
+ */
+bool usesPredictor(const ServingConfig &cfg);
+
+/**
  * Construct the shared latency predictor a configuration needs, or
- * nullptr when the policy never consults one.
+ * nullptr when the policy never consults one (see usesPredictor()).
  */
 std::shared_ptr<const LatencyPredictor>
 makePredictor(const ServingConfig &cfg);
 
 /**
- * High-level serving deployment: configure once, serve traces.
+ * High-level serving deployment: configure once, serve traces. Each
+ * trace runs through runScenario() on a Scenario holding this
+ * configuration and every other setting at its default.
  */
 class ServingSystem
 {
