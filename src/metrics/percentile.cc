@@ -35,6 +35,10 @@ percentileSorted(const std::vector<double> &sorted, double p)
     auto lo = static_cast<std::size_t>(pos);
     std::size_t hi = std::min(lo + 1, sorted.size() - 1);
     double frac = pos - static_cast<double>(lo);
+    // An exact rank returns its sample: interpolating would compute
+    // inf * 0 = NaN beside an infinite (never-served) neighbour.
+    if (frac == 0.0)
+        return sorted[lo];
     return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 

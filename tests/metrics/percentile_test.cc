@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace qoserve {
 namespace {
 
@@ -66,6 +68,16 @@ TEST(Percentile, MonotoneInP)
         EXPECT_GE(cur, prev);
         prev = cur;
     }
+}
+
+TEST(Percentile, ExactRankBesideInfinityIsNotNan)
+{
+    // Shed, rejected and retry-exhausted requests have infinite
+    // latency; an exact rank must return its own sample.
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(percentileSorted({1.0, inf}, 0.0), 1.0);
+    EXPECT_EQ(percentileSorted({inf, inf, inf}, 50.0), inf);
+    EXPECT_EQ(percentileSorted({1.0, inf}, 50.0), inf);
 }
 
 TEST(Percentile, SortedVariantSharesTheDegenerateSentinels)

@@ -58,10 +58,10 @@ elseif(CASE STREQUAL "chaos")
         --records-out ${OUT}/records.csv
         --summary-out ${OUT}/summary.csv)
     set(_expected
-        stdout.txt    9ea73cd91ce3fb4f88f429a92e448e146a168d2a77306fd3a7edf73b7b5d609a
+        stdout.txt    14cd04f9eed44e69368dba7ae7bb12c0c6e4ba6daa1ae8bfb871f215cd765b07
         metrics.csv   7ff23c680277d82cb93717421ee9e29c9edbe4ec0e0b784b7a0015ee769ebf4f
         records.csv   1c2306906c8160426e090ecaf4739ca688e4dabc302fb11e19cfec8118252e2f
-        summary.csv   b4e2c04826e6afc52ce4f0d0005f16e91b5ec76f6789b6652d20331a2cf491be)
+        summary.csv   888e85278dd6fc6fd8719e3496c217462724995032c5b0671d3abbf4990e8e6f)
 else()
     message(FATAL_ERROR "qoserve_sim_golden: unknown CASE '${CASE}'")
 endif()
