@@ -88,6 +88,15 @@ Replica::admit(const RequestSpec &spec)
     QOSERVE_ASSERT(spec.tierId >= 0 &&
                        spec.tierId < static_cast<int>(tiers_.size()),
                    "request references unknown tier");
+    // A prompt larger than the whole cache would be prefilled until KV
+    // runs out, preempted, reset and retried forever.
+    const std::int64_t prompt_blocks =
+        (spec.promptTokens + kv_.blockTokens() - 1) / kv_.blockTokens();
+    if (prompt_blocks > kv_.totalBlocks())
+        QOSERVE_FATAL("request ", spec.id, " has a ", spec.promptTokens,
+                      "-token prompt but the replica's KV cache holds ",
+                      kv_.totalBlocks() * kv_.blockTokens(),
+                      " tokens: its prefill could never finish");
     AppStats stats;
     if (spec.appId >= 0 &&
         spec.appId < static_cast<int>(appStats_.size())) {

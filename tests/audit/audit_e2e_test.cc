@@ -221,6 +221,25 @@ TEST(AuditE2E, KvPressureRunsClean)
     }
 }
 
+TEST(AuditE2EDeathTest, PromptLargerThanKvCacheIsFatal)
+{
+    // The KvPressureRunsClean trace on a replica cut to 6000 KV
+    // tokens: 17 of its prompts (up to 8192 tokens) cannot fit even
+    // alone. Without the admission check the run preempts and resets
+    // each of them forever; with it the first one stops the run.
+    ServingConfig cfg;
+    cfg.policy = Policy::SarathiFcfs;
+    std::int64_t spare = cfg.hw.kvCapacityTokens() - 6000;
+    cfg.hw.gpu.memCapacity -=
+        static_cast<double>(spare) *
+        static_cast<double>(cfg.hw.model.kvBytesPerToken());
+    ASSERT_EQ(cfg.hw.kvCapacityTokens(), 6000);
+    Trace trace = smallTrace(41);
+    EXPECT_DEATH(ServingSystem(cfg).serve(trace),
+                 "request 0 has a 8192-token prompt but the replica's "
+                 "KV cache holds 6000 tokens");
+}
+
 TEST(AuditE2E, PrefixCacheRunsClean)
 {
     // The full cached-prefill stack — radix tree, COW tails, LRU
