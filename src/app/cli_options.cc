@@ -24,6 +24,23 @@ parseU64(const std::string &flag, const std::string &value)
     return requireNumber<std::uint64_t>(value, "flag ", flag);
 }
 
+int
+parseInt(const std::string &flag, const std::string &value)
+{
+    return requireNumber<int>(value, "flag ", flag);
+}
+
+/** A count flag: an int that must not be negative. */
+int
+parseCount(const std::string &flag, const std::string &value)
+{
+    int n = parseInt(flag, value);
+    if (n < 0)
+        QOSERVE_FATAL("flag ", flag, ": must not be negative: '", value,
+                      "'");
+    return n;
+}
+
 std::vector<double>
 parseMix(const std::string &flag, const std::string &value)
 {
@@ -263,28 +280,28 @@ parseCliOptions(const std::vector<std::string> &args)
         } else if (flag == "--hw") {
             opts.serving.hw = parseHwName(need_value(i++, flag));
         } else if (flag == "--replicas") {
-            opts.serving.numReplicas = static_cast<int>(
-                parseU64(flag, need_value(i++, flag)));
+            opts.serving.numReplicas =
+                parseCount(flag, need_value(i++, flag));
         } else if (flag == "--lb") {
             opts.loadBalance = parseLb(need_value(i++, flag));
         } else if (flag == "--chunk") {
-            opts.serving.base.fixedChunkTokens = static_cast<int>(
-                parseU64(flag, need_value(i++, flag)));
+            opts.serving.base.fixedChunkTokens =
+                parseCount(flag, need_value(i++, flag));
         } else if (flag == "--alpha") {
             opts.serving.qoserve.alphaMsPerToken =
                 parseDouble(flag, need_value(i++, flag));
         } else if (flag == "--adaptive-alpha") {
             opts.serving.qoserve.adaptiveAlpha = true;
         } else if (flag == "--max-chunk") {
-            opts.serving.qoserve.maxChunkTokens = static_cast<int>(
-                parseU64(flag, need_value(i++, flag)));
+            opts.serving.qoserve.maxChunkTokens =
+                parseCount(flag, need_value(i++, flag));
         } else if (flag == "--no-solver-cache") {
             opts.serving.qoserve.enableSolverMemo = false;
         } else if (flag == "--oracle-predictor") {
             opts.serving.useForestPredictor = false;
         } else if (flag == "--jobs") {
-            opts.serving.trainJobs = static_cast<int>(
-                parseU64(flag, need_value(i++, flag)));
+            opts.serving.trainJobs =
+                parseCount(flag, need_value(i++, flag));
         } else if (flag == "--prefix-cache") {
             opts.serving.prefixCache.enabled = true;
         } else if (flag == "--cache-capacity-frac") {
@@ -296,8 +313,8 @@ parseCliOptions(const std::vector<std::string> &args)
             opts.sharedPrefix.shareRatio =
                 parseDouble(flag, need_value(i++, flag));
         } else if (flag == "--prefix-pools") {
-            opts.sharedPrefix.numPools = static_cast<int>(
-                parseU64(flag, need_value(i++, flag)));
+            opts.sharedPrefix.numPools =
+                parseCount(flag, need_value(i++, flag));
         } else if (flag == "--multi-turn") {
             opts.sharedPrefix.multiTurnFrac =
                 parseDouble(flag, need_value(i++, flag));
@@ -319,16 +336,16 @@ parseCliOptions(const std::vector<std::string> &args)
         } else if (flag == "--fault-seed") {
             opts.fault.seed = parseU64(flag, need_value(i++, flag));
         } else if (flag == "--max-retries") {
-            opts.retry.maxRetries = static_cast<int>(
-                parseU64(flag, need_value(i++, flag)));
+            opts.retry.maxRetries =
+                parseCount(flag, need_value(i++, flag));
         } else if (flag == "--retry-backoff") {
             opts.retry.initialBackoff =
                 parseDouble(flag, need_value(i++, flag));
         } else if (flag == "--no-health-aware") {
             opts.healthAwareRouting = false;
         } else if (flag == "--zones") {
-            opts.domains.zones = static_cast<int>(
-                parseU64(flag, need_value(i++, flag)));
+            opts.domains.zones =
+                parseCount(flag, need_value(i++, flag));
         } else if (flag == "--zone-mtbf") {
             opts.domains.zoneMtbf =
                 parseDouble(flag, need_value(i++, flag));
@@ -347,8 +364,8 @@ parseCliOptions(const std::vector<std::string> &args)
         } else if (flag == "--domain-seed") {
             opts.domains.seed = parseU64(flag, need_value(i++, flag));
         } else if (flag == "--breaker-threshold") {
-            opts.breaker.failureThreshold = static_cast<int>(
-                parseU64(flag, need_value(i++, flag)));
+            opts.breaker.failureThreshold =
+                parseCount(flag, need_value(i++, flag));
         } else if (flag == "--breaker-cooldown") {
             opts.breaker.cooldown =
                 parseDouble(flag, need_value(i++, flag));
@@ -366,11 +383,10 @@ parseCliOptions(const std::vector<std::string> &args)
             opts.brownout.interval =
                 parseDouble(flag, need_value(i++, flag));
         } else if (flag == "--brownout-cap") {
-            opts.brownout.capTokens = static_cast<int>(
-                parseU64(flag, need_value(i++, flag)));
+            opts.brownout.capTokens =
+                parseCount(flag, need_value(i++, flag));
         } else if (flag == "--brownout-shed-tier") {
-            opts.brownout.shedTier = static_cast<int>(
-                parseDouble(flag, need_value(i++, flag)));
+            opts.brownout.shedTier = parseInt(flag, need_value(i++, flag));
         } else if (flag == "--trace-out") {
             opts.traceOut = need_value(i++, flag);
         } else if (flag == "--trace") {

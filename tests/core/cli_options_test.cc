@@ -269,6 +269,14 @@ TEST(CliOptions, MalformedNumberIsFatal)
     // An unsigned flag must not wrap "-1" to 2^64 - 1.
     EXPECT_DEATH(parseCliOptions({"--seed", "-1"}),
                  "--seed: not an unsigned integer: '-1'");
+    // Integer flags are range-checked ints: 2^32 + 1 must not wrap to
+    // one replica, and a tier index must not truncate 1.7 to 1.
+    EXPECT_DEATH(parseCliOptions({"--replicas", "4294967297"}),
+                 "--replicas: not an integer: '4294967297'");
+    EXPECT_DEATH(parseCliOptions({"--brownout-shed-tier", "1.7"}),
+                 "--brownout-shed-tier: not an integer: '1.7'");
+    EXPECT_DEATH(parseCliOptions({"--replicas", "-1"}),
+                 "--replicas: must not be negative: '-1'");
 }
 
 TEST(CliOptions, RangeValidation)
