@@ -285,42 +285,4 @@ rollingLatency(const MetricsCollector &collector, SimDuration window,
     return out;
 }
 
-std::vector<RollingPoint>
-rollingLatencySketched(const MetricsCollector &collector,
-                       SimDuration window, double pct, int tier_id,
-                       bool important_only, double relative_error)
-{
-    QOSERVE_ASSERT(window > 0.0, "window must be positive");
-    const auto &records = collector.records();
-    const auto &tiers = collector.tiers();
-
-    std::map<std::int64_t, QuantileSketch> buckets;
-    for (const auto &r : records) {
-        if (tier_id >= 0 && r.spec.tierId != tier_id)
-            continue;
-        if (important_only && !r.spec.important)
-            continue;
-        auto bucket =
-            static_cast<std::int64_t>(
-                std::floor(r.spec.arrival.seconds() / window));
-        auto it = buckets.find(bucket);
-        if (it == buckets.end())
-            it = buckets
-                     .emplace(bucket, QuantileSketch(relative_error))
-                     .first;
-        it->second.insert(headlineLatency(r, tiers[r.spec.tierId]));
-    }
-
-    std::vector<RollingPoint> out;
-    out.reserve(buckets.size());
-    for (const auto &[bucket, sketch] : buckets) {
-        RollingPoint p;
-        p.windowStart = SimTime{static_cast<double>(bucket) * window};
-        p.count = sketch.count();
-        p.value = sketch.quantile(pct);
-        out.push_back(p);
-    }
-    return out;
-}
-
 } // namespace qoserve

@@ -16,7 +16,6 @@
 #include <functional>
 #include <vector>
 
-#include "obs/quantile_sketch.hh"
 #include "sched/request.hh"
 #include "workload/qos.hh"
 
@@ -220,23 +219,6 @@ std::vector<RollingPoint> rollingLatency(const MetricsCollector &collector,
                                          SimDuration window, double pct,
                                          int tier_id = -1,
                                          bool important_only = false);
-
-/**
- * Streaming variant of rollingLatency: each window holds a
- * QuantileSketch instead of the full latency vector, so memory per
- * window is O(log(max/min)) regardless of arrival rate. Values are
- * within the sketch's relative error of rollingLatency's targeted
- * order statistic (see QuantileSketch::quantile); the series is
- * bitwise deterministic because sketch state is.
- *
- * @param relative_error Sketch accuracy (see QuantileSketch).
- */
-std::vector<RollingPoint>
-rollingLatencySketched(const MetricsCollector &collector,
-                       SimDuration window, double pct, int tier_id = -1,
-                       bool important_only = false,
-                       double relative_error =
-                           QuantileSketch::kDefaultRelativeError);
 
 } // namespace qoserve
 

@@ -616,38 +616,6 @@ RestrictedForest::restrictImpl(const FlatNode *nodes,
     }
 }
 
-bool
-RestrictedForest::monotoneNonDecreasingIn(int feature) const
-{
-    QOSERVE_ASSERT(valid(), "monotonicity query on an empty restriction");
-    struct Range
-    {
-        double min, max;
-    };
-    const FlatNode *nodes = flat_.data();
-    bool ok = true;
-    // Leaf-value range per subtree; a kept split on the axis must put
-    // all of its left range at or below all of its right range. Two
-    // queries differing only in x[feature] first diverge at such a
-    // split (x1 <= thr < x2), so the condition pins v(x1) <= v(x2) for
-    // every tree — and therefore every order statistic of the
-    // ensemble, including the interpolated quantile, is
-    // non-decreasing.
-    auto walk = [&](auto &&self, std::uint32_t node) -> Range {
-        const FlatNode &nd = nodes[node];
-        if (nd.feature < 0)
-            return {nd.key, nd.key};
-        Range l = self(self, node + 1);
-        Range r = self(self, nd.right);
-        if (nd.feature == feature && l.max > r.min)
-            ok = false;
-        return {std::min(l.min, r.min), std::max(l.max, r.max)};
-    };
-    for (std::uint32_t root : roots_)
-        walk(walk, root);
-    return ok;
-}
-
 double
 RandomForest::predict(const std::vector<double> &x) const
 {
@@ -715,33 +683,6 @@ RandomForest::predictQuantileTracked(const double *x, int dims, double q,
             preds[base + t] = nodes[cur[t]].key;
     }
     return quantileOf(preds, q);
-}
-
-void
-RandomForest::predictQuantileMany(const double *xs, int dims,
-                                  std::size_t count, double q,
-                                  double *out) const
-{
-    QOSERVE_ASSERT(trained(), "predictQuantileMany() before fit()");
-    QOSERVE_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range");
-    // Trees outer, queries inner: one streaming pass over the flat
-    // node array serves the whole batch, keeping it hot in cache.
-    static thread_local std::vector<double> preds;
-    preds.resize(count * trees_.size());
-    std::size_t ntrees = trees_.size();
-    for (std::size_t t = 0; t < ntrees; ++t) {
-        std::uint32_t root = roots_[t];
-        for (std::size_t i = 0; i < count; ++i)
-            preds[i * ntrees + t] = evalTree(root, xs + i * dims, dims);
-    }
-    static thread_local std::vector<double> row;
-    row.resize(ntrees);
-    for (std::size_t i = 0; i < count; ++i) {
-        row.assign(preds.begin() + static_cast<std::ptrdiff_t>(i * ntrees),
-                   preds.begin() +
-                       static_cast<std::ptrdiff_t>((i + 1) * ntrees));
-        out[i] = quantileOf(row, q);
-    }
 }
 
 double

@@ -200,22 +200,6 @@ class RestrictedForest
     double predictQuantileTracked(const double *x, int dims, double q,
                                   FeatureSupport &support) const;
 
-    /**
-     * Conservative monotonicity certificate along one feature axis.
-     *
-     * True when every kept split on @p feature has its left subtree's
-     * maximum leaf value at or below its right subtree's minimum — a
-     * sufficient condition for every tree (and hence any quantile of
-     * the ensemble) to be non-decreasing in that feature over the
-     * restriction box. Under the certificate every probe order of a
-     * feasibility search finds the same largest-feasible chunk, so a
-     * reordered search would be provably result-identical to the cold
-     * binary search. Diagnostics only: fitted ensembles rarely pass
-     * (bootstrap noise breaks per-split ordering), so the solver does
-     * not rely on it.
-     */
-    bool monotoneNonDecreasingIn(int feature) const;
-
     /** Nodes retained by the restriction (diagnostics). */
     std::size_t numNodes() const { return flat_.size(); }
 
@@ -299,17 +283,6 @@ class RandomForest
      */
     double predictQuantileTracked(const double *x, int dims, double q,
                                   FeatureSupport &support) const;
-
-    /**
-     * Evaluate all trees over @p count feature vectors in one pass.
-     *
-     * @param xs Row-major array of @p count × @p dims features.
-     * @param out Receives @p count quantile predictions, each bitwise
-     *        identical to the corresponding predictQuantile() call.
-     */
-    void predictQuantileMany(const double *xs, int dims,
-                             std::size_t count, double q,
-                             double *out) const;
 
     /**
      * Partially evaluate the forest over an axis-aligned box.

@@ -112,29 +112,6 @@ TEST(HotPath, QuantileMatchesSortedReferenceAcrossEnsembleSizes)
     }
 }
 
-TEST(HotPath, QuantileManyMatchesScalarCalls)
-{
-    auto data = makeData(1500, 13);
-    RandomForest forest;
-    forest.fit(data, ForestParams{}, 17);
-
-    constexpr std::size_t kCount = 64;
-    constexpr int kDims = 4;
-    std::vector<double> xs(kCount * kDims);
-    Rng probe(19);
-    for (double &v : xs)
-        v = probe.uniform(0.0, 10.0);
-
-    std::vector<double> batched(kCount);
-    forest.predictQuantileMany(xs.data(), kDims, kCount, 0.6,
-                               batched.data());
-    for (std::size_t i = 0; i < kCount; ++i) {
-        EXPECT_EQ(batched[i],
-                  forest.predictQuantile(xs.data() + i * kDims, kDims,
-                                         0.6));
-    }
-}
-
 TEST(HotPath, TrackedSupportCertifiesBitwiseReplay)
 {
     auto data = makeData(1500, 23);
