@@ -27,9 +27,6 @@
 
 #include "bench_common.hh"
 
-#include "cluster/brownout.hh"
-#include "fault/failure_domains.hh"
-
 namespace qoserve {
 namespace {
 
@@ -81,8 +78,7 @@ goodputRps(const ChaosResult &r)
 }
 
 ChaosResult
-runCase(const ChaosCase &sc, bool smoke,
-        const LatencyPredictor *predictor)
+runCase(const ChaosCase &cs, bool smoke)
 {
     // Burst-arrival workload: steady base load with a burst window in
     // the first half, sized so a healthy fleet absorbs it without
@@ -100,43 +96,28 @@ runCase(const ChaosCase &sc, bool smoke,
                                  SimTime{duration * 0.4}),
                    duration);
 
-    ServingConfig serving;
-    serving.policy = Policy::QoServe;
-
-    ClusterSim::Config cc;
-    cc.replica.hw = llama3_8b_a100_tp1();
-    cc.predictor = predictor;
-    cc.healthAwareRouting = true;
-    cc.retry.maxRetries = 3;
-    if (sc.mitigated) {
-        cc.breaker.failureThreshold = 3;
-        cc.breaker.cooldown = 0.5;
-        cc.deadlineCancel = true;
+    Scenario sc;
+    sc.serving.policy = Policy::QoServe;
+    sc.serving.numReplicas = 4;
+    if (cs.mitigated) {
+        sc.breaker.failureThreshold = 3;
+        sc.breaker.cooldown = 0.5;
+        sc.deadlineCancel = true;
     }
-
-    ClusterSim sim(cc, trace);
-    sim.addReplicaGroup(4, makeSchedulerFactory(serving),
-                        LoadBalancePolicy::RoundRobin);
-
-    DomainConfig dc;
-    dc.seed = 7;
-    dc.horizon = trace.requests.back().arrival;
-    if (sc.zoneOutage) {
-        dc.zones = 2;
-        dc.zoneMtbf = duration * 0.4;
-        dc.zoneMttr = duration * 0.12;
+    sc.domains.seed = 7;
+    if (cs.zoneOutage) {
+        sc.domains.zones = 2;
+        sc.domains.zoneMtbf = duration * 0.4;
+        sc.domains.zoneMttr = duration * 0.12;
     }
-    if (sc.partition) {
+    if (cs.partition) {
         // Long-ish partitions at a high rate so an outage landing
         // inside one (stale view keeps routing to dead replicas) is
         // likely in the compound scenario.
-        dc.partitionMtbf = duration * 0.25;
-        dc.partitionMttr = duration * 0.15;
-        dc.partitionFrac = 0.5;
+        sc.domains.partitionMtbf = duration * 0.25;
+        sc.domains.partitionMttr = duration * 0.15;
+        sc.domains.partitionFrac = 0.5;
     }
-    std::optional<DomainInjector> domains;
-    if (dc.enabled())
-        domains.emplace(dc, sim);
 
     // Thresholds sized so the burst alone stays under the enter
     // backlog on a healthy fleet; only real capacity loss (a zone
@@ -144,20 +125,18 @@ runCase(const ChaosCase &sc, bool smoke,
     // scales with the burst window (0.2 x duration), so the
     // thresholds scale with duration to keep that separation in both
     // smoke and full modes.
-    BrownoutConfig bc;
-    bc.enabled = sc.mitigated;
-    bc.enterBacklog = 9000.0 * (duration / 120.0);
-    bc.exitBacklog = 2000.0 * (duration / 120.0);
-    BrownoutController brownout(bc, sim);
-    if (bc.enabled)
-        brownout.start();
+    sc.brownout.enabled = cs.mitigated;
+    sc.brownout.enterBacklog = 9000.0 * (duration / 120.0);
+    sc.brownout.exitBacklog = 2000.0 * (duration / 120.0);
 
     bench::WallTimer timer;
+    ScenarioResult res = bench::simulate(sc, trace);
+    const ClusterSim &sim = *res.cluster;
     ChaosResult out;
-    out.summary = summarize(sim.run());
+    out.summary = res.summary;
     out.wallSeconds = timer.seconds();
-    if (domains)
-        out.domains = domains->stats();
+    if (res.domains)
+        out.domains = *res.domains;
     out.traceRequests = trace.requests.size();
     out.recorded = sim.metrics().totalRecorded();
     out.breakerTrips = sim.breakerTrips();
@@ -175,14 +154,14 @@ run(const bench::BenchOptions &opts, bool smoke, double goodput_floor)
     bench::printBanner("Chaos harness: compound failure scenarios",
                        "robustness extension (DESIGN.md §13)");
 
-    const LatencyPredictor *predictor =
-        bench::PredictorCache::instance().get(ServingConfig{});
+    // Train the predictor before the fan-out (see bench::runMany).
+    bench::PredictorCache::instance().get(ServingConfig{});
 
     const std::size_t n = std::size(kCases);
     bench::WallTimer suite;
     std::vector<ChaosResult> results = par::parallelMap(
-        opts.jobs, n, [&predictor, smoke](std::size_t i) {
-            return runCase(kCases[i], smoke, predictor);
+        opts.jobs, n, [smoke](std::size_t i) {
+            return runCase(kCases[i], smoke);
         });
     double total_wall = suite.seconds();
 

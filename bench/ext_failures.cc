@@ -22,7 +22,7 @@
 namespace qoserve {
 namespace {
 
-struct Scenario
+struct RecoveryCase
 {
     const char *name;
     LoadBalancePolicy lb;
@@ -30,60 +30,31 @@ struct Scenario
     int maxRetries;
 };
 
-constexpr Scenario kScenarios[] = {
+constexpr RecoveryCase kCases[] = {
     {"rr blind no-retry", LoadBalancePolicy::RoundRobin, false, 0},
     {"rr health+retry", LoadBalancePolicy::RoundRobin, true, 3},
     {"least-loaded h+r", LoadBalancePolicy::LeastLoaded, true, 3},
     {"jsq health+retry", LoadBalancePolicy::ShortestQueue, true, 3},
 };
 
-struct FaultRun
+ScenarioResult
+runWith(const RecoveryCase &rc, const FaultConfig &fault)
 {
-    RunSummary summary;
-    FaultStats faults;
-    double machineAvailability = 1.0;
-    std::uint64_t redispatches = 0;
-};
-
-FaultRun
-runWith(const Scenario &sc, FaultConfig fault,
-        const LatencyPredictor *predictor)
-{
-    Trace trace = TraceBuilder()
-                      .dataset(azureCode())
-                      .seed(83)
-                      .build(PoissonArrivals(12.0), 600.0);
-
-    ServingConfig serving;
-    serving.policy = Policy::QoServe;
-
-    ClusterSim::Config cc;
-    cc.replica.hw = llama3_8b_a100_tp1();
-    cc.predictor = predictor;
-    cc.healthAwareRouting = sc.healthAware;
-    cc.retry.maxRetries = sc.maxRetries;
-
-    ClusterSim sim(cc, trace);
-    sim.addReplicaGroup(4, makeSchedulerFactory(serving), sc.lb);
-
-    std::optional<FaultInjector> injector;
-    if (fault.enabled()) {
-        fault.horizon = trace.requests.back().arrival;
-        injector.emplace(fault, sim);
-    }
-
-    FaultRun out;
-    out.summary = summarize(sim.run());
-    if (injector) {
-        out.faults = injector->stats();
-        out.machineAvailability = injector->machineAvailability();
-    }
-    out.redispatches = sim.redispatches();
-    return out;
+    Scenario sc;
+    sc.serving.policy = Policy::QoServe;
+    sc.serving.numReplicas = 4;
+    sc.loadBalance = rc.lb;
+    sc.healthAwareRouting = rc.healthAware;
+    sc.retry.maxRetries = rc.maxRetries;
+    sc.fault = fault;
+    sc.qps = 12.0;
+    sc.duration = 600.0;
+    sc.seed = 83;
+    return bench::simulate(sc, buildTrace(sc));
 }
 
 void
-crashSweep(const LatencyPredictor *predictor)
+crashSweep()
 {
     // 0 disables crashes: the fault-free sanity column.
     const double mtbfs[] = {0.0, 120.0, 60.0, 30.0};
@@ -100,13 +71,13 @@ crashSweep(const LatencyPredictor *predictor)
     std::printf("\n");
     bench::printRule(60);
 
-    for (const Scenario &sc : kScenarios) {
-        std::printf("%-20s", sc.name);
+    for (const RecoveryCase &rc : kCases) {
+        std::printf("%-20s", rc.name);
         for (double mtbf : mtbfs) {
             FaultConfig fault;
             fault.crashMtbf = mtbf;
             fault.crashMttr = 20.0;
-            FaultRun r = runWith(sc, fault, predictor);
+            ScenarioResult r = runWith(rc, fault);
             std::printf("%10.2f", 100.0 * r.summary.availability);
         }
         std::printf("\n");
@@ -116,22 +87,23 @@ crashSweep(const LatencyPredictor *predictor)
     std::printf("%-20s%10s%10s%12s%10s%10s\n", "scenario", "avail%",
                 "viol%", "redispatch", "retries", "mach%");
     bench::printRule(72);
-    for (const Scenario &sc : kScenarios) {
+    for (const RecoveryCase &rc : kCases) {
         FaultConfig fault;
         fault.crashMtbf = 60.0;
         fault.crashMttr = 20.0;
-        FaultRun r = runWith(sc, fault, predictor);
-        std::printf("%-20s%10.2f%10.2f%12llu%10.3f%10.2f\n", sc.name,
+        ScenarioResult r = runWith(rc, fault);
+        std::printf("%-20s%10.2f%10.2f%12llu%10.3f%10.2f\n", rc.name,
                     100.0 * r.summary.availability,
                     100.0 * r.summary.violationRate,
-                    static_cast<unsigned long long>(r.redispatches),
+                    static_cast<unsigned long long>(
+                        r.cluster->redispatches()),
                     r.summary.meanRetries,
                     100.0 * r.machineAvailability);
     }
 }
 
 void
-stragglerSweep(const LatencyPredictor *predictor)
+stragglerSweep()
 {
     std::printf("\np99 latency (s) vs straggler factor "
                 "(episode MTBF 60 s, mean length 10 s, no crashes)\n");
@@ -139,8 +111,8 @@ stragglerSweep(const LatencyPredictor *predictor)
                 "2x", "4x");
     bench::printRule(50);
 
-    for (const Scenario &sc : kScenarios) {
-        std::printf("%-20s", sc.name);
+    for (const RecoveryCase &rc : kCases) {
+        std::printf("%-20s", rc.name);
         for (double factor : {0.0, 2.0, 4.0}) {
             FaultConfig fault;
             if (factor > 0.0) {
@@ -148,7 +120,7 @@ stragglerSweep(const LatencyPredictor *predictor)
                 fault.stragglerDuration = 10.0;
                 fault.stragglerFactor = factor;
             }
-            FaultRun r = runWith(sc, fault, predictor);
+            ScenarioResult r = runWith(rc, fault);
             std::printf("%10.2f", r.summary.p99Latency);
         }
         std::printf("\n");
@@ -161,11 +133,8 @@ run()
     bench::printBanner("Replica failures, stragglers and recovery",
                        "fault-injection extension (DESIGN.md §8)");
 
-    const LatencyPredictor *predictor =
-        bench::PredictorCache::instance().get(ServingConfig{});
-
-    crashSweep(predictor);
-    stragglerSweep(predictor);
+    crashSweep();
+    stragglerSweep();
 }
 
 } // namespace

@@ -17,24 +17,16 @@ namespace qoserve {
 namespace {
 
 RunSummary
-runWith(LoadBalancePolicy lb, double qps,
-        const LatencyPredictor *predictor)
+runWith(LoadBalancePolicy lb, double qps)
 {
-    Trace trace = TraceBuilder()
-                      .dataset(azureCode())
-                      .seed(79)
-                      .build(PoissonArrivals(qps), 900.0);
-
-    ServingConfig sc;
-    sc.policy = Policy::QoServe;
-
-    ClusterSim::Config cc;
-    cc.replica.hw = llama3_8b_a100_tp1();
-    cc.predictor = predictor;
-
-    ClusterSim sim(cc, trace);
-    sim.addReplicaGroup(4, makeSchedulerFactory(sc), lb);
-    return summarize(sim.run());
+    Scenario sc;
+    sc.serving.policy = Policy::QoServe;
+    sc.serving.numReplicas = 4;
+    sc.loadBalance = lb;
+    sc.qps = qps;
+    sc.duration = 900.0;
+    sc.seed = 79;
+    return bench::runOnce(sc);
 }
 
 void
@@ -42,9 +34,6 @@ run()
 {
     bench::printBanner("Load balancing across replicas",
                        "round-robin baseline of §4.1.1 (extension)");
-
-    const LatencyPredictor *predictor =
-        bench::PredictorCache::instance().get(ServingConfig{});
 
     const LoadBalancePolicy policies[] = {
         LoadBalancePolicy::RoundRobin,
@@ -63,7 +52,7 @@ run()
         for (LoadBalancePolicy lb : policies) {
             std::printf("%-16s", loadBalanceName(lb));
             for (double qps : {12.0, 16.0, 20.0, 24.0}) {
-                RunSummary s = runWith(lb, qps, predictor);
+                RunSummary s = runWith(lb, qps);
                 double v = metric[0] == 'p'
                                ? s.p99Latency
                                : 100.0 * s.violationRate;
