@@ -13,7 +13,6 @@
  *   Scenario sc;
  *   sc.serving.numReplicas = 2;
  *   sc.qps = 4.0;
- *   sc.validate();
  *   ScenarioResult res = runScenario(sc, buildTrace(sc));
  *   printSummary(res.summary, sc.tiers, std::cout);
  * @endcode
@@ -149,8 +148,9 @@ struct ScenarioResult
     std::shared_ptr<const LatencyPredictor> predictor;
 
     /** The cluster after the run, for inspection (records,
-     *  per-replica state, counters). The observers runScenario()
-     *  attached are gone; do not run it again. */
+     *  per-replica state, counters). ClusterSim::run() refuses a
+     *  second run; the observers runScenario() attached are
+     *  destroyed and its trace sink detached. */
     std::unique_ptr<ClusterSim> cluster;
 
     /** Crash/straggler counters, when fault injection ran. */
@@ -182,11 +182,11 @@ struct ScenarioResult
 Trace buildTrace(const Scenario &sc, std::ostream *log = nullptr);
 
 /**
- * Run @p trace under @p sc: build the predictor and cluster, attach
- * the trace sink, streamed records, sketch bank, SLO monitor, fault
- * and domain injectors (horizon = last arrival), brownout controller,
- * telemetry and metrics sampler in that order, run, and write every
- * output file the scenario names.
+ * Run @p trace under @p sc (validated first): build the predictor and
+ * cluster, attach the trace sink, streamed records, sketch bank, SLO
+ * monitor, fault and domain injectors (horizon = last arrival),
+ * brownout controller, telemetry and metrics sampler in that order,
+ * run, and write every output file the scenario names.
  *
  * The attach order is fixed: events at the same simulated time fire
  * in (time, sequence) order, so reordering the attachments would

@@ -33,14 +33,17 @@ TEST(MakePredictor, OnlyQoServeWithDynamicChunkingNeedsOne)
 {
     ServingConfig cfg;
     cfg.policy = Policy::SarathiFcfs;
+    EXPECT_FALSE(usesPredictor(cfg));
     EXPECT_EQ(makePredictor(cfg), nullptr);
 
     cfg.policy = Policy::QoServe;
     cfg.qoserve.enableDynamicChunking = false;
+    EXPECT_FALSE(usesPredictor(cfg));
     EXPECT_EQ(makePredictor(cfg), nullptr);
 
     cfg.qoserve.enableDynamicChunking = true;
     cfg.useForestPredictor = false; // oracle: cheap to build in tests
+    EXPECT_TRUE(usesPredictor(cfg));
     EXPECT_NE(makePredictor(cfg), nullptr);
 }
 
