@@ -173,8 +173,11 @@ Request::resetAfterKvPreemption()
     // the recompute starts from scratch, so the credit is void.
     record_.cachedPrefixTokens = 0;
     // A failure-resumed request keeps its delivered tokens: recompute
-    // restarts at the same resume point, not from scratch.
+    // restarts at the same resume point, not from scratch. Tokens past
+    // that point are emitted, and deadline-checked, again, so their
+    // misses must not count twice.
     decodeDone_ = resumedTokens_;
+    record_.tbtDeadlineMisses = resumedTbtMisses_;
     phase_ = RequestPhase::WaitingPrefill;
     if (resumedTokens_ == 0) {
         lastTokenTime_ = kTimeNever;
@@ -212,6 +215,7 @@ Request::restoreForRetry(const RequestFailureSnapshot &snap)
                        snap.decodeDone < spec_.decodeTokens,
                    "snapshot decode progress out of range");
     resumedTokens_ = snap.decodeDone;
+    resumedTbtMisses_ = snap.tbtDeadlineMisses;
     decodeDone_ = snap.decodeDone;
     prefillTarget_ = spec_.promptTokens + snap.decodeDone;
     lastTokenTime_ = snap.lastTokenTime;

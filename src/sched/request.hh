@@ -282,6 +282,10 @@ class Request
      *  prefill (0 unless restored from a failure snapshot). */
     int resumedTokens_ = 0;
 
+    /** TBT deadline misses counted up to resumedTokens_: what a KV
+     *  preemption rewinds the record's count to. */
+    int resumedTbtMisses_ = 0;
+
     SimTime lastTokenTime_ = kTimeNever;
 
     // Cold payload: read at admission and completion, not per

@@ -169,6 +169,54 @@ TEST(Request, KvPreemptionResetsProgress)
     EXPECT_EQ(r.phase(), RequestPhase::Decoding);
 }
 
+TEST(Request, KvPreemptionDropsMissesOfTokensDecodedAgain)
+{
+    // TTFT SLO 6 s, TBT 50 ms: every token below is late.
+    const int decode = 4;
+    Request r(spec(1, SimTime{0.0}, 10, decode, 0), interactive(), {});
+    r.applyPrefill(TokenCount{10}, SimTime{7.0});
+    r.applyDecodeToken(SimTime{7.1});
+    r.applyDecodeToken(SimTime{7.2});
+    EXPECT_EQ(r.record().tbtDeadlineMisses, 3);
+
+    // Recompute re-emits tokens 1..3; their misses count once.
+    r.resetAfterKvPreemption();
+    EXPECT_EQ(r.record().tbtDeadlineMisses, 0);
+    r.applyPrefill(TokenCount{10}, SimTime{8.0});
+    for (int t = 1; t < decode; ++t)
+        r.applyDecodeToken(SimTime{8.0 + 0.1 * t});
+    ASSERT_EQ(r.phase(), RequestPhase::Finished);
+    EXPECT_EQ(r.record().tbtDeadlineMisses, decode);
+    EXPECT_LE(r.record().tbtDeadlineMisses, r.spec().decodeTokens);
+}
+
+TEST(Request, KvPreemptionAfterRetryKeepsTheSnapshotMisses)
+{
+    const int decode = 5;
+    RequestFailureSnapshot snap;
+    snap.spec = spec(1, SimTime{0.0}, 10, decode, 0);
+    snap.decodeDone = 2;
+    snap.firstTokenTime = SimTime{5.0};
+    snap.lastTokenTime = SimTime{6.1};
+    snap.tbtDeadlineMisses = 1;
+    Request r(snap.spec, interactive(), {});
+    r.restoreForRetry(snap);
+
+    // Prefill rebuilds the prompt plus two tokens, then emits token 3.
+    r.applyPrefill(TokenCount{12}, SimTime{9.0});
+    EXPECT_EQ(r.record().tbtDeadlineMisses, 2);
+    r.resetAfterKvPreemption();
+    EXPECT_EQ(r.decodeDone(), 2);
+    EXPECT_EQ(r.record().tbtDeadlineMisses, 1);
+
+    r.applyPrefill(TokenCount{12}, SimTime{10.0});
+    r.applyDecodeToken(SimTime{10.1});
+    r.applyDecodeToken(SimTime{10.2});
+    ASSERT_EQ(r.phase(), RequestPhase::Finished);
+    // The delivered miss plus tokens 3..5, each counted once.
+    EXPECT_EQ(r.record().tbtDeadlineMisses, 4);
+}
+
 TEST(Request, OverfillPanics)
 {
     Request r(spec(1, SimTime{0.0}, 100, 5, 0), interactive(), {});
