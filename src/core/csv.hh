@@ -4,7 +4,8 @@
  * shared by every file format the simulator reads back: records,
  * summary, rolling series, workload trace, trace events, sketch bank,
  * alerts and critical-path aggregate. The command-line tools parse
- * their numeric flags with the same parsers.
+ * their numeric flags with the same parsers. RowWriter is the
+ * buffered formatter the large per-row artefacts are written with.
  *
  * Strict means:
  *  - a row has exactly as many fields as the header, and an empty
@@ -15,19 +16,22 @@
  *  - every error names the artefact, the 1-based line and the
  *    offending field or value: `<what> CSV line N: ...`.
  *
- * Row writers stay with their formats (a few `<<` each own the byte
- * layout); only reading, and the open/check/close around a file, is
- * shared.
+ * Row layouts stay with their formats (a few `<<` each own the byte
+ * layout); reading, number formatting, and the open/check/close
+ * around a file are shared.
  */
 
 #ifndef QOSERVE_CORE_CSV_HH
 #define QOSERVE_CORE_CSV_HH
 
+#include <algorithm>
 #include <charconv>
 #include <cstddef>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -205,6 +209,138 @@ class CsvReader
     std::string line_;
     std::vector<std::string> fields_;
     std::size_t lineNo_ = 0;
+};
+
+/** A double that RowWriter prints with exactly @p decimals digits
+ *  after the point, as printf("%.*f") does. */
+struct FixedDecimals
+{
+    double value = 0.0;
+    int decimals = 0;
+};
+
+/**
+ * Formats artefact rows into a fixed-size buffer and hands the bytes
+ * to a std::ostream with write(): whenever the next field may not
+ * fit, and on flush() or destruction. A row longer than the buffer is
+ * written in pieces, and no file is ever held in memory whole.
+ *
+ * Every field has the bytes `ostream <<` gives it, without the
+ * stream's locale machinery:
+ *  - integers: std::to_chars, exact;
+ *  - doubles: std::to_chars general at the writer's precision, which
+ *    is printf("%.*g"), as `<<` prints with the default floatfield
+ *    (so also "inf", "-inf" and "nan");
+ *  - FixedDecimals: std::to_chars fixed, which is printf("%.*f").
+ *
+ * The writer neither reads nor changes the stream's format state, so
+ * a row's bytes never depend on what the caller did to the stream.
+ *
+ * @code
+ *   RowWriter row(out, 17);
+ *   row << "time,value\n";
+ *   for (const Point &p : points)
+ *       row << p.time << ',' << p.value << '\n';
+ * @endcode
+ */
+class RowWriter
+{
+  public:
+    /** Bytes buffered between two writes to the stream. */
+    static constexpr std::size_t kBufferBytes = 4096;
+
+    /** Write to @p out, doubles with @p precision significant digits:
+     *  6 as a fresh ostream prints, 17 to round-trip exactly. */
+    explicit RowWriter(std::ostream &out, int precision = 6)
+        : out_(out), precision_(precision)
+    {
+    }
+
+    ~RowWriter() { flush(); }
+
+    RowWriter(const RowWriter &) = delete;
+    RowWriter &operator=(const RowWriter &) = delete;
+
+    RowWriter &operator<<(std::string_view text)
+    {
+        while (!text.empty()) {
+            if (used_ == kBufferBytes)
+                flush();
+            std::size_t n = std::min(text.size(), kBufferBytes - used_);
+            std::memcpy(buf_ + used_, text.data(), n);
+            used_ += n;
+            text.remove_prefix(n);
+        }
+        return *this;
+    }
+
+    RowWriter &operator<<(const char *text)
+    {
+        return *this << std::string_view(text);
+    }
+
+    RowWriter &operator<<(char c)
+    {
+        if (used_ == kBufferBytes)
+            flush();
+        buf_[used_++] = c;
+        return *this;
+    }
+
+    template <typename T,
+              std::enable_if_t<std::is_integral_v<T> &&
+                                   !std::is_same_v<T, char> &&
+                                   !std::is_same_v<T, bool>,
+                               int> = 0>
+    RowWriter &operator<<(T value)
+    {
+        return format(value);
+    }
+
+    /** Booleans have no single spelling; write the 0/1 or the word. */
+    RowWriter &operator<<(bool) = delete;
+
+    RowWriter &operator<<(double value)
+    {
+        return format(value, std::chars_format::general, precision_);
+    }
+
+    RowWriter &operator<<(FixedDecimals v)
+    {
+        return format(v.value, std::chars_format::fixed, v.decimals);
+    }
+
+    /** Hand every buffered byte to the stream. */
+    void flush()
+    {
+        if (used_ == 0)
+            return;
+        out_.write(buf_, static_cast<std::streamsize>(used_));
+        used_ = 0;
+    }
+
+  private:
+    /** std::to_chars(args...) into the free space, flushing first
+     *  when it does not fit there. */
+    template <typename... Args>
+    RowWriter &format(const Args &...args)
+    {
+        std::to_chars_result r =
+            std::to_chars(buf_ + used_, buf_ + kBufferBytes, args...);
+        if (r.ec != std::errc{}) {
+            flush();
+            r = std::to_chars(buf_, buf_ + kBufferBytes, args...);
+            QOSERVE_ASSERT(r.ec == std::errc{},
+                           "number wider than the row buffer");
+        }
+        used_ = static_cast<std::size_t>(r.ptr - buf_);
+        return *this;
+    }
+
+    std::ostream &out_;
+    int precision_;
+    std::size_t used_ = 0;
+    char buf_[kBufferBytes] = {};
 };
 
 /**

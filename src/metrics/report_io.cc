@@ -25,22 +25,15 @@ const char *const kRecordsHeader =
 const char *const kRollingHeader = "window_start,value,count";
 const char *const kSummaryHeader = "metric,value";
 
-} // namespace
-
-void
-writeRecordsCsvHeader(std::ostream &out)
-{
-    // max_digits10: doubles survive the round trip through
-    // readRecordsCsv bit-exactly (the explainer joins on these).
-    out << std::setprecision(17);
-    out << kRecordsHeader << '\n';
-}
+// max_digits10: doubles survive the round trip through readRecordsCsv
+// bit-exactly (the explainer joins on these).
+constexpr int kRecordsPrecision = 17;
 
 void
 writeRecordCsvRow(const RequestRecord &r, const QosTier &tier,
-                  std::ostream &out)
+                  RowWriter &row)
 {
-    out << r.spec.id << ',' << r.spec.arrival << ','
+    row << r.spec.id << ',' << r.spec.arrival.seconds() << ','
         << r.spec.promptTokens << ',' << r.spec.decodeTokens << ','
         << r.spec.tierId << ',' << (r.spec.important ? 1 : 0) << ','
         << r.ttft() << ',' << r.ttlt() << ',' << r.maxTbt << ','
@@ -49,22 +42,26 @@ writeRecordCsvRow(const RequestRecord &r, const QosTier &tier,
         << ',' << r.retries << ',' << (r.retryExhausted ? 1 : 0) << '\n';
 }
 
+} // namespace
+
 void
 writeRecordsCsv(const MetricsCollector &collector, std::ostream &out)
 {
-    writeRecordsCsvHeader(out);
+    RowWriter row(out, kRecordsPrecision);
+    row << kRecordsHeader << '\n';
     for (const RequestRecord &r : collector.records())
-        writeRecordCsvRow(r, collector.tiers()[r.spec.tierId], out);
+        writeRecordCsvRow(r, collector.tiers()[r.spec.tierId], row);
 }
 
 RecordsCsvStreamWriter::RecordsCsvStreamWriter(TierTable tiers,
                                                const std::string &path)
-    : tiers_(std::move(tiers)), path_(path), out_(path)
+    : tiers_(std::move(tiers)), path_(path), out_(path),
+      row_(out_, kRecordsPrecision)
 {
     QOSERVE_ASSERT(!tiers_.empty(), "stream writer needs a tier table");
     if (!out_)
         QOSERVE_FATAL("cannot open records file for writing: ", path_);
-    writeRecordsCsvHeader(out_);
+    row_ << kRecordsHeader << '\n';
 }
 
 void
@@ -74,7 +71,7 @@ RecordsCsvStreamWriter::write(const RequestRecord &rec)
                        rec.spec.tierId <
                            static_cast<int>(tiers_.size()),
                    "record references unknown tier");
-    writeRecordCsvRow(rec, tiers_[rec.spec.tierId], out_);
+    writeRecordCsvRow(rec, tiers_[rec.spec.tierId], row_);
 }
 
 void
@@ -82,6 +79,7 @@ RecordsCsvStreamWriter::close()
 {
     if (!out_.is_open())
         return;
+    row_.flush();
     out_.close();
     if (!out_)
         QOSERVE_FATAL("error writing records file: ", path_);

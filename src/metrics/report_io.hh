@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/csv.hh"
 #include "metrics/slo_report.hh"
 
 namespace qoserve {
@@ -28,14 +29,6 @@ void writeRecordsCsv(const MetricsCollector &collector, std::ostream &out);
 /** Write records CSV to a file (fatal on error). */
 void writeRecordsCsvFile(const MetricsCollector &collector,
                          const std::string &path);
-
-/** Write the records-CSV header row and set the stream precision the
- *  row writer below relies on (max_digits10 round-trip). */
-void writeRecordsCsvHeader(std::ostream &out);
-
-/** Write one records-CSV row (see writeRecordsCsv for columns). */
-void writeRecordCsvRow(const RequestRecord &rec, const QosTier &tier,
-                       std::ostream &out);
 
 /**
  * Streams records to a CSV file one row at a time, for runs too large
@@ -67,6 +60,7 @@ class RecordsCsvStreamWriter
     TierTable tiers_;
     std::string path_;
     std::ofstream out_;
+    RowWriter row_;
 };
 
 /**

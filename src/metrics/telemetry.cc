@@ -115,11 +115,13 @@ TelemetryRecorder::utilization(SimTime t0, SimTime t1) const
 void
 TelemetryRecorder::writeCsv(std::ostream &out) const
 {
-    out << "replica,start,latency,prefill_tokens,num_decodes\n";
+    RowWriter row(out);
+    row << "replica,start,latency,prefill_tokens,num_decodes\n";
     for (std::size_t i = 0; i < observations_.size(); ++i) {
         const BatchObservation &obs = observations_[i];
-        out << replicaIds_[i] << ',' << obs.start << ',' << obs.latency
-            << ',' << obs.prefillTokens << ',' << obs.numDecodes << '\n';
+        row << replicaIds_[i] << ',' << obs.start.seconds() << ','
+            << obs.latency << ',' << obs.prefillTokens << ','
+            << obs.numDecodes << '\n';
     }
 }
 

@@ -5,10 +5,9 @@
 
 #include "obs/metrics_registry.hh"
 
-#include <iomanip>
+#include <charconv>
 #include <ostream>
 #include <set>
-#include <sstream>
 
 #include "core/csv.hh"
 #include "simcore/logging.hh"
@@ -76,9 +75,10 @@ namespace {
 std::string
 boundLabel(double bound)
 {
-    std::ostringstream oss;
-    oss << std::setprecision(17) << bound;
-    return oss.str();
+    char buf[32]; // "%.17g" needs at most 24
+    std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof buf, bound, std::chars_format::general, 17);
+    return std::string(buf, r.ptr);
 }
 
 } // namespace
@@ -118,21 +118,18 @@ MetricsRegistry::writeCsv(std::ostream &out) const
         for (const auto &entry : row.values)
             columns.insert(entry.first);
     }
-    std::ostringstream fmt;
-    fmt << std::setprecision(17);
-    out << "time";
+    RowWriter csv(out, 17);
+    csv << "time";
     for (const std::string &col : columns)
-        out << ',' << col;
-    out << '\n';
+        csv << ',' << col;
+    csv << '\n';
     for (const Row &row : rows_) {
-        fmt.str("");
-        fmt << row.time;
+        csv << row.time.seconds();
         for (const std::string &col : columns) {
             auto it = row.values.find(col);
-            fmt << ',' << (it == row.values.end() ? 0.0 : it->second);
+            csv << ',' << (it == row.values.end() ? 0.0 : it->second);
         }
-        fmt << '\n';
-        out << fmt.str();
+        csv << '\n';
     }
 }
 

@@ -5,7 +5,6 @@
 
 #include "obs/trace_export.hh"
 
-#include <cstdio>
 #include <ostream>
 #include <set>
 
@@ -169,87 +168,83 @@ buildRequestTimelines(const std::vector<TraceEvent> &events)
 
 namespace {
 
-/** Microseconds with fixed 3-decimal formatting: byte-deterministic
- *  across platforms, sub-nanosecond resolution. */
-std::string
-fmtTs(SimTime t)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.3f", t.seconds() * 1e6);
-    return buf;
-}
-
-/** Fixed 3-decimal double (straggler factors and the like). */
-std::string
-fmtFixed3(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.3f", v);
-    return buf;
-}
-
-/** Emits one JSON object per line with leading commas handled. */
-class JsonLines
-{
-  public:
-    explicit JsonLines(std::ostream &out) : out_(out) {}
-
-    void
-    line(const std::string &body)
-    {
-        if (!first_)
-            out_ << ",\n";
-        first_ = false;
-        out_ << body;
-    }
-
-  private:
-    std::ostream &out_;
-    bool first_ = true;
-};
-
 int
 pidOf(int replica)
 {
     return replica < 0 ? 0 : replica + 1;
 }
 
-std::string
-durEvent(const char *ph, const char *name, SimTime t, int pid,
-         std::uint64_t tid, const std::string &args = "")
+/**
+ * Writes trace_event objects, one per line, comma-separated. An event
+ * opened by spanBegin() or instant() takes arg()s and ends with
+ * close().
+ */
+class PerfettoEvents
 {
-    std::string s = "{\"ph\":\"";
-    s += ph;
-    s += "\"";
-    if (name != nullptr) {
-        s += ",\"name\":\"";
-        s += name;
-        s += "\",\"cat\":\"qoserve\"";
-    }
-    s += ",\"ts\":" + fmtTs(t);
-    s += ",\"pid\":" + std::to_string(pid);
-    s += ",\"tid\":" + std::to_string(tid);
-    if (!args.empty())
-        s += ",\"args\":{" + args + "}";
-    s += "}";
-    return s;
-}
+  public:
+    explicit PerfettoEvents(RowWriter &row) : row_(row) {}
 
-std::string
-instant(const char *name, SimTime t, int pid, std::uint64_t tid,
-        const std::string &args = "")
-{
-    std::string s = "{\"ph\":\"i\",\"name\":\"";
-    s += name;
-    s += "\",\"cat\":\"qoserve\",\"s\":\"t\"";
-    s += ",\"ts\":" + fmtTs(t);
-    s += ",\"pid\":" + std::to_string(pid);
-    s += ",\"tid\":" + std::to_string(tid);
-    if (!args.empty())
-        s += ",\"args\":{" + args + "}";
-    s += "}";
-    return s;
-}
+    /** Start the next line; the caller writes the whole object. */
+    RowWriter &line()
+    {
+        if (!first_)
+            row_ << ",\n";
+        first_ = false;
+        return row_;
+    }
+
+    PerfettoEvents &spanBegin(const char *name, SimTime t, int pid,
+                              std::uint64_t tid)
+    {
+        line() << "{\"ph\":\"B\",\"name\":\"" << name
+               << "\",\"cat\":\"qoserve\"";
+        return place(t, pid, tid);
+    }
+
+    void spanEnd(SimTime t, int pid, std::uint64_t tid)
+    {
+        line() << "{\"ph\":\"E\"";
+        place(t, pid, tid).close();
+    }
+
+    PerfettoEvents &instant(const char *name, SimTime t, int pid,
+                            std::uint64_t tid)
+    {
+        line() << "{\"ph\":\"i\",\"name\":\"" << name
+               << "\",\"cat\":\"qoserve\",\"s\":\"t\"";
+        return place(t, pid, tid);
+    }
+
+    template <typename T>
+    PerfettoEvents &arg(const char *key, const T &value)
+    {
+        row_ << (hasArgs_ ? ",\"" : ",\"args\":{\"") << key << "\":"
+             << value;
+        hasArgs_ = true;
+        return *this;
+    }
+
+    void close()
+    {
+        row_ << (hasArgs_ ? "}}" : "}");
+        hasArgs_ = false;
+    }
+
+  private:
+    /** Timestamp in microseconds with 3 fixed decimals (byte-
+     *  deterministic across platforms, sub-nanosecond resolution),
+     *  then the track. */
+    PerfettoEvents &place(SimTime t, int pid, std::uint64_t tid)
+    {
+        row_ << ",\"ts\":" << FixedDecimals{t.seconds() * 1e6, 3}
+             << ",\"pid\":" << pid << ",\"tid\":" << tid;
+        return *this;
+    }
+
+    RowWriter &row_;
+    bool first_ = true;
+    bool hasArgs_ = false;
+};
 
 } // namespace
 
@@ -257,8 +252,9 @@ void
 writePerfettoJson(const std::vector<TraceEvent> &events,
                   std::ostream &out)
 {
-    out << "{\"traceEvents\":[\n";
-    JsonLines json(out);
+    RowWriter row(out);
+    row << "{\"traceEvents\":[\n";
+    PerfettoEvents json(row);
 
     // Track metadata: pid 0 is the cluster front door; each replica
     // is a process whose tid 0 is the engine track. Replica pids are
@@ -268,16 +264,16 @@ writePerfettoJson(const std::vector<TraceEvent> &events,
         if (ev.replica >= 0)
             replicas.insert(ev.replica);
     }
-    json.line("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,"
-              "\"tid\":0,\"args\":{\"name\":\"cluster\"}}");
+    json.line() << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,"
+                   "\"tid\":0,\"args\":{\"name\":\"cluster\"}}";
     for (int r : replicas) {
-        json.line("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" +
-                  std::to_string(pidOf(r)) +
-                  ",\"tid\":0,\"args\":{\"name\":\"replica " +
-                  std::to_string(r) + "\"}}");
-        json.line("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" +
-                  std::to_string(pidOf(r)) +
-                  ",\"tid\":0,\"args\":{\"name\":\"engine\"}}");
+        json.line() << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":"
+                    << pidOf(r)
+                    << ",\"tid\":0,\"args\":{\"name\":\"replica " << r
+                    << "\"}}";
+        json.line() << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":"
+                    << pidOf(r)
+                    << ",\"tid\":0,\"args\":{\"name\":\"engine\"}}";
     }
 
     std::map<std::uint64_t, SpanState> state;
@@ -291,94 +287,95 @@ writePerfettoJson(const std::vector<TraceEvent> &events,
     for (const TraceEvent &ev : events) {
         const std::uint64_t tid =
             ev.request == kNoTraceRequest ? 0 : requestTid(ev.request);
+        const int pid = pidOf(ev.replica);
         switch (ev.kind) {
           case TraceEventKind::IterStart:
-            json.line(durEvent(
-                "B", "iter", ev.time, pidOf(ev.replica), 0,
-                "\"prefill_tokens\":" + std::to_string(ev.arg) +
-                    ",\"decodes\":" +
-                    std::to_string(static_cast<long long>(ev.value))));
+            json.spanBegin("iter", ev.time, pid, 0)
+                .arg("prefill_tokens", ev.arg)
+                .arg("decodes", static_cast<long long>(ev.value))
+                .close();
             engineOpen[ev.replica] = true;
             break;
           case TraceEventKind::IterEnd:
             if (engineOpen[ev.replica]) {
-                json.line(durEvent("E", nullptr, ev.time,
-                                   pidOf(ev.replica), 0));
+                json.spanEnd(ev.time, pid, 0);
                 engineOpen[ev.replica] = false;
             }
             break;
           case TraceEventKind::Arrival:
-            json.line(instant("arrival", ev.time, 0, tid));
+            json.instant("arrival", ev.time, 0, tid).close();
             break;
           case TraceEventKind::AdmissionReject:
-            json.line(instant("admission-reject", ev.time, 0, tid));
+            json.instant("admission-reject", ev.time, 0, tid).close();
             break;
           case TraceEventKind::CacheHit:
-            json.line(instant("cache-hit", ev.time, pidOf(ev.replica),
-                              tid,
-                              "\"tokens\":" + std::to_string(ev.arg)));
+            json.instant("cache-hit", ev.time, pid, tid)
+                .arg("tokens", ev.arg)
+                .close();
             break;
           case TraceEventKind::CacheEvict:
-            json.line(instant("cache-evict", ev.time,
-                              pidOf(ev.replica), 0,
-                              "\"blocks\":" + std::to_string(ev.arg)));
+            json.instant("cache-evict", ev.time, pid, 0)
+                .arg("blocks", ev.arg)
+                .close();
             break;
           case TraceEventKind::Relegate:
-            json.line(
-                instant("relegate", ev.time, pidOf(ev.replica), tid));
+            json.instant("relegate", ev.time, pid, tid).close();
             break;
           case TraceEventKind::Crash:
-            json.line(instant("crash", ev.time, pidOf(ev.replica), 0));
+            json.instant("crash", ev.time, pid, 0).close();
             break;
           case TraceEventKind::Recover:
-            json.line(
-                instant("recover", ev.time, pidOf(ev.replica), 0));
+            json.instant("recover", ev.time, pid, 0).close();
             break;
           case TraceEventKind::StragglerStart:
-            json.line(instant("straggler-start", ev.time,
-                              pidOf(ev.replica), 0,
-                              "\"factor\":" + fmtFixed3(ev.value)));
+            json.instant("straggler-start", ev.time, pid, 0)
+                .arg("factor", FixedDecimals{ev.value, 3})
+                .close();
             break;
           case TraceEventKind::StragglerEnd:
-            json.line(instant("straggler-end", ev.time,
-                              pidOf(ev.replica), 0));
+            json.instant("straggler-end", ev.time, pid, 0).close();
             break;
           case TraceEventKind::ZoneOutage:
-            json.line(instant("zone-outage", ev.time, 0, 0,
-                              "\"zone\":" + std::to_string(ev.arg)));
+            json.instant("zone-outage", ev.time, 0, 0)
+                .arg("zone", ev.arg)
+                .close();
             break;
           case TraceEventKind::ZoneRestore:
-            json.line(instant("zone-restore", ev.time, 0, 0,
-                              "\"zone\":" + std::to_string(ev.arg)));
+            json.instant("zone-restore", ev.time, 0, 0)
+                .arg("zone", ev.arg)
+                .close();
             break;
           case TraceEventKind::PartitionStart:
-            json.line(instant("partition-start", ev.time, 0, 0,
-                              "\"blinded\":" + std::to_string(ev.arg)));
+            json.instant("partition-start", ev.time, 0, 0)
+                .arg("blinded", ev.arg)
+                .close();
             break;
           case TraceEventKind::PartitionEnd:
-            json.line(instant("partition-end", ev.time, 0, 0));
+            json.instant("partition-end", ev.time, 0, 0).close();
             break;
           case TraceEventKind::BreakerOpen:
-            json.line(instant("breaker-open", ev.time,
-                              pidOf(ev.replica), 0,
-                              "\"failures\":" + std::to_string(ev.arg)));
+            json.instant("breaker-open", ev.time, pid, 0)
+                .arg("failures", ev.arg)
+                .close();
             break;
           case TraceEventKind::BreakerClose:
-            json.line(instant("breaker-close", ev.time,
-                              pidOf(ev.replica), 0));
+            json.instant("breaker-close", ev.time, pid, 0).close();
             break;
           case TraceEventKind::BrownoutStep:
-            json.line(instant("brownout-step", ev.time, 0, 0,
-                              "\"level\":" + std::to_string(ev.arg)));
+            json.instant("brownout-step", ev.time, 0, 0)
+                .arg("level", ev.arg)
+                .close();
             break;
           case TraceEventKind::AlertRaised:
-            json.line(instant("slo-alert-raised", ev.time, 0, 0,
-                              "\"tier\":" + std::to_string(ev.arg) +
-                                  ",\"burn\":" + fmtFixed3(ev.value)));
+            json.instant("slo-alert-raised", ev.time, 0, 0)
+                .arg("tier", ev.arg)
+                .arg("burn", FixedDecimals{ev.value, 3})
+                .close();
             break;
           case TraceEventKind::AlertCleared:
-            json.line(instant("slo-alert-cleared", ev.time, 0, 0,
-                              "\"tier\":" + std::to_string(ev.arg)));
+            json.instant("slo-alert-cleared", ev.time, 0, 0)
+                .arg("tier", ev.arg)
+                .close();
             break;
           default: {
             if (ev.request == kNoTraceRequest)
@@ -386,32 +383,28 @@ writePerfettoJson(const std::vector<TraceEvent> &events,
             SpanState &st = state[ev.request];
             Transition tr = transitionFor(ev, st);
             if (tr.close) {
-                json.line(durEvent("E", nullptr, ev.time,
-                                   pidOf(st.replica), tid));
+                json.spanEnd(ev.time, pidOf(st.replica), tid);
                 st.open = false;
             }
             if (tr.openNew) {
-                std::string args;
+                json.spanBegin(tracePhaseName(tr.phase), ev.time,
+                               pidOf(tr.replica), tid);
                 if (ev.kind == TraceEventKind::ChunkStart)
-                    args = "\"tokens\":" + std::to_string(ev.arg);
-                json.line(durEvent("B", tracePhaseName(tr.phase),
-                                   ev.time, pidOf(tr.replica), tid,
-                                   args));
+                    json.arg("tokens", ev.arg);
+                json.close();
                 st = {true, tr.phase, tr.replica, ev.time};
             }
             if (ev.kind == TraceEventKind::Finish)
-                json.line(instant("finish", ev.time,
-                                  pidOf(ev.replica), tid));
+                json.instant("finish", ev.time, pid, tid).close();
             else if (ev.kind == TraceEventKind::RequestFailed)
-                json.line(instant("failed", ev.time,
-                                  pidOf(ev.replica), tid));
+                json.instant("failed", ev.time, pid, tid).close();
             else if (ev.kind == TraceEventKind::RetryExhausted)
-                json.line(instant("abandoned", ev.time, 0, tid));
+                json.instant("abandoned", ev.time, 0, tid).close();
             else if (ev.kind == TraceEventKind::DeadlineCancel)
-                json.line(instant("deadline-cancelled", ev.time, 0,
-                                  tid));
+                json.instant("deadline-cancelled", ev.time, 0, tid)
+                    .close();
             else if (ev.kind == TraceEventKind::BrownoutShed)
-                json.line(instant("brownout-shed", ev.time, 0, tid));
+                json.instant("brownout-shed", ev.time, 0, tid).close();
             break;
           }
         }
@@ -422,18 +415,16 @@ writePerfettoJson(const std::vector<TraceEvent> &events,
     const SimTime last = events.empty() ? SimTime{} : events.back().time;
     for (const auto &entry : state) {
         if (entry.second.open) {
-            json.line(durEvent("E", nullptr, last,
-                               pidOf(entry.second.replica),
-                               requestTid(entry.first)));
+            json.spanEnd(last, pidOf(entry.second.replica),
+                         requestTid(entry.first));
         }
     }
     for (const auto &entry : engineOpen) {
         if (entry.second)
-            json.line(durEvent("E", nullptr, last, pidOf(entry.first),
-                               0));
+            json.spanEnd(last, pidOf(entry.first), 0);
     }
 
-    out << "\n],\"displayTimeUnit\":\"ms\"}\n";
+    row << "\n],\"displayTimeUnit\":\"ms\"}\n";
 }
 
 void

@@ -5,10 +5,8 @@
 
 #include "obs/trace_sink.hh"
 
-#include <iomanip>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "core/csv.hh"
 #include "simcore/logging.hh"
@@ -116,19 +114,17 @@ TraceSink::writeCsv(std::ostream &out) const
     // max_digits10 makes the double fields round-trip exactly, so a
     // written trace re-read by the explainer carries the same
     // timestamps the exporters saw.
-    std::ostringstream fmt;
-    fmt << std::setprecision(17);
-    out << kTraceCsvHeader << '\n';
+    RowWriter row(out, 17);
+    row << kTraceCsvHeader << '\n';
     for (const TraceEvent &ev : events_) {
-        fmt.str("");
-        fmt << traceEventKindName(ev.kind) << ',' << ev.time << ',';
+        row << traceEventKindName(ev.kind) << ',' << ev.time.seconds()
+            << ',';
         if (ev.request == kNoTraceRequest)
-            fmt << -1;
+            row << -1;
         else
-            fmt << ev.request;
-        fmt << ',' << ev.replica << ',' << ev.arg << ',' << ev.value
+            row << ev.request;
+        row << ',' << ev.replica << ',' << ev.arg << ',' << ev.value
             << '\n';
-        out << fmt.str();
     }
 }
 

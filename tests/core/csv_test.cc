@@ -1,13 +1,16 @@
 /**
  * @file
- * Tests for the shared strict CSV reader, number parsers and
- * artefact-file helpers, and for the strictness every artefact reader
- * inherits from them.
+ * Tests for the shared strict CSV reader, number parsers, row writer
+ * and artefact-file helpers, and for the strictness every artefact
+ * reader inherits from them.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <iomanip>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -19,6 +22,7 @@
 #include "obs/quantile_sketch.hh"
 #include "obs/slo_monitor.hh"
 #include "obs/trace_sink.hh"
+#include "simcore/rng.hh"
 #include "workload/qos.hh"
 #include "workload/trace_io.hh"
 
@@ -63,6 +67,104 @@ TEST(Csv, ReaderStripsCrAndChecksEveryRow)
     ASSERT_TRUE(csv.next());
     EXPECT_EQ(csv.number<int>(0), 2);
     EXPECT_FALSE(csv.next());
+}
+
+/** What a RowWriter at @p precision writes for @p v alone. */
+template <typename T>
+std::string
+written(const T &v, int precision = 6)
+{
+    std::ostringstream out;
+    RowWriter(out, precision) << v;
+    return out.str();
+}
+
+std::string
+streamed(double v, int precision)
+{
+    std::ostringstream out;
+    out << std::setprecision(precision) << v;
+    return out.str();
+}
+
+std::string
+printedFixed3(double v)
+{
+    char buf[400]; // DBL_MAX has 309 integer digits
+    std::snprintf(buf, sizeof buf, "%.3f", v);
+    return buf;
+}
+
+/** Expect the %g and %.3f contracts for @p v. */
+void
+expectStreamBytes(double v)
+{
+    std::ostringstream fresh;
+    fresh << v;
+    EXPECT_EQ(written(v), fresh.str()) << std::bit_cast<std::uint64_t>(v);
+    EXPECT_EQ(written(v, 17), streamed(v, 17))
+        << std::bit_cast<std::uint64_t>(v);
+    EXPECT_EQ(written(FixedDecimals{v, 3}), printedFixed3(v))
+        << std::bit_cast<std::uint64_t>(v);
+}
+
+TEST(RowWriter, DoublesHaveTheBytesOfStreamAndPrintf)
+{
+    using Limits = std::numeric_limits<double>;
+    for (double v : {0.0, -0.0, Limits::denorm_min(), Limits::max(),
+                     Limits::lowest(), 1e-5, 1e15, 1e16, 1e21, 0.1,
+                     Limits::infinity(), -Limits::infinity(),
+                     Limits::quiet_NaN(), -Limits::quiet_NaN()})
+        expectStreamBytes(v);
+    EXPECT_EQ(written(0.1, 17), "0.10000000000000001");
+    EXPECT_EQ(written(FixedDecimals{1234.5678, 3}), "1234.568");
+
+    Rng rng(15);
+    for (int i = 0; i < 10000; ++i)
+        expectStreamBytes(std::bit_cast<double>(rng.nextU64()));
+}
+
+TEST(RowWriter, IntegersAreExact)
+{
+    EXPECT_EQ(written(std::numeric_limits<std::int64_t>::min()),
+              "-9223372036854775808");
+    EXPECT_EQ(written(std::numeric_limits<std::uint64_t>::max()),
+              "18446744073709551615");
+    EXPECT_EQ(written(-1), "-1");
+    EXPECT_EQ(written('x'), "x");
+}
+
+TEST(RowWriter, RowsLongerThanTheBufferComeOutIntact)
+{
+    // Numbers and text fields, one text field wider than the buffer.
+    std::ostringstream expected;
+    expected << std::setprecision(17);
+    std::ostringstream out;
+    {
+        RowWriter row(out, 17);
+        const std::string wide(RowWriter::kBufferBytes + 100, 'w');
+        row << wide;
+        expected << wide;
+        for (int i = 0; expected.tellp() < 3 * static_cast<std::streamoff>(
+                                                  RowWriter::kBufferBytes);
+             ++i) {
+            row << ",col" << i << ',' << 0.1 * i;
+            expected << ",col" << i << ',' << 0.1 * i;
+        }
+        row << '\n';
+        expected << '\n';
+    }
+    EXPECT_EQ(out.str(), expected.str());
+}
+
+TEST(RowWriter, IgnoresTheStreamFormatState)
+{
+    std::ostringstream out;
+    out << std::fixed << std::setprecision(2);
+    RowWriter(out) << 0.1 << ',' << 1e21;
+    EXPECT_EQ(out.str(), "0.1,1e+21");
+    EXPECT_EQ(out.precision(), 2);
+    EXPECT_TRUE(out.flags() & std::ios_base::fixed);
 }
 
 TEST(CsvDeathTest, ReaderErrorsNameArtefactLineAndField)

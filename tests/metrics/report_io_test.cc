@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 
 namespace qoserve {
@@ -48,6 +49,28 @@ TEST(ReportIo, RecordsCsvHasHeaderAndRows)
     // The Q2 record exceeded its 600 s TTLT: violated column = 1.
     EXPECT_NE(line.find(",1,0,0"), std::string::npos) << line;
     EXPECT_FALSE(std::getline(out, line));
+}
+
+TEST(ReportIo, RecordsCsvIgnoresTheStreamFormatState)
+{
+    // Rows round-trip bit-exactly whatever the caller's stream is set
+    // to, and the stream's settings are left as they were.
+    MetricsCollector collector(paperTierTable());
+    RequestRecord rec = makeRecord(0, 0, 0.123456789012345, 3.0);
+    collector.record(rec);
+
+    std::stringstream fresh;
+    writeRecordsCsv(collector, fresh);
+    std::ostringstream fixed1;
+    fixed1 << std::fixed << std::setprecision(1);
+    writeRecordsCsv(collector, fixed1);
+
+    EXPECT_EQ(fixed1.str(), fresh.str());
+    EXPECT_EQ(fresh.precision(), 6);
+    std::vector<RecordsCsvRow> rows = readRecordsCsv(fresh);
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].ttft, rec.ttft());
+    EXPECT_EQ(fixed1.precision(), 1);
 }
 
 TEST(ReportIo, SummaryCsvContainsAllMetrics)
