@@ -4,7 +4,7 @@
 # --jobs, so each line is registered at --jobs 1 and --jobs 4 and both
 # check against the same table.
 #
-#   cmake -DSIM=<path to qoserve_sim> -DCASE=obs|chaos -DJOBS=<n>
+#   cmake -DSIM=<path to qoserve_sim> -DCASE=obs|obs_nomemo|chaos -DJOBS=<n>
 #         -DOUT=<scratch dir> -P qoserve_sim_golden.cmake
 #
 # A change that alters the CLI's output on purpose updates the digests
@@ -17,9 +17,11 @@ foreach(_var SIM CASE JOBS OUT)
     endif()
 endforeach()
 
-if(CASE STREQUAL "obs")
+if(CASE STREQUAL "obs" OR CASE STREQUAL "obs_nomemo")
     # The CI obs job's line (shorter), plus the trace, telemetry and
-    # summary outputs.
+    # summary outputs. obs_nomemo runs the same line with the chunk
+    # solver's memo off and checks it against the same digests: the
+    # memo must be exact, not just close.
     set(_args
         --policy qoserve --replicas 2 --qps 6 --duration 120
         --fault-mtbf 60 --fault-mttr 10
@@ -35,6 +37,9 @@ if(CASE STREQUAL "obs")
         --telemetry-out ${OUT}/telemetry.csv
         --summary-out ${OUT}/summary.csv
         --trace-out ${OUT}/workload.csv)
+    if(CASE STREQUAL "obs_nomemo")
+        list(APPEND _args --no-solver-cache)
+    endif()
     set(_expected
         stdout.txt    7f69758bb95fd06fd6ff700f03a7705e9f597226629206051218432383358c5b
         trace.json    2e118ac14ac702fe24dd908605a20006a774c25d4148454cdf3b59e4426a43eb
