@@ -30,6 +30,19 @@ Scenario::validate() const
         QOSERVE_FATAL("--duration must be positive");
     if (serving.numReplicas < 1)
         QOSERVE_FATAL("--replicas must be at least 1");
+    if (!(lowPriorityFraction >= 0.0 && lowPriorityFraction <= 1.0))
+        QOSERVE_FATAL("--low-priority must be in [0, 1], got ",
+                      lowPriorityFraction);
+    if (serving.base.fixedChunkTokens <= 0)
+        QOSERVE_FATAL("--chunk must be positive, got ",
+                      serving.base.fixedChunkTokens);
+    if (!(serving.qoserve.alphaMsPerToken >= 0.0))
+        QOSERVE_FATAL("--alpha must be non-negative, got ",
+                      serving.qoserve.alphaMsPerToken);
+    if (serving.qoserve.maxChunkTokens < serving.qoserve.chunkStep)
+        QOSERVE_FATAL("--max-chunk must be at least the chunk step (",
+                      serving.qoserve.chunkStep, " tokens), got ",
+                      serving.qoserve.maxChunkTokens);
     if (fault.crashMtbf < 0.0)
         QOSERVE_FATAL("--fault-mtbf must be non-negative");
     if (fault.crashesEnabled() && fault.crashMttr <= 0.0)

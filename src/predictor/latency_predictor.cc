@@ -48,31 +48,17 @@ ForestLatencyPredictor::predict(const BatchFeatures &features) const
     return est * options_.safetyMargin;
 }
 
-SimDuration
-ForestLatencyPredictor::predictSupported(const BatchFeatures &features,
-                                         FeatureSupport &support) const
-{
-    auto x = features.toArray();
-    double est = forest_.predictQuantileTracked(
-        x.data(), BatchFeatures::kCount, options_.quantile, support);
-    return est * options_.safetyMargin;
-}
-
 namespace {
 
-/** True when box (lo, hi] is contained in @p outer on every axis. */
-bool
-boxWithin(const double *lo, const double *hi, const FeatureSupport &outer,
-          int dims)
-{
-    if (outer.dims != dims)
-        return false;
-    for (int i = 0; i < dims; ++i) {
-        if (lo[i] < outer.lo[i] || hi[i] > outer.hi[i])
-            return false;
-    }
-    return true;
-}
+/**
+ * Half-widths of the chunk plane's validity box on the decode
+ * batch-size and decode context-sum axes. Pure performance knobs:
+ * splits inside the box are kept and re-evaluated per query, so
+ * predictions are identical for every value; wider boxes mean rarer
+ * plane rebuilds but a larger restricted forest.
+ */
+constexpr double kPlaneDecodeSlack = 16.0;
+constexpr double kPlaneContextSlack = 32768.0;
 
 } // namespace
 
@@ -81,6 +67,7 @@ ForestLatencyPredictor::buildChunkPlane(const BatchFeatures &features,
                                         ChunkPlane &out,
                                         ChunkPlane *super_scratch) const
 {
+    (void)super_scratch;
     // chunkTokens and prefillContext stay fully free: the solver
     // varies the former per probe and the latter drifts by the
     // granted chunk every iteration. The composition features get a
@@ -88,68 +75,16 @@ ForestLatencyPredictor::buildChunkPlane(const BatchFeatures &features,
     // joining/leaving, contexts growing) don't force a rebuild.
     constexpr double kInf = std::numeric_limits<double>::infinity();
     const double lo[BatchFeatures::kCount] = {
-        -kInf, -kInf, features.numDecodes - options_.planeDecodeSlack,
-        features.decodeCtxSum - options_.planeContextSlack};
+        -kInf, -kInf, features.numDecodes - kPlaneDecodeSlack,
+        features.decodeCtxSum - kPlaneContextSlack};
     const double hi[BatchFeatures::kCount] = {
-        kInf, kInf, features.numDecodes + options_.planeDecodeSlack,
-        features.decodeCtxSum + options_.planeContextSlack};
-
-    // Restriction composes exactly, so deriving the plane from a
-    // wider super-plane yields the node-for-node identical forest as
-    // deriving it from the source forest — at a fraction of the walk.
-    // The super-plane is refreshed (from the full forest) only when
-    // the requested box escapes it, which the slack scale makes rare.
-    if (super_scratch != nullptr && options_.superSlackScale >= 1.0) {
-        if (!super_scratch->valid() ||
-            !boxWithin(lo, hi, super_scratch->support,
-                       BatchFeatures::kCount)) {
-            double s = options_.superSlackScale;
-            const double slo[BatchFeatures::kCount] = {
-                -kInf, -kInf,
-                features.numDecodes - s * options_.planeDecodeSlack,
-                features.decodeCtxSum - s * options_.planeContextSlack};
-            const double shi[BatchFeatures::kCount] = {
-                kInf, kInf,
-                features.numDecodes + s * options_.planeDecodeSlack,
-                features.decodeCtxSum + s * options_.planeContextSlack};
-            forest_.restrictToBox(slo, shi, BatchFeatures::kCount,
-                                  super_scratch->forest,
-                                  super_scratch->support);
-        }
-        super_scratch->forest.restrictToBox(lo, hi,
-                                            BatchFeatures::kCount,
-                                            out.forest, out.support);
-    } else {
-        forest_.restrictToBox(lo, hi, BatchFeatures::kCount, out.forest,
-                              out.support);
-    }
+        kInf, kInf, features.numDecodes + kPlaneDecodeSlack,
+        features.decodeCtxSum + kPlaneContextSlack};
+    forest_.restrictToBox(lo, hi, BatchFeatures::kCount, out.forest,
+                          out.support);
     out.quantile = options_.quantile;
     out.safetyMargin = options_.safetyMargin;
     return true;
-}
-
-void
-ChunkSolverCache::invalidate()
-{
-    plane_.forest.clear();
-    super_.forest.clear();
-    for (SolveRecord &r : records_)
-        r.valid = false;
-    ++stats_.invalidations;
-}
-
-void
-ChunkSolverCache::attributeMiss(const double *x)
-{
-    // Attribute the miss to the first escaped dimension, so the perf
-    // benches can report which feature's drift limits reuse.
-    for (int i = 0; i < plane_.support.dims; ++i) {
-        if (!(plane_.support.lo[i] < x[static_cast<std::size_t>(i)] &&
-              x[static_cast<std::size_t>(i)] <= plane_.support.hi[i])) {
-            ++stats_.dimMisses[i];
-            break;
-        }
-    }
 }
 
 SimDuration
@@ -162,16 +97,13 @@ ChunkSolverCache::lookupOrPredict(const LatencyPredictor &predictor,
     auto x = features.toArray();
 
     ++stats_.queries;
-    if (plane_.valid()) {
-        if (plane_.support.contains(x.data(), BatchFeatures::kCount)) {
-            ++stats_.hits;
-            return plane_.predict(x.data(), BatchFeatures::kCount);
-        }
-        attributeMiss(x.data());
+    if (plane_.support.contains(x.data(), BatchFeatures::kCount)) {
+        ++stats_.hits;
+        return plane_.predict(x.data(), BatchFeatures::kCount);
     }
 
     ++stats_.evaluations;
-    if (predictor.buildChunkPlane(features, plane_, &super_))
+    if (predictor.buildChunkPlane(features, plane_))
         return plane_.predict(x.data(), BatchFeatures::kCount);
     return predictor.predict(features);
 }
@@ -181,13 +113,10 @@ ChunkSolverCache::ensurePlane(const LatencyPredictor &predictor,
                               const BatchFeatures &features,
                               const double *x)
 {
-    if (plane_.valid()) {
-        if (plane_.support.contains(x, BatchFeatures::kCount))
-            return true;
-        attributeMiss(x);
-    }
+    if (plane_.support.contains(x, BatchFeatures::kCount))
+        return true;
     ++stats_.evaluations;
-    if (!predictor.buildChunkPlane(features, plane_, &super_))
+    if (!predictor.buildChunkPlane(features, plane_))
         return false;
     ++generation_;
     return true;

@@ -69,8 +69,8 @@ class LatencyPredictor
      * Predict and, when possible, report a leaf-stability box.
      *
      * The default forwards to predict() and marks the support invalid
-     * (dims = 0), which disables caching for predictors that cannot
-     * bound the region over which their output is constant.
+     * (dims = 0). No library code calls it; it stays virtual because
+     * forwarding wrappers outside the library override it.
      */
     virtual SimDuration
     predictSupported(const BatchFeatures &features,
@@ -87,13 +87,9 @@ class LatencyPredictor
      * Returns false (the default) when the predictor cannot partially
      * evaluate; the solver then falls back to per-probe predict().
      *
-     * @p super_scratch, when non-null, is caller-owned storage for a
-     * wider intermediate restriction: the plane is then derived from
-     * it (restriction composes exactly) instead of from the full
-     * source forest, which makes the frequent small rebuilds several
-     * times cheaper. The scratch is (re)built here whenever it does
-     * not cover the requested plane's box; its contents are opaque to
-     * the caller.
+     * @p super_scratch is unused: implementations restrict the full
+     * forest straight to the plane box. The parameter stays so that
+     * forwarding wrappers outside the library keep their signature.
      */
     virtual bool buildChunkPlane(const BatchFeatures &features,
                                  ChunkPlane &out,
@@ -156,27 +152,6 @@ class ForestLatencyPredictor : public LatencyPredictor
          * every value; 1 trains serially.
          */
         int trainJobs = 0;
-
-        /**
-         * Half-width of the chunk plane's validity box on the decode
-         * batch-size axis. Pure performance knob: splits inside the
-         * box are kept and re-evaluated per query, so predictions are
-         * identical for every value — wider boxes mean rarer plane
-         * rebuilds but a larger restricted forest.
-         */
-        double planeDecodeSlack = 16.0;
-
-        /** Half-width of the validity box on the decode context-sum
-         *  axis (same trade-off as planeDecodeSlack). */
-        double planeContextSlack = 32768.0;
-
-        /**
-         * Multiplier on both plane slacks for the super-plane used as
-         * the intermediate restriction source (see buildChunkPlane).
-         * Another pure performance knob: predictions are identical
-         * for every value >= 1.
-         */
-        double superSlackScale = 4.0;
     };
 
     /** Train on profiles of @p model with default options. */
@@ -186,9 +161,6 @@ class ForestLatencyPredictor : public LatencyPredictor
     ForestLatencyPredictor(const PerfModel &model, Options options);
 
     SimDuration predict(const BatchFeatures &features) const override;
-
-    SimDuration predictSupported(const BatchFeatures &features,
-                                 FeatureSupport &support) const override;
 
     bool buildChunkPlane(const BatchFeatures &features, ChunkPlane &out,
                          ChunkPlane *super_scratch = nullptr)
@@ -226,8 +198,8 @@ class ForestLatencyPredictor : public LatencyPredictor
  * observe the exact same latencies and signs, and therefore return
  * the identical result — so the search is skipped outright.
  *
- * No explicit invalidation is required at either level — the box
- * proofs alone guard reuse.
+ * The box proofs alone guard reuse at both levels; nothing is ever
+ * invalidated.
  */
 class ChunkSolverCache
 {
@@ -240,17 +212,7 @@ class ChunkSolverCache
         std::uint64_t queries = 0;     ///< Individual probe lookups.
         std::uint64_t hits = 0;        ///< Box-validated plane reuses.
         std::uint64_t evaluations = 0; ///< Plane rebuilds + fallbacks.
-        std::uint64_t invalidations = 0; ///< invalidate() calls.
-
-        /** Misses attributed to the first feature dimension whose
-         *  value escaped a valid plane's box (diagnostics: which
-         *  feature's drift limits the hit rate). */
-        std::uint64_t dimMisses[kMaxForestFeatures] = {};
     };
-
-    /** Drop the cached planes and solve records (forces a rebuild on
-     *  the next query). */
-    void invalidate();
 
     /**
      * Latency for @p chunk from the cached plane, or from a freshly
@@ -304,18 +266,12 @@ class ChunkSolverCache
     /** Recorded solves kept (ring; newest overwrite oldest). */
     static constexpr int kSolveRecords = 16;
 
-    void attributeMiss(const double *x);
-
     /** Rebuild plane_ for @p x if its box no longer covers it; true
      *  when a valid plane is available afterwards. */
     bool ensurePlane(const LatencyPredictor &predictor,
                      const BatchFeatures &features, const double *x);
 
     ChunkPlane plane_;
-
-    /** Wide intermediate restriction the predictor derives plane_
-     *  from (see LatencyPredictor::buildChunkPlane). */
-    ChunkPlane super_;
 
     /** Bumped on every plane_ rebuild; ties solve records to the
      *  exact plane contents they were recorded against. */

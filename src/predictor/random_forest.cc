@@ -304,29 +304,6 @@ RandomForest::evalTree(std::uint32_t root, const double *x,
     return nodes[node].key;
 }
 
-double
-RandomForest::evalTreeTracked(std::uint32_t root, const double *x,
-                              int dims, FeatureSupport &support) const
-{
-    QOSERVE_ASSERT(dims >= featureDims_, "feature vector too short");
-    const FlatNode *nodes = flat_.data();
-    std::uint32_t node = root;
-    std::int32_t f;
-    while ((f = nodes[node].feature) >= 0) {
-        double thr = nodes[node].key;
-        if (x[f] <= thr) {
-            if (thr < support.hi[f])
-                support.hi[f] = thr;
-            node = node + 1;
-        } else {
-            if (thr > support.lo[f])
-                support.lo[f] = thr;
-            node = nodes[node].right;
-        }
-    }
-    return nodes[node].key;
-}
-
 namespace {
 
 /** Largest ensemble sorted with the branchless network. */
@@ -491,12 +468,6 @@ RestrictedForest::predictQuantileTracked(const double *x, int dims,
     return quantileOfPreds(preds, q);
 }
 
-double
-RandomForest::quantileOf(std::vector<double> &preds, double q) const
-{
-    return quantileOfPreds(preds, q);
-}
-
 void
 RandomForest::fillTreePreds(const double *x, int dims,
                             std::vector<double> &preds) const
@@ -513,32 +484,7 @@ RandomForest::restrictToBox(const double *lo, const double *hi, int dims,
                             FeatureSupport &support) const
 {
     QOSERVE_ASSERT(trained(), "restrictToBox() before fit()");
-    RestrictedForest::restrictImpl(flat_.data(), roots_.data(),
-                                   roots_.size(), maxTreeDepth_,
-                                   featureDims_, lo, hi, dims, out,
-                                   support);
-}
-
-void
-RestrictedForest::restrictToBox(const double *lo, const double *hi,
-                                int dims, RestrictedForest &out,
-                                FeatureSupport &support) const
-{
-    QOSERVE_ASSERT(valid(), "restrictToBox() on an empty restriction");
-    restrictImpl(flat_.data(), roots_.data(), roots_.size(), maxDepth_,
-                 featureDims_, lo, hi, dims, out, support);
-}
-
-void
-RestrictedForest::restrictImpl(const FlatNode *nodes,
-                               const std::uint32_t *src_roots,
-                               std::size_t num_roots, int max_depth,
-                               int feature_dims, const double *lo,
-                               const double *hi, int dims,
-                               RestrictedForest &out,
-                               FeatureSupport &support)
-{
-    QOSERVE_ASSERT(dims >= feature_dims, "feature vector too short");
+    QOSERVE_ASSERT(dims >= featureDims_, "feature vector too short");
     support.reset(dims);
     for (int i = 0; i < dims; ++i) {
         QOSERVE_ASSERT(lo[i] < hi[i], "empty restriction box on axis ",
@@ -547,8 +493,8 @@ RestrictedForest::restrictImpl(const FlatNode *nodes,
         support.hi[i] = hi[i];
     }
     out.clear();
-    out.featureDims_ = feature_dims;
-    out.roots_.reserve(num_roots);
+    out.featureDims_ = featureDims_;
+    out.roots_.reserve(roots_.size());
 
     // Preorder re-emission. A split with the whole box on one side is
     // resolved: every in-box query (lo < x <= hi) takes that branch,
@@ -571,10 +517,11 @@ RestrictedForest::restrictImpl(const FlatNode *nodes,
         std::uint32_t patch; ///< Emitted parent awaiting its .right.
         int depth;           ///< Emitted depth of the subtree root.
     };
+    const FlatNode *nodes = flat_.data();
     std::vector<Deferred> stack;
-    stack.reserve(static_cast<std::size_t>(max_depth) + 1);
-    for (std::size_t t = 0; t < num_roots; ++t) {
-        std::uint32_t cur = src_roots[t];
+    stack.reserve(static_cast<std::size_t>(maxTreeDepth_) + 1);
+    for (std::uint32_t root : roots_) {
+        std::uint32_t cur = root;
         std::uint32_t patch = kPatchRoot;
         int depth = 0;
         while (true) {
@@ -640,49 +587,7 @@ RandomForest::predictQuantile(const double *x, int dims, double q) const
     QOSERVE_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range");
     static thread_local std::vector<double> preds;
     fillTreePreds(x, dims, preds);
-    return quantileOf(preds, q);
-}
-
-double
-RandomForest::predictQuantileTracked(const double *x, int dims, double q,
-                                     FeatureSupport &support) const
-{
-    QOSERVE_ASSERT(trained(), "predictQuantileTracked() before fit()");
-    QOSERVE_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range");
-    QOSERVE_ASSERT(dims >= featureDims_, "feature vector too short");
-    support.reset(dims);
-    static thread_local std::vector<double> preds;
-    std::size_t n = roots_.size();
-    preds.resize(n);
-    // Same lockstep walk as fillTreePreds, with branch-free support
-    // narrowing folded in: every level conditionally tightens the box
-    // on the tested feature (leaves write their old bounds back).
-    const FlatNode *nodes = flat_.data();
-    constexpr std::size_t kBlock = 32;
-    for (std::size_t base = 0; base < n; base += kBlock) {
-        std::size_t m = std::min(kBlock, n - base);
-        std::uint32_t cur[kBlock];
-        for (std::size_t t = 0; t < m; ++t)
-            cur[t] = roots_[base + t];
-        for (int level = 0; level < maxTreeDepth_; ++level) {
-            for (std::size_t t = 0; t < m; ++t) {
-                const FlatNode &nd = nodes[cur[t]];
-                bool leaf = nd.feature < 0;
-                std::int32_t f = leaf ? 0 : nd.feature;
-                double key = nd.key;
-                bool left = x[f] <= key;
-                double lo = support.lo[f];
-                double hi = support.hi[f];
-                support.hi[f] = !leaf && left && key < hi ? key : hi;
-                support.lo[f] = !leaf && !left && key > lo ? key : lo;
-                std::uint32_t next = left ? cur[t] + 1 : nd.right;
-                cur[t] = leaf ? cur[t] : next;
-            }
-        }
-        for (std::size_t t = 0; t < m; ++t)
-            preds[base + t] = nodes[cur[t]].key;
-    }
-    return quantileOf(preds, q);
+    return quantileOfPreds(preds, q);
 }
 
 double
@@ -705,7 +610,7 @@ RandomForest::predictQuantileReference(const std::vector<double> &x,
     preds.reserve(trees_.size());
     for (const auto &t : trees_)
         preds.push_back(t.predict(x));
-    return quantileOf(preds, q);
+    return quantileOfPreds(preds, q);
 }
 
 } // namespace qoserve

@@ -158,7 +158,7 @@ class RegressionTree
 /**
  * A forest partially evaluated over a subset of its features.
  *
- * Produced by RandomForest::restrictTo(): every split on a *fixed*
+ * Produced by RandomForest::restrictToBox(): every split on a *fixed*
  * feature is resolved against the query it was built from, leaving a
  * (much smaller) forest that splits only on the *free* features. For
  * any query whose fixed coordinates stay inside the box reported at
@@ -171,7 +171,7 @@ class RegressionTree
 class RestrictedForest
 {
   public:
-    /** True once restrictTo() has populated this object. */
+    /** True once restrictToBox() has populated this object. */
     bool valid() const { return !roots_.empty(); }
 
     /** Drop the restriction (valid() becomes false). */
@@ -189,11 +189,11 @@ class RestrictedForest
     /**
      * Quantile prediction that narrows a caller-owned support box.
      *
-     * Unlike RandomForest::predictQuantileTracked this does NOT reset
-     * @p support: the caller initialises it (reset()) and may issue
-     * several tracked predictions into the same box, obtaining the
-     * intersection of their leaf-stability regions — any query inside
-     * the final box reproduces every one of those predictions bitwise.
+     * This does NOT reset @p support: the caller initialises it
+     * (reset()) and may issue several tracked predictions into the
+     * same box, obtaining the intersection of their leaf-stability
+     * regions — any query inside the final box reproduces every one
+     * of those predictions bitwise.
      * The chunk-budget solver uses this to certify whole search
      * replays, not just single probes.
      */
@@ -203,32 +203,8 @@ class RestrictedForest
     /** Nodes retained by the restriction (diagnostics). */
     std::size_t numNodes() const { return flat_.size(); }
 
-    /**
-     * Restrict further, to a sub-box of this restriction's box.
-     *
-     * Restriction composes: a split resolved by the outer box is also
-     * resolved (identically) by any sub-box, and a split the sub-box
-     * crosses was necessarily kept by the outer box — so the emitted
-     * forest is node-for-node identical to restricting the original
-     * forest with @p lo / @p hi directly. The caller must guarantee
-     * the sub-box relation; this lets a solver cache rebuild its
-     * small working plane from a mid-sized super-plane instead of
-     * walking the full source forest every time.
-     */
-    void restrictToBox(const double *lo, const double *hi, int dims,
-                       RestrictedForest &out,
-                       FeatureSupport &support) const;
-
   private:
     friend class RandomForest;
-
-    static void restrictImpl(const FlatNode *nodes,
-                             const std::uint32_t *roots,
-                             std::size_t num_roots, int max_depth,
-                             int feature_dims, const double *lo,
-                             const double *hi, int dims,
-                             RestrictedForest &out,
-                             FeatureSupport &support);
 
     std::vector<FlatNode> flat_;
     std::vector<std::uint32_t> roots_;
@@ -272,17 +248,6 @@ class RandomForest
 
     /** Zero-allocation quantile prediction over a raw feature array. */
     double predictQuantile(const double *x, int dims, double q) const;
-
-    /**
-     * Quantile prediction that also reports its leaf-stability box.
-     *
-     * @p support is reset to the full space and narrowed at every
-     * comparison the walk performs; on return, any query strictly
-     * inside the box is guaranteed to produce a bitwise-identical
-     * prediction.
-     */
-    double predictQuantileTracked(const double *x, int dims, double q,
-                                  FeatureSupport &support) const;
 
     /**
      * Partially evaluate the forest over an axis-aligned box.
@@ -331,9 +296,6 @@ class RandomForest
 
   private:
     double evalTree(std::uint32_t root, const double *x, int dims) const;
-    double evalTreeTracked(std::uint32_t root, const double *x, int dims,
-                           FeatureSupport &support) const;
-    double quantileOf(std::vector<double> &preds, double q) const;
     void fillTreePreds(const double *x, int dims,
                        std::vector<double> &preds) const;
 

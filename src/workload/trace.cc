@@ -153,6 +153,11 @@ TraceBuilder::generate(const ArrivalProcess &arrivals,
     if (mix.size() != tiers_.size())
         QOSERVE_FATAL("tier mix size (", mix.size(),
                       ") != tier count (", tiers_.size(), ")");
+    for (std::size_t i = 0; i < mix.size(); ++i) {
+        if (!(mix[i] >= 0.0))
+            QOSERVE_FATAL("tier mix entries must be non-negative, got ",
+                          mix[i], " for tier ", i);
+    }
     double total = std::accumulate(mix.begin(), mix.end(), 0.0);
     if (std::abs(total - 1.0) > 1e-6)
         QOSERVE_FATAL("tier mix must sum to 1, got ", total);

@@ -281,8 +281,9 @@ TEST(RetryBackoff, IsMonotoneAndSaturatesWithoutOverflow)
         EXPECT_GT(delay, 0.0);
         EXPECT_GE(delay, prev) << "backoff regressed at " << attempt;
         EXPECT_LE(delay, policy.maxBackoff);
-        if (saturated)
+        if (saturated) {
             EXPECT_EQ(delay, policy.maxBackoff);
+        }
         if (delay == policy.maxBackoff)
             saturated = true;
         prev = delay;

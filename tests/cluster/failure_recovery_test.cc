@@ -70,8 +70,9 @@ TEST(FailureRecovery, NoRequestIsLost)
         EXPECT_TRUE(terminal) << "request " << rec.spec.id
                               << " ended in no terminal state";
         EXPECT_GE(rec.retries, 0);
-        if (rec.retryExhausted)
+        if (rec.retryExhausted) {
             EXPECT_EQ(rec.finishTime, kTimeNever);
+        }
     }
 
     // Crashes orphaned work, so the retry path must have engaged.

@@ -287,6 +287,22 @@ TEST(CliOptions, RangeValidation)
     EXPECT_DEATH(parseCliOptions({"--replicas", "0"}), "at least 1");
 }
 
+TEST(CliOptions, SchedulerKnobRangesAreUserErrors)
+{
+    // Each of these used to pass validation and then trip a library
+    // assertion (a panic) instead of a fatal error naming the flag.
+    EXPECT_DEATH(parseCliOptions({"--low-priority", "1.5"}),
+                 "--low-priority must be in");
+    EXPECT_DEATH(parseCliOptions({"--low-priority", "-0.1"}),
+                 "--low-priority");
+    EXPECT_DEATH(parseCliOptions({"--alpha", "-1"}),
+                 "--alpha must be non-negative");
+    EXPECT_DEATH(parseCliOptions({"--max-chunk", "32"}),
+                 "--max-chunk must be at least the chunk step");
+    EXPECT_DEATH(parseCliOptions({"--chunk", "0"}),
+                 "--chunk must be positive");
+}
+
 TEST(CliOptions, ChaosFlagsParse)
 {
     CliOptions opts = parseCliOptions({

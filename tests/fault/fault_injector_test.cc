@@ -155,8 +155,9 @@ TEST(FaultInjector, StragglerEpisodesSetAndClearSlowdown)
     for (const FaultEvent &ev : injector.events()) {
         saw_start |= ev.kind == FaultKind::StragglerStart;
         saw_end |= ev.kind == FaultKind::StragglerEnd;
-        if (ev.kind == FaultKind::StragglerStart)
+        if (ev.kind == FaultKind::StragglerStart) {
             EXPECT_DOUBLE_EQ(ev.factor, 3.0);
+        }
     }
     EXPECT_TRUE(saw_start);
     EXPECT_TRUE(saw_end);

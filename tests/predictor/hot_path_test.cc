@@ -3,11 +3,11 @@
  * Property tests for the flattened-forest hot path.
  *
  * The solver-facing fast paths (flat preorder walk, branchless
- * quantile network, box-tracked prediction, forest restriction and
- * restriction composition) all promise *bitwise* equality with the
- * original recursive walk — not approximate agreement. Every test
- * here asserts exact double equality against an independent
- * reference, over randomised forests, ensemble sizes and queries.
+ * quantile network, box-tracked prediction and forest restriction)
+ * all promise *bitwise* equality with the original recursive walk —
+ * not approximate agreement. Every test here asserts exact double
+ * equality against an independent reference, over randomised
+ * forests, ensemble sizes and queries.
  */
 
 #include "predictor/random_forest.hh"
@@ -118,13 +118,25 @@ TEST(HotPath, TrackedSupportCertifiesBitwiseReplay)
     RandomForest forest;
     forest.fit(data, ForestParams{}, 29);
 
+    // An unbounded box keeps every split, so the tracked walk below
+    // visits every comparison the full forest makes: the same walk
+    // the chunk solver's replay records are built from.
+    const double lo[4] = {-kInf, -kInf, -kInf, -kInf};
+    const double hi[4] = {kInf, kInf, kInf, kInf};
+    RestrictedForest whole;
+    FeatureSupport whole_box;
+    forest.restrictToBox(lo, hi, 4, whole, whole_box);
+    ASSERT_EQ(whole.numNodes(), forest.numFlatNodes());
+
     Rng probe(31);
     int replays = 0;
     for (int i = 0; i < 200; ++i) {
         auto x = randomQuery(probe);
         FeatureSupport support;
+        support.reset(4);
         double base =
-            forest.predictQuantileTracked(x.data(), 4, 0.6, support);
+            whole.predictQuantileTracked(x.data(), 4, 0.6, support);
+        EXPECT_EQ(base, forest.predictQuantile(x.data(), 4, 0.6));
         ASSERT_EQ(support.dims, 4);
         EXPECT_TRUE(support.contains(x.data(), 4));
 
@@ -182,58 +194,6 @@ TEST(HotPath, RestrictedForestExactInsideBox)
             ASSERT_TRUE(support.contains(x, 4));
             EXPECT_EQ(restricted.predictQuantile(x, 4, 0.6),
                       forest.predictQuantile(x, 4, 0.6));
-        }
-    }
-}
-
-TEST(HotPath, RestrictionComposesExactly)
-{
-    auto data = makeData(1500, 47);
-    RandomForest forest;
-    forest.fit(data, ForestParams{}, 53);
-
-    Rng probe(59);
-    for (int trial = 0; trial < 25; ++trial) {
-        double outer_lo[4] = {-kInf, -kInf, 0.0, 0.0};
-        double outer_hi[4] = {kInf, kInf, 0.0, 0.0};
-        for (int f = 2; f < 4; ++f) {
-            double c = probe.uniform(2.0, 8.0);
-            outer_lo[f] = c - 2.0;
-            outer_hi[f] = c + 2.0;
-        }
-        // Strict sub-box of the outer box on the pinned axes.
-        double sub_lo[4], sub_hi[4];
-        for (int f = 0; f < 4; ++f) {
-            sub_lo[f] = outer_lo[f];
-            sub_hi[f] = outer_hi[f];
-        }
-        for (int f = 2; f < 4; ++f) {
-            sub_lo[f] = outer_lo[f] + probe.uniform(0.2, 1.0);
-            sub_hi[f] = outer_hi[f] - probe.uniform(0.2, 1.0);
-        }
-
-        RestrictedForest outer, composed, direct;
-        FeatureSupport outer_box, composed_box, direct_box;
-        forest.restrictToBox(outer_lo, outer_hi, 4, outer, outer_box);
-        ASSERT_TRUE(outer.valid());
-        outer.restrictToBox(sub_lo, sub_hi, 4, composed, composed_box);
-        forest.restrictToBox(sub_lo, sub_hi, 4, direct, direct_box);
-        ASSERT_TRUE(composed.valid());
-        ASSERT_TRUE(direct.valid());
-
-        // Composition is exact: same node count and bitwise-equal
-        // predictions as restricting the source forest directly.
-        EXPECT_EQ(composed.numNodes(), direct.numNodes());
-        for (int i = 0; i < 20; ++i) {
-            double x[4];
-            x[0] = probe.uniform(0.0, 10.0);
-            x[1] = probe.uniform(0.0, 10.0);
-            for (int f = 2; f < 4; ++f)
-                x[f] = sub_lo[f] +
-                       (sub_hi[f] - sub_lo[f]) * probe.uniform(0.05, 1.0);
-            double want = forest.predictQuantile(x, 4, 0.6);
-            EXPECT_EQ(composed.predictQuantile(x, 4, 0.6), want);
-            EXPECT_EQ(direct.predictQuantile(x, 4, 0.6), want);
         }
     }
 }

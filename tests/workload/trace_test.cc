@@ -63,6 +63,17 @@ TEST(TraceBuilder, SkewedTierMixRespected)
     EXPECT_NEAR(counts[2], 3000, 250);
 }
 
+TEST(TraceBuilder, NegativeTierMixEntryIsFatal)
+{
+    // {1, -1, 1} sums to 1; without the sign check every draw would
+    // land on tier 0 and the run would look valid.
+    EXPECT_DEATH(TraceBuilder()
+                     .seed(5)
+                     .tierMix({1.0, -1.0, 1.0})
+                     .buildCount(PoissonArrivals(10.0), 10),
+                 "tier mix entries must be non-negative");
+}
+
 TEST(TraceBuilder, LowPriorityFractionTagsRequests)
 {
     Trace trace = TraceBuilder()
