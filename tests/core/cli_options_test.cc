@@ -289,8 +289,8 @@ TEST(CliOptions, RangeValidation)
 
 TEST(CliOptions, SchedulerKnobRangesAreUserErrors)
 {
-    // Each of these used to pass validation and then trip a library
-    // assertion (a panic) instead of a fatal error naming the flag.
+    // Without these rules each value would reach a library assertion
+    // (a panic) instead of a fatal error naming the flag.
     EXPECT_DEATH(parseCliOptions({"--low-priority", "1.5"}),
                  "--low-priority must be in");
     EXPECT_DEATH(parseCliOptions({"--low-priority", "-0.1"}),
