@@ -86,10 +86,10 @@ ClusterSim::addReplicaGroup(int count, const SchedulerFactory &factory,
     for (int i = 0; i < count; ++i) {
         auto replica = std::make_unique<Replica>(
             eq_, cfg_.replica, factory, cfg_.predictor, trace_.tiers,
-            trace_.appStats, [this](const RequestRecord &rec) {
+            trace_.appStats, [this](RequestRecord &&rec) {
                 if (auditor_ != nullptr)
                     auditor_->checkRecord(rec, trace_.tiers);
-                metrics_.record(rec);
+                metrics_.record(std::move(rec));
             });
         replica->attachAuditor(auditor_);
         replica->setFailureHandler(
@@ -393,7 +393,7 @@ ClusterSim::dispatchArrival(const RequestSpec &spec)
         rec.rejected = true;
         if (auditor_ != nullptr)
             auditor_->checkRecord(rec, trace_.tiers);
-        metrics_.record(rec);
+        metrics_.record(std::move(rec));
     }
 }
 
@@ -411,7 +411,7 @@ ClusterSim::recordShed(const RequestSpec &spec)
     rec.rejected = true;
     if (auditor_ != nullptr)
         auditor_->checkRecord(rec, trace_.tiers);
-    metrics_.record(rec);
+    metrics_.record(std::move(rec));
 }
 
 void
@@ -532,7 +532,7 @@ ClusterSim::recordCancelled(const RequestFailureSnapshot &snap)
                      snap.retries);
     if (auditor_ != nullptr)
         auditor_->checkRecord(rec, trace_.tiers);
-    metrics_.record(rec);
+    metrics_.record(std::move(rec));
 }
 
 void
@@ -555,7 +555,7 @@ ClusterSim::recordExhausted(const RequestFailureSnapshot &snap)
                      snap.retries);
     if (auditor_ != nullptr)
         auditor_->checkRecord(rec, trace_.tiers);
-    metrics_.record(rec);
+    metrics_.record(std::move(rec));
 }
 
 const MetricsCollector &
@@ -565,6 +565,9 @@ ClusterSim::run()
     QOSERVE_ASSERT(!groups_.empty(), "no replica groups configured");
     ran_ = true;
 
+    // Every request ends in exactly one record, so the store is
+    // allocated once instead of regrown by doubling.
+    metrics_.reserve(trace_.requests.size());
     if (!trace_.requests.empty()) {
         eq_.schedule(trace_.requests.front().arrival,
                      [this]() { injectArrival(0); });

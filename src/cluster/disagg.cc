@@ -14,7 +14,7 @@ namespace qoserve {
 DecodeReplica::DecodeReplica(
     EventQueue &eq, Replica::Config cfg, DecodePolicy policy,
     SimDuration strictest_tbt, int max_batch,
-    std::function<void(const RequestRecord &)> on_complete)
+    Replica::CompletionFn on_complete)
     : eq_(eq), perf_(cfg.hw, cfg.perfParams),
       kv_(TokenCount{cfg.hw.kvCapacityTokens()}, TokenCount{cfg.kvBlockTokens}), policy_(policy),
       strictestTbt_(strictest_tbt), maxBatch_(max_batch),
@@ -140,10 +140,10 @@ DecodeReplica::completeIteration(std::vector<Request *> batch)
     active_.erase(mid, active_.end());
     for (Request *r : done) {
         kv_.release(r->kvSlot());
-        RequestRecord rec = r->record();
+        RequestRecord rec = r->takeRecord();
         owned_.erase(r->id());
         if (onComplete_)
-            onComplete_(rec);
+            onComplete_(std::move(rec));
     }
     maybeStart();
 }
@@ -178,7 +178,9 @@ DisaggCluster::DisaggCluster(Config cfg, Trace trace)
         decodePool_.push_back(std::make_unique<DecodeReplica>(
             eq_, cfg_.replica, cfg_.decodePolicy, strictest_tbt,
             cfg_.maxDecodeBatch,
-            [this](const RequestRecord &rec) { metrics_.record(rec); }));
+            [this](RequestRecord &&rec) {
+                metrics_.record(std::move(rec));
+            }));
     }
 }
 
@@ -222,7 +224,7 @@ DisaggCluster::onPrefillDone(const RequestRecord &rec)
             spec, trace_.tiers[spec.tierId], stats);
         req->primeForDecode(first_token);
         if (req->phase() == RequestPhase::Finished) {
-            metrics_.record(req->record());
+            metrics_.record(req->takeRecord());
             return;
         }
         decodePool_[decodeRr_]->admit(std::move(req));
@@ -235,6 +237,7 @@ DisaggCluster::run()
 {
     QOSERVE_ASSERT(!ran_, "DisaggCluster::run() called twice");
     ran_ = true;
+    metrics_.reserve(trace_.requests.size());
     if (!trace_.requests.empty()) {
         eq_.schedule(trace_.requests.front().arrival,
                      [this]() { injectArrival(0); });

@@ -56,8 +56,7 @@ class DecodeReplica
      */
     DecodeReplica(EventQueue &eq, Replica::Config cfg,
                   DecodePolicy policy, SimDuration strictest_tbt,
-                  int max_batch,
-                  std::function<void(const RequestRecord &)> on_complete);
+                  int max_batch, Replica::CompletionFn on_complete);
 
     /**
      * Admit a decode-stage request (KV already transferred).
@@ -86,7 +85,7 @@ class DecodeReplica
     DecodePolicy policy_;
     SimDuration strictestTbt_;
     int maxBatch_;
-    std::function<void(const RequestRecord &)> onComplete_;
+    Replica::CompletionFn onComplete_;
 
     /** Requests with KV resident, eligible for iterations. */
     std::vector<Request *> active_;

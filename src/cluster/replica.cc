@@ -30,7 +30,7 @@ Replica::Replica(EventQueue &eq, Config cfg,
                  const SchedulerFactory &factory,
                  const LatencyPredictor *predictor, TierTable tiers,
                  std::vector<AppStats> app_stats,
-                 std::function<void(const RequestRecord &)> on_complete)
+                 CompletionFn on_complete)
     : eq_(eq), perf_(cfg.hw, cfg.perfParams),
       kv_(TokenCount{cfg.hw.kvCapacityTokens()}, TokenCount{cfg.kvBlockTokens}),
       factory_(factory), predictor_(predictor), tiers_(std::move(tiers)),
@@ -72,11 +72,11 @@ Replica::buildScheduler()
     QOSERVE_ASSERT(chunked != nullptr,
                    "replica requires a ChunkedScheduler");
     chunked->setCompletionHandler([this](Request *req) {
-        RequestRecord rec = req->record();
+        RequestRecord rec = req->takeRecord();
         live_.erase(req->id());
         pool_.destroy(req);
         if (onComplete_)
-            onComplete_(rec);
+            onComplete_(std::move(rec));
     });
 }
 

@@ -54,6 +54,9 @@ using FailureHandler = std::function<void(const RequestFailureSnapshot &)>;
 class Replica
 {
   public:
+    /** Completion callback; it owns the finished request's record. */
+    using CompletionFn = std::function<void(RequestRecord &&)>;
+
     /** Static configuration of a replica. */
     struct Config
     {
@@ -75,12 +78,11 @@ class Replica
      * @param tiers Tier table request specs refer to.
      * @param app_stats Per-application decode statistics.
      * @param on_complete Callback receiving each finished request's
-     *        record.
+     *        record, moved out of the request.
      */
     Replica(EventQueue &eq, Config cfg, const SchedulerFactory &factory,
             const LatencyPredictor *predictor, TierTable tiers,
-            std::vector<AppStats> app_stats,
-            std::function<void(const RequestRecord &)> on_complete);
+            std::vector<AppStats> app_stats, CompletionFn on_complete);
 
     /** Destroys any still-live requests back into the pool. */
     ~Replica();
@@ -218,7 +220,7 @@ class Replica
     const LatencyPredictor *predictor_ = nullptr;
     TierTable tiers_;
     std::vector<AppStats> appStats_;
-    std::function<void(const RequestRecord &)> onComplete_;
+    CompletionFn onComplete_;
     BatchObserver observer_;
     FailureHandler failureHandler_;
     InvariantAuditor *auditor_ = nullptr;

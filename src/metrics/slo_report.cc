@@ -7,7 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <utility>
 
 #include "core/check_level.hh"
 #include "metrics/percentile.hh"
@@ -22,7 +22,7 @@ MetricsCollector::MetricsCollector(TierTable tiers)
 }
 
 void
-MetricsCollector::record(const RequestRecord &rec)
+MetricsCollector::record(RequestRecord rec)
 {
     QOSERVE_ASSERT(rec.spec.tierId >= 0 &&
                        rec.spec.tierId < static_cast<int>(tiers_.size()),
@@ -33,7 +33,7 @@ MetricsCollector::record(const RequestRecord &rec)
     for (const RecordSink &observer : observers_)
         observer(rec);
     if (retain_)
-        records_.push_back(rec);
+        records_.push_back(std::move(rec));
 }
 
 void
@@ -86,13 +86,33 @@ summarize(const MetricsCollector &collector, double long_percentile)
 
     // Long-request threshold over this run's prompt lengths. Sort
     // once and query the sorted sample rather than paying
-    // percentile()'s copy-and-sort.
-    std::vector<double> prompts;
-    prompts.reserve(records.size());
-    for (const auto &r : records)
-        prompts.push_back(static_cast<double>(r.spec.promptTokens));
-    std::sort(prompts.begin(), prompts.end());
-    double long_threshold = percentileSorted(prompts, long_percentile);
+    // percentile()'s copy-and-sort. The same pass counts each tier's
+    // records, so the per-tier samples below are allocated once, and
+    // the prompt sample is freed before they are.
+    struct TierAcc
+    {
+        std::vector<double> ttft;
+        std::vector<double> ttlt;
+        std::size_t count = 0;
+        std::size_t viol = 0;
+        std::size_t tbt_miss = 0;
+    };
+    std::vector<TierAcc> per_tier(tiers.size());
+    double long_threshold = 0.0;
+    {
+        std::vector<double> prompts;
+        prompts.reserve(records.size());
+        for (const auto &r : records) {
+            prompts.push_back(static_cast<double>(r.spec.promptTokens));
+            ++per_tier[r.spec.tierId].count;
+        }
+        std::sort(prompts.begin(), prompts.end());
+        long_threshold = percentileSorted(prompts, long_percentile);
+    }
+    for (TierAcc &acc : per_tier) {
+        acc.ttft.reserve(acc.count);
+        acc.ttlt.reserve(acc.count);
+    }
 
     std::size_t violations = 0;
     std::size_t violations_with_tbt = 0;
@@ -109,16 +129,6 @@ summarize(const MetricsCollector &collector, double long_percentile)
     std::int64_t prompt_tokens = 0;
     std::vector<double> latencies;
     latencies.reserve(records.size());
-
-    struct TierAcc
-    {
-        std::vector<double> ttft;
-        std::vector<double> ttlt;
-        std::size_t count = 0;
-        std::size_t viol = 0;
-        std::size_t tbt_miss = 0;
-    };
-    std::map<int, TierAcc> per_tier;
 
     for (const auto &r : records) {
         const QosTier &tier = tiers[r.spec.tierId];
@@ -157,7 +167,6 @@ summarize(const MetricsCollector &collector, double long_percentile)
         }
 
         TierAcc &acc = per_tier[r.spec.tierId];
-        ++acc.count;
         acc.viol += viol;
         acc.tbt_miss += r.tbtDeadlineMisses > 0;
         acc.ttft.push_back(r.ttft());
@@ -197,9 +206,14 @@ summarize(const MetricsCollector &collector, double long_percentile)
     out.p95Latency = percentileSorted(latencies, 95.0);
     out.p99Latency = percentileSorted(latencies, 99.0);
 
-    for (auto &[tier_id, acc] : per_tier) {
+    // Tiers no record reached are left out; the rest follow in id
+    // order.
+    for (std::size_t tier_id = 0; tier_id < per_tier.size(); ++tier_id) {
+        TierAcc &acc = per_tier[tier_id];
+        if (acc.count == 0)
+            continue;
         TierSummary ts;
-        ts.tierId = tier_id;
+        ts.tierId = static_cast<int>(tier_id);
         ts.count = acc.count;
         std::sort(acc.ttft.begin(), acc.ttft.end());
         std::sort(acc.ttlt.begin(), acc.ttlt.end());
@@ -259,7 +273,13 @@ rollingLatency(const MetricsCollector &collector, SimDuration window,
     const auto &records = collector.records();
     const auto &tiers = collector.tiers();
 
-    std::map<std::int64_t, std::vector<double>> buckets;
+    // One (window, latency) pair per selected record, sorted once:
+    // each window's latencies then sit together in ascending order.
+    // Keyed pairs rather than a vector indexed by window, because the
+    // number of windows is bounded by the arrival span over @p window,
+    // not by the record count.
+    std::vector<std::pair<std::int64_t, double>> keyed;
+    keyed.reserve(records.size());
     for (const auto &r : records) {
         if (tier_id >= 0 && r.spec.tierId != tier_id)
             continue;
@@ -268,17 +288,21 @@ rollingLatency(const MetricsCollector &collector, SimDuration window,
         auto bucket =
             static_cast<std::int64_t>(
                 std::floor(r.spec.arrival.seconds() / window));
-        buckets[bucket].push_back(
-            headlineLatency(r, tiers[r.spec.tierId]));
+        keyed.emplace_back(bucket,
+                           headlineLatency(r, tiers[r.spec.tierId]));
     }
+    std::sort(keyed.begin(), keyed.end());
 
     std::vector<RollingPoint> out;
-    out.reserve(buckets.size());
-    for (auto &[bucket, values] : buckets) {
+    std::vector<double> values;
+    for (auto it = keyed.begin(); it != keyed.end();) {
+        const std::int64_t bucket = it->first;
+        values.clear();
+        for (; it != keyed.end() && it->first == bucket; ++it)
+            values.push_back(it->second);
         RollingPoint p;
         p.windowStart = SimTime{static_cast<double>(bucket) * window};
         p.count = values.size();
-        std::sort(values.begin(), values.end());
         p.value = percentileSorted(values, pct);
         out.push_back(p);
     }

@@ -42,8 +42,19 @@ class MetricsCollector
     /** @param tiers Tier table the records' tierId fields refer to. */
     explicit MetricsCollector(TierTable tiers);
 
-    /** Record a completed request. */
-    void record(const RequestRecord &rec);
+    /** Record a completed request. Callers that are done with the
+     *  record move it in; the sink and observers see it first. */
+    void record(RequestRecord rec);
+
+    /** Presize the record store for @p count records, so a run of
+     *  known length allocates it once. A no-op while retention is
+     *  off: a streaming run keeps nothing and must not pay. */
+    void
+    reserve(std::size_t count)
+    {
+        if (retain_)
+            records_.reserve(count);
+    }
 
     /** All records, in completion order. Empty when retention is
      *  disabled — use totalRecorded() for the count. */

@@ -11,6 +11,7 @@
 #define QOSERVE_SCHED_REQUEST_HH
 
 #include <cstdint>
+#include <utility>
 
 #include "core/units.hh"
 #include "workload/qos.hh"
@@ -258,6 +259,10 @@ class Request
 
     /** Final record; meaningful once phase() == Finished. */
     const RequestRecord &record() const { return record_; }
+
+    /** Move the final record out of a finished request that is about
+     *  to be destroyed; record() is unspecified afterwards. */
+    RequestRecord takeRecord() { return std::move(record_); }
 
   private:
     /** True if token @p token_index would be late when emitted now. */

@@ -119,6 +119,26 @@ TEST(ClusterSim, DeterministicAcrossRuns)
     EXPECT_DOUBLE_EQ(sa.violationRate, sb.violationRate);
 }
 
+TEST(ClusterSim, RunPresizesTheRecordStore)
+{
+    ClusterSim sim(defaultConfig(), smallTrace(2.0, 200));
+    sim.addReplicaGroup(2, fcfsFactory());
+    const MetricsCollector &metrics = sim.run();
+    EXPECT_EQ(metrics.size(), 200u);
+    // Allocated once at the trace's length, not regrown by doubling.
+    EXPECT_EQ(metrics.records().capacity(), 200u);
+}
+
+TEST(ClusterSim, StreamingRunAllocatesNoRecordStore)
+{
+    ClusterSim sim(defaultConfig(), smallTrace(2.0, 200));
+    sim.addReplicaGroup(2, fcfsFactory());
+    sim.metricsCollector().setRetainRecords(false);
+    const MetricsCollector &metrics = sim.run();
+    EXPECT_EQ(metrics.totalRecorded(), 200u);
+    EXPECT_EQ(metrics.records().capacity(), 0u);
+}
+
 TEST(ClusterSim, RunTwicePanics)
 {
     ClusterSim sim(defaultConfig(), smallTrace(1.0, 10));

@@ -49,6 +49,7 @@ TEST(DisaggCluster, AllRequestsCompleteEndToEnd)
     DisaggCluster sim(defaultConfig(), smallTrace(2.0, 150));
     const MetricsCollector &metrics = sim.run();
     EXPECT_EQ(metrics.size(), 150u);
+    EXPECT_EQ(metrics.records().capacity(), 150u);
     for (const auto &rec : metrics.records()) {
         EXPECT_LT(rec.finishTime, kTimeNever);
         EXPECT_GE(rec.finishTime, rec.firstTokenTime);

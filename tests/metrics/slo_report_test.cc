@@ -94,6 +94,26 @@ TEST_F(SloReportTest, PerTierSummaries)
     EXPECT_DOUBLE_EQ(q3.violationRate, 1.0);
 }
 
+TEST_F(SloReportTest, EmptyMiddleTierIsLeftOutInIdOrder)
+{
+    // Completion order puts Q3 first; the summary still lists tiers
+    // by id and leaves out Q2, which no record reached.
+    collector_.record(makeRecord(1, 2, SimTime{0}, 1.0, 4.0));
+    collector_.record(makeRecord(2, 0, SimTime{0}, 1.0, 2.0));
+    collector_.record(makeRecord(3, 2, SimTime{0}, 1.0, 8.0));
+    collector_.record(makeRecord(4, 0, SimTime{0}, 3.0, 4.0));
+    collector_.record(makeRecord(5, 0, SimTime{0}, 5.0, 6.0));
+
+    RunSummary s = summarize(collector_);
+    ASSERT_EQ(s.tiers.size(), 2u);
+    EXPECT_EQ(s.tiers[0].tierId, 0);
+    EXPECT_EQ(s.tiers[0].count, 3u);
+    EXPECT_DOUBLE_EQ(s.tiers[0].p50Ttft, 3.0);
+    EXPECT_EQ(s.tiers[1].tierId, 2);
+    EXPECT_EQ(s.tiers[1].count, 2u);
+    EXPECT_DOUBLE_EQ(s.tiers[1].p50Ttlt, 6.0);
+}
+
 TEST_F(SloReportTest, ImportantViolationRateSeparated)
 {
     collector_.record(makeRecord(1, 0, SimTime{0}, 7.0, 8.0, 1000, false));
@@ -164,6 +184,27 @@ TEST_F(SloReportTest, RollingLatencyBucketsByArrival)
     EXPECT_DOUBLE_EQ(series[1].windowStart.seconds(), 60.0);
     EXPECT_NEAR(series[1].value, 9.0, 1e-9);
     EXPECT_EQ(series[0].count, 10u);
+}
+
+TEST_F(SloReportTest, RollingLatencySkipsEmptyWindows)
+{
+    // 10 s windows: [0, 10) holds TTFTs 3, 1, 2 (median 2); [10, 20)
+    // is empty; [20, 30) holds 7 and 5 (median 6, interpolated). The
+    // records arrive out of arrival order.
+    collector_.record(makeRecord(1, 0, SimTime{25.0}, 7.0, 8.0));
+    collector_.record(makeRecord(2, 0, SimTime{1.0}, 3.0, 4.0));
+    collector_.record(makeRecord(3, 0, SimTime{21.0}, 5.0, 6.0));
+    collector_.record(makeRecord(4, 0, SimTime{2.0}, 1.0, 2.0));
+    collector_.record(makeRecord(5, 0, SimTime{3.0}, 2.0, 3.0));
+
+    auto series = rollingLatency(collector_, 10.0, 50.0);
+    ASSERT_EQ(series.size(), 2u);
+    EXPECT_DOUBLE_EQ(series[0].windowStart.seconds(), 0.0);
+    EXPECT_EQ(series[0].count, 3u);
+    EXPECT_DOUBLE_EQ(series[0].value, 2.0);
+    EXPECT_DOUBLE_EQ(series[1].windowStart.seconds(), 20.0);
+    EXPECT_EQ(series[1].count, 2u);
+    EXPECT_DOUBLE_EQ(series[1].value, 6.0);
 }
 
 TEST_F(SloReportTest, RollingLatencyFiltersTierAndImportance)
