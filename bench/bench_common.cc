@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <utility>
 
 #include "bench_build_info.hh"
 
@@ -114,13 +115,13 @@ parseBenchArgs(const std::string &bench_name, int argc, char **argv)
 }
 
 ScenarioResult
-simulate(const Scenario &sc, const Trace &trace,
+simulate(const Scenario &sc, Trace trace,
          std::function<void(ClusterSim &)> before_run)
 {
     RunHooks hooks;
     hooks.predictor = PredictorCache::instance().get(sc.serving);
     hooks.beforeRun = std::move(before_run);
-    return runScenario(sc, trace, hooks);
+    return runScenario(sc, std::move(trace), hooks);
 }
 
 RunSummary

@@ -86,9 +86,10 @@ BenchOptions parseBenchArgs(const std::string &bench_name, int argc,
 
 /**
  * Run @p trace under @p sc with the cached predictor; @p before_run
- * sees the assembled cluster just before it runs (RunHooks).
+ * sees the assembled cluster just before it runs (RunHooks). The
+ * trace is taken by value, as runScenario() takes it.
  */
-ScenarioResult simulate(const Scenario &sc, const Trace &trace,
+ScenarioResult simulate(const Scenario &sc, Trace trace,
                         std::function<void(ClusterSim &)> before_run = {});
 
 /** Run @p sc on its own synthesized trace and summarize. */

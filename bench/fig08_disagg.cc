@@ -60,8 +60,9 @@ run()
             LoadRunner runner = [&sc](double qps) {
                 Scenario probe = sc;
                 probe.qps = qps;
-                Trace trace = toPrefillOnlyTrace(buildTrace(probe));
-                return bench::simulate(probe, trace).summary;
+                return bench::simulate(probe,
+                                       toPrefillOnlyTrace(buildTrace(probe)))
+                    .summary;
             };
             results[p] = measureMaxGoodput(runner, {}, search);
         }

@@ -109,8 +109,9 @@ partA()
     // Isolated goodput comparison.
     auto goodput_of = [&](const Scenario &sc) {
         LoadRunner runner = [&](double probe_qps) {
-            Trace t = syntheticLongPrefillTrace(probe_qps, 80);
-            return bench::simulate(sc, t).summary;
+            return bench::simulate(
+                       sc, syntheticLongPrefillTrace(probe_qps, 80))
+                .summary;
         };
         GoodputSearch search;
         search.startQps = 0.05;

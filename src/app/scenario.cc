@@ -229,7 +229,7 @@ sampleMetrics(MetricsRegistry &reg, const Scenario &sc,
 } // namespace
 
 ScenarioResult
-runScenario(const Scenario &sc, const Trace &trace, const RunHooks &hooks)
+runScenario(const Scenario &sc, Trace trace, const RunHooks &hooks)
 {
     sc.validate();
     std::ostream discard(nullptr);
@@ -273,7 +273,15 @@ runScenario(const Scenario &sc, const Trace &trace, const RunHooks &hooks)
     cc.breaker = sc.breaker;
     cc.deadlineCancel = sc.deadlineCancel;
 
-    result.cluster = std::make_unique<ClusterSim>(cc, trace);
+    // Fault injection and failure domains: episodes may start any
+    // time up to the last arrival; in-flight outages still resolve
+    // after that.
+    const SimTime horizon = trace.requests.empty()
+                                ? SimTime{}
+                                : trace.requests.back().arrival;
+
+    // The cluster owns the trace from here on; read it through sim.
+    result.cluster = std::make_unique<ClusterSim>(cc, std::move(trace));
     ClusterSim &sim = *result.cluster;
     sim.addReplicaGroup(serving.numReplicas, makeSchedulerFactory(serving),
                         sc.loadBalance);
@@ -289,7 +297,7 @@ runScenario(const Scenario &sc, const Trace &trace, const RunHooks &hooks)
     // holds a second copy of the record set.
     std::optional<RecordsCsvStreamWriter> recordsWriter;
     if (sc.recordsOut) {
-        recordsWriter.emplace(trace.tiers, *sc.recordsOut);
+        recordsWriter.emplace(sim.tiers(), *sc.recordsOut);
         sim.metricsCollector().setRecordSink(
             [&recordsWriter](const RequestRecord &rec) {
                 recordsWriter->write(rec);
@@ -303,8 +311,8 @@ runScenario(const Scenario &sc, const Trace &trace, const RunHooks &hooks)
     std::map<std::string, QuantileSketch> sketchBank;
     if (sc.sketchOut) {
         sim.metricsCollector().addRecordObserver(
-            [&sketchBank, &trace, &sc](const RequestRecord &rec) {
-                const QosTier &tier = trace.tiers[rec.spec.tierId];
+            [&sketchBank, &sim, &sc](const RequestRecord &rec) {
+                const QosTier &tier = sim.tiers()[rec.spec.tierId];
                 const std::string prefix =
                     "tier" + std::to_string(rec.spec.tierId);
                 auto sketchFor =
@@ -334,10 +342,10 @@ runScenario(const Scenario &sc, const Trace &trace, const RunHooks &hooks)
         monitorScope.clock = &sim.eventQueue();
         sloMonitor.emplace(sim.eventQueue(), monitorScope, sc.sloAlert);
         sim.metricsCollector().addRecordObserver(
-            [&sloMonitor, &sim, &trace](const RequestRecord &rec) {
+            [&sloMonitor, &sim](const RequestRecord &rec) {
                 sloMonitor->observe(
                     rec.spec.tierId, sim.eventQueue().now(),
-                    violatedSlo(rec, trace.tiers[rec.spec.tierId]));
+                    violatedSlo(rec, sim.tiers()[rec.spec.tierId]));
             });
         sloMonitor->start();
         log << "slo monitor: budget " << sc.sloAlert.budget
@@ -347,12 +355,6 @@ runScenario(const Scenario &sc, const Trace &trace, const RunHooks &hooks)
             << sc.sloAlert.interval << " s\n";
     }
 
-    // Fault injection and failure domains: episodes may start any
-    // time up to the last arrival; in-flight outages still resolve
-    // after that.
-    const SimTime horizon = trace.requests.empty()
-                                ? SimTime{}
-                                : trace.requests.back().arrival;
     std::optional<FaultInjector> faults;
     FaultConfig fault = sc.fault;
     fault.horizon = horizon;

@@ -191,8 +191,11 @@ Trace buildTrace(const Scenario &sc, std::ostream *log = nullptr);
  * The attach order is fixed: events at the same simulated time fire
  * in (time, sequence) order, so reordering the attachments would
  * reorder those events and change the run.
+ *
+ * The returned cluster owns @p trace (ClusterSim::tiers()); a caller
+ * done with its trace moves it in rather than copying it.
  */
-ScenarioResult runScenario(const Scenario &sc, const Trace &trace,
+ScenarioResult runScenario(const Scenario &sc, Trace trace,
                            const RunHooks &hooks = {});
 
 } // namespace qoserve

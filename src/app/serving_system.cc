@@ -5,6 +5,8 @@
 
 #include "app/serving_system.hh"
 
+#include <utility>
+
 #include "app/scenario.hh"
 #include "simcore/logging.hh"
 
@@ -118,19 +120,19 @@ ServingSystem::ServingSystem(ServingConfig cfg)
 }
 
 std::unique_ptr<ClusterSim>
-ServingSystem::serveForInspection(const Trace &trace)
+ServingSystem::serveForInspection(Trace trace)
 {
     RunHooks hooks;
     hooks.predictor = predictor_.get();
-    return runScenario(scenarioFor(cfg_), trace, hooks).cluster;
+    return runScenario(scenarioFor(cfg_), std::move(trace), hooks).cluster;
 }
 
 RunSummary
-ServingSystem::serve(const Trace &trace)
+ServingSystem::serve(Trace trace)
 {
     RunHooks hooks;
     hooks.predictor = predictor_.get();
-    return runScenario(scenarioFor(cfg_), trace, hooks).summary;
+    return runScenario(scenarioFor(cfg_), std::move(trace), hooks).summary;
 }
 
 } // namespace qoserve

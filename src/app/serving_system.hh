@@ -139,15 +139,16 @@ class ServingSystem
      * Execute a trace on a fresh cluster and summarize it.
      *
      * The predictor (expensive to train) is shared across calls;
-     * cluster state is not.
+     * cluster state is not. Both calls take the trace by value: move
+     * it in when it is not needed afterwards.
      */
-    RunSummary serve(const Trace &trace);
+    RunSummary serve(Trace trace);
 
     /**
      * Execute a trace and hand back the cluster for detailed
      * inspection (records, per-replica stats).
      */
-    std::unique_ptr<ClusterSim> serveForInspection(const Trace &trace);
+    std::unique_ptr<ClusterSim> serveForInspection(Trace trace);
 
     /** Configuration in effect. */
     const ServingConfig &config() const { return cfg_; }

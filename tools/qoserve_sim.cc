@@ -35,11 +35,11 @@ main(int argc, char **argv)
 
     RunHooks hooks;
     hooks.log = &std::cerr;
-    Trace trace = buildTrace(opts, &std::cerr);
-    ScenarioResult res = runScenario(opts, trace, hooks);
+    ScenarioResult res =
+        runScenario(opts, buildTrace(opts, &std::cerr), hooks);
     const ClusterSim &sim = *res.cluster;
 
-    printSummary(res.summary, trace.tiers, std::cout);
+    printSummary(res.summary, sim.tiers(), std::cout);
     if (res.faults) {
         const FaultStats &fs = *res.faults;
         std::cout << "faults: " << fs.crashes << " crashes, "
