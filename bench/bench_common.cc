@@ -7,9 +7,11 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <thread>
 #include <utility>
 
 #include "bench_build_info.hh"
+#include "core/check_level.hh"
 
 namespace qoserve {
 namespace bench {
@@ -223,6 +225,10 @@ writeBenchJson(const BenchOptions &opts, const std::vector<JsonRun> &runs,
         << "\",\n";
     out << "  \"build_type\": \"" << jsonEscape(QOSERVE_BUILD_TYPE)
         << "\",\n";
+    out << "  \"check_level\": \""
+        << audit::checkLevelName(audit::kCompiledLevel) << "\",\n";
+    out << "  \"compiler\": \"" << jsonEscape(QOSERVE_COMPILER) << "\",\n";
+    out << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n";
     out << "  \"jobs\": " << opts.effectiveJobs() << ",\n";
     out << "  \"total_wall_s\": " << total_wall_seconds << ",\n";
     out << "  \"total_requests\": " << total_requests << ",\n";

@@ -152,7 +152,8 @@ std::vector<JsonRun> toJsonRuns(const std::vector<RunPoint> &points,
 /**
  * Write the perf JSON (per-run wall-clock and simulated-request
  * throughput plus suite totals) to opts.jsonOut if set; no-op
- * otherwise.
+ * otherwise. The header stamps the build type, check level, compiler
+ * and host core count the numbers were measured with.
  */
 void writeBenchJson(const BenchOptions &opts,
                     const std::vector<JsonRun> &runs,
