@@ -4,8 +4,9 @@
 # --jobs, so each line is registered at --jobs 1 and --jobs 4 and both
 # check against the same table.
 #
-#   cmake -DSIM=<path to qoserve_sim> -DCASE=obs|obs_nomemo|chaos -DJOBS=<n>
-#         -DOUT=<scratch dir> -P qoserve_sim_golden.cmake
+#   cmake -DSIM=<path to qoserve_sim> -DJOBS=<n> -DOUT=<scratch dir>
+#         -DCASE=obs|obs_nomemo|chaos|help|fcfs|edf|sjf|srpf|medha|dp
+#         -P qoserve_sim_golden.cmake
 #
 # A change that alters the CLI's output on purpose updates the digests
 # in the same commit and says why. On a mismatch the script prints the
@@ -67,6 +68,48 @@ elseif(CASE STREQUAL "chaos")
         metrics.csv   7ff23c680277d82cb93717421ee9e29c9edbe4ec0e0b784b7a0015ee769ebf4f
         records.csv   1c2306906c8160426e090ecaf4739ca688e4dabc302fb11e19cfec8118252e2f
         summary.csv   888e85278dd6fc6fd8719e3496c217462724995032c5b0671d3abbf4990e8e6f)
+elseif(CASE STREQUAL "help")
+    # The --help text, byte for byte (6506 bytes).
+    set(_args --help)
+    set(_expected
+        stdout.txt    a2ec76a7a2d3791a55bbc94e3ec4d85f9b6e54c0b2c20013a7d722c2a6d18993)
+elseif(CASE MATCHES "^(fcfs|edf|sjf|srpf|medha|dp)$")
+    # One short run per baseline policy.
+    set(_args
+        --policy ${CASE} --replicas 2 --qps 6 --duration 120
+        --records-out ${OUT}/records.csv
+        --summary-out ${OUT}/summary.csv)
+    if(CASE STREQUAL "fcfs")
+        set(_expected
+            stdout.txt  1bd6867efabc52467a9890178b8f395bbebdbb6ae80d258a02c8f0ae7bb98d53
+            records.csv 413e8f1057383324ed9862e165b5f1aee56ad6880ebbcdbb539fe4803725d0ef
+            summary.csv 65be5b45d8624ad10dc18bf01358b1cb7836998feaa02a3670acb178cec74f4c)
+    elseif(CASE STREQUAL "edf")
+        set(_expected
+            stdout.txt  10a81d4531c34069034ffb2a896a9d39d3ed7c8cb22b072a320f9cf14b04e152
+            records.csv f11b75680d89447eae9217be94a0c2bddbc38bdcfbba52e66be47f5de65ab34c
+            summary.csv 4d7da31981c01649262b528549eecbdd081eff5b6e63fa58500eec4d8182d421)
+    elseif(CASE STREQUAL "sjf")
+        set(_expected
+            stdout.txt  36deeb77f496ba3d8552393f4b39f1a31b25e54eff4d3e006a684187f654fb48
+            records.csv ce2519afd1c37e7ab8a74bc38578e864bc8b3e4297eaf35d0d454374696d5702
+            summary.csv dd2f0d4a150075a30c71b547244f999529001c605d74952bcc45a89656b295be)
+    elseif(CASE STREQUAL "srpf")
+        set(_expected
+            stdout.txt  0765bb55fadb69a12bd9050f0e31112ee67182d14c88948cba9a6e077be9fa1c
+            records.csv 379b1ad765a74fdb938301b930abe91e5e3e7c3d85b3350c536b2c005db6cdef
+            summary.csv 61d4ff45b698c5e383e9fa522868491d476a1e537a9ed1bd7bb040398c03504a)
+    elseif(CASE STREQUAL "medha")
+        set(_expected
+            stdout.txt  6710fd8441111164d8ba5dd4649521175554007b88ad8329a65b8c26a712a11c
+            records.csv bca810a61cea1e0e7c309417c7f4ab757604c1278a84eef0af708f5029c663cc
+            summary.csv 826e5be036ef6747a6a196b3a7a942422fc6b38ae7095df1e5e5eb06f15346df)
+    else()
+        set(_expected
+            stdout.txt  c6bb152d5328a0a0d7d8cd9adaf98746e7a209640c75dfb12f4991aed42a4921
+            records.csv 5753d6e7160e9933651304da1605aeb7ccd07496a7cb8abb49de262902226533
+            summary.csv 44f6f17a16dede88c6195e9ca6864bb73d1cf7dd21d500ccd956e249be43a947)
+    endif()
 else()
     message(FATAL_ERROR "qoserve_sim_golden: unknown CASE '${CASE}'")
 endif()
