@@ -8,6 +8,7 @@
 #include <map>
 #include <ostream>
 
+#include "app/cli_options.hh"
 #include "core/csv.hh"
 #include "metrics/report_io.hh"
 #include "metrics/telemetry.hh"
@@ -24,115 +25,39 @@ namespace qoserve {
 void
 Scenario::validate() const
 {
-    if (qps <= 0.0)
-        QOSERVE_FATAL("--qps must be positive");
-    if (duration <= 0.0)
-        QOSERVE_FATAL("--duration must be positive");
-    if (serving.numReplicas < 1)
-        QOSERVE_FATAL("--replicas must be at least 1");
-    if (!(lowPriorityFraction >= 0.0 && lowPriorityFraction <= 1.0))
-        QOSERVE_FATAL("--low-priority must be in [0, 1], got ",
-                      lowPriorityFraction);
-    if (serving.base.fixedChunkTokens <= 0)
-        QOSERVE_FATAL("--chunk must be positive, got ",
-                      serving.base.fixedChunkTokens);
-    if (!(serving.qoserve.alphaMsPerToken >= 0.0))
-        QOSERVE_FATAL("--alpha must be non-negative, got ",
-                      serving.qoserve.alphaMsPerToken);
+    for (const FlagRow &row : flagTable())
+        row.checkRange(*this);
+    serving.prefixCache.validate();
+    sharedPrefix.validate();
+
+    // Rules that relate two fields; every single-field range is a row.
     if (serving.qoserve.maxChunkTokens < serving.qoserve.chunkStep)
         QOSERVE_FATAL("--max-chunk must be at least the chunk step (",
                       serving.qoserve.chunkStep, " tokens), got ",
                       serving.qoserve.maxChunkTokens);
-    if (fault.crashMtbf < 0.0)
-        QOSERVE_FATAL("--fault-mtbf must be non-negative");
-    if (fault.crashesEnabled() && fault.crashMttr <= 0.0)
-        QOSERVE_FATAL("--fault-mttr must be positive when crashes "
-                      "are enabled (got ",
-                      fault.crashMttr,
-                      "): a zero repair time would leave replicas "
-                      "down forever");
-    if (fault.stragglerMtbf < 0.0)
-        QOSERVE_FATAL("--straggler-mtbf must be non-negative");
-    if (retry.initialBackoff <= 0.0)
-        QOSERVE_FATAL("--retry-backoff must be positive");
-    if (domains.zones < 0)
-        QOSERVE_FATAL("--zones must be non-negative");
+    if (serving.cacheAffinityRouting && !serving.prefixCache.enabled)
+        QOSERVE_FATAL("--cache-affinity requires --prefix-cache");
     if (domains.zones > serving.numReplicas)
-        QOSERVE_FATAL("--zones (", domains.zones,
-                      ") exceeds --replicas (", serving.numReplicas,
-                      ")");
-    if (domains.zoneMtbf < 0.0)
-        QOSERVE_FATAL("--zone-mtbf must be non-negative");
+        QOSERVE_FATAL("--zones (", domains.zones, ") exceeds --replicas (",
+                      serving.numReplicas, ")");
     if (domains.zoneMtbf > 0.0 && domains.zones == 0)
         QOSERVE_FATAL("--zone-mtbf requires --zones");
-    if (domains.zoneOutagesEnabled() && domains.zoneMttr <= 0.0)
-        QOSERVE_FATAL("--zone-mttr must be positive when zone "
-                      "outages are enabled");
-    if (domains.partitionMtbf < 0.0)
-        QOSERVE_FATAL("--partition-mtbf must be non-negative");
-    if (domains.partitionsEnabled()) {
-        if (domains.partitionMttr <= 0.0)
-            QOSERVE_FATAL("--partition-mttr must be positive when "
-                          "partitions are enabled");
-        if (!(domains.partitionFrac > 0.0) || domains.partitionFrac > 1.0)
-            QOSERVE_FATAL("--partition-frac must be in (0, 1], got ",
-                          domains.partitionFrac);
-    }
-    if (breaker.failureThreshold < 0)
-        QOSERVE_FATAL("--breaker-threshold must be non-negative");
-    if (breaker.enabled() && breaker.cooldown <= 0.0)
-        QOSERVE_FATAL("--breaker-cooldown must be positive when the "
-                      "breaker is enabled");
     if (brownout.enabled) {
-        if (brownout.interval <= 0.0)
-            QOSERVE_FATAL("--brownout-interval must be positive");
-        if (brownout.enterBacklog <= 0.0)
-            QOSERVE_FATAL("--brownout-enter must be positive");
-        if (brownout.exitBacklog < 0.0 ||
-            brownout.exitBacklog >= brownout.enterBacklog)
-            QOSERVE_FATAL("--brownout-exit must be in [0, enter): "
-                          "the hysteresis band must exist");
-        if (brownout.capTokens <= 0)
-            QOSERVE_FATAL("--brownout-cap must be positive");
+        if (!(brownout.exitBacklog < brownout.enterBacklog))
+            QOSERVE_FATAL("--brownout-exit (", brownout.exitBacklog,
+                          ") must be below --brownout-enter (",
+                          brownout.enterBacklog, ")");
         if (brownout.shedTier >= static_cast<int>(tiers.size()))
             QOSERVE_FATAL("--brownout-shed-tier ", brownout.shedTier,
                           " outside the tier table (", tiers.size(),
                           " tiers)");
     }
-    if (metricsInterval <= 0.0)
-        QOSERVE_FATAL("--metrics-interval must be positive");
-    if (!(sketchAlpha > 0.0) || sketchAlpha >= 1.0)
-        QOSERVE_FATAL("--sketch-alpha must be in (0, 1), got ",
-                      sketchAlpha);
     if (sloAlertsOut && !sloMonitor)
-        QOSERVE_FATAL("--slo-alerts-out requires --slo-monitor: "
-                      "there is no alert timeline without the "
-                      "monitor");
-    if (sloMonitor) {
-        if (!(sloAlert.budget > 0.0) || sloAlert.budget > 1.0)
-            QOSERVE_FATAL("--slo-alert-budget must be in (0, 1], "
-                          "got ", sloAlert.budget);
-        if (sloAlert.burn <= 0.0)
-            QOSERVE_FATAL("--slo-alert-burn must be positive, got ",
-                          sloAlert.burn);
-        if (sloAlert.shortWindow <= 0.0)
-            QOSERVE_FATAL("--slo-alert-short must be positive, got ",
-                          sloAlert.shortWindow);
-        if (sloAlert.longWindow <= 0.0)
-            QOSERVE_FATAL("--slo-alert-long must be positive, got ",
-                          sloAlert.longWindow);
-        if (sloAlert.shortWindow > sloAlert.longWindow)
-            QOSERVE_FATAL("--slo-alert-short (", sloAlert.shortWindow,
-                          ") must not exceed --slo-alert-long (",
-                          sloAlert.longWindow, ")");
-        if (sloAlert.interval <= 0.0)
-            QOSERVE_FATAL("--slo-alert-interval must be positive, "
-                          "got ", sloAlert.interval);
-    }
-    serving.prefixCache.validate();
-    sharedPrefix.validate();
-    if (serving.cacheAffinityRouting && !serving.prefixCache.enabled)
-        QOSERVE_FATAL("--cache-affinity requires --prefix-cache");
+        QOSERVE_FATAL("--slo-alerts-out requires --slo-monitor");
+    if (sloMonitor && sloAlert.shortWindow > sloAlert.longWindow)
+        QOSERVE_FATAL("--slo-alert-short (", sloAlert.shortWindow,
+                      ") must not exceed --slo-alert-long (",
+                      sloAlert.longWindow, ")");
 }
 
 Trace

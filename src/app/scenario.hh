@@ -40,13 +40,13 @@ namespace qoserve {
 
 /**
  * Everything one run needs. The defaults are qoserve_sim's defaults.
+ * Every field but requestCount is set by one qoserve_sim flag, and
+ * that flag's row in the flag table (app/cli_options.cc) documents it.
  */
 struct Scenario
 {
-    /** Serving deployment configuration. */
     ServingConfig serving;
 
-    /** Workload shape. */
     Dataset dataset = azureCode();
     TierTable tiers = paperTierTable();
     std::vector<double> tierMix{};
@@ -60,64 +60,36 @@ struct Scenario
     std::size_t requestCount = 0;
 
     std::uint64_t seed = 42;
-
-    /** Load-balancing policy. */
     LoadBalancePolicy loadBalance = LoadBalancePolicy::RoundRobin;
 
-    /** Fault injection (horizon is filled in from the workload). */
+    /** Fault and domain horizons are filled in from the workload. */
     FaultConfig fault{};
-
-    /** Correlated failure domains (horizon filled in like fault's). */
     DomainConfig domains{};
-
-    /** Re-dispatch policy for requests lost to replica failures. */
     RetryPolicy retry{};
-
-    /** Per-replica circuit breaker (off by default). */
     CircuitBreakerConfig breaker{};
-
-    /** Deadline-aware cancellation of futile retries. */
     bool deadlineCancel = false;
-
-    /** Brownout controller (off by default). */
     BrownoutConfig brownout{};
-
-    /** Skip down replicas / de-weight stragglers when routing. */
     bool healthAwareRouting = true;
 
-    /** Optional trace replay input (overrides synthesis). */
     std::optional<std::string> traceIn;
-
-    /** Optional file sinks. */
     std::optional<std::string> traceOut;
     std::optional<std::string> recordsOut;
     std::optional<std::string> telemetryOut;
     std::optional<std::string> summaryOut;
-
-    /** Lifecycle trace sinks (--trace Perfetto JSON, --trace-csv
-     *  flat events). Either one enables tracing. */
     std::optional<std::string> traceJsonOut;
     std::optional<std::string> traceEventsOut;
-
-    /** Metrics time-series sink and sampling cadence. */
     std::optional<std::string> metricsOut;
     double metricsInterval = 5.0;
-
-    /** Streaming latency sketch bank (--sketch-out enables) and
-     *  sketch accuracy. */
     std::optional<std::string> sketchOut;
     double sketchAlpha = 0.01;
-
-    /** SLO burn-rate monitor (--slo-monitor enables), its alerting
-     *  policy, and the alert-timeline sink. */
     bool sloMonitor = false;
     SloMonitorConfig sloAlert{};
     std::optional<std::string> sloAlertsOut;
 
     /**
-     * Check the scenario as a whole. Inconsistent or out-of-range
-     * settings are fatal (user) errors; messages name the qoserve_sim
-     * flag that sets the field.
+     * Check the scenario: each flag-table row's range
+     * (app/cli_options.hh), then the rules that relate two fields.
+     * Violations are fatal (user) errors naming the qoserve_sim flag.
      */
     void validate() const;
 };

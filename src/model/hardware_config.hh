@@ -34,6 +34,8 @@ struct GpuConfig
 
     /** Per-direction NVLink bandwidth for TP collectives, bytes/s. */
     double nvlinkBandwidth = 0.0;
+
+    bool operator==(const GpuConfig &) const = default;
 };
 
 /** NVIDIA A100 80GB SXM. */
@@ -61,6 +63,8 @@ struct ReplicaHwConfig
      * framework reservation, divided by KV bytes per token.
      */
     std::int64_t kvCapacityTokens() const;
+
+    bool operator==(const ReplicaHwConfig &) const = default;
 };
 
 /** Llama3-8B on a single A100 (paper row 1). */

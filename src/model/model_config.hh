@@ -74,6 +74,8 @@ struct ModelConfig
     {
         return numParams * static_cast<std::int64_t>(bytesPerParam);
     }
+
+    bool operator==(const ModelConfig &) const = default;
 };
 
 /** Llama3-8B: 32 layers, GQA with 8 KV heads. */

@@ -37,7 +37,7 @@ chain(std::uint64_t h, std::uint64_t v)
 void
 PrefixCacheConfig::validate() const
 {
-    if (capacityFrac <= 0.0 || capacityFrac > 1.0) {
+    if (!(capacityFrac > 0.0 && capacityFrac <= 1.0)) {
         QOSERVE_FATAL("prefix-cache capacity fraction must be in "
                       "(0, 1], got ", capacityFrac);
     }

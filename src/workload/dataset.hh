@@ -58,6 +58,8 @@ class LengthDistribution
     /** Underlying normal scale parameter. */
     double sigma() const { return sigma_; }
 
+    bool operator==(const LengthDistribution &) const = default;
+
   private:
     double mu_;
     double sigma_;
@@ -78,6 +80,8 @@ struct Dataset
 
     /** Decode (output) token count distribution. */
     LengthDistribution decode;
+
+    bool operator==(const Dataset &) const = default;
 };
 
 /** ShareGPT: long prompts, long decodes (Table 2 row 1). */

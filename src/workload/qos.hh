@@ -63,6 +63,8 @@ struct QosTier
      * @param decode_tokens Number of output tokens the request emits.
      */
     SimTime completionDeadline(SimTime arrival, TokenCount decode_tokens) const;
+
+    bool operator==(const QosTier &) const = default;
 };
 
 /** An indexed set of tiers used by one experiment. */

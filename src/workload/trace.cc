@@ -64,7 +64,7 @@ answerContent(std::uint64_t conv, int turn)
 void
 SharedPrefixConfig::validate() const
 {
-    if (shareRatio < 0.0 || shareRatio > 1.0)
+    if (!(shareRatio >= 0.0 && shareRatio <= 1.0))
         QOSERVE_FATAL("share ratio must be in [0, 1], got ", shareRatio);
     if (numPools < 1)
         QOSERVE_FATAL("prefix pool count must be positive, got ",
@@ -73,7 +73,7 @@ SharedPrefixConfig::validate() const
         QOSERVE_FATAL("bad pool token range [", poolTokensLo, ", ",
                       poolTokensHi, "]");
     }
-    if (multiTurnFrac < 0.0 || multiTurnFrac > 1.0) {
+    if (!(multiTurnFrac >= 0.0 && multiTurnFrac <= 1.0)) {
         QOSERVE_FATAL("multi-turn fraction must be in [0, 1], got ",
                       multiTurnFrac);
     }

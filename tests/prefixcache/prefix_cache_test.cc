@@ -7,6 +7,8 @@
 
 #include "prefixcache/prefix_cache.hh"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "audit/invariant_auditor.hh"
@@ -113,6 +115,17 @@ TEST(PrefixCache, DisabledCacheIsInert)
     // No watermark, no handler: available == free.
     EXPECT_EQ(kv.availableBlocks(), kv.freeBlocks());
     EXPECT_FALSE(cache.auditView().populated);
+}
+
+TEST(PrefixCache, ConfigRejectsOutOfRangeCapacity)
+{
+    PrefixCacheConfig cfg;
+    for (double frac : {0.0, 1.5, std::nan("")}) {
+        cfg.capacityFrac = frac;
+        EXPECT_DEATH(cfg.validate(), "capacity fraction") << frac;
+    }
+    cfg.capacityFrac = 1.0;
+    cfg.validate();
 }
 
 TEST(PrefixCache, InsertPopulatesTreeAndAttachReusesIt)

@@ -2,7 +2,8 @@
 # fresh directory, and the SHA-256 of its stdout and of every file it
 # writes must match the digests below. The digests do not depend on
 # --jobs, so each line is registered at --jobs 1 and --jobs 4 and both
-# check against the same table.
+# check against the same table. Each run's "replay:" line is then
+# rerun into a fresh directory and checked against the same table.
 #
 #   cmake -DSIM=<path to qoserve_sim> -DJOBS=<n> -DOUT=<scratch dir>
 #         -DCASE=obs|obs_nomemo|chaos|help|fcfs|edf|sjf|srpf|medha|dp
@@ -114,48 +115,70 @@ else()
     message(FATAL_ERROR "qoserve_sim_golden: unknown CASE '${CASE}'")
 endif()
 
-file(REMOVE_RECURSE ${OUT})
-file(MAKE_DIRECTORY ${OUT})
-execute_process(
-    COMMAND ${SIM} ${_args} --jobs ${JOBS}
-    OUTPUT_FILE ${OUT}/stdout.txt
-    ERROR_VARIABLE _stderr
-    RESULT_VARIABLE _rc)
-if(NOT _rc EQUAL 0)
-    message(FATAL_ERROR "qoserve_sim exited with ${_rc}:\n${_stderr}")
-endif()
-
-# Every file in the directory must be listed, and every listed file
-# must exist with the listed digest.
-file(GLOB _written RELATIVE ${OUT} ${OUT}/*)
-list(SORT _written)
-set(_listed "")
-set(_report "")
-set(_failed FALSE)
-list(LENGTH _expected _n)
-math(EXPR _last "${_n} - 1")
-foreach(_i RANGE 0 ${_last} 2)
-    math(EXPR _j "${_i} + 1")
-    list(GET _expected ${_i} _name)
-    list(GET _expected ${_j} _want)
-    list(APPEND _listed ${_name})
-    if(EXISTS ${OUT}/${_name})
-        file(SHA256 ${OUT}/${_name} _got)
-    else()
-        set(_got "<missing>")
+# Run qoserve_sim with ARGN into a fresh DIR and check its stdout and
+# every file it writes against _expected; the run's stderr lands in
+# _stderr in the caller's scope.
+function(golden_run DIR WHAT)
+    file(REMOVE_RECURSE ${DIR})
+    file(MAKE_DIRECTORY ${DIR})
+    execute_process(
+        COMMAND ${SIM} ${ARGN}
+        OUTPUT_FILE ${DIR}/stdout.txt
+        ERROR_VARIABLE _err
+        RESULT_VARIABLE _rc)
+    set(_stderr "${_err}" PARENT_SCOPE)
+    if(NOT _rc EQUAL 0)
+        message(FATAL_ERROR "qoserve_sim (${WHAT}) exited with ${_rc}:\n${_err}")
     endif()
-    string(APPEND _report "        ${_name} ${_got}\n")
-    if(NOT _got STREQUAL _want)
-        message(SEND_ERROR "${_name}: digest ${_got}, expected ${_want}")
+
+    # Every file in the directory must be listed, and every listed file
+    # must exist with the listed digest.
+    file(GLOB _written RELATIVE ${DIR} ${DIR}/*)
+    list(SORT _written)
+    set(_listed "")
+    set(_report "")
+    set(_failed FALSE)
+    list(LENGTH _expected _n)
+    math(EXPR _last "${_n} - 1")
+    foreach(_i RANGE 0 ${_last} 2)
+        math(EXPR _j "${_i} + 1")
+        list(GET _expected ${_i} _name)
+        list(GET _expected ${_j} _want)
+        list(APPEND _listed ${_name})
+        if(EXISTS ${DIR}/${_name})
+            file(SHA256 ${DIR}/${_name} _got)
+        else()
+            set(_got "<missing>")
+        endif()
+        string(APPEND _report "        ${_name} ${_got}\n")
+        if(NOT _got STREQUAL _want)
+            message(SEND_ERROR "${WHAT} ${_name}: digest ${_got}, expected ${_want}")
+            set(_failed TRUE)
+        endif()
+    endforeach()
+    list(SORT _listed)
+    if(NOT _written STREQUAL _listed)
+        message(SEND_ERROR "${WHAT} wrote [${_written}], expected [${_listed}]")
         set(_failed TRUE)
     endif()
-endforeach()
-list(SORT _listed)
-if(NOT _written STREQUAL _listed)
-    message(SEND_ERROR "qoserve_sim wrote [${_written}], expected [${_listed}]")
-    set(_failed TRUE)
-endif()
-if(_failed)
-    message(FATAL_ERROR "qoserve_sim golden case '${CASE}' "
-        "(--jobs ${JOBS}) differs; digests of this run:\n${_report}")
+    if(_failed)
+        message(FATAL_ERROR "qoserve_sim golden case '${CASE}' "
+            "(--jobs ${JOBS}, ${WHAT}) differs; digests of this run:\n${_report}")
+    endif()
+endfunction()
+
+golden_run(${OUT} "run" ${_args} --jobs ${JOBS})
+
+# Replay: the run's "replay:" stderr line, pointed at a fresh
+# directory, must reproduce every digest, so the flag line toFlagLine()
+# prints is complete for every flag this case uses.
+if(NOT CASE STREQUAL "help")
+    string(REGEX MATCH "replay: [^\n]*" _line "${_stderr}")
+    if(NOT _line)
+        message(FATAL_ERROR "qoserve_sim printed no replay line:\n${_stderr}")
+    endif()
+    string(REGEX REPLACE "^replay: " "" _line "${_line}")
+    string(REPLACE "${OUT}/" "${OUT}_replay/" _line "${_line}")
+    separate_arguments(_replay_args UNIX_COMMAND "${_line}")
+    golden_run(${OUT}_replay "replay" ${_replay_args})
 endif()

@@ -5,6 +5,8 @@
 
 #include "workload/trace.hh"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 namespace qoserve {
@@ -327,6 +329,11 @@ TEST(SharedPrefixConfig, ValidateRejectsBadRanges)
     sp.poolTokensHi = 512;
     sp.multiTurnFrac = -0.1;
     EXPECT_DEATH(sp.validate(), "multi-turn fraction");
+    sp.multiTurnFrac = std::nan("");
+    EXPECT_DEATH(sp.validate(), "multi-turn fraction");
+    sp.multiTurnFrac = 0.5;
+    sp.shareRatio = std::nan("");
+    EXPECT_DEATH(sp.validate(), "share ratio");
 }
 
 TEST(ComputeAppStats, MeanAndStddevExact)

@@ -4,7 +4,9 @@
  *
  * Runs one serving experiment end-to-end from the command line:
  * synthesize (or replay) a workload, serve it under the chosen
- * policy and deployment, and print / export the results.
+ * policy and deployment, and print / export the results. The first
+ * stderr line, "replay: <flags>", is the canonical flag line of the
+ * run: rerunning it reproduces every output.
  *
  * Examples:
  *   qoserve_sim --policy qoserve --qps 4 --duration 1200
@@ -32,6 +34,9 @@ main(int argc, char **argv)
         std::cout << cliUsage();
         return 0;
     }
+
+    // The flag line that reproduces this run, in canonical form.
+    std::cerr << "replay: " << toFlagLine(opts) << "\n";
 
     RunHooks hooks;
     hooks.log = &std::cerr;
