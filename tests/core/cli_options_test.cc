@@ -377,6 +377,9 @@ TEST(CliOptions, DegenerateFaultCombosAreFatal)
     EXPECT_DEATH(
         parseCliOptions({"--brownout", "--brownout-shed-tier", "9"}),
         "--brownout-shed-tier");
+    EXPECT_DEATH(
+        parseCliOptions({"--brownout", "--brownout-shed-tier", "-5"}),
+        "--brownout-shed-tier must be at least -1");
 }
 
 } // namespace

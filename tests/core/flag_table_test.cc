@@ -155,16 +155,6 @@ TEST(FlagTable, CodeBuiltScenariosGetTheRowRanges)
     sc.validate();
 }
 
-TEST(FlagTable, ShedTierBelowMinusOneIsFatal)
-{
-    EXPECT_DEATH(
-        parseCliOptions({"--brownout", "--brownout-shed-tier", "-5"}),
-        "--brownout-shed-tier must be at least -1");
-    EXPECT_EQ(parseCliOptions({"--brownout", "--brownout-shed-tier", "-1"})
-                  .brownout.shedTier,
-              -1);
-}
-
 TEST(FlagTable, FlagLineOfTheDefaultIsEmpty)
 {
     EXPECT_EQ(toFlagLine(Scenario{}), "");
