@@ -91,7 +91,7 @@ TEST(FlagTable, EveryRowAppearsOnceInTheUsageText)
     }
 }
 
-TEST(FlagTable, FlagsAreUniqueAndEnablersNameRows)
+TEST(FlagTable, FlagsAreUniqueAndGatesAndEnablersNameRows)
 {
     std::vector<std::string> flags;
     for (const FlagRow &r : flagTable())
@@ -99,10 +99,12 @@ TEST(FlagTable, FlagsAreUniqueAndEnablersNameRows)
     std::sort(flags.begin(), flags.end());
     EXPECT_EQ(std::adjacent_find(flags.begin(), flags.end()), flags.end());
     for (const FlagRow &r : flagTable()) {
-        if (r.enabler) {
-            EXPECT_TRUE(std::binary_search(flags.begin(), flags.end(),
-                                           std::string(r.enabler)))
-                << r.flag << " names enabler " << r.enabler;
+        for (const char *named : {r.gate, r.enabler}) {
+            if (named) {
+                EXPECT_TRUE(std::binary_search(flags.begin(), flags.end(),
+                                               std::string(named)))
+                    << r.flag << " names " << named;
+            }
         }
     }
 }
