@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "obs/explain.hh"
 
@@ -227,6 +229,133 @@ TEST(TraceExport, PerfettoSpuriousIterEndIsDropped)
     writePerfettoJson(
         {ev(TraceEventKind::IterEnd, SimTime{1.0}, kNoTraceRequest, 0, 1)}, out);
     EXPECT_EQ(countOf(out.str(), "\"ph\":\"E\""), 0u);
+}
+
+/**
+ * A stream whose request ids arrive out of id order, whose request 3
+ * fails and is re-queued after its span closed, and which is cut off
+ * with three request spans and two engine iterations still open.
+ */
+std::vector<TraceEvent>
+truncatedMixedStream()
+{
+    using K = TraceEventKind;
+    return {
+        ev(K::Arrival, SimTime{0.0}, 9, -1),
+        ev(K::Dispatch, SimTime{0.0}, 9, 2),
+        ev(K::Arrival, SimTime{0.5}, 3, -1),
+        ev(K::Dispatch, SimTime{0.5}, 3, 0),
+        ev(K::IterStart, SimTime{1.0}, kNoTraceRequest, 2, 128, 1),
+        ev(K::ChunkStart, SimTime{1.0}, 9, 2, 128),
+        ev(K::Arrival, SimTime{1.25}, 12, -1),
+        ev(K::Dispatch, SimTime{1.25}, 12, 1),
+        ev(K::IterStart, SimTime{1.5}, kNoTraceRequest, 0, 64, 0),
+        ev(K::ChunkStart, SimTime{1.5}, 3, 0, 64),
+        ev(K::ChunkEnd, SimTime{2.0}, 9, 2, 0),
+        ev(K::IterEnd, SimTime{2.0}, kNoTraceRequest, 2),
+        ev(K::ChunkEnd, SimTime{2.0}, 3, 0, 0),
+        ev(K::IterEnd, SimTime{2.0}, kNoTraceRequest, 0),
+        ev(K::Crash, SimTime{2.5}, kNoTraceRequest, 0),
+        ev(K::RequestFailed, SimTime{2.5}, 3, 0),
+        ev(K::RetryQueued, SimTime{3.0}, 3, -1, 1),
+        ev(K::Dispatch, SimTime{3.5}, 3, 1, 1),
+        ev(K::IterStart, SimTime{4.0}, kNoTraceRequest, 1, 32, 1),
+        ev(K::ChunkStart, SimTime{4.0}, 12, 1, 32),
+        ev(K::IterStart, SimTime{4.25}, kNoTraceRequest, 2, 0, 1),
+        ev(K::Arrival, SimTime{4.5}, 5, -1),
+        ev(K::Dispatch, SimTime{4.5}, 5, 2),
+        ev(K::Finish, SimTime{5.0}, 9, 2),
+        ev(K::CacheHit, SimTime{5.0}, 5, 2, 16),
+    };
+}
+
+/** Every field of every timeline, one line per request, in map order. */
+std::string
+dumpTimelines(const std::map<RequestId, RequestTimeline> &timelines)
+{
+    std::ostringstream out;
+    for (const auto &[id, tl] : timelines) {
+        out << id.value() << ": arrival " << tl.arrival.seconds()
+            << " finish " << tl.finish.seconds() << " flags "
+            << tl.rejected << tl.abandoned << tl.cancelled << tl.shed
+            << " failures " << tl.failures << " cached "
+            << tl.cachedTokens << " spans";
+        for (const PhaseSpan &s : tl.spans) {
+            out << ' ' << tracePhaseName(s.phase) << '@' << s.replica
+                << '[' << s.begin.seconds() << ',' << s.end.seconds()
+                << ']';
+        }
+        out << '\n';
+    }
+    return out.str();
+}
+
+TEST(TraceExport, TimelinesOfATruncatedStreamAreInIdOrder)
+{
+    // Request 3's retry span opens after its decode span closed; the
+    // three spans still open at the cut end at the last timestamp.
+    EXPECT_EQ(dumpTimelines(buildRequestTimelines(truncatedMixedStream())),
+              R"(3: arrival 0.5 finish inf flags 0000 failures 1 cached 0 spans queued@0[0.5,1.5] prefill-running@0[1.5,2] decode@0[2,2.5] retry@-1[3,3.5] queued@1[3.5,5]
+5: arrival 4.5 finish inf flags 0000 failures 0 cached 16 spans queued@2[4.5,5]
+9: arrival 0 finish 5 flags 0000 failures 0 cached 0 spans queued@2[0,1] prefill-running@2[1,2] decode@2[2,5]
+12: arrival 1.25 finish inf flags 0000 failures 0 cached 0 spans queued@1[1.25,4] prefill-running@1[4,5]
+)");
+}
+
+TEST(TraceExport, PerfettoJsonOfATruncatedStreamIsPinned)
+{
+    // Replicas are declared in id order, and the end-of-stream closes
+    // come in request-id order, then engine (replica) order.
+    std::stringstream out;
+    writePerfettoJson(truncatedMixedStream(), out);
+    EXPECT_EQ(out.str(), R"({"traceEvents":[
+{"ph":"M","name":"process_name","pid":0,"tid":0,"args":{"name":"cluster"}},
+{"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"replica 0"}},
+{"ph":"M","name":"thread_name","pid":1,"tid":0,"args":{"name":"engine"}},
+{"ph":"M","name":"process_name","pid":2,"tid":0,"args":{"name":"replica 1"}},
+{"ph":"M","name":"thread_name","pid":2,"tid":0,"args":{"name":"engine"}},
+{"ph":"M","name":"process_name","pid":3,"tid":0,"args":{"name":"replica 2"}},
+{"ph":"M","name":"thread_name","pid":3,"tid":0,"args":{"name":"engine"}},
+{"ph":"i","name":"arrival","cat":"qoserve","s":"t","ts":0.000,"pid":0,"tid":10},
+{"ph":"B","name":"queued","cat":"qoserve","ts":0.000,"pid":3,"tid":10},
+{"ph":"i","name":"arrival","cat":"qoserve","s":"t","ts":500000.000,"pid":0,"tid":4},
+{"ph":"B","name":"queued","cat":"qoserve","ts":500000.000,"pid":1,"tid":4},
+{"ph":"B","name":"iter","cat":"qoserve","ts":1000000.000,"pid":3,"tid":0,"args":{"prefill_tokens":128,"decodes":1}},
+{"ph":"E","ts":1000000.000,"pid":3,"tid":10},
+{"ph":"B","name":"prefill-running","cat":"qoserve","ts":1000000.000,"pid":3,"tid":10,"args":{"tokens":128}},
+{"ph":"i","name":"arrival","cat":"qoserve","s":"t","ts":1250000.000,"pid":0,"tid":13},
+{"ph":"B","name":"queued","cat":"qoserve","ts":1250000.000,"pid":2,"tid":13},
+{"ph":"B","name":"iter","cat":"qoserve","ts":1500000.000,"pid":1,"tid":0,"args":{"prefill_tokens":64,"decodes":0}},
+{"ph":"E","ts":1500000.000,"pid":1,"tid":4},
+{"ph":"B","name":"prefill-running","cat":"qoserve","ts":1500000.000,"pid":1,"tid":4,"args":{"tokens":64}},
+{"ph":"E","ts":2000000.000,"pid":3,"tid":10},
+{"ph":"B","name":"decode","cat":"qoserve","ts":2000000.000,"pid":3,"tid":10},
+{"ph":"E","ts":2000000.000,"pid":3,"tid":0},
+{"ph":"E","ts":2000000.000,"pid":1,"tid":4},
+{"ph":"B","name":"decode","cat":"qoserve","ts":2000000.000,"pid":1,"tid":4},
+{"ph":"E","ts":2000000.000,"pid":1,"tid":0},
+{"ph":"i","name":"crash","cat":"qoserve","s":"t","ts":2500000.000,"pid":1,"tid":0},
+{"ph":"E","ts":2500000.000,"pid":1,"tid":4},
+{"ph":"i","name":"failed","cat":"qoserve","s":"t","ts":2500000.000,"pid":1,"tid":4},
+{"ph":"B","name":"retry","cat":"qoserve","ts":3000000.000,"pid":0,"tid":4},
+{"ph":"E","ts":3500000.000,"pid":0,"tid":4},
+{"ph":"B","name":"queued","cat":"qoserve","ts":3500000.000,"pid":2,"tid":4},
+{"ph":"B","name":"iter","cat":"qoserve","ts":4000000.000,"pid":2,"tid":0,"args":{"prefill_tokens":32,"decodes":1}},
+{"ph":"E","ts":4000000.000,"pid":2,"tid":13},
+{"ph":"B","name":"prefill-running","cat":"qoserve","ts":4000000.000,"pid":2,"tid":13,"args":{"tokens":32}},
+{"ph":"B","name":"iter","cat":"qoserve","ts":4250000.000,"pid":3,"tid":0,"args":{"prefill_tokens":0,"decodes":1}},
+{"ph":"i","name":"arrival","cat":"qoserve","s":"t","ts":4500000.000,"pid":0,"tid":6},
+{"ph":"B","name":"queued","cat":"qoserve","ts":4500000.000,"pid":3,"tid":6},
+{"ph":"E","ts":5000000.000,"pid":3,"tid":10},
+{"ph":"i","name":"finish","cat":"qoserve","s":"t","ts":5000000.000,"pid":3,"tid":10},
+{"ph":"i","name":"cache-hit","cat":"qoserve","s":"t","ts":5000000.000,"pid":3,"tid":6,"args":{"tokens":16}},
+{"ph":"E","ts":5000000.000,"pid":2,"tid":4},
+{"ph":"E","ts":5000000.000,"pid":3,"tid":6},
+{"ph":"E","ts":5000000.000,"pid":2,"tid":13},
+{"ph":"E","ts":5000000.000,"pid":2,"tid":0},
+{"ph":"E","ts":5000000.000,"pid":3,"tid":0}
+],"displayTimeUnit":"ms"}
+)");
 }
 
 } // namespace
