@@ -5,7 +5,8 @@
  * summary, rolling series, workload trace, trace events, sketch bank,
  * alerts and critical-path aggregate. The command-line tools parse
  * their numeric flags with the same parsers. RowWriter is the
- * buffered formatter the large per-row artefacts are written with.
+ * buffered formatter every artefact is written with, and
+ * formatDecimal is its one floating-point formatter.
  *
  * Strict means:
  *  - a row has exactly as many fields as the header, and an empty
@@ -25,8 +26,11 @@
 #define QOSERVE_CORE_CSV_HH
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <charconv>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -211,6 +215,334 @@ class CsvReader
     std::size_t lineNo_ = 0;
 };
 
+/** How formatDecimal prints a double. */
+enum class DecimalStyle
+{
+    General, ///< printf("%.*g"): significant digits, zeros stripped.
+    Fixed,   ///< printf("%.*f"): digits after the point.
+};
+
+namespace decimal_detail {
+
+/** "00" "01" ... "99": two digits per lookup. */
+inline constexpr char kDigitPairs[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233"
+    "34353637383940414243444546474849505152535455565758596061626364656667"
+    "6869707172737475767778798081828384858687888990919293949596979899";
+
+/** 5^i, i <= 27 (the largest power of five below 2^64). */
+inline constexpr auto kPow5 = [] {
+    std::array<std::uint64_t, 28> t{};
+    t[0] = 1;
+    for (std::size_t i = 1; i < t.size(); ++i)
+        t[i] = t[i - 1] * 5;
+    return t;
+}();
+
+/** 10^i, i <= 19 (the largest power of ten below 2^64). */
+inline constexpr auto kPow10 = [] {
+    std::array<std::uint64_t, 20> t{};
+    t[0] = 1;
+    for (std::size_t i = 1; i < t.size(); ++i)
+        t[i] = t[i - 1] * 10;
+    return t;
+}();
+
+/** The decimal exponents of the doubles m / 2^k with a 53-bit m. */
+struct DecimalBinade
+{
+    std::int8_t exponent;   ///< floor(log10(2^52 / 2^k)).
+    std::uint64_t nextPower; ///< Least m with m / 2^k >= 10^(exponent
+                             ///< + 1); 2^53 when the binade has none.
+};
+
+/**
+ * The binades k < 128, so a double's decimal exponent is one lookup
+ * and one compare. Built with exact integer arithmetic: a binade
+ * spans less than a factor of ten, so it holds at most one power.
+ */
+inline constexpr auto kDecimalBinades = [] {
+    using U128 = unsigned __int128;
+    std::array<DecimalBinade, 128> t{};
+    for (int k = 0; k < 128; ++k) {
+        const int b = 52 - k;
+        int e = 0;
+        if (b >= 0) {
+            // The largest e with 10^e <= 2^b.
+            for (U128 p = 10; p <= U128{1} << b; p *= 10)
+                ++e;
+        } else {
+            // The least u with 10^u >= 2^-b, and e = -u.
+            for (U128 p = 1; p < U128{1} << -b; p *= 10)
+                --e;
+        }
+        // m >= 10^(e+1) * 2^k, i.e. ceil(2^k / 10^-(e+1)) below 1.
+        U128 next;
+        if (e + 1 >= 0) {
+            U128 pow = 1;
+            for (int i = 0; i < e + 1; ++i)
+                pow *= 10;
+            next = pow << k;
+        } else {
+            U128 pow = 1;
+            for (int i = 0; i < -(e + 1); ++i)
+                pow *= 10;
+            next = ((U128{1} << k) + pow - 1) / pow;
+        }
+        const U128 none = U128{1} << 53;
+        t[static_cast<std::size_t>(k)] = {
+            static_cast<std::int8_t>(e),
+            static_cast<std::uint64_t>(next < none ? next : none)};
+    }
+    return t;
+}();
+
+/** Room the exact path needs at its output: the widest result (sign,
+ *  20 integer digits, point and 19 decimals) plus the spill of its
+ *  fixed-size copies. */
+inline constexpr std::ptrdiff_t kMaxExactChars = 48;
+
+/** Exactly @p n <= 8 digits of @p v < 10^n, ending just before
+ *  @p end. */
+inline void
+writeDigits8(char *end, std::uint32_t v, int n)
+{
+    for (; n >= 2; n -= 2) {
+        end -= 2;
+        std::memcpy(end, kDigitPairs + 2 * (v % 100), 2);
+        v /= 100;
+    }
+    if (n == 1)
+        end[-1] = static_cast<char>('0' + v);
+}
+
+/** Exactly @p n <= 20 digits of @p v (zero-padded) at @p out; returns
+ *  the end. Works in 8-digit halves so the digit loop stays 32-bit. */
+inline char *
+writeDigits(char *out, std::uint64_t v, int n)
+{
+    char *end = out + n;
+    for (; n > 8; n -= 8) {
+        writeDigits8(out + n, static_cast<std::uint32_t>(v % 100000000), 8);
+        v /= 100000000;
+    }
+    writeDigits8(out + n, static_cast<std::uint32_t>(v), n);
+    return end;
+}
+
+/** Decimal digits in @p v (1 for 0). */
+inline int
+digitCount(std::uint64_t v)
+{
+    v |= 1; // same count; 0 then has one digit
+    const int t = (static_cast<int>(std::bit_width(v)) * 1233) >> 12;
+    return t + 1 - (v < kPow10[static_cast<std::size_t>(t)]);
+}
+
+/** @p num / 2^@p shift rounded half to even; exact for any shift
+ *  when num < 2^127. */
+inline unsigned __int128
+shiftRound(unsigned __int128 num, int shift)
+{
+    if (shift == 0)
+        return num;
+    if (shift >= 128)
+        return 0; // num < 2^127 <= half
+    const unsigned __int128 q = num >> shift;
+    const unsigned __int128 rem = num - (q << shift);
+    const unsigned __int128 half = (unsigned __int128)1 << (shift - 1);
+    return q + (rem > half || (rem == half && (q & 1) != 0));
+}
+
+/**
+ * m * 10^s / 2^k rounded half to even, for a 53-bit m; false when
+ * the operands leave 128 bits (the caller falls back).
+ */
+inline bool
+scaleRound(std::uint64_t m, int k, int s, std::uint64_t &out)
+{
+    unsigned __int128 q;
+    if (s >= 0) {
+        // m * 5^s * 2^(s - k).
+        if (s >= static_cast<int>(kPow5.size()))
+            return false;
+        q = (unsigned __int128)m * kPow5[static_cast<std::size_t>(s)];
+        const int shift = k - s;
+        if (shift >= 0)
+            q = shiftRound(q, shift);
+        else if (-shift <= 8)
+            q <<= -shift; // q < 2^116, so this cannot overflow
+        else
+            return false;
+    } else {
+        // m / (5^t * 2^(k + t)).
+        const int t = -s;
+        if (t >= static_cast<int>(kPow5.size()) || k + t >= 64)
+            return false;
+        const unsigned __int128 den =
+            (unsigned __int128)kPow5[static_cast<std::size_t>(t)]
+            << (k + t);
+        q = m / den;
+        const unsigned __int128 rem2 = 2 * (m - q * den);
+        q += rem2 > den || (rem2 == den && (q & 1) != 0);
+    }
+    if (q >> 64 != 0)
+        return false;
+    out = static_cast<std::uint64_t>(q);
+    return true;
+}
+
+/**
+ * The exact path of formatDecimal, writing at most kMaxExactChars
+ * bytes at @p out. Returns the end, or nullptr when @p value is
+ * outside the path's range and the caller must fall back.
+ */
+inline char *
+formatExact(char *out, double value, DecimalStyle style, int precision)
+{
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    const int biased = static_cast<int>(bits >> 52 & 0x7ff);
+    // Zero, subnormals, inf and NaN fall back.
+    if (biased == 0 || biased == 0x7ff)
+        return nullptr;
+    // value = m / 2^k exactly; k < 0 (value >= 2^53) falls back.
+    const std::uint64_t m = (bits & ((std::uint64_t{1} << 52) - 1)) |
+                            std::uint64_t{1} << 52;
+    const int k = 1075 - biased;
+    if (k < 0)
+        return nullptr;
+    const bool negative = (bits >> 63) != 0;
+
+    if (style == DecimalStyle::Fixed) {
+        // %.Nf: q = round(value * 10^N), then q / 10^N and q % 10^N.
+        const int n = precision;
+        std::uint64_t q;
+        if (n < 0 || n >= static_cast<int>(kPow10.size()) ||
+            !scaleRound(m, k, n, q))
+            return nullptr;
+        const std::uint64_t pow = kPow10[static_cast<std::size_t>(n)];
+        const std::uint64_t whole = q / pow;
+        *out = '-';
+        out += negative;
+        out = writeDigits(out, whole, digitCount(whole));
+        if (n > 0) {
+            *out++ = '.';
+            out = writeDigits(out, q - whole * pow, n);
+        }
+        return out;
+    }
+
+    // %.Pg: D = value * 10^(P-1-X) rounded to P digits, where X is
+    // the decimal exponent after rounding.
+    const int p = precision == 0 ? 1 : precision;
+    if (p < 0 || p > 17 || k >= static_cast<int>(kDecimalBinades.size()))
+        return nullptr;
+    const DecimalBinade &binade = kDecimalBinades[static_cast<std::size_t>(k)];
+    int x = binade.exponent + (m >= binade.nextPower);
+    std::uint64_t d;
+    if (!scaleRound(m, k, p - 1 - x, d))
+        return nullptr;
+    if (d == kPow10[static_cast<std::size_t>(p)]) {
+        // Rounding carried into a new digit: 9.99..95 -> 10.0..0.
+        ++x;
+        d = kPow10[static_cast<std::size_t>(p - 1)];
+    }
+    // The copies below move a fixed 16 bytes whatever the count, so
+    // they compile to plain stores; kMaxExactChars leaves room for
+    // the spill past the end.
+    char digits[32] = {};
+    writeDigits(digits, d, p);
+    int n = p; // significant digits left once trailing zeros go
+    while (n > 1 && digits[n - 1] == '0')
+        --n;
+
+    *out = '-';
+    out += negative;
+    if (x < -4 || x >= p) {
+        // d[.ddd]e±XX
+        *out++ = digits[0];
+        if (n > 1) {
+            *out++ = '.';
+            std::memcpy(out, digits + 1, 16);
+            out += n - 1;
+        }
+        *out++ = 'e';
+        *out++ = x < 0 ? '-' : '+';
+        const auto ax = static_cast<std::uint32_t>(x < 0 ? -x : x);
+        out = writeDigits(out, ax, ax >= 100 ? 3 : 2);
+    } else if (x >= 0) {
+        // ddd[.ddd]: the point sits after x + 1 <= 17 digits.
+        const int whole = x + 1;
+        std::memcpy(out, digits, 16);
+        out[16] = digits[16];
+        if (n <= whole) {
+            std::memset(out + n, '0', 16);
+            out += whole;
+        } else {
+            out += whole;
+            *out++ = '.';
+            std::memcpy(out, digits + whole, 16);
+            out += n - whole;
+        }
+    } else {
+        // 0.000ddd
+        std::memcpy(out, "0.000", 5);
+        out += 1 - x;
+        std::memcpy(out, digits, 16);
+        out[16] = digits[16];
+        out += n;
+    }
+    return out;
+}
+
+} // namespace decimal_detail
+
+/**
+ * Write @p value into [@p first, @p last) with the bytes of
+ * printf("%.*g") (General) or printf("%.*f") (Fixed) at
+ * @p precision, which is what std::to_chars gives for the matching
+ * chars_format; the result and errors are std::to_chars's.
+ *
+ * A normal double is m * 2^e with a 53-bit m. When e <= 0 (|value| <
+ * 2^53), the digits are computed exactly in integers:
+ *  - Fixed, precision N <= 19: q = m * 10^N / 2^-e rounded half to
+ *    even in 128 bits, printed as q / 10^N, '.', q % 10^N;
+ *  - General, precision P <= 17: the decimal exponent X comes from a
+ *    table indexed by e, corrected by one compare of m against the
+ *    binade's power of ten and by one step when rounding carries; the P
+ *    digits are m * 10^(P-1-X) / 2^-e rounded half to even, and
+ *    printf's choice of fixed or exponent form and its stripping of
+ *    trailing zeros follow.
+ * Everything else — zero, subnormals, inf, NaN, |value| >= 2^53,
+ * other precisions and any result that leaves 64 bits or whose
+ * scaling leaves 128 — is std::to_chars.
+ */
+inline std::to_chars_result
+formatDecimal(char *first, char *last, double value, DecimalStyle style,
+              int precision)
+{
+    using decimal_detail::formatExact;
+    using decimal_detail::kMaxExactChars;
+    if (last - first >= kMaxExactChars) {
+        if (char *end = formatExact(first, value, style, precision))
+            return {end, std::errc{}};
+    } else {
+        char buf[kMaxExactChars];
+        if (char *end = formatExact(buf, value, style, precision)) {
+            const std::ptrdiff_t n = end - buf;
+            if (n > last - first)
+                return {last, std::errc::value_too_large};
+            std::memcpy(first, buf, static_cast<std::size_t>(n));
+            return {first + n, std::errc{}};
+        }
+    }
+    return std::to_chars(first, last, value,
+                         style == DecimalStyle::Fixed
+                             ? std::chars_format::fixed
+                             : std::chars_format::general,
+                         precision);
+}
+
 /** A double that RowWriter prints with exactly @p decimals digits
  *  after the point, as printf("%.*f") does. */
 struct FixedDecimals
@@ -228,10 +560,10 @@ struct FixedDecimals
  * Every field has the bytes `ostream <<` gives it, without the
  * stream's locale machinery:
  *  - integers: std::to_chars, exact;
- *  - doubles: std::to_chars general at the writer's precision, which
+ *  - doubles: formatDecimal general at the writer's precision, which
  *    is printf("%.*g"), as `<<` prints with the default floatfield
  *    (so also "inf", "-inf" and "nan");
- *  - FixedDecimals: std::to_chars fixed, which is printf("%.*f").
+ *  - FixedDecimals: formatDecimal fixed, which is printf("%.*f").
  *
  * The writer neither reads nor changes the stream's format state, so
  * a row's bytes never depend on what the caller did to the stream.
@@ -294,7 +626,9 @@ class RowWriter
                                int> = 0>
     RowWriter &operator<<(T value)
     {
-        return format(value);
+        return format([value](char *first, char *last) {
+            return std::to_chars(first, last, value);
+        });
     }
 
     /** Booleans have no single spelling; write the 0/1 or the word. */
@@ -302,12 +636,12 @@ class RowWriter
 
     RowWriter &operator<<(double value)
     {
-        return format(value, std::chars_format::general, precision_);
+        return decimal(value, DecimalStyle::General, precision_);
     }
 
     RowWriter &operator<<(FixedDecimals v)
     {
-        return format(v.value, std::chars_format::fixed, v.decimals);
+        return decimal(v.value, DecimalStyle::Fixed, v.decimals);
     }
 
     /** Hand every buffered byte to the stream. */
@@ -320,16 +654,22 @@ class RowWriter
     }
 
   private:
-    /** std::to_chars(args...) into the free space, flushing first
-     *  when it does not fit there. */
-    template <typename... Args>
-    RowWriter &format(const Args &...args)
+    RowWriter &decimal(double value, DecimalStyle style, int precision)
     {
-        std::to_chars_result r =
-            std::to_chars(buf_ + used_, buf_ + kBufferBytes, args...);
+        return format([=](char *first, char *last) {
+            return formatDecimal(first, last, value, style, precision);
+        });
+    }
+
+    /** @p write(first, last), a to_chars-like call, into the free
+     *  space, flushing first when it does not fit there. */
+    template <typename WriteFn>
+    RowWriter &format(const WriteFn &write)
+    {
+        std::to_chars_result r = write(buf_ + used_, buf_ + kBufferBytes);
         if (r.ec != std::errc{}) {
             flush();
-            r = std::to_chars(buf_, buf_ + kBufferBytes, args...);
+            r = write(buf_, buf_ + kBufferBytes);
             QOSERVE_ASSERT(r.ec == std::errc{},
                            "number wider than the row buffer");
         }

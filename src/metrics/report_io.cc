@@ -100,8 +100,9 @@ writeRecordsCsvFile(const MetricsCollector &collector,
 }
 
 void
-writeSummaryCsv(const RunSummary &summary, std::ostream &out)
+writeSummaryCsv(const RunSummary &summary, std::ostream &stream)
 {
+    RowWriter out(stream);
     out << kSummaryHeader << '\n';
     out << "count," << summary.count << '\n';
     out << "violation_rate," << summary.violationRate << '\n';
@@ -134,7 +135,8 @@ writeSummaryCsv(const RunSummary &summary, std::ostream &out)
     out << "p95_latency," << summary.p95Latency << '\n';
     out << "p99_latency," << summary.p99Latency << '\n';
     for (const TierSummary &tier : summary.tiers) {
-        std::string prefix = "tier" + std::to_string(tier.tierId) + "_";
+        const std::string prefix =
+            "tier" + std::to_string(tier.tierId) + "_";
         out << prefix << "count," << tier.count << '\n';
         out << prefix << "violation_rate," << tier.violationRate << '\n';
         out << prefix << "p50_ttft," << tier.p50Ttft << '\n';
@@ -182,10 +184,10 @@ void
 writeRollingCsv(const std::vector<RollingPoint> &points,
                 std::ostream &out)
 {
-    out << std::setprecision(17);
-    out << kRollingHeader << '\n';
+    RowWriter row(out, 17);
+    row << kRollingHeader << '\n';
     for (const RollingPoint &p : points) {
-        out << p.windowStart << ',' << p.value << ',' << p.count
+        row << p.windowStart.seconds() << ',' << p.value << ',' << p.count
             << '\n';
     }
 }

@@ -84,11 +84,11 @@ summarize(const MetricsCollector &collector, double long_percentile)
     if (records.empty())
         return out;
 
-    // Long-request threshold over this run's prompt lengths. Sort
-    // once and query the sorted sample rather than paying
-    // percentile()'s copy-and-sort. The same pass counts each tier's
-    // records, so the per-tier samples below are allocated once, and
-    // the prompt sample is freed before they are.
+    // Long-request threshold over this run's prompt lengths, by
+    // selection (no sort: the summary reads three order statistics
+    // per sample). The same pass counts each tier's records, so the
+    // per-tier samples below are allocated once, and the prompt
+    // sample is freed before they are.
     struct TierAcc
     {
         std::vector<double> ttft;
@@ -106,8 +106,8 @@ summarize(const MetricsCollector &collector, double long_percentile)
             prompts.push_back(static_cast<double>(r.spec.promptTokens));
             ++per_tier[r.spec.tierId].count;
         }
-        std::sort(prompts.begin(), prompts.end());
-        long_threshold = percentileSorted(prompts, long_percentile);
+        selectPercentiles(prompts, {&long_percentile, 1},
+                          {&long_threshold, 1});
     }
     for (TierAcc &acc : per_tier) {
         acc.ttft.reserve(acc.count);
@@ -201,10 +201,12 @@ summarize(const MetricsCollector &collector, double long_percentile)
     out.meanCachedPrefixTokens = static_cast<double>(prefix_tokens) /
                                  static_cast<double>(records.size());
 
-    std::sort(latencies.begin(), latencies.end());
-    out.p50Latency = percentileSorted(latencies, 50.0);
-    out.p95Latency = percentileSorted(latencies, 95.0);
-    out.p99Latency = percentileSorted(latencies, 99.0);
+    static constexpr double kHeadline[] = {50.0, 95.0, 99.0};
+    double q[3];
+    selectPercentiles(latencies, kHeadline, q);
+    out.p50Latency = q[0];
+    out.p95Latency = q[1];
+    out.p99Latency = q[2];
 
     // Tiers no record reached are left out; the rest follow in id
     // order.
@@ -215,14 +217,14 @@ summarize(const MetricsCollector &collector, double long_percentile)
         TierSummary ts;
         ts.tierId = static_cast<int>(tier_id);
         ts.count = acc.count;
-        std::sort(acc.ttft.begin(), acc.ttft.end());
-        std::sort(acc.ttlt.begin(), acc.ttlt.end());
-        ts.p50Ttft = percentileSorted(acc.ttft, 50.0);
-        ts.p95Ttft = percentileSorted(acc.ttft, 95.0);
-        ts.p99Ttft = percentileSorted(acc.ttft, 99.0);
-        ts.p50Ttlt = percentileSorted(acc.ttlt, 50.0);
-        ts.p95Ttlt = percentileSorted(acc.ttlt, 95.0);
-        ts.p99Ttlt = percentileSorted(acc.ttlt, 99.0);
+        selectPercentiles(acc.ttft, kHeadline, q);
+        ts.p50Ttft = q[0];
+        ts.p95Ttft = q[1];
+        ts.p99Ttft = q[2];
+        selectPercentiles(acc.ttlt, kHeadline, q);
+        ts.p50Ttlt = q[0];
+        ts.p95Ttlt = q[1];
+        ts.p99Ttlt = q[2];
         ts.violationRate = rate(acc.viol, acc.count);
         ts.tbtMissRate = rate(acc.tbt_miss, acc.count);
         out.tiers.push_back(ts);

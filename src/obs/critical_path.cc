@@ -9,7 +9,6 @@
 #include <iomanip>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "core/csv.hh"
 
@@ -172,17 +171,14 @@ void
 writeCriticalAggregateCsv(const CriticalAggregate &agg,
                           std::ostream &out)
 {
-    std::ostringstream fmt;
-    fmt << std::setprecision(17);
-    out << kCriticalCsvHeader << '\n';
-    fmt << "total,-1," << agg.totalSeconds << ',' << agg.requests
-        << '\n';
+    RowWriter row(out, 17);
+    row << kCriticalCsvHeader << '\n';
+    row << "total,-1," << agg.totalSeconds << ',' << agg.requests << '\n';
     for (const auto &[key, entry] : agg.cells) {
-        fmt << tracePhaseName(static_cast<TracePhase>(key.first))
-            << ',' << key.second << ',' << entry.seconds << ','
+        row << tracePhaseName(static_cast<TracePhase>(key.first)) << ','
+            << key.second << ',' << entry.seconds << ','
             << entry.dominantRequests << '\n';
     }
-    out << fmt.str();
 }
 
 void

@@ -76,8 +76,8 @@ std::string
 boundLabel(double bound)
 {
     char buf[32]; // "%.17g" needs at most 24
-    std::to_chars_result r = std::to_chars(
-        buf, buf + sizeof buf, bound, std::chars_format::general, 17);
+    std::to_chars_result r = formatDecimal(buf, buf + sizeof buf, bound,
+                                           DecimalStyle::General, 17);
     return std::string(buf, r.ptr);
 }
 

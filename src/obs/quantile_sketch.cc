@@ -6,12 +6,10 @@
 #include "obs/quantile_sketch.hh"
 
 #include <cmath>
-#include <iomanip>
 #include <istream>
 #include <limits>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 #include <vector>
 
@@ -162,23 +160,20 @@ writeSketchBankCsv(const std::map<std::string, QuantileSketch> &bank,
 {
     // max_digits10 so the doubles (alpha, min, max) round-trip
     // exactly; counts are integers and exact by construction.
-    std::ostringstream fmt;
-    fmt << std::setprecision(17);
-    out << kSketchCsvHeader << '\n';
+    RowWriter row(out, 17);
+    row << kSketchCsvHeader << '\n';
     for (const auto &[name, sk] : bank) {
         QOSERVE_ASSERT(!name.empty() &&
                            name.find(',') == std::string::npos &&
                            name.find('\n') == std::string::npos,
                        "sketch name unfit for CSV: '", name, "'");
-        fmt.str("");
-        fmt << name << ",alpha," << sk.relativeError() << '\n'
+        row << name << ",alpha," << sk.relativeError() << '\n'
             << name << ",zero," << sk.zeroCount() << '\n'
             << name << ",inf," << sk.infCount() << '\n'
             << name << ",min," << sk.min() << '\n'
             << name << ",max_finite," << sk.maxFinite() << '\n';
         for (const auto &[key, n] : sk.buckets())
-            fmt << name << ",b" << key << ',' << n << '\n';
-        out << fmt.str();
+            row << name << ",b" << key << ',' << n << '\n';
     }
 }
 

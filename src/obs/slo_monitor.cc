@@ -6,10 +6,8 @@
 #include "obs/slo_monitor.hh"
 
 #include <algorithm>
-#include <iomanip>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "core/csv.hh"
 #include "simcore/logging.hh"
@@ -137,14 +135,11 @@ SloMonitor::shortBurn(int tier) const
 void
 writeAlertsCsv(const std::vector<SloAlert> &alerts, std::ostream &out)
 {
-    std::ostringstream fmt;
-    fmt << std::setprecision(17);
-    out << kAlertsCsvHeader << '\n';
+    RowWriter row(out, 17);
+    row << kAlertsCsvHeader << '\n';
     for (const SloAlert &a : alerts) {
-        fmt.str("");
-        fmt << a.tier << ',' << a.raised << ',' << a.cleared << ','
-            << a.peakBurn << '\n';
-        out << fmt.str();
+        row << a.tier << ',' << a.raised.seconds() << ','
+            << a.cleared.seconds() << ',' << a.peakBurn << '\n';
     }
 }
 

@@ -5,8 +5,10 @@
 
 #include "obs/trace_export.hh"
 
+#include <algorithm>
 #include <ostream>
-#include <set>
+#include <utility>
+#include <vector>
 
 #include "core/csv.hh"
 #include "simcore/logging.hh"
@@ -102,13 +104,130 @@ transitionFor(const TraceEvent &ev, const SpanState &st)
     return tr;
 }
 
+/**
+ * The open spans of a stream fold, keyed by request id. Only requests
+ * whose span is open have an entry: a closed SpanState behaves
+ * exactly like a default one in transitionFor, so closing a span
+ * drops it, and the table holds the requests in flight rather than
+ * every request of the run. Open addressing with linear probing and
+ * backward-shift deletion; kNoTraceRequest marks an empty slot (the
+ * folds skip events that carry it).
+ */
+class OpenSpans
+{
+  public:
+    OpenSpans() : slots_(kMinSlots) {}
+
+    /**
+     * Move @p ev's request through transitionFor and record the
+     * result; @p closed receives the span the transition closed.
+     */
+    Transition advance(const TraceEvent &ev, SpanState &closed)
+    {
+        std::size_t i = find(ev.request);
+        const SpanState st =
+            slots_[i].request == kEmpty ? SpanState{} : slots_[i].state;
+        Transition tr = transitionFor(ev, st);
+        if (tr.close)
+            closed = st;
+        if (tr.openNew) {
+            if (slots_[i].request == kEmpty) {
+                slots_[i].request = ev.request;
+                ++size_;
+            }
+            slots_[i].state = {true, tr.phase, tr.replica, ev.time};
+            if (size_ * 2 > slots_.size())
+                grow();
+        } else if (tr.close) {
+            erase(i);
+        }
+        return tr;
+    }
+
+    /** The spans still open, in request-id order. */
+    std::vector<std::pair<std::uint64_t, SpanState>> sortedOpen() const
+    {
+        std::vector<std::pair<std::uint64_t, SpanState>> open;
+        open.reserve(size_);
+        for (const Slot &slot : slots_) {
+            if (slot.request != kEmpty)
+                open.emplace_back(slot.request, slot.state);
+        }
+        std::sort(open.begin(), open.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
+                  });
+        return open;
+    }
+
+  private:
+    static constexpr std::uint64_t kEmpty = kNoTraceRequest;
+    static constexpr std::size_t kMinSlots = 64;
+
+    struct Slot
+    {
+        std::uint64_t request = kEmpty;
+        SpanState state;
+    };
+
+    /** Preferred slot of @p request (Fibonacci hashing). */
+    std::size_t home(std::uint64_t request) const
+    {
+        return static_cast<std::size_t>(
+                   request * 0x9E3779B97F4A7C15ull >> 32) &
+               (slots_.size() - 1);
+    }
+
+    /** The slot holding @p request, or the empty slot ending its
+     *  probe run. */
+    std::size_t find(std::uint64_t request) const
+    {
+        std::size_t i = home(request);
+        while (slots_[i].request != kEmpty && slots_[i].request != request)
+            i = (i + 1) & (slots_.size() - 1);
+        return i;
+    }
+
+    /** Empty slot @p i, shifting back later entries of its probe run
+     *  so every lookup still finds them. */
+    void erase(std::size_t i)
+    {
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t j = (i + 1) & mask; slots_[j].request != kEmpty;
+             j = (j + 1) & mask) {
+            // The entry at j may fill the hole at i unless its home
+            // lies cyclically in (i, j].
+            const std::size_t h = home(slots_[j].request);
+            if (((j - h) & mask) >= ((j - i) & mask)) {
+                slots_[i] = slots_[j];
+                i = j;
+            }
+        }
+        slots_[i].request = kEmpty;
+        --size_;
+    }
+
+    void grow()
+    {
+        std::vector<Slot> old(slots_.size() * 2);
+        old.swap(slots_);
+        for (const Slot &slot : old) {
+            if (slot.request != kEmpty)
+                slots_[find(slot.request)] = slot;
+        }
+    }
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+};
+
 } // namespace
 
 std::map<RequestId, RequestTimeline>
 buildRequestTimelines(const std::vector<TraceEvent> &events)
 {
     std::map<RequestId, RequestTimeline> timelines;
-    std::map<std::uint64_t, SpanState> state;
+    OpenSpans spans;
 
     for (const TraceEvent &ev : events) {
         if (ev.request == kNoTraceRequest)
@@ -142,26 +261,19 @@ buildRequestTimelines(const std::vector<TraceEvent> &events)
           default:
             break;
         }
-        SpanState &st = state[ev.request];
-        Transition tr = transitionFor(ev, st);
-        if (tr.close) {
+        SpanState closed;
+        if (spans.advance(ev, closed).close) {
             tl.spans.push_back(
-                {st.phase, st.replica, st.since, ev.time});
-            st.open = false;
+                {closed.phase, closed.replica, closed.since, ev.time});
         }
-        if (tr.openNew)
-            st = {true, tr.phase, tr.replica, ev.time};
     }
 
     // A truncated stream (tests, partial exports) can leave spans
     // open; close them at the stream's final timestamp.
     const SimTime last = events.empty() ? SimTime{} : events.back().time;
-    for (auto &entry : state) {
-        const SpanState &st = entry.second;
-        if (st.open) {
-            timelines[RequestId{entry.first}].spans.push_back(
-                {st.phase, st.replica, st.since, last});
-        }
+    for (const auto &[request, st] : spans.sortedOpen()) {
+        timelines[RequestId{request}].spans.push_back(
+            {st.phase, st.replica, st.since, last});
     }
     return timelines;
 }
@@ -259,14 +371,20 @@ writePerfettoJson(const std::vector<TraceEvent> &events,
     // Track metadata: pid 0 is the cluster front door; each replica
     // is a process whose tid 0 is the engine track. Replica pids are
     // emitted in sorted order — deterministic output.
-    std::set<int> replicas;
+    std::vector<char> seen;
     for (const TraceEvent &ev : events) {
-        if (ev.replica >= 0)
-            replicas.insert(ev.replica);
+        if (ev.replica < 0)
+            continue;
+        const auto r = static_cast<std::size_t>(ev.replica);
+        if (r >= seen.size())
+            seen.resize(r + 1, 0);
+        seen[r] = 1;
     }
     json.line() << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,"
                    "\"tid\":0,\"args\":{\"name\":\"cluster\"}}";
-    for (int r : replicas) {
+    for (int r = 0; r < static_cast<int>(seen.size()); ++r) {
+        if (!seen[static_cast<std::size_t>(r)])
+            continue;
         json.line() << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":"
                     << pidOf(r)
                     << ",\"tid\":0,\"args\":{\"name\":\"replica " << r
@@ -276,8 +394,10 @@ writePerfettoJson(const std::vector<TraceEvent> &events,
                     << ",\"tid\":0,\"args\":{\"name\":\"engine\"}}";
     }
 
-    std::map<std::uint64_t, SpanState> state;
-    std::map<int, bool> engineOpen;
+    OpenSpans spans;
+    // Whether each engine track (indexed by pid) has an open
+    // iteration.
+    std::vector<char> engineOpen(seen.size() + 1, 0);
 
     auto requestTid = [](std::uint64_t request) {
         // tid 0 is the engine track, so request ids shift up by one.
@@ -294,12 +414,12 @@ writePerfettoJson(const std::vector<TraceEvent> &events,
                 .arg("prefill_tokens", ev.arg)
                 .arg("decodes", static_cast<long long>(ev.value))
                 .close();
-            engineOpen[ev.replica] = true;
+            engineOpen[static_cast<std::size_t>(pid)] = 1;
             break;
           case TraceEventKind::IterEnd:
-            if (engineOpen[ev.replica]) {
+            if (engineOpen[static_cast<std::size_t>(pid)]) {
                 json.spanEnd(ev.time, pid, 0);
-                engineOpen[ev.replica] = false;
+                engineOpen[static_cast<std::size_t>(pid)] = 0;
             }
             break;
           case TraceEventKind::Arrival:
@@ -380,19 +500,16 @@ writePerfettoJson(const std::vector<TraceEvent> &events,
           default: {
             if (ev.request == kNoTraceRequest)
                 break;
-            SpanState &st = state[ev.request];
-            Transition tr = transitionFor(ev, st);
-            if (tr.close) {
-                json.spanEnd(ev.time, pidOf(st.replica), tid);
-                st.open = false;
-            }
+            SpanState closed;
+            Transition tr = spans.advance(ev, closed);
+            if (tr.close)
+                json.spanEnd(ev.time, pidOf(closed.replica), tid);
             if (tr.openNew) {
                 json.spanBegin(tracePhaseName(tr.phase), ev.time,
                                pidOf(tr.replica), tid);
                 if (ev.kind == TraceEventKind::ChunkStart)
                     json.arg("tokens", ev.arg);
                 json.close();
-                st = {true, tr.phase, tr.replica, ev.time};
             }
             if (ev.kind == TraceEventKind::Finish)
                 json.instant("finish", ev.time, pid, tid).close();
@@ -411,17 +528,13 @@ writePerfettoJson(const std::vector<TraceEvent> &events,
     }
 
     // Close anything a truncated stream left open so B/E pairs always
-    // balance (both maps iterate in sorted key order).
+    // balance: request spans in id order, then engines in pid order.
     const SimTime last = events.empty() ? SimTime{} : events.back().time;
-    for (const auto &entry : state) {
-        if (entry.second.open) {
-            json.spanEnd(last, pidOf(entry.second.replica),
-                         requestTid(entry.first));
-        }
-    }
-    for (const auto &entry : engineOpen) {
-        if (entry.second)
-            json.spanEnd(last, pidOf(entry.first), 0);
+    for (const auto &[request, st] : spans.sortedOpen())
+        json.spanEnd(last, pidOf(st.replica), requestTid(request));
+    for (std::size_t pid = 0; pid < engineOpen.size(); ++pid) {
+        if (engineOpen[pid])
+            json.spanEnd(last, static_cast<int>(pid), 0);
     }
 
     row << "\n],\"displayTimeUnit\":\"ms\"}\n";

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iomanip>
 #include <limits>
 
 #include "core/csv.hh"
@@ -57,18 +56,18 @@ parseSegments(const std::string &value, std::size_t line_no)
 } // namespace
 
 void
-writeTraceCsv(const Trace &trace, std::ostream &out)
+writeTraceCsv(const Trace &trace, std::ostream &stream)
 {
     bool segments = false;
     for (const RequestSpec &r : trace.requests)
         segments = segments || !r.promptSegments.empty();
 
-    out << (segments ? kHeaderSegments : kHeader) << '\n';
     // Full round-trip precision for timestamps.
-    out << std::setprecision(std::numeric_limits<double>::max_digits10);
+    RowWriter out(stream, std::numeric_limits<double>::max_digits10);
+    out << (segments ? kHeaderSegments : kHeader) << '\n';
     for (const RequestSpec &r : trace.requests) {
-        out << r.id << ',' << r.arrival << ',' << r.promptTokens << ','
-            << r.decodeTokens << ',' << r.tierId << ','
+        out << r.id << ',' << r.arrival.seconds() << ',' << r.promptTokens
+            << ',' << r.decodeTokens << ',' << r.tierId << ','
             << (r.important ? 1 : 0) << ',' << r.appId;
         if (segments) {
             // contentId:tokens pairs joined by ';', or '-' for a

@@ -10,8 +10,10 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <iomanip>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -165,6 +167,62 @@ TEST(RowWriter, IgnoresTheStreamFormatState)
     EXPECT_EQ(out.str(), "0.1,1e+21");
     EXPECT_EQ(out.precision(), 2);
     EXPECT_TRUE(out.flags() & std::ios_base::fixed);
+}
+
+TEST(RowWriter, EveryWriterIgnoresTheStreamFormatState)
+{
+    // One small artefact per writer, with values that fixed notation
+    // at two decimals would print differently.
+    RunSummary summary;
+    summary.count = 3;
+    summary.violationRate = 1.0 / 3.0;
+    summary.p99Latency = 1.25e-7;
+    summary.tiers.push_back({});
+    summary.tiers.back().p99Ttlt = 12345678.9;
+
+    Trace trace;
+    RequestSpec spec;
+    spec.arrival = SimTime{0.1};
+    spec.promptTokens = 7;
+    trace.requests.push_back(spec);
+
+    QuantileSketch sketch;
+    sketch.insert(0.123456789);
+    const std::map<std::string, QuantileSketch> bank = {{"ttft", sketch}};
+
+    CriticalAggregate agg;
+    agg.totalSeconds = 0.1;
+    agg.requests = 2;
+    agg.cells[{1, 0}] = {0.3, 1};
+
+    TraceSink sink;
+    sink.emit({TraceEventKind::Arrival, SimTime{0.7}, 1, -1, 0, 0.25});
+
+    const std::vector<std::function<void(std::ostream &)>> writers = {
+        [&](std::ostream &o) { writeSummaryCsv(summary, o); },
+        [&](std::ostream &o) {
+            writeRollingCsv({{SimTime{1.0 / 3.0}, 0.5, 4}}, o);
+        },
+        [&](std::ostream &o) { writeTraceCsv(trace, o); },
+        [&](std::ostream &o) { writeSketchBankCsv(bank, o); },
+        [&](std::ostream &o) {
+            writeAlertsCsv({{0, SimTime{1.5}, kTimeNever, 2.0 / 3.0}}, o);
+        },
+        [&](std::ostream &o) { writeCriticalAggregateCsv(agg, o); },
+        [&](std::ostream &o) { sink.writeCsv(o); },
+    };
+    for (std::size_t i = 0; i < writers.size(); ++i) {
+        std::ostringstream fresh;
+        writers[i](fresh);
+        std::ostringstream preset;
+        preset << std::fixed << std::setprecision(2);
+        const std::ios_base::fmtflags flags = preset.flags();
+        writers[i](preset);
+        EXPECT_EQ(preset.str(), fresh.str()) << "writer " << i;
+        EXPECT_EQ(preset.flags(), flags) << "writer " << i;
+        EXPECT_EQ(preset.precision(), 2) << "writer " << i;
+        EXPECT_EQ(fresh.precision(), 6) << "writer " << i;
+    }
 }
 
 TEST(CsvDeathTest, ReaderErrorsNameArtefactLineAndField)

@@ -163,6 +163,25 @@ TEST(TokenRules, FlagsRngAndHonorsSuppression)
     EXPECT_NE(stale[0].message.find("no-std-rand"), std::string::npos);
 }
 
+TEST(TokenRules, FlagsCharsFormatOutsideTheFormatterHome)
+{
+    // src/core/csv.hh is the formatter's home and may name
+    // chars_format; any other library file may not.
+    std::vector<SourceFile> files = {
+        load("tree/src/core/bad_float_format.cc"),
+        load("tree/src/core/csv.hh"),
+    };
+    std::vector<Finding> findings;
+    tokenRulesPass(files, findings);
+
+    std::vector<Finding> fmt = withRule(findings, "one-float-format");
+    ASSERT_EQ(fmt.size(), 1u);
+    EXPECT_NE(fmt[0].file.find("bad_float_format.cc"), std::string::npos);
+    EXPECT_EQ(fmt[0].line, 14);
+    EXPECT_EQ(findings.size(), fmt.size())
+        << "the exempt header produced findings";
+}
+
 // ---------------------------------------------------------------------------
 // Pass 2: layering manifest and include-graph checks.
 

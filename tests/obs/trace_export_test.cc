@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <string>
@@ -267,6 +268,66 @@ truncatedMixedStream()
         ev(K::Finish, SimTime{5.0}, 9, 2),
         ev(K::CacheHit, SimTime{5.0}, 5, 2, 16),
     };
+}
+
+TEST(TraceExport, ManyRequestsInFlightKeepTheirOwnSpans)
+{
+    // 400 requests whose lifetimes overlap heavily, so hundreds of
+    // spans are open at once; every fourth never finishes.
+    struct Timed
+    {
+        double t;
+        std::uint64_t order;
+        TraceEvent ev;
+    };
+    std::vector<Timed> timed;
+    std::uint64_t order = 0;
+    auto at = [&](double t, TraceEventKind kind, std::uint64_t request,
+                  std::int64_t arg = 0) {
+        timed.push_back({t, order++,
+                         ev(kind, SimTime{t}, request,
+                            static_cast<int>(request % 7), arg)});
+    };
+    for (std::uint64_t r = 0; r < 400; ++r) {
+        // Ids spread out so they hash into each other's probe runs.
+        const std::uint64_t id = r * 64 + 3;
+        const double t0 = static_cast<double>((r * 37) % 400);
+        at(t0, TraceEventKind::Dispatch, id);
+        at(t0 + 100.0, TraceEventKind::ChunkStart, id, 16);
+        at(t0 + 150.0, TraceEventKind::ChunkEnd, id, 0);
+        if (r % 4 != 0)
+            at(t0 + 200.0, TraceEventKind::Finish, id);
+    }
+    std::sort(timed.begin(), timed.end(), [](const Timed &a, const Timed &b) {
+        return a.t != b.t ? a.t < b.t : a.order < b.order;
+    });
+    std::vector<TraceEvent> events;
+    for (const Timed &t : timed)
+        events.push_back(t.ev);
+    const SimTime last = events.back().time;
+
+    auto timelines = buildRequestTimelines(events);
+    ASSERT_EQ(timelines.size(), 400u);
+    for (std::uint64_t r = 0; r < 400; ++r) {
+        const RequestTimeline &tl = timelines.at(RequestId{r * 64 + 3});
+        const double t0 = static_cast<double>((r * 37) % 400);
+        ASSERT_EQ(tl.spans.size(), 3u) << r;
+        EXPECT_EQ(tl.spans[0].phase, TracePhase::Queued);
+        EXPECT_EQ(tl.spans[0].begin, SimTime{t0});
+        EXPECT_EQ(tl.spans[1].phase, TracePhase::Prefill);
+        EXPECT_EQ(tl.spans[1].begin, SimTime{t0 + 100.0});
+        EXPECT_EQ(tl.spans[2].phase, TracePhase::Decode);
+        EXPECT_EQ(tl.spans[2].begin, SimTime{t0 + 150.0});
+        EXPECT_EQ(tl.spans[2].end,
+                  r % 4 != 0 ? SimTime{t0 + 200.0} : last);
+        EXPECT_EQ(tl.spans[2].replica, static_cast<int>((r * 64 + 3) % 7));
+    }
+
+    std::stringstream out;
+    writePerfettoJson(events, out);
+    EXPECT_EQ(countOf(out.str(), "\"ph\":\"B\""),
+              countOf(out.str(), "\"ph\":\"E\""));
+    EXPECT_EQ(countOf(out.str(), "\"ph\":\"B\""), 3u * 400u);
 }
 
 /** Every field of every timeline, one line per request, in map order. */

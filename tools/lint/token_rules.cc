@@ -18,6 +18,9 @@
  *  - no-raw-io:       printf/fprintf/puts and std::cout/std::cerr in
  *                     library code (src/): diagnostics go through
  *                     simcore/logging;
+ *  - one-float-format: std::chars_format in library code outside
+ *                     src/core/csv.hh: artefact numbers go through
+ *                     formatDecimal, the one floating-point formatter;
  *  - header-guard:    every .hh carries a QOSERVE_-prefixed guard;
  *  - doxygen-file:    every file opens with a Doxygen @file comment.
  */
@@ -235,6 +238,33 @@ rawIoRule(SourceFile &f, const std::vector<Token> &toks,
     }
 }
 
+/**
+ * Every floating-point number the library writes goes through
+ * formatDecimal (src/core/csv.hh), whose only std::to_chars call on a
+ * double is its fallback. Naming std::chars_format anywhere else in
+ * src/ would open a second formatting path whose bytes nothing pins.
+ */
+void
+oneFloatFormatRule(SourceFile &f, const std::vector<Token> &toks,
+                   std::vector<Finding> &out)
+{
+    const std::string kHome = "src/core/csv.hh";
+    if (!f.inLibrary() ||
+        (f.path.size() >= kHome.size() &&
+         f.path.compare(f.path.size() - kHome.size(), kHome.size(),
+                        kHome) == 0))
+        return;
+    for (const Token &t : toks) {
+        if (t.kind == TokenKind::Identifier && t.text == "chars_format") {
+            report(f, t.line, "one-float-format",
+                   "std::chars_format outside src/core/csv.hh: format "
+                   "doubles with formatDecimal (or RowWriter) so every "
+                   "artefact number has one byte contract",
+                   out);
+        }
+    }
+}
+
 /** Every header carries an include guard with the repo prefix. */
 void
 headerGuardRule(SourceFile &f, std::vector<Finding> &out)
@@ -302,6 +332,7 @@ tokenRulesPass(std::vector<SourceFile> &files, std::vector<Finding> &out)
         }
         unorderedIterRule(f, unorderedNames, out);
         rawIoRule(f, toks, out);
+        oneFloatFormatRule(f, toks, out);
         headerGuardRule(f, out);
         doxygenFileRule(f, out);
     }
