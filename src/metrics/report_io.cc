@@ -135,8 +135,7 @@ writeSummaryCsv(const RunSummary &summary, std::ostream &stream)
     out << "p95_latency," << summary.p95Latency << '\n';
     out << "p99_latency," << summary.p99Latency << '\n';
     for (const TierSummary &tier : summary.tiers) {
-        const std::string prefix =
-            "tier" + std::to_string(tier.tierId) + "_";
+        std::string prefix = "tier" + std::to_string(tier.tierId) + "_";
         out << prefix << "count," << tier.count << '\n';
         out << prefix << "violation_rate," << tier.violationRate << '\n';
         out << prefix << "p50_ttft," << tier.p50Ttft << '\n';
