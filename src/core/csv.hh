@@ -276,7 +276,8 @@ inline constexpr auto kDecimalBinades = [] {
             for (U128 p = 1; p < U128{1} << -b; p *= 10)
                 --e;
         }
-        // m >= 10^(e+1) * 2^k, i.e. ceil(2^k / 10^-(e+1)) below 1.
+        // The least m with m / 2^k >= 10^(e+1): 10^(e+1) * 2^k, or
+        // ceil(2^k / 10^-(e+1)) when the power is below 1.
         U128 next;
         if (e + 1 >= 0) {
             U128 pow = 1;
