@@ -73,7 +73,8 @@ exactTie(Rng &rng, Format f)
     if (f.style == DecimalStyle::Fixed) {
         // v * 10^N = h + 1/2 is exact only for odd multiples of
         // 2^-(N+1).
-        const double odd = static_cast<double>(2 * rng.uniformInt(0, 1 << 30) + 1);
+        const double odd =
+            static_cast<double>(2 * rng.uniformInt(0, 1 << 30) + 1);
         return std::ldexp(odd, -(f.precision + 1));
     }
     // (2c + 1) / 2^a has exactly a decimals, the last a 5; with
@@ -143,12 +144,14 @@ fallbackCase(Rng &rng)
       case 3:
         return std::bit_cast<double>(rng.nextU64() | 0x7ff0000000000001ull);
       case 4: // >= 2^53
-        return std::ldexp(1.0 + rng.uniform(), static_cast<int>(rng.uniformInt(53, 1023)));
+        return std::ldexp(1.0 + rng.uniform(),
+                          static_cast<int>(rng.uniformInt(53, 1023)));
       case 5: // tiny: past the general path's 128 bits
         return std::ldexp(1.0 + rng.uniform(),
                           static_cast<int>(rng.uniformInt(-1022, -128)));
       default: // the top of the exact range (too wide for %.6f)
-        return std::ldexp(1.0 + rng.uniform(), static_cast<int>(rng.uniformInt(45, 52)));
+        return std::ldexp(1.0 + rng.uniform(),
+                          static_cast<int>(rng.uniformInt(45, 52)));
     }
 }
 
@@ -233,7 +236,8 @@ TEST(FormatDecimal, MatchesToCharsAndPrintfGeneral6)
 
 TEST(FormatDecimal, MatchesToCharsAndPrintfGeneral17)
 {
-    EXPECT_GT(checkFormat({DecimalStyle::General, 17}, 171), kCasesPerFormat / 2);
+    EXPECT_GT(checkFormat({DecimalStyle::General, 17}, 171),
+              kCasesPerFormat / 2);
 }
 
 TEST(FormatDecimal, MatchesToCharsAndPrintfFixed3)
