@@ -82,6 +82,48 @@ TEST(MetricsRegistry, LateRegisteredCellsBackfillZero)
     EXPECT_EQ(line, "1,1,5");
 }
 
+TEST(MetricsRegistry, CsvBytesOfAMixedRegistryArePinned)
+{
+    // Two histograms (one registered mid-run), a late counter, and
+    // names shared across kinds: counter and gauge `shared`, and a
+    // gauge `lat_sum` that collides with histogram `lat`'s sum column.
+    // On a collision the histogram's write wins over the gauge's, and
+    // the gauge's over the counter's.
+    MetricsRegistry reg;
+    reg.counter("shared") = 7;
+    reg.gauge("shared") = 0.25;
+    reg.gauge("lat_sum") = 99.0;
+    reg.gauge("depth") = 1.0 / 3.0;
+    MetricsHistogram &lat = reg.histogram("lat", {0.5, 2.0, 8.0});
+    lat.observe(0.1);
+    lat.observe(3.0);
+    reg.snapshot(SimTime{0.0});
+
+    reg.counter("late") = 4;
+    reg.histogram("occ", {1.0}).observe(1.0);
+    lat.observe(0.5);
+    lat.observe(100.0);
+    reg.gauge("depth") = -2.5;
+    reg.snapshot(SimTime{1.5});
+
+    reg.counter("shared") = 9;
+    reg.gauge("shared") = 1e-7;
+    reg.histogram("occ", {}).observe(2.0);
+    reg.snapshot(SimTime{10.0 / 3.0});
+
+    std::stringstream out;
+    reg.writeCsv(out);
+    EXPECT_EQ(out.str(),
+              "time,depth,lat_count,lat_le_0.5,lat_le_2,lat_le_8,"
+              "lat_le_inf,lat_sum,late,occ_count,occ_le_1,occ_le_inf,"
+              "occ_sum,shared\n"
+              "0,0.33333333333333331,2,1,1,2,2,3.1000000000000001,0,0,0,0,"
+              "0,0.25\n"
+              "1.5,-2.5,4,2,2,3,4,103.59999999999999,4,1,1,1,1,0.25\n"
+              "3.3333333333333335,-2.5,4,2,2,3,4,103.59999999999999,4,2,1,"
+              "2,3,9.9999999999999995e-08\n");
+}
+
 TEST(MetricsSampler, SamplesOnCadenceAndStopsWithTheSimulation)
 {
     EventQueue eq;
