@@ -70,7 +70,7 @@ printPhaseRow(std::ostream &out, const char *label, double seconds,
 } // namespace
 
 void
-writeExplainReport(const std::vector<TraceEvent> &events,
+writeExplainReport(const TraceLog &events,
                    const std::vector<ExplainRecord> &records,
                    std::ostream &out, std::size_t top_n)
 {

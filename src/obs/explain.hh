@@ -68,7 +68,7 @@ PhaseBreakdown breakdownFor(const RequestTimeline &tl, SimTime arrival);
  * violated request (id order), phase totals across them, and the
  * top-@p top_n offenders by end-to-end latency.
  */
-void writeExplainReport(const std::vector<TraceEvent> &events,
+void writeExplainReport(const TraceLog &events,
                         const std::vector<ExplainRecord> &records,
                         std::ostream &out, std::size_t top_n = 10);
 

@@ -224,7 +224,7 @@ class OpenSpans
 } // namespace
 
 std::map<RequestId, RequestTimeline>
-buildRequestTimelines(const std::vector<TraceEvent> &events)
+buildRequestTimelines(const TraceLog &events)
 {
     std::map<RequestId, RequestTimeline> timelines;
     OpenSpans spans;
@@ -361,7 +361,7 @@ class PerfettoEvents
 } // namespace
 
 void
-writePerfettoJson(const std::vector<TraceEvent> &events,
+writePerfettoJson(const TraceLog &events,
                   std::ostream &out)
 {
     RowWriter row(out);
@@ -541,7 +541,7 @@ writePerfettoJson(const std::vector<TraceEvent> &events,
 }
 
 void
-writePerfettoJsonFile(const std::vector<TraceEvent> &events,
+writePerfettoJsonFile(const TraceLog &events,
                       const std::string &path)
 {
     writeArtefactFile(path, "trace", [&](std::ostream &out) {

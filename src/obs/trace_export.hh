@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "core/units.hh"
-#include "obs/trace_event.hh"
+#include "obs/trace_sink.hh"
 
 namespace qoserve {
 
@@ -96,7 +96,7 @@ struct RequestTimeline
  * id (deterministic id order).
  */
 std::map<RequestId, RequestTimeline>
-buildRequestTimelines(const std::vector<TraceEvent> &events);
+buildRequestTimelines(const TraceLog &events);
 
 /**
  * Write the stream as Chrome/Perfetto `trace_event` JSON.
@@ -109,11 +109,11 @@ buildRequestTimelines(const std::vector<TraceEvent> &events);
  * Every B is closed by a matching E (crash aborts close in-flight
  * spans; stream end closes stragglers), so the JSON always loads.
  */
-void writePerfettoJson(const std::vector<TraceEvent> &events,
+void writePerfettoJson(const TraceLog &events,
                        std::ostream &out);
 
 /** Write Perfetto JSON to a file (fatal on error). */
-void writePerfettoJsonFile(const std::vector<TraceEvent> &events,
+void writePerfettoJsonFile(const TraceLog &events,
                            const std::string &path);
 
 } // namespace qoserve

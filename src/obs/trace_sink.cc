@@ -1,10 +1,13 @@
 /**
  * @file
- * Trace sink implementation: ordered event store and CSV round trip.
+ * Trace sink implementation: the byte log's codec, the ordered event
+ * store and the CSV round trip.
  */
 
 #include "obs/trace_sink.hh"
 
+#include <bit>
+#include <cstring>
 #include <istream>
 #include <ostream>
 
@@ -28,7 +31,181 @@ kindByName(const CsvReader &csv)
     csv.fail("unknown event kind: '", csv.field(0), "'");
 }
 
+// Header byte: the kind in the low five bits, then three flags.
+static_assert(kTraceEventKinds <= 32, "the kind must fit five bits");
+constexpr std::uint8_t kKindMask = 0x1F;
+constexpr std::uint8_t kSameTime = 0x20;  ///< Time bits as previous.
+constexpr std::uint8_t kZeroValue = 0x40; ///< Value is +0.0.
+constexpr std::uint8_t kIntValue = 0x80;  ///< Value is a varint.
+
+/** Header, time, varints of request (10), replica (5), arg (10),
+ *  value. */
+constexpr std::size_t kMaxEventBytes = 1 + 8 + 10 + 5 + 10 + 8;
+
+std::uint8_t *
+putVarint(std::uint8_t *p, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        *p++ = static_cast<std::uint8_t>(v | 0x80);
+        v >>= 7;
+    }
+    *p++ = static_cast<std::uint8_t>(v);
+    return p;
+}
+
+std::uint64_t
+getVarint(const std::uint8_t *&p)
+{
+    std::uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+        const std::uint8_t b = *p++;
+        v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+        if (b < 0x80)
+            return v;
+    }
+}
+
+std::uint64_t
+zigzag(std::int64_t v)
+{
+    return (static_cast<std::uint64_t>(v) << 1) ^
+           static_cast<std::uint64_t>(v >> 63);
+}
+
+std::int64_t
+unzigzag(std::uint64_t z)
+{
+    return static_cast<std::int64_t>((z >> 1) ^ (0 - (z & 1)));
+}
+
+std::uint64_t
+bitsOf(SimTime t)
+{
+    return std::bit_cast<std::uint64_t>(t.seconds());
+}
+
+/** True when @p v round-trips through a varint: a positive integer
+ *  below 2^53 (+0.0 has its own flag; -0.0 and NaN fail `v > 0`). */
+bool
+isSmallInteger(double v)
+{
+    return v > 0.0 && v < 0x1p53 &&
+           static_cast<double>(static_cast<std::uint64_t>(v)) == v;
+}
+
 } // namespace
+
+TraceLog::TraceLog(std::initializer_list<TraceEvent> events)
+{
+    for (const TraceEvent &ev : events)
+        append(ev);
+}
+
+void
+TraceLog::append(const TraceEvent &ev)
+{
+    if (chunks_.empty() || kChunkBytes - chunks_.back().used < kMaxEventBytes)
+        chunks_.push_back(
+            {std::make_unique_for_overwrite<std::uint8_t[]>(kChunkBytes), 0});
+    Chunk &chunk = chunks_.back();
+    std::uint8_t *const start = chunk.bytes.get() + chunk.used;
+    std::uint8_t header = static_cast<std::uint8_t>(ev.kind);
+    std::uint8_t *p = start + 1;
+
+    const std::uint64_t time = bitsOf(ev.time);
+    if (time == bitsOf(last_.time)) {
+        header |= kSameTime;
+    } else {
+        std::memcpy(p, &time, sizeof time);
+        p += sizeof time;
+    }
+    p = putVarint(p, ev.request + 1); // kNoTraceRequest encodes as 0
+    p = putVarint(p, static_cast<std::uint32_t>(zigzag(ev.replica)));
+    p = putVarint(p, zigzag(ev.arg));
+    const std::uint64_t value = std::bit_cast<std::uint64_t>(ev.value);
+    if (value == 0) {
+        header |= kZeroValue;
+    } else if (isSmallInteger(ev.value)) {
+        header |= kIntValue;
+        p = putVarint(p, static_cast<std::uint64_t>(ev.value));
+    } else {
+        std::memcpy(p, &value, sizeof value);
+        p += sizeof value;
+    }
+    *start = header;
+
+    chunk.used += static_cast<std::size_t>(p - start);
+    ++size_;
+    last_ = ev;
+}
+
+const TraceEvent &
+TraceLog::back() const
+{
+    QOSERVE_ASSERT(size_ > 0, "back() of an empty trace log");
+    return last_;
+}
+
+std::size_t
+TraceLog::encodedBytes() const
+{
+    std::size_t bytes = 0;
+    for (const Chunk &chunk : chunks_)
+        bytes += chunk.used;
+    return bytes;
+}
+
+TraceLog::const_iterator
+TraceLog::begin() const
+{
+    return {this, 0};
+}
+
+TraceLog::const_iterator
+TraceLog::end() const
+{
+    return {this, size_};
+}
+
+TraceLog::const_iterator::const_iterator(const TraceLog *log,
+                                         std::size_t index)
+    : log_(log), index_(index)
+{
+    if (index_ < log_->size_)
+        decode();
+}
+
+void
+TraceLog::const_iterator::decode()
+{
+    const Chunk *chunk = &log_->chunks_[chunk_];
+    if (offset_ == chunk->used) {
+        chunk = &log_->chunks_[++chunk_];
+        offset_ = 0;
+    }
+    const std::uint8_t *const start = chunk->bytes.get() + offset_;
+    const std::uint8_t *p = start;
+    const std::uint8_t header = *p++;
+    ev_.kind = static_cast<TraceEventKind>(header & kKindMask);
+    if (!(header & kSameTime)) {
+        double seconds;
+        std::memcpy(&seconds, p, sizeof seconds);
+        p += sizeof seconds;
+        ev_.time = SimTime{seconds};
+    }
+    ev_.request = getVarint(p) - 1;
+    ev_.replica = static_cast<int>(unzigzag(getVarint(p)));
+    ev_.arg = unzigzag(getVarint(p));
+    if (header & kZeroValue) {
+        ev_.value = 0.0;
+    } else if (header & kIntValue) {
+        ev_.value = static_cast<double>(getVarint(p));
+    } else {
+        std::memcpy(&ev_.value, p, sizeof ev_.value);
+        p += sizeof ev_.value;
+    }
+    offset_ += static_cast<std::size_t>(p - start);
+}
 
 const char *
 traceEventKindName(TraceEventKind kind)
@@ -101,11 +278,10 @@ traceEventKindName(TraceEventKind kind)
 void
 TraceSink::emit(const TraceEvent &ev)
 {
-    QOSERVE_ASSERT(events_.empty() || ev.time >= events_.back().time,
+    QOSERVE_ASSERT(log_.empty() || ev.time >= log_.back().time,
                    "trace event at ", ev.time,
-                   " precedes the stream tail at ",
-                   events_.back().time);
-    events_.push_back(ev);
+                   " precedes the stream tail at ", log_.back().time);
+    log_.append(ev);
 }
 
 void
@@ -116,7 +292,7 @@ TraceSink::writeCsv(std::ostream &out) const
     // timestamps the exporters saw.
     RowWriter row(out, 17);
     row << kTraceCsvHeader << '\n';
-    for (const TraceEvent &ev : events_) {
+    for (const TraceEvent &ev : log_) {
         row << traceEventKindName(ev.kind) << ',' << ev.time.seconds()
             << ',';
         if (ev.request == kNoTraceRequest)
@@ -135,10 +311,10 @@ TraceSink::writeCsvFile(const std::string &path) const
                       [this](std::ostream &out) { writeCsv(out); });
 }
 
-std::vector<TraceEvent>
+TraceLog
 readTraceCsv(std::istream &in)
 {
-    std::vector<TraceEvent> events;
+    TraceLog events;
     CsvReader csv(in, "trace", kTraceCsvHeader);
     while (csv.next()) {
         TraceEvent ev;
@@ -149,12 +325,12 @@ readTraceCsv(std::istream &in)
         ev.replica = csv.number<int>(3);
         ev.arg = csv.number<std::int64_t>(4);
         ev.value = csv.number<double>(5);
-        events.push_back(ev);
+        events.append(ev);
     }
     return events;
 }
 
-std::vector<TraceEvent>
+TraceLog
 readTraceCsvFile(const std::string &path)
 {
     return readArtefactFile(path, "trace", [](std::istream &in) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -62,8 +63,9 @@ TEST(ObsE2e, TracedRunEmitsOrderedCompleteStream)
     ASSERT_FALSE(sink.empty());
     // Time-ordered by construction (the sink asserts it, but check
     // the invariant the exporters actually rely on).
-    for (std::size_t i = 1; i < sink.size(); ++i)
-        ASSERT_GE(sink.events()[i].time, sink.events()[i - 1].time);
+    for (auto prev = sink.events().begin(), it = std::next(prev);
+         it != sink.events().end(); prev = it++)
+        ASSERT_GE((*it).time, (*prev).time);
 
     // One arrival per trace request, one finish per finished record.
     std::size_t arrivals = 0, finishes = 0;

@@ -25,7 +25,7 @@ ev(TraceEventKind kind, SimTime t, std::uint64_t request, int replica,
 }
 
 /** The canonical served request: queue, two chunks, decode, finish. */
-std::vector<TraceEvent>
+TraceLog
 servedStream()
 {
     return {
@@ -190,15 +190,15 @@ countOf(const std::string &text, const std::string &needle)
 
 TEST(TraceExport, PerfettoJsonBalancesDurationPairs)
 {
-    std::vector<TraceEvent> events = servedStream();
+    TraceLog events = servedStream();
     // Engine iterations plus a crash-truncated open chunk on another
     // request: the exporter must still balance every B with an E.
-    events.push_back(
+    events.append(
         ev(TraceEventKind::IterStart, SimTime{6.0}, kNoTraceRequest, 0, 512, 2));
-    events.push_back(
+    events.append(
         ev(TraceEventKind::IterEnd, SimTime{6.5}, kNoTraceRequest, 0));
-    events.push_back(ev(TraceEventKind::Dispatch, SimTime{7.0}, 2, 0));
-    events.push_back(ev(TraceEventKind::ChunkStart, SimTime{8.0}, 2, 0, 64));
+    events.append(ev(TraceEventKind::Dispatch, SimTime{7.0}, 2, 0));
+    events.append(ev(TraceEventKind::ChunkStart, SimTime{8.0}, 2, 0, 64));
 
     std::stringstream out;
     writePerfettoJson(events, out);
@@ -215,7 +215,7 @@ TEST(TraceExport, PerfettoJsonBalancesDurationPairs)
 
 TEST(TraceExport, PerfettoJsonIsByteDeterministic)
 {
-    std::vector<TraceEvent> events = servedStream();
+    TraceLog events = servedStream();
     std::stringstream a, b;
     writePerfettoJson(events, a);
     writePerfettoJson(events, b);
@@ -237,7 +237,7 @@ TEST(TraceExport, PerfettoSpuriousIterEndIsDropped)
  * fails and is re-queued after its span closed, and which is cut off
  * with three request spans and two engine iterations still open.
  */
-std::vector<TraceEvent>
+TraceLog
 truncatedMixedStream()
 {
     using K = TraceEventKind;
@@ -301,9 +301,9 @@ TEST(TraceExport, ManyRequestsInFlightKeepTheirOwnSpans)
     std::sort(timed.begin(), timed.end(), [](const Timed &a, const Timed &b) {
         return a.t != b.t ? a.t < b.t : a.order < b.order;
     });
-    std::vector<TraceEvent> events;
+    TraceLog events;
     for (const Timed &t : timed)
-        events.push_back(t.ev);
+        events.append(t.ev);
     const SimTime last = events.back().time;
 
     auto timelines = buildRequestTimelines(events);

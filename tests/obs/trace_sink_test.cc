@@ -36,13 +36,14 @@ TEST(TraceSink, ScopeStampsClockAndReplica)
     eq.run();
 
     ASSERT_EQ(sink.size(), 2u);
-    const TraceEvent &chunk = sink.events()[0];
+    auto it = sink.events().begin();
+    const TraceEvent chunk = *it++;
     EXPECT_EQ(chunk.kind, TraceEventKind::ChunkStart);
     EXPECT_EQ(chunk.time, SimTime{1.5});
     EXPECT_EQ(chunk.request, 9u);
     EXPECT_EQ(chunk.replica, 2);
     EXPECT_EQ(chunk.arg, 256);
-    const TraceEvent &dispatch = sink.events()[1];
+    const TraceEvent dispatch = *it;
     EXPECT_EQ(dispatch.replica, 5); // emitOn overrides the scope's.
     EXPECT_EQ(dispatch.arg, 1);
 }
@@ -68,10 +69,12 @@ TEST(TraceSink, CsvRoundTripsExactly)
 
     std::stringstream buffer;
     sink.writeCsv(buffer);
-    std::vector<TraceEvent> parsed = readTraceCsv(buffer);
+    TraceLog parsed = readTraceCsv(buffer);
     ASSERT_EQ(parsed.size(), sink.size());
-    for (std::size_t i = 0; i < parsed.size(); ++i)
-        EXPECT_TRUE(parsed[i] == sink.events()[i]) << "event " << i;
+    std::size_t i = 0;
+    auto want = sink.events().begin();
+    for (const TraceEvent &ev : parsed)
+        EXPECT_TRUE(ev == *want++) << "event " << i++;
 }
 
 TEST(TraceSink, CsvEncodesNoRequestAsMinusOne)
@@ -93,10 +96,13 @@ TEST(TraceSink, EveryKindNameRoundTrips)
     }
     std::stringstream buffer;
     sink.writeCsv(buffer);
-    std::vector<TraceEvent> parsed = readTraceCsv(buffer);
+    TraceLog parsed = readTraceCsv(buffer);
     ASSERT_EQ(parsed.size(), static_cast<std::size_t>(kTraceEventKinds));
-    for (int k = 0; k < kTraceEventKinds; ++k)
-        EXPECT_EQ(parsed[k].kind, static_cast<TraceEventKind>(k)) << k;
+    int k = 0;
+    for (const TraceEvent &ev : parsed) {
+        EXPECT_EQ(ev.kind, static_cast<TraceEventKind>(k)) << k;
+        ++k;
+    }
 }
 
 TEST(TraceSinkDeathTest, CsvBadHeaderIsFatal)

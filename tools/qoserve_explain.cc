@@ -87,7 +87,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    std::vector<TraceEvent> events = readTraceCsvFile(*trace_path);
+    TraceLog events = readTraceCsvFile(*trace_path);
     std::vector<RecordsCsvRow> rows = readRecordsCsvFile(*records_path);
 
     std::vector<ExplainRecord> records;
