@@ -7,7 +7,6 @@
 
 #include <charconv>
 #include <ostream>
-#include <set>
 
 #include "core/csv.hh"
 #include "simcore/logging.hh"
@@ -44,31 +43,6 @@ MetricsHistogram::bucketCount(std::size_t i) const
     return total;
 }
 
-std::int64_t &
-MetricsRegistry::counter(const std::string &name)
-{
-    return counters_[name];
-}
-
-double &
-MetricsRegistry::gauge(const std::string &name)
-{
-    return gauges_[name];
-}
-
-MetricsHistogram &
-MetricsRegistry::histogram(const std::string &name,
-                           std::vector<double> bounds)
-{
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-        it = histograms_
-                 .emplace(name, MetricsHistogram(std::move(bounds)))
-                 .first;
-    }
-    return it->second;
-}
-
 namespace {
 
 /** Bound rendered for a column name: `4` not `4.000000`. */
@@ -83,27 +57,71 @@ boundLabel(double bound)
 
 } // namespace
 
+std::size_t
+MetricsRegistry::column(const std::string &name)
+{
+    return columns_.try_emplace(name, columns_.size()).first->second;
+}
+
+std::int64_t &
+MetricsRegistry::counter(const std::string &name)
+{
+    auto [it, added] = counters_.try_emplace(name);
+    if (added)
+        it->second.column = column(name);
+    return it->second.value;
+}
+
+double &
+MetricsRegistry::gauge(const std::string &name)
+{
+    auto [it, added] = gauges_.try_emplace(name);
+    if (added)
+        it->second.column = column(name);
+    return it->second.value;
+}
+
+MetricsHistogram &
+MetricsRegistry::histogram(const std::string &name,
+                           std::vector<double> bounds)
+{
+    auto it = histograms_.find(name);
+    if (it == histograms_.end()) {
+        HistogramCell cell{MetricsHistogram(std::move(bounds)), {}};
+        for (double bound : cell.histogram.bounds()) {
+            cell.columns.push_back(
+                column(name + "_le_" + boundLabel(bound)));
+        }
+        for (const char *suffix : {"_le_inf", "_sum", "_count"})
+            cell.columns.push_back(column(name + suffix));
+        it = histograms_.emplace(name, std::move(cell)).first;
+    }
+    return it->second.histogram;
+}
+
 void
 MetricsRegistry::snapshot(SimTime now)
 {
-    Row row;
-    row.time = now;
+    // Counters, then gauges, then histograms: where cells share a
+    // column name, the later kind's value wins.
+    Row row{now, std::vector<double>(columns_.size(), 0.0)};
     for (const auto &entry : counters_)
-        row.values[entry.first] = static_cast<double>(entry.second);
+        row.values[entry.second.column] =
+            static_cast<double>(entry.second.value);
     for (const auto &entry : gauges_)
-        row.values[entry.first] = entry.second;
+        row.values[entry.second.column] = entry.second.value;
     for (const auto &entry : histograms_) {
-        const MetricsHistogram &h = entry.second;
-        for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-            row.values[entry.first + "_le_" +
-                       boundLabel(h.bounds()[i])] =
-                static_cast<double>(h.bucketCount(i));
+        const MetricsHistogram &h = entry.second.histogram;
+        const std::vector<std::size_t> &cols = entry.second.columns;
+        std::int64_t cumulative = 0;
+        std::size_t i = 0;
+        for (; i < h.bounds().size(); ++i) {
+            cumulative += h.bucketCounts()[i];
+            row.values[cols[i]] = static_cast<double>(cumulative);
         }
-        row.values[entry.first + "_le_inf"] =
-            static_cast<double>(h.count());
-        row.values[entry.first + "_sum"] = h.sum();
-        row.values[entry.first + "_count"] =
-            static_cast<double>(h.count());
+        row.values[cols[i]] = static_cast<double>(h.count());
+        row.values[cols[i + 1]] = h.sum();
+        row.values[cols[i + 2]] = static_cast<double>(h.count());
     }
     rows_.push_back(std::move(row));
 }
@@ -111,24 +129,25 @@ MetricsRegistry::snapshot(SimTime now)
 void
 MetricsRegistry::writeCsv(std::ostream &out) const
 {
-    // Columns are the union of every row's keys (cells may register
-    // mid-run), in name order — deterministic layout.
-    std::set<std::string> columns;
-    for (const Row &row : rows_) {
-        for (const auto &entry : row.values)
-            columns.insert(entry.first);
-    }
+    // Every column interned before the last snapshot appears in it
+    // (rows only widen), so the last row's width bounds the columns;
+    // name order gives a deterministic layout.
+    const std::size_t width =
+        rows_.empty() ? 0 : rows_.back().values.size();
+    std::vector<std::size_t> order;
     RowWriter csv(out, 17);
     csv << "time";
-    for (const std::string &col : columns)
-        csv << ',' << col;
+    for (const auto &[name, id] : columns_) {
+        if (id < width) {
+            csv << ',' << name;
+            order.push_back(id);
+        }
+    }
     csv << '\n';
     for (const Row &row : rows_) {
         csv << row.time.seconds();
-        for (const std::string &col : columns) {
-            auto it = row.values.find(col);
-            csv << ',' << (it == row.values.end() ? 0.0 : it->second);
-        }
+        for (std::size_t id : order)
+            csv << ',' << (id < row.values.size() ? row.values[id] : 0.0);
         csv << '\n';
     }
 }

@@ -7,8 +7,10 @@
  * drivers register cells by name (queue depths, KV blocks in use,
  * batch occupancy, retry counts), a sampler copies every cell into a
  * row each interval, and writeCsv() emits the whole series as one
- * wide CSV. All containers are name-ordered maps, so column order and
- * output bytes are deterministic regardless of registration order.
+ * wide CSV. Every column name is interned once, when its cell is
+ * registered, and a row is a vector of doubles indexed by column id.
+ * Columns are written in name order, so output bytes are
+ * deterministic regardless of registration order.
  */
 
 #ifndef QOSERVE_OBS_METRICS_REGISTRY_HH
@@ -44,6 +46,13 @@ class MetricsHistogram
 
     /** Cumulative count of observations <= bounds()[i]. */
     std::int64_t bucketCount(std::size_t i) const;
+
+    /** Per-bucket (non-cumulative) counts; the last is the +inf
+     *  bucket. */
+    const std::vector<std::int64_t> &bucketCounts() const
+    {
+        return counts_;
+    }
 
     std::int64_t count() const { return count_; }
     double sum() const { return sum_; }
@@ -96,14 +105,35 @@ class MetricsRegistry
     void writeCsvFile(const std::string &path) const;
 
   private:
-    std::map<std::string, std::int64_t> counters_;
-    std::map<std::string, double> gauges_;
-    std::map<std::string, MetricsHistogram> histograms_;
+    /** Id of column @p name, interned on first use. Cells that share
+     *  a name share its column. */
+    std::size_t column(const std::string &name);
 
+    template <typename T>
+    struct Cell
+    {
+        T value{};
+        std::size_t column = 0;
+    };
+
+    struct HistogramCell
+    {
+        MetricsHistogram histogram;
+        /** Columns `_le_<bound>`..., `_le_inf`, `_sum`, `_count`. */
+        std::vector<std::size_t> columns;
+    };
+
+    std::map<std::string, Cell<std::int64_t>> counters_;
+    std::map<std::string, Cell<double>> gauges_;
+    std::map<std::string, HistogramCell> histograms_;
+    std::map<std::string, std::size_t> columns_;
+
+    /** One snapshot: values indexed by column id. A row is as wide as
+     *  the column count at its snapshot; later columns read 0. */
     struct Row
     {
         SimTime time;
-        std::map<std::string, double> values;
+        std::vector<double> values;
     };
     std::vector<Row> rows_;
 };
