@@ -182,6 +182,28 @@ TEST(TokenRules, FlagsCharsFormatOutsideTheFormatterHome)
         << "the exempt header produced findings";
 }
 
+TEST(TokenRules, FlagsTraceEventVectorsOutsideTheStreamHome)
+{
+    // src/obs/trace_sink.* is the stream type's home; a vector of
+    // TraceEvents anywhere else in src/ or tools/ is flagged, qualified
+    // or not, and a vector of anything else is not.
+    std::vector<SourceFile> files = {
+        load("tree/tools/bad_event_stream.cc"),
+        load("tree/src/obs/trace_sink.hh"),
+    };
+    std::vector<Finding> findings;
+    tokenRulesPass(files, findings);
+
+    std::vector<Finding> streams = withRule(findings, "one-event-stream");
+    ASSERT_EQ(streams.size(), 2u);
+    for (const Finding &f : streams)
+        EXPECT_NE(f.file.find("bad_event_stream.cc"), std::string::npos);
+    EXPECT_EQ(streams[0].line, 17);
+    EXPECT_EQ(streams[1].line, 19);
+    EXPECT_EQ(findings.size(), streams.size())
+        << "the exempt header produced findings";
+}
+
 // ---------------------------------------------------------------------------
 // Pass 2: layering manifest and include-graph checks.
 

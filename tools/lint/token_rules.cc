@@ -21,6 +21,9 @@
  *  - one-float-format: std::chars_format in library code outside
  *                     src/core/csv.hh: artefact numbers go through
  *                     formatDecimal, the one floating-point formatter;
+ *  - one-event-stream: a vector of TraceEvents in src/ or tools/
+ *                     outside src/obs/trace_sink.*: trace consumers
+ *                     read the one stream type, TraceLog;
  *  - header-guard:    every .hh carries a QOSERVE_-prefixed guard;
  *  - doxygen-file:    every file opens with a Doxygen @file comment.
  */
@@ -265,6 +268,41 @@ oneFloatFormatRule(SourceFile &f, const std::vector<Token> &toks,
     }
 }
 
+/**
+ * Every trace consumer reads the one event-stream type, TraceLog
+ * (src/obs/trace_sink.hh). A `vector<TraceEvent>` in src/ or tools/
+ * would be a second, uncompacted representation of the stream. The
+ * element may be qualified (`vector<qoserve::TraceEvent>`).
+ */
+void
+oneEventStreamRule(SourceFile &f, const std::vector<Token> &toks,
+                   std::vector<Finding> &out)
+{
+    const bool inTools = f.path.rfind("tools/", 0) == 0 ||
+                         f.path.find("/tools/") != std::string::npos;
+    if ((!f.inLibrary() && !inTools) ||
+        f.path.find("src/obs/trace_sink.") != std::string::npos)
+        return;
+    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+        if (!toks[i].ident("vector") || !toks[i + 1].is("<"))
+            continue;
+        std::size_t j = i + 2;
+        while (j + 1 < toks.size() &&
+               (toks[j].is("::") ||
+                (toks[j].kind == TokenKind::Identifier &&
+                 toks[j + 1].is("::"))))
+            ++j;
+        if (j + 1 < toks.size() && toks[j].ident("TraceEvent") &&
+            (toks[j + 1].is(">") || toks[j + 1].is(","))) {
+            report(f, toks[i].line, "one-event-stream",
+                   "vector of TraceEvents outside src/obs/trace_sink.*: "
+                   "hold and pass trace streams as a TraceLog so every "
+                   "consumer reads one compact representation",
+                   out);
+        }
+    }
+}
+
 /** Every header carries an include guard with the repo prefix. */
 void
 headerGuardRule(SourceFile &f, std::vector<Finding> &out)
@@ -333,6 +371,7 @@ tokenRulesPass(std::vector<SourceFile> &files, std::vector<Finding> &out)
         unorderedIterRule(f, unorderedNames, out);
         rawIoRule(f, toks, out);
         oneFloatFormatRule(f, toks, out);
+        oneEventStreamRule(f, toks, out);
         headerGuardRule(f, out);
         doxygenFileRule(f, out);
     }
