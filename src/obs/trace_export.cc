@@ -361,8 +361,7 @@ class PerfettoEvents
 } // namespace
 
 void
-writePerfettoJson(const TraceLog &events,
-                  std::ostream &out)
+writePerfettoJson(const TraceLog &events, std::ostream &out)
 {
     RowWriter row(out);
     row << "{\"traceEvents\":[\n";
@@ -541,8 +540,7 @@ writePerfettoJson(const TraceLog &events,
 }
 
 void
-writePerfettoJsonFile(const TraceLog &events,
-                      const std::string &path)
+writePerfettoJsonFile(const TraceLog &events, const std::string &path)
 {
     writeArtefactFile(path, "trace", [&](std::ostream &out) {
         writePerfettoJson(events, out);

@@ -109,12 +109,10 @@ buildRequestTimelines(const TraceLog &events);
  * Every B is closed by a matching E (crash aborts close in-flight
  * spans; stream end closes stragglers), so the JSON always loads.
  */
-void writePerfettoJson(const TraceLog &events,
-                       std::ostream &out);
+void writePerfettoJson(const TraceLog &events, std::ostream &out);
 
 /** Write Perfetto JSON to a file (fatal on error). */
-void writePerfettoJsonFile(const TraceLog &events,
-                           const std::string &path);
+void writePerfettoJsonFile(const TraceLog &events, const std::string &path);
 
 } // namespace qoserve
 

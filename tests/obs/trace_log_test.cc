@@ -29,15 +29,47 @@ namespace {
  *  code allocated nothing. */
 std::atomic<std::uint64_t> gAllocations{0};
 
-} // namespace
-
 void *
-operator new(std::size_t size)
+countedAlloc(std::size_t size)
 {
     gAllocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size == 0 ? 1 : size))
+    return std::malloc(size == 0 ? 1 : size);
+}
+
+void *
+countedAllocOrThrow(std::size_t size)
+{
+    if (void *p = countedAlloc(size))
         return p;
     throw std::bad_alloc();
+}
+
+} // namespace
+
+// Every non-aligned form is replaced, so each allocation and its
+// release pair as malloc/free (sanitizers check the pairing).
+void *
+operator new(std::size_t n)
+{
+    return countedAllocOrThrow(n);
+}
+
+void *
+operator new[](std::size_t n)
+{
+    return countedAllocOrThrow(n);
+}
+
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n);
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n);
 }
 
 void
@@ -47,7 +79,31 @@ operator delete(void *p) noexcept
 }
 
 void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+void
 operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
 }
