@@ -35,8 +35,8 @@ namespace qoserve {
  * Events are encoded losslessly into fixed kChunkBytes chunks, so the
  * log grows one chunk at a time and never copies what it holds. Each
  * event is one header byte (the kind plus three flags: same time bits
- * as the previous event, value +0.0, value a small non-negative
- * integer), the time's 8 raw bytes only when it changed, LEB128
+ * as the previous event, value +0.0, value a positive integer below
+ * 2^53), the time's 8 raw bytes only when it changed, LEB128
  * varints for `request + 1` and for the zigzagged `replica` and
  * `arg`, then the value as a varint or 8 raw bytes (nothing when it
  * is +0.0). Reads go through a forward iterator that decodes one
@@ -46,7 +46,6 @@ class TraceLog
 {
   public:
     class const_iterator;
-    using value_type = TraceEvent;
 
     /** Bytes per chunk; no event straddles two chunks. */
     static constexpr std::size_t kChunkBytes = 64 * 1024;
