@@ -49,8 +49,10 @@ PredictorCache::get(const ServingConfig &cfg)
     std::string key = predictorKey(cfg);
     auto it = cache_.find(key);
     if (it == cache_.end()) {
-        std::fprintf(stderr, "[bench] training forest predictor for %s\n",
-                     key.c_str());
+        if (cfg.useForestPredictor) // the oracle needs no training
+            std::fprintf(stderr,
+                         "[bench] training forest predictor for %s\n",
+                         key.c_str());
         it = cache_.emplace(key, makePredictor(cfg)).first;
     }
     return it->second.get();

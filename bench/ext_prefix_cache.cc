@@ -49,7 +49,8 @@ CacheRun
 runWith(const Trace &trace, bool cache_on, double capacity_frac,
         bool affinity, int replicas)
 {
-    ServingConfig cfg;
+    Scenario sc;
+    ServingConfig &cfg = sc.serving;
     cfg.policy = Policy::QoServe;
     cfg.useForestPredictor = false; // oracle keeps the sweeps fast
     cfg.numReplicas = replicas;
@@ -58,8 +59,7 @@ runWith(const Trace &trace, bool cache_on, double capacity_frac,
         cfg.prefixCache.capacityFrac = capacity_frac;
     cfg.cacheAffinityRouting = affinity;
 
-    ServingSystem system(cfg);
-    auto sim = system.serveForInspection(trace);
+    auto sim = bench::simulate(sc, trace).cluster;
 
     CacheRun out;
     out.summary = summarize(sim->metrics());

@@ -126,10 +126,9 @@ main()
                 trace.requests.size());
 
     for (Policy policy : {Policy::SarathiFcfs, Policy::QoServe}) {
-        ServingConfig cfg;
-        cfg.policy = policy;
-        ServingSystem system(cfg);
-        auto sim = system.serveForInspection(trace);
+        Scenario sc;
+        sc.serving.policy = policy;
+        auto sim = runScenario(sc, trace).cluster;
         report(policyName(policy), sim->metrics());
 
         if (policy == Policy::QoServe) {

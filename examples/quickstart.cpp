@@ -23,11 +23,10 @@ main()
     // 1. Describe the deployment: one Llama3-8B replica on an A100,
     //    scheduled by QoServe (dynamic chunking + hybrid priority +
     //    eager relegation).
-    ServingConfig config;
-    config.policy = Policy::QoServe;
-    config.hw = llama3_8b_a100_tp1();
-    config.numReplicas = 1;
-    ServingSystem system(config);
+    Scenario sc;
+    sc.serving.policy = Policy::QoServe;
+    sc.serving.hw = llama3_8b_a100_tp1();
+    sc.serving.numReplicas = 1;
 
     // 2. Build a workload: Az-Code token lengths, Poisson arrivals
     //    at 3 QPS, requests split equally across the paper's three
@@ -39,10 +38,11 @@ main()
                       .build(PoissonArrivals(3.0), /*duration=*/600.0);
 
     std::printf("serving %zu requests at 3 QPS on %s...\n",
-                trace.requests.size(), config.hw.gpu.name.c_str());
+                trace.requests.size(), sc.serving.hw.gpu.name.c_str());
 
-    // 3. Serve and inspect.
-    RunSummary summary = system.serve(trace);
+    // 3. Serve and inspect. runScenario() trains the predictor,
+    //    builds the cluster, runs the trace and summarizes it.
+    RunSummary summary = runScenario(sc, trace).summary;
 
     std::printf("\n%-6s %-8s %12s %12s %12s\n", "tier", "count",
                 "p50 (s)", "p99 (s)", "violations");

@@ -96,35 +96,64 @@ buildTrace(const Scenario &sc, std::ostream *log_to)
 
 namespace {
 
-/** Sample live queue, KV and health state into @p reg. Degradation
- *  cells exist only when their feature is on: columns are
- *  name-ordered, so a disabled-feature run keeps the exact
- *  pre-existing CSV bytes. */
-void
-sampleMetrics(MetricsRegistry &reg, const Scenario &sc,
-              const ClusterSim &sim, const BrownoutController &brownout)
+/** One replica's cells in the metrics registry. The registry keeps
+ *  every cell at a fixed address, so once resolved they are written
+ *  without building a name or looking one up. */
+struct ReplicaCells
 {
-    for (std::size_t i = 0; i < sim.numReplicas(); ++i) {
+    double *prefillQueue = nullptr;
+    double *decodeQueue = nullptr;
+    double *pendingPrefillTokens = nullptr;
+    double *kvBlocksUsed = nullptr;
+    double *up = nullptr;
+    MetricsHistogram *queueDepth = nullptr;     ///< Shared by all.
+    MetricsHistogram *batchOccupancy = nullptr; ///< Shared by all.
+};
+
+/** Sample live queue, KV and health state into @p reg. The first
+ *  sample resolves @p cells, creating the cells in the order their
+ *  columns have always been interned in. Degradation cells exist only
+ *  when their feature is on: columns are name-ordered, so a
+ *  disabled-feature run keeps the exact pre-existing CSV bytes. */
+void
+sampleMetrics(MetricsRegistry &reg, std::vector<ReplicaCells> &cells,
+              const Scenario &sc, const ClusterSim &sim,
+              const BrownoutController &brownout)
+{
+    if (cells.empty()) {
+        for (std::size_t i = 0; i < sim.numReplicas(); ++i) {
+            const std::string tag = "replica" + std::to_string(i);
+            ReplicaCells c;
+            c.prefillQueue = &reg.gauge(tag + "_prefill_queue");
+            c.decodeQueue = &reg.gauge(tag + "_decode_queue");
+            c.pendingPrefillTokens =
+                &reg.gauge(tag + "_pending_prefill_tokens");
+            c.kvBlocksUsed = &reg.gauge(tag + "_kv_blocks_used");
+            c.up = &reg.gauge(tag + "_up");
+            c.queueDepth = &reg.histogram(
+                "queue_depth",
+                {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
+            c.batchOccupancy = &reg.histogram(
+                "batch_occupancy",
+                {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
+            cells.push_back(c);
+        }
+    }
+    for (std::size_t i = 0; i < cells.size(); ++i) {
         const Replica &rep = sim.replica(i);
-        const std::string tag = std::to_string(i);
-        reg.gauge("replica" + tag + "_prefill_queue") =
+        const ReplicaCells &c = cells[i];
+        const auto prefill =
             static_cast<double>(rep.scheduler().prefillQueueSize());
-        reg.gauge("replica" + tag + "_decode_queue") =
+        const auto decode =
             static_cast<double>(rep.scheduler().decodeQueueSize());
-        reg.gauge("replica" + tag + "_pending_prefill_tokens") =
+        *c.prefillQueue = prefill;
+        *c.decodeQueue = decode;
+        *c.pendingPrefillTokens =
             static_cast<double>(rep.scheduler().pendingPrefillTokens());
-        reg.gauge("replica" + tag + "_kv_blocks_used") =
-            static_cast<double>(rep.kv().usedBlocks());
-        reg.gauge("replica" + tag + "_up") =
-            rep.health() == ReplicaHealth::Down ? 0.0 : 1.0;
-        reg.histogram("queue_depth",
-                      {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0})
-            .observe(
-                static_cast<double>(rep.scheduler().prefillQueueSize()));
-        reg.histogram("batch_occupancy",
-                      {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0})
-            .observe(
-                static_cast<double>(rep.scheduler().decodeQueueSize()));
+        *c.kvBlocksUsed = static_cast<double>(rep.kv().usedBlocks());
+        *c.up = rep.health() == ReplicaHealth::Down ? 0.0 : 1.0;
+        c.queueDepth->observe(prefill);
+        c.batchOccupancy->observe(decode);
     }
     reg.counter("redispatches") =
         static_cast<std::int64_t>(sim.redispatches());
@@ -229,7 +258,7 @@ runScenario(const Scenario &sc, Trace trace, const RunHooks &hooks)
             });
     }
 
-    // Streaming latency sketches: one mergeable sketch per tier and
+    // Streaming latency sketches: one sketch per tier and
     // headline metric, fed as records complete and dumped as a bank
     // for offline comparison (qoserve_report). The observer composes
     // with the streaming records writer above.
@@ -326,12 +355,14 @@ runScenario(const Scenario &sc, Trace trace, const RunHooks &hooks)
 
     // Metrics cadence: poll live queue/KV/health state every interval.
     MetricsRegistry registry;
+    std::vector<ReplicaCells> metricCells;
     std::optional<MetricsSampler> sampler;
     if (sc.metricsOut) {
         sampler.emplace(sim.eventQueue(), registry, sc.metricsInterval,
-                        [&sim, &sc, &brownout](MetricsRegistry &reg,
-                                               SimTime) {
-                            sampleMetrics(reg, sc, sim, brownout);
+                        [&sim, &sc, &brownout, &metricCells](
+                            MetricsRegistry &reg, SimTime) {
+                            sampleMetrics(reg, metricCells, sc, sim,
+                                          brownout);
                         });
         sampler->start();
     }

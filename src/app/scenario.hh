@@ -4,7 +4,7 @@
  *
  * A Scenario is a point of the evaluation grid — workload, deployment,
  * faults, degradation, observers and output files — as a plain value.
- * qoserve_sim parses its flags into one, ServingSystem and the benches
+ * qoserve_sim parses its flags into one, the benches and examples
  * fill one in code, and all of them hand it to runScenario(), which
  * assembles the cluster, attaches what the scenario switches on, runs
  * it and writes the requested files (DESIGN.md §16).

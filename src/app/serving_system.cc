@@ -1,13 +1,11 @@
 /**
  * @file
- * ServingSystem implementation.
+ * Serving configuration: policy names and the scheduler and
+ * predictor factories.
  */
 
 #include "app/serving_system.hh"
 
-#include <utility>
-
-#include "app/scenario.hh"
 #include "simcore/logging.hh"
 
 namespace qoserve {
@@ -97,42 +95,6 @@ makePredictor(const ServingConfig &cfg)
         return std::make_shared<ForestLatencyPredictor>(model, options);
     }
     return std::make_shared<OracleLatencyPredictor>(model);
-}
-
-namespace {
-
-/** The scenario ServingSystem runs: @p cfg, all else default. */
-Scenario
-scenarioFor(const ServingConfig &cfg)
-{
-    Scenario sc;
-    sc.serving = cfg;
-    return sc;
-}
-
-} // namespace
-
-ServingSystem::ServingSystem(ServingConfig cfg)
-    : cfg_(std::move(cfg))
-{
-    scenarioFor(cfg_).validate();
-    predictor_ = makePredictor(cfg_);
-}
-
-std::unique_ptr<ClusterSim>
-ServingSystem::serveForInspection(Trace trace)
-{
-    RunHooks hooks;
-    hooks.predictor = predictor_.get();
-    return runScenario(scenarioFor(cfg_), std::move(trace), hooks).cluster;
-}
-
-RunSummary
-ServingSystem::serve(Trace trace)
-{
-    RunHooks hooks;
-    hooks.predictor = predictor_.get();
-    return runScenario(scenarioFor(cfg_), std::move(trace), hooks).summary;
 }
 
 } // namespace qoserve

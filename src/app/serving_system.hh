@@ -1,24 +1,12 @@
 /**
  * @file
- * Public façade of the QoServe library.
+ * The serving configuration of a deployment.
  *
- * ServingSystem wires together the substrates — execution model, KV
- * cache, workload, predictor, scheduler, cluster — behind a small
- * configuration surface. Examples and benches interact with this
- * class; power users can drop to the underlying modules directly.
- *
- * Typical use:
- * @code
- *   ServingConfig cfg;
- *   cfg.policy = Policy::QoServe;
- *   cfg.numReplicas = 2;
- *   ServingSystem system(cfg);
- *
- *   Trace trace = TraceBuilder()
- *       .dataset(azureCode())
- *       .build(PoissonArrivals(4.0), 1800.0);
- *   RunSummary summary = system.serve(trace);
- * @endcode
+ * ServingConfig holds the replica hardware, the scheduling policy and
+ * its knobs, the predictor choice and the prefix cache. A Scenario
+ * (app/scenario.hh) carries one, and runScenario() builds the
+ * cluster's schedulers and predictor from it with the factories
+ * below.
  */
 
 #ifndef QOSERVE_APP_SERVING_SYSTEM_HH
@@ -124,39 +112,6 @@ bool usesPredictor(const ServingConfig &cfg);
  */
 std::shared_ptr<const LatencyPredictor>
 makePredictor(const ServingConfig &cfg);
-
-/**
- * High-level serving deployment: configure once, serve traces. Each
- * trace runs through runScenario() on a Scenario holding this
- * configuration and every other setting at its default.
- */
-class ServingSystem
-{
-  public:
-    explicit ServingSystem(ServingConfig cfg);
-
-    /**
-     * Execute a trace on a fresh cluster and summarize it.
-     *
-     * The predictor (expensive to train) is shared across calls;
-     * cluster state is not. Both calls take the trace by value: move
-     * it in when it is not needed afterwards.
-     */
-    RunSummary serve(Trace trace);
-
-    /**
-     * Execute a trace and hand back the cluster for detailed
-     * inspection (records, per-replica stats).
-     */
-    std::unique_ptr<ClusterSim> serveForInspection(Trace trace);
-
-    /** Configuration in effect. */
-    const ServingConfig &config() const { return cfg_; }
-
-  private:
-    ServingConfig cfg_;
-    std::shared_ptr<const LatencyPredictor> predictor_;
-};
 
 } // namespace qoserve
 

@@ -12,20 +12,6 @@
 
 namespace qoserve {
 
-const char *
-replicaHealthName(ReplicaHealth health)
-{
-    switch (health) {
-      case ReplicaHealth::Up:
-        return "up";
-      case ReplicaHealth::Degraded:
-        return "degraded";
-      case ReplicaHealth::Down:
-        return "down";
-    }
-    QOSERVE_PANIC("unknown replica health");
-}
-
 Replica::Replica(EventQueue &eq, Config cfg,
                  const SchedulerFactory &factory,
                  const LatencyPredictor *predictor, TierTable tiers,

@@ -39,9 +39,6 @@ enum class ReplicaHealth
     Down,     ///< Crashed: owns nothing, accepts nothing.
 };
 
-/** Display name of a health state. */
-const char *replicaHealthName(ReplicaHealth health);
-
 /**
  * Callback receiving each live request's failure snapshot when the
  * replica crashes; the cluster re-dispatches or abandons them.

@@ -13,30 +13,6 @@
 
 namespace qoserve {
 
-const char *
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::Crash:
-        return "crash";
-      case FaultKind::Recovery:
-        return "recovery";
-      case FaultKind::StragglerStart:
-        return "straggler-start";
-      case FaultKind::StragglerEnd:
-        return "straggler-end";
-      case FaultKind::ZoneOutage:
-        return "zone-outage";
-      case FaultKind::ZoneRecovery:
-        return "zone-recovery";
-      case FaultKind::PartitionStart:
-        return "partition-start";
-      case FaultKind::PartitionEnd:
-        return "partition-end";
-    }
-    QOSERVE_PANIC("unknown fault kind");
-}
-
 FaultInjector::FaultInjector(FaultConfig cfg, ClusterSim &cluster)
     : cfg_(cfg), cluster_(cluster)
 {

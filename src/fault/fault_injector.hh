@@ -88,9 +88,6 @@ enum class FaultKind
     PartitionEnd,   ///< Control-plane partition healed.
 };
 
-/** Display name of a fault kind. */
-const char *faultKindName(FaultKind kind);
-
 /** One entry of the injected-fault log. */
 struct FaultEvent
 {

@@ -3,10 +3,9 @@
  * Per-iteration engine telemetry.
  *
  * Records the stream of batch observations a replica emits (chunk
- * size, decode batch size, execution time) and derives the
- * iteration-level views the paper analyses: the chunk-size timeline
- * of Fig. 9, chunk-size distributions, and engine utilization over
- * time windows. Exportable as CSV for external plotting.
+ * size, decode batch size, execution time) — the iteration-level
+ * view behind the chunk-size timeline of Fig. 9 — and exports it as
+ * CSV for external plotting.
  */
 
 #ifndef QOSERVE_METRICS_TELEMETRY_HH
@@ -46,29 +45,6 @@ class TelemetryRecorder
 
     /** Number of recorded iterations. */
     std::size_t size() const { return observations_.size(); }
-
-    /** Mean prefill chunk tokens per iteration (0 when empty). */
-    double meanChunkTokens() const;
-
-    /** Largest chunk observed. */
-    int maxChunkTokens() const;
-
-    /**
-     * Chunk-size histogram with the given bucket width; entry i
-     * counts iterations with chunk in [i*width, (i+1)*width).
-     */
-    std::vector<std::int64_t> chunkHistogram(int bucket_width) const;
-
-    /**
-     * Fraction of wall-clock time the engine was executing batches
-     * within [t0, t1], summed across replicas (so a 2-replica
-     * recorder saturates at 2.0). Overlapping observations on the
-     * same replica — a crash-cancelled batch recorded with its full
-     * planned latency under the batches run after recovery — are
-     * merged, never double-counted. A zero-length window (t0 == t1)
-     * reports 0; t1 < t0 is a caller error.
-     */
-    double utilization(SimTime t0, SimTime t1) const;
 
     /**
      * Write the raw stream as CSV:

@@ -5,8 +5,6 @@
 
 #include "model/model_config.hh"
 
-#include "simcore/logging.hh"
-
 namespace qoserve {
 
 ModelConfig
@@ -52,18 +50,6 @@ llama3_70b()
     m.headDim = 128;
     m.attention = AttentionKind::GQA;
     return m;
-}
-
-ModelConfig
-modelByName(const std::string &name)
-{
-    if (name == "llama3-8b")
-        return llama3_8b();
-    if (name == "qwen-7b")
-        return qwen_7b();
-    if (name == "llama3-70b")
-        return llama3_70b();
-    QOSERVE_FATAL("unknown model preset: ", name);
 }
 
 } // namespace qoserve

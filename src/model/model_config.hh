@@ -87,9 +87,6 @@ ModelConfig qwen_7b();
 /** Llama3-70B: 80 layers, GQA with 8 KV heads. */
 ModelConfig llama3_70b();
 
-/** Look up a preset by name ("llama3-8b", "qwen-7b", "llama3-70b"). */
-ModelConfig modelByName(const std::string &name);
-
 } // namespace qoserve
 
 #endif // QOSERVE_MODEL_MODEL_CONFIG_HH

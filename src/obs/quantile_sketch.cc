@@ -73,22 +73,6 @@ QuantileSketch::insert(double v)
     ++buckets_[keyFor(v)];
 }
 
-void
-QuantileSketch::merge(const QuantileSketch &other)
-{
-    QOSERVE_ASSERT(relativeError_ == other.relativeError_,
-                   "cannot merge sketches with different relative "
-                   "errors: ",
-                   relativeError_, " vs ", other.relativeError_);
-    for (const auto &[key, n] : other.buckets_)
-        buckets_[key] += n;
-    zeroCount_ += other.zeroCount_;
-    infCount_ += other.infCount_;
-    count_ += other.count_;
-    min_ = std::min(min_, other.min_);
-    maxFinite_ = std::max(maxFinite_, other.maxFinite_);
-}
-
 double
 QuantileSketch::max() const
 {

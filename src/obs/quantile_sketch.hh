@@ -1,18 +1,15 @@
 /**
  * @file
- * Mergeable log-bucketed quantile sketch (DESIGN.md §14).
+ * Log-bucketed quantile sketch (DESIGN.md §14).
  *
  * A DDSketch-style summary of a non-negative sample: values land in
  * geometrically-spaced buckets keyed by ceil(log_gamma(v)), so any
  * quantile estimate is within a configured *relative* error of the
  * order statistic it targets, at O(log(max/min)) space independent of
- * the sample size. The entire state — integer bucket counts plus
- * min/max — is merge-exact: merging sketches adds counts, which
- * commutes, so a merge tree of any shape over any partition of a
- * sample yields bitwise-identical buckets (and therefore bitwise-
- * identical quantiles). That makes the sketch the streaming,
- * `--jobs`-invariant alternative to retaining and sorting full
- * latency vectors in rolling/windowed contexts.
+ * the sample size. The entire state is integer bucket counts plus
+ * min/max, so it serializes exactly. That makes the sketch the
+ * streaming alternative to retaining and sorting full latency vectors
+ * in rolling/windowed contexts.
  *
  * Infinite values (the +inf latencies of never-served requests) are
  * counted in a dedicated overflow bucket so sketch quantiles agree
@@ -60,14 +57,6 @@ class QuantileSketch
      */
     void insert(double v);
 
-    /**
-     * Fold @p other into this sketch. Both must share the same
-     * relative error (panics otherwise). Exact: bucket counts add,
-     * min/max combine — the merged state is independent of merge
-     * order and grouping, bit for bit.
-     */
-    void merge(const QuantileSketch &other);
-
     /** Observations recorded (including zero and +inf ones). */
     std::uint64_t count() const { return count_; }
 
@@ -101,8 +90,7 @@ class QuantileSketch
     /** True when no observation was recorded. */
     bool empty() const { return count_ == 0; }
 
-    /** Bucket map (key -> count), exposed for serialization and
-     *  merge tests. */
+    /** Bucket map (key -> count), exposed for serialization. */
     const std::map<std::int32_t, std::uint64_t> &buckets() const
     {
         return buckets_;

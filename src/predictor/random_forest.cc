@@ -600,17 +600,4 @@ RandomForest::predictReference(const std::vector<double> &x) const
     return sum / static_cast<double>(trees_.size());
 }
 
-double
-RandomForest::predictQuantileReference(const std::vector<double> &x,
-                                       double q) const
-{
-    QOSERVE_ASSERT(trained(), "predictQuantileReference() before fit()");
-    QOSERVE_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range");
-    std::vector<double> preds;
-    preds.reserve(trees_.size());
-    for (const auto &t : trees_)
-        preds.push_back(t.predict(x));
-    return quantileOfPreds(preds, q);
-}
-
 } // namespace qoserve

@@ -277,10 +277,6 @@ class RandomForest
      */
     double predictReference(const std::vector<double> &x) const;
 
-    /** Quantile prediction via the original per-tree walk. */
-    double predictQuantileReference(const std::vector<double> &x,
-                                    double q) const;
-
     /** Number of fitted trees. */
     std::size_t numTrees() const { return trees_.size(); }
 

@@ -84,16 +84,6 @@ ChunkedScheduler::enqueue(Request *req, SimTime now)
 }
 
 void
-ChunkedScheduler::rekey(Request *req, SimTime now)
-{
-    auto it = prefillQueue_.find(req);
-    if (it != prefillQueue_.end())
-        prefillQueue_.erase(it);
-    req->cachedPriority = priorityOf(*req, now);
-    prefillQueue_.insert(req);
-}
-
-void
 ChunkedScheduler::relegate(Request *req, SimTime now)
 {
     auto it = prefillQueue_.find(req);
@@ -420,12 +410,6 @@ Request *
 ChunkedScheduler::peekPrefillHead() const
 {
     return prefillQueue_.empty() ? nullptr : *prefillQueue_.begin();
-}
-
-std::vector<Request *>
-ChunkedScheduler::prefillSnapshot() const
-{
-    return {prefillQueue_.begin(), prefillQueue_.end()};
 }
 
 void

@@ -125,10 +125,8 @@ class ChunkedScheduler : public Scheduler
     /** Highest-priority prefill request, or nullptr when idle. */
     Request *peekPrefillHead() const;
 
-    /** Ordered snapshot of the prefill queue (diagnostics, hooks). */
-    std::vector<Request *> prefillSnapshot() const;
-
-    /** Snapshot into @p out, reusing its capacity (hot paths). */
+    /** Ordered snapshot of the prefill queue into @p out, reusing its
+     *  capacity. */
     void prefillSnapshotInto(std::vector<Request *> &out) const;
 
     /**
@@ -145,12 +143,6 @@ class ChunkedScheduler : public Scheduler
 
     /** One-iteration wall-time estimate for a typical mixed batch. */
     SimDuration typicalIterationTime() const { return decodeTokenTime_; }
-
-    /**
-     * Re-key @p req in the prefill queue after a state change.
-     * Safe to call for requests not currently queued.
-     */
-    void rekey(Request *req, SimTime now);
 
     /** Relegate @p req (moves it behind all regular requests). */
     void relegate(Request *req, SimTime now);

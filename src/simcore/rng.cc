@@ -122,41 +122,6 @@ Rng::exponential(double rate)
     return -std::log(u) / rate;
 }
 
-double
-Rng::gamma(double shape, double scale)
-{
-    QOSERVE_ASSERT(shape > 0.0 && scale > 0.0,
-                   "gamma parameters must be positive");
-    // Marsaglia & Tsang (2000). For shape < 1, boost to shape + 1
-    // and scale by U^(1/shape).
-    double boost = 1.0;
-    double k = shape;
-    if (k < 1.0) {
-        double u = uniform();
-        if (u <= 1e-300)
-            u = 1e-300;
-        boost = std::pow(u, 1.0 / k);
-        k += 1.0;
-    }
-    double d = k - 1.0 / 3.0;
-    double c = 1.0 / std::sqrt(9.0 * d);
-    for (;;) {
-        double x = normal();
-        double v = 1.0 + c * x;
-        if (v <= 0.0)
-            continue;
-        v = v * v * v;
-        double u = uniform();
-        if (u <= 1e-300)
-            u = 1e-300;
-        double x2 = x * x;
-        if (u < 1.0 - 0.0331 * x2 * x2 ||
-            std::log(u) < 0.5 * x2 + d * (1.0 - v + std::log(v))) {
-            return boost * d * v * scale;
-        }
-    }
-}
-
 bool
 Rng::bernoulli(double p)
 {

@@ -65,14 +65,6 @@ class Rng
     /** Exponential deviate with the given rate (events per second). */
     double exponential(double rate);
 
-    /**
-     * Gamma deviate (Marsaglia-Tsang squeeze method).
-     *
-     * @param shape Shape parameter k > 0.
-     * @param scale Scale parameter theta > 0.
-     */
-    double gamma(double shape, double scale);
-
     /** Bernoulli draw with probability @p p of returning true. */
     bool bernoulli(double p);
 

@@ -58,22 +58,6 @@ PoissonArrivals::nextArrival(SimTime prev, Rng &rng) const
     return prev + rng.exponential(qps_);
 }
 
-GammaArrivals::GammaArrivals(double qps, double cv)
-    : qps_(qps), cv_(cv)
-{
-    QOSERVE_ASSERT(qps > 0.0, "QPS must be positive");
-    QOSERVE_ASSERT(cv > 0.0, "CV must be positive");
-    // Gamma(k, theta): mean = k*theta, CV = 1/sqrt(k).
-    shape_ = 1.0 / (cv * cv);
-    scale_ = 1.0 / (qps * shape_);
-}
-
-SimTime
-GammaArrivals::nextArrival(SimTime prev, Rng &rng) const
-{
-    return prev + rng.gamma(shape_, scale_);
-}
-
 DiurnalArrivals::DiurnalArrivals(double low_qps, double high_qps,
                                  SimDuration half_period, bool start_high)
     : lowQps_(low_qps), highQps_(high_qps), halfPeriod_(half_period),

@@ -55,34 +55,6 @@ class PoissonArrivals : public ArrivalProcess
 };
 
 /**
- * Gamma-renewal arrivals: same mean rate as Poisson but with a
- * configurable coefficient of variation. CV > 1 produces the bursty,
- * clustered arrivals production traces exhibit; CV = 1 degenerates
- * to Poisson.
- */
-class GammaArrivals : public ArrivalProcess
-{
-  public:
-    /**
-     * @param qps Mean arrival rate, requests per second.
-     * @param cv Coefficient of variation of inter-arrival gaps.
-     */
-    GammaArrivals(double qps, double cv);
-
-    SimTime nextArrival(SimTime prev, Rng &rng) const override;
-    double averageQps() const override { return qps_; }
-
-    /** Configured burstiness. */
-    double cv() const { return cv_; }
-
-  private:
-    double qps_;
-    double cv_;
-    double shape_;
-    double scale_;
-};
-
-/**
  * Square-wave diurnal pattern: alternates between lowQps and highQps
  * every halfPeriod seconds, Poisson within each phase.
  */

@@ -13,8 +13,8 @@
 #include <sstream>
 #include <vector>
 
+#include "app/scenario.hh"
 #include "audit/invariant_auditor.hh"
-#include "app/serving_system.hh"
 #include "fault/fault_injector.hh"
 #include "workload/arrival.hh"
 #include "workload/trace.hh"
@@ -227,7 +227,8 @@ TEST(AuditE2EDeathTest, PromptLargerThanKvCacheIsFatal)
     // tokens: 17 of its prompts (up to 8192 tokens) cannot fit even
     // alone. Without the admission check the run preempts and resets
     // each of them forever; with it the first one stops the run.
-    ServingConfig cfg;
+    Scenario sc;
+    ServingConfig &cfg = sc.serving;
     cfg.policy = Policy::SarathiFcfs;
     std::int64_t spare = cfg.hw.kvCapacityTokens() - 6000;
     cfg.hw.gpu.memCapacity -=
@@ -235,7 +236,7 @@ TEST(AuditE2EDeathTest, PromptLargerThanKvCacheIsFatal)
         static_cast<double>(cfg.hw.model.kvBytesPerToken());
     ASSERT_EQ(cfg.hw.kvCapacityTokens(), 6000);
     Trace trace = smallTrace(41);
-    EXPECT_DEATH(ServingSystem(cfg).serve(trace),
+    EXPECT_DEATH(runScenario(sc, trace),
                  "request 0 has a 8192-token prompt but the replica's "
                  "KV cache holds 6000 tokens");
 }

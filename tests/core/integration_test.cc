@@ -6,7 +6,7 @@
  * throughput value of dynamic chunking.
  */
 
-#include "app/serving_system.hh"
+#include "app/scenario.hh"
 
 #include <gtest/gtest.h>
 
@@ -24,6 +24,15 @@ loadTrace(double qps, std::size_t count, std::uint64_t seed = 21,
         .buildCount(PoissonArrivals(qps), count);
 }
 
+/** Run @p trace under @p cfg, every other setting at its default. */
+ScenarioResult
+serve(const ServingConfig &cfg, const Trace &trace)
+{
+    Scenario sc;
+    sc.serving = cfg;
+    return runScenario(sc, trace);
+}
+
 RunSummary
 runPolicy(Policy policy, const Trace &trace, int replicas = 1)
 {
@@ -31,8 +40,7 @@ runPolicy(Policy policy, const Trace &trace, int replicas = 1)
     cfg.policy = policy;
     cfg.numReplicas = replicas;
     cfg.useForestPredictor = false; // oracle keeps tests fast
-    ServingSystem system(cfg);
-    return system.serve(trace);
+    return serve(cfg, trace).summary;
 }
 
 TEST(Integration, AllPoliciesMeetSlosAtLowLoad)
@@ -125,11 +133,11 @@ TEST(Integration, DynamicChunkingShortensBatchOnlyMakespan)
     ServingConfig dyn;
     dyn.policy = Policy::QoServe;
     dyn.useForestPredictor = false;
-    auto dyn_sim = ServingSystem(dyn).serveForInspection(trace);
+    auto dyn_sim = serve(dyn, trace).cluster;
 
     ServingConfig fixed;
     fixed.policy = Policy::SarathiEdf;
-    auto fixed_sim = ServingSystem(fixed).serveForInspection(trace);
+    auto fixed_sim = serve(fixed, trace).cluster;
 
     double dyn_makespan = dyn_sim->eventQueue().now().seconds();
     double fixed_makespan = fixed_sim->eventQueue().now().seconds();
@@ -144,7 +152,7 @@ TEST(Integration, InteractiveTbtHeldByDynamicChunking)
     ServingConfig cfg;
     cfg.policy = Policy::QoServe;
     cfg.useForestPredictor = false;
-    auto sim = ServingSystem(cfg).serveForInspection(trace);
+    auto sim = serve(cfg, trace).cluster;
 
     // Eq. 2 anchors every token deadline to arrival, so a late first
     // token makes all later tokens "late" regardless of pacing. The

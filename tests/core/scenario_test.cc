@@ -2,8 +2,8 @@
  * @file
  * Tests for Scenario, buildTrace() and runScenario(). The golden
  * qoserve_sim ctests pin a full run's output; these cover what the
- * CLI cannot reach: requestCount, the predictor rule, the beforeRun
- * hook and ServingSystem's use of the same path.
+ * CLI cannot reach: requestCount, the predictor rule and the
+ * beforeRun hook.
  */
 
 #include "app/scenario.hh"
@@ -75,17 +75,6 @@ TEST(Scenario, BeforeRunSeesTheAssembledClusterBeforeAnyEvent)
     EXPECT_EQ(calls, 1);
     EXPECT_EQ(res.summary.count, 40u);
     EXPECT_EQ(res.cluster->metrics().size(), 40u);
-}
-
-TEST(Scenario, ServingSystemRunsItsConfigAsAScenario)
-{
-    Scenario sc = smallScenario(Policy::QoServe);
-    Trace trace = buildTrace(sc);
-    RunSummary direct = runScenario(sc, trace).summary;
-    RunSummary facade = ServingSystem(sc.serving).serve(trace);
-    EXPECT_EQ(facade.count, direct.count);
-    EXPECT_EQ(facade.violationRate, direct.violationRate);
-    EXPECT_EQ(facade.p99Latency, direct.p99Latency);
 }
 
 } // namespace

@@ -1,11 +1,17 @@
 /**
  * @file
- * Tests for the ServingSystem façade.
+ * Tests for the serving configuration (app/serving_system.hh): policy
+ * names, the scheduler and predictor factories, and configurations
+ * served through runScenario().
  */
 
 #include "app/serving_system.hh"
 
 #include <gtest/gtest.h>
+
+#include <utility>
+
+#include "app/scenario.hh"
 
 namespace qoserve {
 namespace {
@@ -17,6 +23,15 @@ tinyTrace(double qps, std::size_t count, std::uint64_t seed = 3)
         .dataset(azureCode())
         .seed(seed)
         .buildCount(PoissonArrivals(qps), count);
+}
+
+/** Serve @p trace under @p cfg, every other setting at its default. */
+ScenarioResult
+serve(const ServingConfig &cfg, Trace trace, const RunHooks &hooks = {})
+{
+    Scenario sc;
+    sc.serving = cfg;
+    return runScenario(sc, std::move(trace), hooks);
 }
 
 TEST(PolicyName, AllNamesDistinct)
@@ -73,9 +88,8 @@ TEST(ServingSystem, ServesTraceToCompletion)
 {
     ServingConfig cfg;
     cfg.policy = Policy::SarathiFcfs;
-    ServingSystem system(cfg);
 
-    RunSummary s = system.serve(tinyTrace(2.0, 150));
+    RunSummary s = serve(cfg, tinyTrace(2.0, 150)).summary;
     EXPECT_EQ(s.count, 150u);
 }
 
@@ -84,9 +98,8 @@ TEST(ServingSystem, QoServeWithOraclePredictorServes)
     ServingConfig cfg;
     cfg.policy = Policy::QoServe;
     cfg.useForestPredictor = false;
-    ServingSystem system(cfg);
 
-    RunSummary s = system.serve(tinyTrace(2.0, 150));
+    RunSummary s = serve(cfg, tinyTrace(2.0, 150)).summary;
     EXPECT_EQ(s.count, 150u);
     EXPECT_LT(s.violationRate, 0.05);
 }
@@ -96,9 +109,8 @@ TEST(ServingSystem, InspectionExposesReplicas)
     ServingConfig cfg;
     cfg.policy = Policy::SarathiEdf;
     cfg.numReplicas = 2;
-    ServingSystem system(cfg);
 
-    auto sim = system.serveForInspection(tinyTrace(2.0, 100));
+    auto sim = serve(cfg, tinyTrace(2.0, 100)).cluster;
     EXPECT_EQ(sim->numReplicas(), 2u);
     EXPECT_EQ(sim->metrics().size(), 100u);
     EXPECT_GT(sim->replica(0).iterations(), 0u);
@@ -110,10 +122,12 @@ TEST(ServingSystem, PredictorSharedAcrossServeCalls)
     ServingConfig cfg;
     cfg.policy = Policy::QoServe;
     cfg.useForestPredictor = false;
-    ServingSystem system(cfg);
+    auto predictor = makePredictor(cfg);
+    RunHooks hooks;
+    hooks.predictor = predictor.get();
 
-    RunSummary a = system.serve(tinyTrace(1.0, 50, 5));
-    RunSummary b = system.serve(tinyTrace(1.0, 50, 5));
+    RunSummary a = serve(cfg, tinyTrace(1.0, 50, 5), hooks).summary;
+    RunSummary b = serve(cfg, tinyTrace(1.0, 50, 5), hooks).summary;
     // Same trace, fresh cluster each time: identical results.
     EXPECT_DOUBLE_EQ(a.p99Latency, b.p99Latency);
 }

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "cluster/cluster.hh"
 #include "sched/baseline_schedulers.hh"
@@ -35,81 +37,11 @@ TEST(Telemetry, AggregatesBasicStats)
     sink(obs(SimTime{0.15}, 0.05, 0, 5));
 
     EXPECT_EQ(rec.size(), 3u);
-    EXPECT_NEAR(rec.meanChunkTokens(), (256 + 1024) / 3.0, 1e-9);
-    EXPECT_EQ(rec.maxChunkTokens(), 1024);
-}
-
-TEST(Telemetry, HistogramBucketsCorrectly)
-{
-    TelemetryRecorder rec;
-    auto sink = rec.observerFor(ReplicaId{0});
-    sink(obs(SimTime{0.0}, 0.05, 100, 0));
-    sink(obs(SimTime{0.1}, 0.05, 130, 0));
-    sink(obs(SimTime{0.2}, 0.05, 300, 0));
-
-    auto hist = rec.chunkHistogram(128);
-    ASSERT_EQ(hist.size(), 3u);
-    EXPECT_EQ(hist[0], 1); // 100
-    EXPECT_EQ(hist[1], 1); // 130
-    EXPECT_EQ(hist[2], 1); // 300
-}
-
-TEST(Telemetry, UtilizationWindowed)
-{
-    TelemetryRecorder rec;
-    auto sink = rec.observerFor(ReplicaId{0});
-    // Busy [0, 1) and [2, 3) within a 4-second window: 50%.
-    sink(obs(SimTime{0.0}, 1.0, 256, 0));
-    sink(obs(SimTime{2.0}, 1.0, 256, 0));
-    EXPECT_NEAR(rec.utilization(SimTime{0.0}, SimTime{4.0}), 0.5, 1e-9);
-    // Window clipping.
-    EXPECT_NEAR(rec.utilization(SimTime{0.5}, SimTime{1.5}), 0.5, 1e-9);
-}
-
-TEST(Telemetry, MultiReplicaUtilizationExceedsOne)
-{
-    TelemetryRecorder rec;
-    auto r0 = rec.observerFor(ReplicaId{0});
-    auto r1 = rec.observerFor(ReplicaId{1});
-    r0(obs(SimTime{0.0}, 1.0, 0, 1));
-    r1(obs(SimTime{0.0}, 1.0, 0, 1));
-    EXPECT_NEAR(rec.utilization(SimTime{0.0}, SimTime{1.0}), 2.0, 1e-9);
-}
-
-TEST(Telemetry, UtilizationZeroLengthWindowIsZero)
-{
-    TelemetryRecorder rec;
-    rec.observerFor(ReplicaId{0})(obs(SimTime{0.0}, 1.0, 256, 0));
-    EXPECT_EQ(rec.utilization(SimTime{0.5}, SimTime{0.5}), 0.0);
-    // An empty recorder over an empty window is also fine.
-    TelemetryRecorder empty;
-    EXPECT_EQ(empty.utilization(SimTime{2.0}, SimTime{2.0}), 0.0);
-}
-
-TEST(Telemetry, UtilizationMergesOverlapsWithinReplica)
-{
-    // A crash-cancelled batch is observed with its full planned
-    // latency, overlapping the batches run after recovery on the same
-    // replica. That engine time must be counted once, not twice.
-    TelemetryRecorder rec;
-    auto sink = rec.observerFor(ReplicaId{0});
-    sink(obs(SimTime{0.0}, 2.0, 256, 0)); // cancelled, planned [0, 2)
-    sink(obs(SimTime{1.0}, 1.0, 256, 0)); // post-recovery, [1, 2)
-    sink(obs(SimTime{1.5}, 1.0, 256, 0)); // [1.5, 2.5)
-    EXPECT_NEAR(rec.utilization(SimTime{0.0}, SimTime{2.5}), 1.0, 1e-9);
-    // And the merge respects window clipping.
-    EXPECT_NEAR(rec.utilization(SimTime{0.5}, SimTime{2.0}), 1.0, 1e-9);
-}
-
-TEST(Telemetry, UtilizationOverlapAcrossReplicasStillSums)
-{
-    // Identical intervals on *different* replicas are genuinely
-    // concurrent engine time: they sum, never merge.
-    TelemetryRecorder rec;
-    rec.observerFor(ReplicaId{0})(obs(SimTime{0.0}, 1.0, 256, 0));
-    rec.observerFor(ReplicaId{1})(obs(SimTime{0.0}, 1.0, 256, 0));
-    rec.observerFor(ReplicaId{0})(obs(SimTime{0.5}, 1.0, 256, 0)); // overlaps replica 0 only
-    EXPECT_NEAR(rec.utilization(SimTime{0.0}, SimTime{2.0}), (1.5 + 1.0) / 2.0, 1e-9);
+    ASSERT_EQ(rec.observations().size(), 3u);
+    EXPECT_EQ(rec.observations()[0].prefillTokens, 256);
+    EXPECT_EQ(rec.observations()[1].prefillTokens, 1024);
+    EXPECT_EQ(rec.observations()[2].numDecodes, 5);
+    EXPECT_EQ(rec.replicaIds(), std::vector<int>(3, 0));
 }
 
 TEST(Telemetry, CsvContainsReplicaTags)
@@ -141,7 +73,11 @@ TEST(Telemetry, IntegratesWithClusterReplicas)
 
     EXPECT_EQ(rec.size(),
               sim.replica(0).iterations() + sim.replica(1).iterations());
-    EXPECT_GT(rec.meanChunkTokens(), 0.0);
+    EXPECT_TRUE(std::any_of(rec.observations().begin(),
+                            rec.observations().end(),
+                            [](const BatchObservation &o) {
+                                return o.prefillTokens > 0;
+                            }));
 }
 
 } // namespace

@@ -39,13 +39,6 @@ TEST(ModelConfig, Llama70bIsBigger)
     EXPECT_GT(big.numLayers, small.numLayers);
 }
 
-TEST(ModelConfig, LookupByName)
-{
-    EXPECT_EQ(modelByName("llama3-8b").name, "Llama3-8B");
-    EXPECT_EQ(modelByName("qwen-7b").name, "Qwen-7B");
-    EXPECT_EQ(modelByName("llama3-70b").name, "Llama3-70B");
-}
-
 TEST(HardwareConfig, H100OutclassesA100)
 {
     GpuConfig a = a100_80gb();

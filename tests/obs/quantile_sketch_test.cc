@@ -149,73 +149,6 @@ TEST(QuantileSketchDeathTest, NegativeAndNanInsertsPanic)
     EXPECT_DEATH(sk.insert(std::nan("")), "");
 }
 
-TEST(QuantileSketchDeathTest, MismatchedAccuracyMergePanics)
-{
-    QuantileSketch a(0.01);
-    QuantileSketch b(0.02);
-    EXPECT_DEATH(a.merge(b), "relative error");
-}
-
-TEST(QuantileSketch, MergeIsBitwiseOrderAndGroupingInvariant)
-{
-    // Split one sample across 8 shards, then merge them serially,
-    // in reverse, and as a binary tree: every shape must equal the
-    // sequentially-built sketch exactly (operator== compares raw
-    // state, including the IEEE bits of min/max).
-    Rng rng(99);
-    std::vector<double> values;
-    for (int i = 0; i < 4000; ++i)
-        values.push_back(std::pow(10.0, rng.uniform(-2.0, 2.0)));
-
-    QuantileSketch whole;
-    std::vector<QuantileSketch> shards(8, QuantileSketch{});
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        whole.insert(values[i]);
-        shards[i % shards.size()].insert(values[i]);
-    }
-
-    QuantileSketch forward;
-    for (const QuantileSketch &s : shards)
-        forward.merge(s);
-    EXPECT_TRUE(forward == whole);
-
-    QuantileSketch backward;
-    for (auto it = shards.rbegin(); it != shards.rend(); ++it)
-        backward.merge(*it);
-    EXPECT_TRUE(backward == whole);
-
-    // Binary tree: ((0+1)+(2+3)) + ((4+5)+(6+7)).
-    std::vector<QuantileSketch> level = shards;
-    while (level.size() > 1) {
-        std::vector<QuantileSketch> next;
-        for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
-            QuantileSketch m = level[i];
-            m.merge(level[i + 1]);
-            next.push_back(m);
-        }
-        if (level.size() % 2 == 1)
-            next.push_back(level.back());
-        level = next;
-    }
-    EXPECT_TRUE(level.front() == whole);
-}
-
-TEST(QuantileSketch, MergePreservesSpecialBuckets)
-{
-    QuantileSketch a;
-    a.insert(0.0);
-    a.insert(kInf);
-    QuantileSketch b;
-    b.insert(2.0);
-    b.insert(kInf);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 4u);
-    EXPECT_EQ(a.zeroCount(), 1u);
-    EXPECT_EQ(a.infCount(), 2u);
-    EXPECT_EQ(a.min(), 0.0); // zero-bucket values are still finite
-    EXPECT_EQ(a.maxFinite(), 2.0);
-}
-
 TEST(QuantileSketch, BankCsvRoundTripsExactly)
 {
     Rng rng(5);

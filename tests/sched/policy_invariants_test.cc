@@ -15,7 +15,7 @@
 
 #include <tuple>
 
-#include "app/serving_system.hh"
+#include "app/scenario.hh"
 
 namespace qoserve {
 namespace {
@@ -36,11 +36,10 @@ TEST_P(PolicyInvariants, RandomWorkloadMaintainsInvariants)
                       .lowPriorityFraction(0.25)
                       .buildCount(PoissonArrivals(3.5), 250);
 
-    ServingConfig cfg;
-    cfg.policy = policy;
-    cfg.useForestPredictor = false;
-    ServingSystem system(cfg);
-    auto sim = system.serveForInspection(trace);
+    Scenario sc;
+    sc.serving.policy = policy;
+    sc.serving.useForestPredictor = false;
+    auto sim = runScenario(sc, trace).cluster;
     const MetricsCollector &metrics = sim->metrics();
 
     // 1. Nothing lost, nothing duplicated.
@@ -126,14 +125,13 @@ TEST_P(PolicyDeterminism, RunsAreReproducible)
                       .seed(9)
                       .buildCount(PoissonArrivals(3.0), 150);
 
-    ServingConfig cfg;
-    cfg.policy = GetParam();
-    cfg.useForestPredictor = false;
+    Scenario sc;
+    sc.serving.policy = GetParam();
+    sc.serving.useForestPredictor = false;
 
     auto run = [&]() {
-        ServingSystem system(cfg);
         std::vector<std::pair<double, double>> out;
-        auto sim = system.serveForInspection(trace);
+        auto sim = runScenario(sc, trace).cluster;
         for (const auto &rec : sim->metrics().records())
             out.emplace_back(rec.firstTokenTime.seconds(), rec.finishTime.seconds());
         return out;

@@ -5,7 +5,7 @@
  * The whole point of qoserve::par is that parallelism is an execution
  * detail: every artifact — sweep summaries, goodput searches, trained
  * forests — must be bit-identical whether computed with jobs = 1 or
- * jobs = 4. These tests drive the real pipelines (ServingSystem
+ * jobs = 4. These tests drive the real pipelines (runScenario()
  * sweeps, measureMaxGoodput, RandomForest::fit) at both job counts
  * and compare results with exact equality, never tolerances.
  */
@@ -18,10 +18,11 @@
 #include <iterator>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "app/scenario.hh"
 #include "cluster/capacity.hh"
-#include "app/serving_system.hh"
 #include "fault/fault_injector.hh"
 #include "predictor/random_forest.hh"
 #include "simcore/thread_pool.hh"
@@ -76,15 +77,15 @@ policySweep(int jobs)
             points.push_back({p, q});
 
     return par::parallelMap(jobs, points.size(), [&](std::size_t i) {
-        ServingConfig cfg;
-        cfg.policy = points[i].policy;
-        cfg.useForestPredictor = false; // oracle keeps tests fast
+        Scenario sc;
+        sc.serving.policy = points[i].policy;
+        sc.serving.useForestPredictor = false; // oracle keeps tests fast
         Trace trace = TraceBuilder()
                           .dataset(azureCode())
                           .seed(7)
                           .buildCount(
                               PoissonArrivals(points[i].qps), 150);
-        return ServingSystem(cfg).serve(trace);
+        return runScenario(sc, std::move(trace)).summary;
     });
 }
 
@@ -184,14 +185,15 @@ prefixCacheSweep(int jobs)
                           .seed(17)
                           .sharedPrefix(sp)
                           .buildCount(PoissonArrivals(4.0), 150);
-        ServingConfig cfg;
+        Scenario sc;
+        ServingConfig &cfg = sc.serving;
         cfg.policy = Policy::QoServe;
         cfg.useForestPredictor = false;
         cfg.numReplicas = 2;
         cfg.prefixCache.enabled = true;
         cfg.prefixCache.capacityFrac = points[i].frac;
         cfg.cacheAffinityRouting = points[i].affinity;
-        return ServingSystem(cfg).serve(trace);
+        return runScenario(sc, std::move(trace)).summary;
     });
 }
 

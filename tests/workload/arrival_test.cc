@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 namespace qoserve {
@@ -46,50 +45,6 @@ TEST(PoissonArrivals, RateMatchesQps)
 TEST(PoissonArrivals, AverageQpsReported)
 {
     EXPECT_DOUBLE_EQ(PoissonArrivals(3.5).averageQps(), 3.5);
-}
-
-TEST(GammaArrivals, MeanRateMatchesQps)
-{
-    GammaArrivals proc(4.0, 2.0);
-    Rng rng(6);
-    auto times = generate(proc, rng, 40000);
-    EXPECT_NEAR(40000.0 / times.back().seconds(), 4.0, 0.15);
-    EXPECT_DOUBLE_EQ(proc.averageQps(), 4.0);
-}
-
-TEST(GammaArrivals, CvControlsBurstiness)
-{
-    // Empirical CV of the inter-arrival gaps tracks the parameter.
-    auto empirical_cv = [](double cv) {
-        GammaArrivals proc(5.0, cv);
-        Rng rng(7);
-        double sum = 0.0, sumsq = 0.0;
-        SimTime prev;
-        constexpr int n = 60000;
-        for (int i = 0; i < n; ++i) {
-            SimTime t = proc.nextArrival(prev, rng);
-            double gap = t - prev;
-            sum += gap;
-            sumsq += gap * gap;
-            prev = t;
-        }
-        double mean = sum / n;
-        double var = sumsq / n - mean * mean;
-        return std::sqrt(var) / mean;
-    };
-
-    EXPECT_NEAR(empirical_cv(0.5), 0.5, 0.05);
-    EXPECT_NEAR(empirical_cv(1.0), 1.0, 0.05);
-    EXPECT_NEAR(empirical_cv(3.0), 3.0, 0.25);
-}
-
-TEST(GammaArrivals, Cv1MatchesPoissonStatistics)
-{
-    // CV = 1 Gamma renewals are exactly Poisson.
-    GammaArrivals gamma_proc(3.0, 1.0);
-    Rng rng(8);
-    auto times = generate(gamma_proc, rng, 30000);
-    EXPECT_NEAR(30000.0 / times.back().seconds(), 3.0, 0.1);
 }
 
 TEST(DiurnalArrivals, PhaseRatesAlternate)
