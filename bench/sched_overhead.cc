@@ -5,9 +5,9 @@
  * §4.5.3 argues QoServe's scheduling step costs O(log N_new) via its
  * priority queue, unlike SLOs-Serve's O(N * N_new * M) dynamic
  * program. These benchmarks measure the wall-clock cost of one
- * scheduling iteration (formBatch + onBatchComplete) as the prefill
- * backlog grows, plus the cost of the two predictor paths consulted
- * per iteration.
+ * scheduling iteration (formBatchInto + onBatchComplete) as the
+ * prefill backlog grows, plus the cost of the two predictor paths
+ * consulted per iteration.
  */
 
 #include <benchmark/benchmark.h>
@@ -49,9 +49,10 @@ runIterationBenchmark(benchmark::State &state, SchedT &sched,
     for (std::size_t i = 0; i < backlog; ++i)
         enqueue_one();
 
+    Batch batch;
     for (auto _ : state) {
         completed = 0;
-        Batch batch = sched.formBatch(now);
+        sched.formBatchInto(batch, now);
         now += 0.05;
         sched.onBatchComplete(batch, now);
         benchmark::DoNotOptimize(batch.prefills.data());
@@ -153,28 +154,38 @@ BM_ChunkBudgetSolve(benchmark::State &state)
 BENCHMARK(BM_ChunkBudgetSolve);
 
 /**
- * Predictor-eval phase through the solver cache's chunk plane — the
- * probe path every QoServe iteration actually takes (contrast with
- * BM_ForestPredict, the uncached full-forest walk).
+ * Predictor-eval phase through a chunk plane — the probe every
+ * QoServe cold solve makes (contrast with BM_ForestPredict, the
+ * full-forest walk). The plane is built once, as a solve whose
+ * composition stays inside the plane box finds it; each iteration is
+ * one tracked probe, which also narrows the solve record's box.
  */
 void
 BM_ForestPredictPlane(benchmark::State &state)
 {
     static PerfModel perf(llama3_8b_a100_tp1());
     static ForestLatencyPredictor forest(perf);
-    ChunkSolverCache cache;
     BatchFeatures f;
     f.prefillContext = 1024;
     f.numDecodes = 64;
     f.decodeCtxSum = 64 * 2000;
+    ChunkPlane plane;
+    forest.buildChunkPlane(f, plane);
+    FeatureSupport box;
+    box.reset(BatchFeatures::kCount);
+    auto x = f.toArray();
     int chunk = 64;
     for (auto _ : state) {
         // Cycle the probed chunk like the solver's bisection does;
-        // the composition stays inside the plane box, so every
-        // iteration after the first is a plane hit.
+        // a solve resets its record box once per cold search.
         chunk = chunk >= 2560 ? 64 : chunk + 64;
+        if (chunk == 64)
+            box.reset(BatchFeatures::kCount);
+        x[0] = static_cast<double>(chunk);
         benchmark::DoNotOptimize(
-            cache.lookupOrPredict(forest, f, chunk, 64));
+            plane.forest.predictQuantileTracked(
+                x.data(), BatchFeatures::kCount, plane.quantile, box) *
+            plane.safetyMargin);
     }
 }
 

@@ -27,7 +27,6 @@
 #include "predictor/random_forest.hh"
 #include "sched/baseline_schedulers.hh"
 #include "sched/batch.hh"
-#include "sched/chunked_scheduler.hh"
 #include "sched/dp_scheduler.hh"
 #include "sched/qoserve_scheduler.hh"
 #include "sched/request.hh"

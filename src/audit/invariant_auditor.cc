@@ -302,7 +302,7 @@ void
 InvariantAuditor::checkSchedulerView(const SchedulerAuditView &view,
                                      const BlockManager *kv, SimTime now)
 {
-    if (!cheap() || !view.populated)
+    if (!cheap())
         return;
 
     // Cheap: counters inside their configured bounds. Hand-built

@@ -40,7 +40,7 @@ AdmissionController::AdmissionController(Config cfg)
 
 bool
 AdmissionController::admit(const RequestSpec &spec, SimTime now,
-                           const Scheduler &target)
+                           TokenCount target_backlog)
 {
     (void)spec;
     bool ok = true;
@@ -61,7 +61,7 @@ AdmissionController::admit(const RequestSpec &spec, SimTime now,
         break;
       }
       case AdmissionPolicy::LoadShed:
-        ok = target.pendingPrefillTokens() < cfg_.maxBacklogTokens;
+        ok = target_backlog.value() < cfg_.maxBacklogTokens;
         break;
     }
     if (ok) {

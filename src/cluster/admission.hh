@@ -21,7 +21,7 @@
 
 #include <cstdint>
 
-#include "sched/scheduler.hh"
+#include "obs/trace_sink.hh"
 #include "workload/trace.hh"
 
 namespace qoserve {
@@ -58,11 +58,12 @@ class AdmissionController
     explicit AdmissionController(Config cfg);
 
     /**
-     * Decide whether to admit a request arriving at @p now onto
-     * @p target. Consumes token-bucket budget on admission.
+     * Decide whether to admit a request arriving at @p now onto a
+     * replica whose prefill queue holds @p target_backlog prompt
+     * tokens. Consumes token-bucket budget on admission.
      */
     bool admit(const RequestSpec &spec, SimTime now,
-               const Scheduler &target);
+               TokenCount target_backlog);
 
     /** Requests rejected so far. */
     std::uint64_t rejected() const { return rejected_; }

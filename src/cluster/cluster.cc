@@ -380,8 +380,9 @@ ClusterSim::dispatchArrival(const RequestSpec &spec)
         return;
     }
     noteDispatchSuccess(replica_idx);
-    if (admission_.admit(spec, eq_.now(),
-                         replicas_[replica_idx]->scheduler())) {
+    const TokenCount backlog{
+        replicas_[replica_idx]->scheduler().pendingPrefillTokens()};
+    if (admission_.admit(spec, eq_.now(), backlog)) {
         traceScope_.emitOn(ReplicaId{static_cast<int>(replica_idx)},
                            TraceEventKind::Dispatch, spec.id);
         replicas_[replica_idx]->submit(spec);

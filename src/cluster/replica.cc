@@ -54,10 +54,7 @@ Replica::buildScheduler()
     scheduler_ = factory_(env);
     QOSERVE_ASSERT(scheduler_ != nullptr, "factory returned no scheduler");
 
-    auto *chunked = dynamic_cast<ChunkedScheduler *>(scheduler_.get());
-    QOSERVE_ASSERT(chunked != nullptr,
-                   "replica requires a ChunkedScheduler");
-    chunked->setCompletionHandler([this](Request *req) {
+    scheduler_->setCompletionHandler([this](Request *req) {
         RequestRecord rec = req->takeRecord();
         live_.erase(req->id());
         pool_.destroy(req);

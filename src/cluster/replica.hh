@@ -20,7 +20,7 @@
 #include "model/perf_model.hh"
 #include "obs/trace_sink.hh"
 #include "prefixcache/prefix_cache.hh"
-#include "sched/chunked_scheduler.hh"
+#include "sched/scheduler.hh"
 #include "sched/request_pool.hh"
 #include "simcore/event_queue.hh"
 #include "workload/trace.hh"

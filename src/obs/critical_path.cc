@@ -11,6 +11,7 @@
 #include <ostream>
 
 #include "core/csv.hh"
+#include "simcore/logging.hh"
 
 namespace qoserve {
 
@@ -47,47 +48,25 @@ criticalPathFor(const RequestTimeline &tl)
     if (tl.spans.empty())
         return path;
 
-    // Longest-duration chain of non-overlapping spans. Spans arrive
-    // begin-ordered from buildRequestTimelines; dp[i] is the best
-    // chain ending in span i. O(n^2) in the span count, which is
-    // bounded by the request's chunk/iteration count.
-    const std::size_t n = tl.spans.size();
-    std::vector<double> dp(n, 0.0);
-    std::vector<std::ptrdiff_t> prev(n, -1);
-    std::size_t bestEnd = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        dp[i] = tl.spans[i].length();
-        for (std::size_t j = 0; j < i; ++j) {
-            if (tl.spans[j].end > tl.spans[i].begin)
-                continue; // Overlaps: j cannot precede i on a chain.
-            double cand = dp[j] + tl.spans[i].length();
-            // Strict improvement only: ties keep the earliest
-            // predecessor, so the path is deterministic.
-            if (cand > dp[i]) {
-                dp[i] = cand;
-                prev[i] = static_cast<std::ptrdiff_t>(j);
-            }
-        }
-        if (dp[i] > dp[bestEnd])
-            bestEnd = i;
-    }
-
-    std::vector<const PhaseSpan *> chain;
-    for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(bestEnd);
-         i >= 0; i = prev[static_cast<std::size_t>(i)])
-        chain.push_back(&tl.spans[static_cast<std::size_t>(i)]);
-    std::reverse(chain.begin(), chain.end());
-
-    for (const PhaseSpan *span : chain) {
-        const double len = span->length();
+    // buildRequestTimelines emits a request's spans begin-ordered and
+    // never overlapping, so the longest chain of non-overlapping spans
+    // is every span: drop the zero-length ones and coalesce runs on
+    // the same (phase, replica).
+    SimTime prevEnd = tl.spans.front().begin;
+    for (const PhaseSpan &span : tl.spans) {
+        QOSERVE_ASSERT(span.begin >= prevEnd, "span beginning at ",
+                       span.begin, " overlaps the previous one, ending at ",
+                       prevEnd);
+        prevEnd = span.end;
+        const double len = span.length();
         if (len <= 0.0)
             continue;
         if (!path.segments.empty() &&
-            path.segments.back().phase == span->phase &&
-            path.segments.back().replica == span->replica) {
+            path.segments.back().phase == span.phase &&
+            path.segments.back().replica == span.replica) {
             path.segments.back().seconds += len;
         } else {
-            path.segments.push_back({span->phase, span->replica, len});
+            path.segments.push_back({span.phase, span.replica, len});
         }
         path.totalSeconds += len;
     }

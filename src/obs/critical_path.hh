@@ -7,12 +7,10 @@
  * wherever one span can only start after another ends — the critical
  * path is the maximum-duration chain of non-overlapping spans from
  * the request's first span to its last: the sequence of waits and
- * work that actually bounded its end-to-end latency. Today every
- * request executes serially (possibly across replicas via retries),
- * so the DAG is a chain and the path covers the whole served
- * lifetime; the extraction still runs an explicit longest-path DP so
- * future concurrent spans (disaggregated prefill/decode overlap)
- * inherit correct attribution instead of double counting.
+ * work that actually bounded its end-to-end latency. Every request
+ * executes serially (possibly across replicas via retries), so the
+ * DAG is a chain and the path covers the whole served lifetime; the
+ * extraction is one linear pass that panics on overlapping spans.
  *
  * Consecutive path spans sharing (phase, replica) coalesce into one
  * segment, and the aggregate across violated requests answers the
@@ -65,9 +63,8 @@ struct CriticalPath
 };
 
 /**
- * Extract @p tl's critical path: longest-duration chain of
- * non-overlapping spans (ties broken toward earlier spans, so the
- * result is deterministic).
+ * Extract @p tl's critical path: its spans in order, zero-length ones
+ * dropped. Panics when a span begins before the previous one ends.
  */
 CriticalPath criticalPathFor(const RequestTimeline &tl);
 

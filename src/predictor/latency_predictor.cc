@@ -60,6 +60,31 @@ namespace {
 constexpr double kPlaneDecodeSlack = 16.0;
 constexpr double kPlaneContextSlack = 32768.0;
 
+/**
+ * The chunk-budget search every solve runs: the largest u in
+ * [0, units] with feasible(u * step), assuming feasibility is
+ * monotone in the chunk and the empty chunk is feasible. Probes the
+ * full chunk first, then bisects; the probe order is part of the
+ * solve memo's contract (a replayed record saw exactly these probes).
+ */
+template <typename Feasible>
+int
+searchChunkUnits(int units, int step, Feasible &&feasible)
+{
+    if (feasible(units * step))
+        return units;
+    int lo = 0;     // feasible (empty chunk) by definition
+    int hi = units; // Invariant: lo feasible, hi infeasible.
+    while (hi - lo > 1) {
+        int mid = lo + (hi - lo) / 2;
+        if (feasible(mid * step))
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
 } // namespace
 
 bool
@@ -87,41 +112,6 @@ ForestLatencyPredictor::buildChunkPlane(const BatchFeatures &features,
     return true;
 }
 
-SimDuration
-ChunkSolverCache::lookupOrPredict(const LatencyPredictor &predictor,
-                                  BatchFeatures features, int chunk,
-                                  int step)
-{
-    QOSERVE_ASSERT(chunk >= 0 && step > 0, "bad cache key");
-    features.chunkTokens = static_cast<double>(chunk);
-    auto x = features.toArray();
-
-    ++stats_.queries;
-    if (plane_.support.contains(x.data(), BatchFeatures::kCount)) {
-        ++stats_.hits;
-        return plane_.predict(x.data(), BatchFeatures::kCount);
-    }
-
-    ++stats_.evaluations;
-    if (predictor.buildChunkPlane(features, plane_))
-        return plane_.predict(x.data(), BatchFeatures::kCount);
-    return predictor.predict(features);
-}
-
-bool
-ChunkSolverCache::ensurePlane(const LatencyPredictor &predictor,
-                              const BatchFeatures &features,
-                              const double *x)
-{
-    if (plane_.support.contains(x, BatchFeatures::kCount))
-        return true;
-    ++stats_.evaluations;
-    if (!predictor.buildChunkPlane(features, plane_))
-        return false;
-    ++generation_;
-    return true;
-}
-
 int
 ChunkSolverCache::solve(const LatencyPredictor &predictor,
                         const BatchFeatures &decode_state,
@@ -136,26 +126,18 @@ ChunkSolverCache::solve(const LatencyPredictor &predictor,
     features.chunkTokens = 0.0;
     auto x = features.toArray();
 
-    if (!ensurePlane(predictor, features, x.data())) {
-        // Predictor cannot partially evaluate: plain cold search with
-        // per-probe predictions.
-        auto feasible = [&](int chunk) {
-            BatchFeatures f = decode_state;
-            f.chunkTokens = static_cast<double>(chunk);
-            ++stats_.queries;
-            return predictor.predict(f) <= budget;
-        };
-        int lo = 0, hi = units;
-        if (feasible(units * step))
-            return units * step;
-        while (hi - lo > 1) {
-            int mid = lo + (hi - lo) / 2;
-            if (feasible(mid * step))
-                lo = mid;
-            else
-                hi = mid;
+    if (!plane_.support.contains(x.data(), BatchFeatures::kCount)) {
+        if (!predictor.buildChunkPlane(features, plane_)) {
+            // Predictor cannot partially evaluate: plain cold search
+            // with per-probe predictions.
+            auto feasible = [&](int chunk) {
+                features.chunkTokens = static_cast<double>(chunk);
+                ++stats_.queries;
+                return predictor.predict(features) <= budget;
+            };
+            return searchChunkUnits(units, step, feasible) * step;
         }
-        return lo * step;
+        ++generation_;
     }
 
     // Replay: a record from the current plane whose box contains the
@@ -208,26 +190,11 @@ ChunkSolverCache::solve(const LatencyPredictor &predictor,
         return false;
     };
 
-    int lo = 0; // feasible (empty chunk) by definition
-    int hi = units;
-    if (feasible(units * step)) {
-        lo = units;
-    } else {
-        // Invariant: lo feasible, hi infeasible.
-        while (hi - lo > 1) {
-            int mid = lo + (hi - lo) / 2;
-            if (feasible(mid * step))
-                lo = mid;
-            else
-                hi = mid;
-        }
-    }
-
-    rec.resultUnits = lo;
+    rec.resultUnits = searchChunkUnits(units, step, feasible);
     rec.valid = true;
     records_[recordHead_] = rec;
     recordHead_ = (recordHead_ + 1) % kSolveRecords;
-    return lo * step;
+    return rec.resultUnits * step;
 }
 
 int
@@ -244,24 +211,10 @@ solveChunkBudget(const LatencyPredictor &predictor,
                             step);
 
     auto feasible = [&](int chunk) {
-        BatchFeatures f = decode_state;
-        f.chunkTokens = static_cast<double>(chunk);
-        return predictor.predict(f) <= budget;
+        decode_state.chunkTokens = static_cast<double>(chunk);
+        return predictor.predict(decode_state) <= budget;
     };
-
-    int lo = 0;                // feasible (empty chunk) by definition
-    int hi = max_chunk / step; // in units of step
-    if (feasible(hi * step))
-        return hi * step;
-    // Invariant: lo feasible, hi infeasible.
-    while (hi - lo > 1) {
-        int mid = lo + (hi - lo) / 2;
-        if (feasible(mid * step))
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return lo * step;
+    return searchChunkUnits(max_chunk / step, step, feasible) * step;
 }
 
 } // namespace qoserve

@@ -180,11 +180,11 @@ class ForestLatencyPredictor : public LatencyPredictor
 /**
  * Memoises the chunk-budget search at two levels.
  *
- * Probe level: holds one ChunkPlane — the predictor partially
+ * Plane level: holds one ChunkPlane — the predictor partially
  * evaluated over the (chunkTokens, prefillContext) axes the solver
- * actually varies. A probe is served from the plane iff the remaining
+ * actually varies. A solve probes the plane iff the remaining
  * composition features (decode batch size, context sum) still fall
- * inside the plane's box, which makes every hit provably bitwise
+ * inside the plane's box, which makes every probe provably bitwise
  * identical to a fresh forest evaluation: chunk probes and the head
  * prefill's context drift never force a rebuild, only genuine
  * composition changes do.
@@ -209,19 +209,9 @@ class ChunkSolverCache
     {
         std::uint64_t solves = 0;      ///< solve() calls.
         std::uint64_t replayHits = 0;  ///< Solves answered by replay.
-        std::uint64_t queries = 0;     ///< Individual probe lookups.
-        std::uint64_t hits = 0;        ///< Box-validated plane reuses.
-        std::uint64_t evaluations = 0; ///< Plane rebuilds + fallbacks.
+        std::uint64_t queries = 0;     ///< Individual probes.
+        std::uint64_t hits = 0;        ///< Probes served by the plane.
     };
-
-    /**
-     * Latency for @p chunk from the cached plane, or from a freshly
-     * rebuilt plane (or plain predict() for predictors that cannot
-     * partially evaluate) when the composition escaped the box.
-     */
-    SimDuration lookupOrPredict(const LatencyPredictor &predictor,
-                                BatchFeatures features, int chunk,
-                                int step);
 
     /**
      * Largest feasible chunk for @p budget — the memoised equivalent
@@ -265,11 +255,6 @@ class ChunkSolverCache
 
     /** Recorded solves kept (ring; newest overwrite oldest). */
     static constexpr int kSolveRecords = 16;
-
-    /** Rebuild plane_ for @p x if its box no longer covers it; true
-     *  when a valid plane is available afterwards. */
-    bool ensurePlane(const LatencyPredictor &predictor,
-                     const BatchFeatures &features, const double *x);
 
     ChunkPlane plane_;
 

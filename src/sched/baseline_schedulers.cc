@@ -13,7 +13,7 @@ namespace qoserve {
 
 FcfsScheduler::FcfsScheduler(const SchedulerEnv &env,
                              ChunkedSchedulerConfig cfg)
-    : ChunkedScheduler(env, cfg)
+    : Scheduler(env, cfg)
 {
 }
 
@@ -25,7 +25,7 @@ FcfsScheduler::priorityOf(const Request &req, SimTime) const
 
 EdfScheduler::EdfScheduler(const SchedulerEnv &env,
                            ChunkedSchedulerConfig cfg)
-    : ChunkedScheduler(env, cfg)
+    : Scheduler(env, cfg)
 {
 }
 
@@ -37,7 +37,7 @@ EdfScheduler::priorityOf(const Request &req, SimTime) const
 
 SjfScheduler::SjfScheduler(const SchedulerEnv &env,
                            ChunkedSchedulerConfig cfg)
-    : ChunkedScheduler(env, cfg)
+    : Scheduler(env, cfg)
 {
 }
 
@@ -52,7 +52,7 @@ SjfScheduler::priorityOf(const Request &req, SimTime) const
 
 SrpfScheduler::SrpfScheduler(const SchedulerEnv &env,
                              ChunkedSchedulerConfig cfg)
-    : ChunkedScheduler(env, cfg)
+    : Scheduler(env, cfg)
 {
 }
 
@@ -64,7 +64,7 @@ SrpfScheduler::priorityOf(const Request &req, SimTime) const
 
 MedhaScheduler::MedhaScheduler(const SchedulerEnv &env, Options options,
                                ChunkedSchedulerConfig cfg)
-    : ChunkedScheduler(env, cfg), options_(options)
+    : Scheduler(env, cfg), options_(options)
 {
     QOSERVE_ASSERT(options_.tbtTarget > 0.0, "TBT target must be positive");
     QOSERVE_ASSERT(options_.maxChunkTokens >= options_.chunkStep,

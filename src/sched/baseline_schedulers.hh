@@ -15,12 +15,12 @@
 #ifndef QOSERVE_SCHED_BASELINE_SCHEDULERS_HH
 #define QOSERVE_SCHED_BASELINE_SCHEDULERS_HH
 
-#include "sched/chunked_scheduler.hh"
+#include "sched/scheduler.hh"
 
 namespace qoserve {
 
 /** First-come-first-served over arrival time. */
-class FcfsScheduler : public ChunkedScheduler
+class FcfsScheduler : public Scheduler
 {
   public:
     FcfsScheduler(const SchedulerEnv &env, ChunkedSchedulerConfig cfg = {});
@@ -32,7 +32,7 @@ class FcfsScheduler : public ChunkedScheduler
 };
 
 /** Earliest-deadline-first over the urgency deadline. */
-class EdfScheduler : public ChunkedScheduler
+class EdfScheduler : public Scheduler
 {
   public:
     EdfScheduler(const SchedulerEnv &env, ChunkedSchedulerConfig cfg = {});
@@ -44,7 +44,7 @@ class EdfScheduler : public ChunkedScheduler
 };
 
 /** Shortest-job-first over estimated total processing tokens. */
-class SjfScheduler : public ChunkedScheduler
+class SjfScheduler : public Scheduler
 {
   public:
     SjfScheduler(const SchedulerEnv &env, ChunkedSchedulerConfig cfg = {});
@@ -56,7 +56,7 @@ class SjfScheduler : public ChunkedScheduler
 };
 
 /** Shortest-remaining-prompt-first (preemptive SJF on prefill). */
-class SrpfScheduler : public ChunkedScheduler
+class SrpfScheduler : public Scheduler
 {
   public:
     SrpfScheduler(const SchedulerEnv &env, ChunkedSchedulerConfig cfg = {});
@@ -76,7 +76,7 @@ class SrpfScheduler : public ChunkedScheduler
  * term. Unlike QoServe it is unaware of slack accumulated by the
  * current decode batch.
  */
-class MedhaScheduler : public ChunkedScheduler
+class MedhaScheduler : public Scheduler
 {
   public:
     struct Options

@@ -55,7 +55,7 @@ struct Batch
      * Several consumers (the dynamic-chunk solver, the execution-time
      * model) need this sum each iteration; the first call walks the
      * decode list, later calls return the memo. Valid only while the
-     * decode set and contexts are frozen, i.e. between formBatch()
+     * decode set and contexts are frozen, i.e. between formBatchInto()
      * and onBatchComplete().
      */
     std::int64_t decodeCtxSum() const;

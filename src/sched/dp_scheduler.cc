@@ -14,7 +14,7 @@ namespace qoserve {
 
 DpScheduler::DpScheduler(const SchedulerEnv &env, Options options,
                          ChunkedSchedulerConfig cfg)
-    : ChunkedScheduler(env, cfg), options_(options)
+    : Scheduler(env, cfg), options_(options)
 {
     QOSERVE_ASSERT(options_.chunkTokens > 0 && options_.tokenQuantum > 0,
                    "bad DP options");

@@ -21,14 +21,14 @@
 #ifndef QOSERVE_SCHED_DP_SCHEDULER_HH
 #define QOSERVE_SCHED_DP_SCHEDULER_HH
 
-#include "sched/chunked_scheduler.hh"
+#include "sched/scheduler.hh"
 
 namespace qoserve {
 
 /**
  * Per-iteration knapsack scheduler.
  */
-class DpScheduler : public ChunkedScheduler
+class DpScheduler : public Scheduler
 {
   public:
     /** Tuning knobs. */

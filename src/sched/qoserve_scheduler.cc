@@ -16,7 +16,7 @@ namespace qoserve {
 QoServeScheduler::QoServeScheduler(const SchedulerEnv &env,
                                    QoServeConfig qos_cfg,
                                    ChunkedSchedulerConfig cfg)
-    : ChunkedScheduler(env, cfg), qosCfg_(qos_cfg)
+    : Scheduler(env, cfg), qosCfg_(qos_cfg)
 {
     if (qosCfg_.enableDynamicChunking && env.predictor == nullptr)
         QOSERVE_FATAL("dynamic chunking requires a latency predictor");
@@ -63,25 +63,10 @@ QoServeScheduler::priorityOf(const Request &req, SimTime) const
 SchedulerAuditView
 QoServeScheduler::auditView(bool full_detail) const
 {
-    SchedulerAuditView view = ChunkedScheduler::auditView(full_detail);
+    SchedulerAuditView view = Scheduler::auditView(full_detail);
     if (qosCfg_.enableDynamicChunking)
         view.minChunkTokens = qosCfg_.minChunkTokens;
     return view;
-}
-
-void
-QoServeScheduler::onCompositionChange()
-{
-    // Intentionally no cache invalidation: the solver cache's plane
-    // and solve records each carry the feature box over which their
-    // contents are provably bit-identical to a fresh forest
-    // evaluation, and reuse is gated on the query lying strictly
-    // inside that box. A composition change moves the features; if it
-    // moves them outside the box the plane simply rebuilds and the
-    // records go stale via the generation counter. Invalidating here
-    // would be correct but needless — composition changes happen
-    // nearly every iteration, while the slack box absorbs most of
-    // them.
 }
 
 int

@@ -25,7 +25,7 @@
 #define QOSERVE_SCHED_QOSERVE_SCHEDULER_HH
 
 #include "predictor/latency_predictor.hh"
-#include "sched/chunked_scheduler.hh"
+#include "sched/scheduler.hh"
 
 namespace qoserve {
 
@@ -103,7 +103,7 @@ struct QoServeConfig
 /**
  * QoS-driven scheduler (Algorithm 1).
  */
-class QoServeScheduler : public ChunkedScheduler
+class QoServeScheduler : public Scheduler
 {
   public:
     /**
@@ -129,7 +129,6 @@ class QoServeScheduler : public ChunkedScheduler
     }
 
     SchedulerAuditView auditView(bool full_detail) const override;
-    using ChunkedScheduler::auditView;
 
     /**
      * True when the estimated prefill backlog exceeds the overload
@@ -157,7 +156,6 @@ class QoServeScheduler : public ChunkedScheduler
     bool shouldRelegate(const Request &req, SimTime now) const override;
     void collectUrgentInflight(SimTime now,
                                std::vector<Request *> &out) const override;
-    void onCompositionChange() override;
 
   private:
     QoServeConfig qosCfg_;

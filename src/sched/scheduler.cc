@@ -1,9 +1,9 @@
 /**
  * @file
- * Chunked-scheduler base implementation.
+ * Scheduler implementation: queue and batch mechanics.
  */
 
-#include "sched/chunked_scheduler.hh"
+#include "sched/scheduler.hh"
 
 #include <algorithm>
 #include <unordered_set>
@@ -14,8 +14,7 @@
 
 namespace qoserve {
 
-ChunkedScheduler::ChunkedScheduler(const SchedulerEnv &env,
-                                   ChunkedSchedulerConfig cfg)
+Scheduler::Scheduler(const SchedulerEnv &env, ChunkedSchedulerConfig cfg)
     : env_(env), cfg_(cfg)
 {
     QOSERVE_ASSERT(env_.kv != nullptr, "scheduler needs a BlockManager");
@@ -42,37 +41,36 @@ ChunkedScheduler::ChunkedScheduler(const SchedulerEnv &env,
 }
 
 SimDuration
-ChunkedScheduler::estPrefillTime(double tokens) const
+Scheduler::estPrefillTime(double tokens) const
 {
     return tokens / prefillRate_;
 }
 
 SimDuration
-ChunkedScheduler::estDecodeTime(double tokens) const
+Scheduler::estDecodeTime(double tokens) const
 {
     return tokens * decodeTokenTime_;
 }
 
 int
-ChunkedScheduler::chunkBudget(SimTime, const Batch &) const
+Scheduler::chunkBudget(SimTime, const Batch &) const
 {
     return cfg_.fixedChunkTokens;
 }
 
 bool
-ChunkedScheduler::shouldRelegate(const Request &, SimTime) const
+Scheduler::shouldRelegate(const Request &, SimTime) const
 {
     return false;
 }
 
 void
-ChunkedScheduler::collectUrgentInflight(SimTime,
-                                        std::vector<Request *> &) const
+Scheduler::collectUrgentInflight(SimTime, std::vector<Request *> &) const
 {
 }
 
 void
-ChunkedScheduler::enqueue(Request *req, SimTime now)
+Scheduler::enqueue(Request *req, SimTime now)
 {
     QOSERVE_ASSERT(req->phase() == RequestPhase::WaitingPrefill,
                    "enqueue of in-progress request");
@@ -80,11 +78,10 @@ ChunkedScheduler::enqueue(Request *req, SimTime now)
     auto [it, inserted] = prefillQueue_.insert(req);
     QOSERVE_ASSERT(inserted, "request enqueued twice");
     pendingPrefill_ += req->prefillRemaining();
-    onCompositionChange();
 }
 
 void
-ChunkedScheduler::relegate(Request *req, SimTime now)
+Scheduler::relegate(Request *req, SimTime now)
 {
     auto it = prefillQueue_.find(req);
     QOSERVE_ASSERT(it != prefillQueue_.end(),
@@ -96,12 +93,11 @@ ChunkedScheduler::relegate(Request *req, SimTime now)
     ++stats_.relegations;
     if (env_.trace != nullptr)
         env_.trace->emit(TraceEventKind::Relegate, req->id());
-    onCompositionChange();
 }
 
 int
-ChunkedScheduler::tryScheduleChunk(Request *req, Batch &batch, int budget,
-                                   int &decode_slots)
+Scheduler::tryScheduleChunk(Request *req, Batch &batch, int budget,
+                            int &decode_slots)
 {
     int rem = req->prefillRemaining();
     QOSERVE_ASSERT(rem > 0, "prefill-complete request in prefill queue");
@@ -136,7 +132,7 @@ ChunkedScheduler::tryScheduleChunk(Request *req, Batch &batch, int budget,
 }
 
 int
-ChunkedScheduler::kvCappedBudget(int policy_budget) const
+Scheduler::kvCappedBudget(int policy_budget) const
 {
     // Reserve one token of KV growth per decoding request, then cap
     // the chunk budget by the remaining KV space. Evictable cached
@@ -150,16 +146,8 @@ ChunkedScheduler::kvCappedBudget(int policy_budget) const
         policy_budget, std::max<std::int64_t>(0, free_tokens)));
 }
 
-Batch
-ChunkedScheduler::formBatch(SimTime now)
-{
-    Batch batch;
-    formBatchInto(batch, now);
-    return batch;
-}
-
 void
-ChunkedScheduler::formBatchInto(Batch &batch, SimTime now)
+Scheduler::formBatchInto(Batch &batch, SimTime now)
 {
     batch.clear();
     batch.decodes = decodes_;
@@ -259,25 +247,24 @@ ChunkedScheduler::formBatchInto(Batch &batch, SimTime now)
 }
 
 void
-ChunkedScheduler::finish(Request *req)
+Scheduler::finish(Request *req)
 {
     if (env_.trace != nullptr)
         env_.trace->emit(TraceEventKind::Finish, req->id());
     releaseKv(req);
-    onCompositionChange();
     if (onComplete_)
         onComplete_(req);
 }
 
 void
-ChunkedScheduler::releaseKv(Request *req)
+Scheduler::releaseKv(Request *req)
 {
     env_.kv->release(req->kvSlot());
     req->setKvSlot(KvSlot{});
 }
 
 bool
-ChunkedScheduler::preemptForKv(SimTime now)
+Scheduler::preemptForKv(SimTime now)
 {
     // Prefer a partially prefilled request (its first token has not
     // been produced); among those, take the lowest-priority one,
@@ -308,7 +295,6 @@ ChunkedScheduler::preemptForKv(SimTime now)
         ++stats_.kvPreemptions;
         if (env_.trace != nullptr)
             env_.trace->emit(TraceEventKind::Preempt, victim->id());
-        onCompositionChange();
         return true;
     }
 
@@ -327,12 +313,11 @@ ChunkedScheduler::preemptForKv(SimTime now)
     ++stats_.kvPreemptions;
     if (env_.trace != nullptr)
         env_.trace->emit(TraceEventKind::Preempt, victim->id());
-    onCompositionChange();
     return true;
 }
 
 void
-ChunkedScheduler::onBatchComplete(const Batch &batch, SimTime end)
+Scheduler::onBatchComplete(const Batch &batch, SimTime end)
 {
     // Apply prefill progress.
     for (const ScheduledChunk &chunk : batch.prefills) {
@@ -357,7 +342,6 @@ ChunkedScheduler::onBatchComplete(const Batch &batch, SimTime end)
           case RequestPhase::Decoding:
             partiallyPrefilled_.erase(req);
             decodes_.push_back(req);
-            onCompositionChange();
             // The prompt KV is now complete: offer its full blocks to
             // the shared-prefix cache so later requests with the same
             // prefix can skip recomputing them.
@@ -407,46 +391,21 @@ ChunkedScheduler::onBatchComplete(const Batch &batch, SimTime end)
 }
 
 Request *
-ChunkedScheduler::peekPrefillHead() const
+Scheduler::peekPrefillHead() const
 {
     return prefillQueue_.empty() ? nullptr : *prefillQueue_.begin();
 }
 
 void
-ChunkedScheduler::prefillSnapshotInto(std::vector<Request *> &out) const
+Scheduler::prefillSnapshotInto(std::vector<Request *> &out) const
 {
     out.assign(prefillQueue_.begin(), prefillQueue_.end());
 }
 
-bool
-ChunkedScheduler::hasWork() const
-{
-    return !prefillQueue_.empty() || !decodes_.empty();
-}
-
-std::size_t
-ChunkedScheduler::decodeQueueSize() const
-{
-    return decodes_.size();
-}
-
-std::size_t
-ChunkedScheduler::prefillQueueSize() const
-{
-    return prefillQueue_.size();
-}
-
-const SchedulerStats &
-ChunkedScheduler::stats() const
-{
-    return stats_;
-}
-
 SchedulerAuditView
-ChunkedScheduler::auditView(bool full_detail) const
+Scheduler::auditView(bool full_detail) const
 {
     SchedulerAuditView view;
-    view.populated = true;
     view.prefillCount = prefillQueue_.size();
     view.decodeCount = decodes_.size();
     if (full_detail) {

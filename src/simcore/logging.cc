@@ -30,11 +30,5 @@ warnPrint(const std::string &msg)
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
-void
-informPrint(const std::string &msg)
-{
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
 } // namespace detail
 } // namespace qoserve

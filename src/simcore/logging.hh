@@ -35,7 +35,6 @@ composeMessage(Args &&...args)
 [[noreturn]] void panicAbort(const char *file, int line,
                              const std::string &msg);
 void warnPrint(const std::string &msg);
-void informPrint(const std::string &msg);
 
 } // namespace detail
 
@@ -66,11 +65,6 @@ void informPrint(const std::string &msg);
 /** Non-fatal warning to stderr. */
 #define QOSERVE_WARN(...)                                                   \
     ::qoserve::detail::warnPrint(::qoserve::detail::composeMessage(__VA_ARGS__))
-
-/** Informational status message to stderr. */
-#define QOSERVE_INFORM(...)                                                 \
-    ::qoserve::detail::informPrint(                                         \
-        ::qoserve::detail::composeMessage(__VA_ARGS__))
 
 } // namespace qoserve
 

@@ -71,7 +71,6 @@ makeView(const std::vector<const Request *> &prefills,
          const std::vector<const Request *> &decodes)
 {
     SchedulerAuditView view;
-    view.populated = true;
     view.prefills = prefills;
     view.decodes = decodes;
     view.maxDecodeBatch = 8;
@@ -104,13 +103,6 @@ TEST(InvariantAuditor, ConsistentViewIsClean)
         makeView({waiting.get()}, {decoding.get()}), nullptr, SimTime{1.0});
     EXPECT_TRUE(auditor.clean());
     EXPECT_EQ(auditor.violationCount(), 0u);
-}
-
-TEST(InvariantAuditor, UnpopulatedViewIsIgnored)
-{
-    auto auditor = makeAuditor();
-    auditor.checkSchedulerView(SchedulerAuditView{}, nullptr, SimTime{0.0});
-    EXPECT_TRUE(auditor.clean());
 }
 
 TEST(InvariantAuditor, DetectsDecodeBatchOverflow)
@@ -153,7 +145,6 @@ TEST(InvariantAuditor, DetectsRequestInBothQueues)
 {
     auto req = makeDecodingRequest(7, 100, 10);
     SchedulerAuditView view;
-    view.populated = true;
     view.prefills = {req.get()};
     view.decodes = {req.get()};
     view.maxDecodeBatch = 8;

@@ -15,27 +15,6 @@
 namespace qoserve {
 namespace {
 
-/** Minimal scheduler stub exposing a configurable backlog. */
-class BacklogStub : public Scheduler
-{
-  public:
-    explicit BacklogStub(std::int64_t backlog) : backlog_(backlog) {}
-
-    void enqueue(Request *, SimTime) override {}
-    Batch formBatch(SimTime) override { return {}; }
-    void onBatchComplete(const Batch &, SimTime) override {}
-    bool hasWork() const override { return false; }
-    std::size_t decodeQueueSize() const override { return 0; }
-    std::size_t prefillQueueSize() const override { return 0; }
-    std::int64_t pendingPrefillTokens() const override { return backlog_; }
-    const SchedulerStats &stats() const override { return stats_; }
-    const char *name() const override { return "stub"; }
-
-  private:
-    std::int64_t backlog_;
-    SchedulerStats stats_;
-};
-
 RequestSpec
 spec(std::uint64_t id)
 {
@@ -49,9 +28,9 @@ spec(std::uint64_t id)
 TEST(AdmissionController, NoneAdmitsEverything)
 {
     AdmissionController ac({});
-    BacklogStub target(1 << 30);
+    const TokenCount backlog{1 << 30};
     for (int i = 0; i < 100; ++i)
-        EXPECT_TRUE(ac.admit(spec(i), SimTime{i * 0.001}, target));
+        EXPECT_TRUE(ac.admit(spec(i), SimTime{i * 0.001}, backlog));
     EXPECT_EQ(ac.admitted(), 100u);
     EXPECT_EQ(ac.rejected(), 0u);
 }
@@ -63,12 +42,12 @@ TEST(AdmissionController, RateLimitEnforcesSustainedRate)
     cfg.rateLimitQps = 10.0;
     cfg.burstSize = 1.0;
     AdmissionController ac(cfg);
-    BacklogStub target(0);
+    const TokenCount backlog{0};
 
     // 100 arrivals over 5 s at 20 QPS: about half must be rejected.
     int admitted = 0;
     for (int i = 0; i < 100; ++i)
-        admitted += ac.admit(spec(i), SimTime{i * 0.05}, target);
+        admitted += ac.admit(spec(i), SimTime{i * 0.05}, backlog);
     EXPECT_NEAR(admitted, 50, 3);
 }
 
@@ -79,18 +58,18 @@ TEST(AdmissionController, BurstBucketAbsorbsSpikes)
     cfg.rateLimitQps = 1.0;
     cfg.burstSize = 8.0;
     AdmissionController ac(cfg);
-    BacklogStub target(0);
+    const TokenCount backlog{0};
 
     // Eight simultaneous arrivals fit the bucket; the ninth does not.
     int admitted = 0;
     for (int i = 0; i < 9; ++i)
-        admitted += ac.admit(spec(i), SimTime{1.0}, target);
+        admitted += ac.admit(spec(i), SimTime{1.0}, backlog);
     EXPECT_EQ(admitted, 8);
 
     // After 4 idle seconds, ~4 tokens refill.
     admitted = 0;
     for (int i = 0; i < 9; ++i)
-        admitted += ac.admit(spec(100 + i), SimTime{5.0}, target);
+        admitted += ac.admit(spec(100 + i), SimTime{5.0}, backlog);
     EXPECT_EQ(admitted, 4);
 }
 
@@ -104,11 +83,11 @@ TEST(AdmissionController, FullBucketAdmitsBurstAtTimeZero)
     cfg.rateLimitQps = 2.0;
     cfg.burstSize = 5.0;
     AdmissionController ac(cfg);
-    BacklogStub target(0);
+    const TokenCount backlog{0};
 
     int admitted = 0;
     for (int i = 0; i < 10; ++i)
-        admitted += ac.admit(spec(i), SimTime{0.0}, target);
+        admitted += ac.admit(spec(i), SimTime{0.0}, backlog);
     EXPECT_EQ(admitted, 5);
     EXPECT_EQ(ac.rejected(), 5u);
 }
@@ -159,9 +138,8 @@ TEST(AdmissionController, LoadShedUsesBacklogThreshold)
     cfg.maxBacklogTokens = 1000;
     AdmissionController ac(cfg);
 
-    BacklogStub light(500), heavy(2000);
-    EXPECT_TRUE(ac.admit(spec(1), SimTime{0.0}, light));
-    EXPECT_FALSE(ac.admit(spec(2), SimTime{0.0}, heavy));
+    EXPECT_TRUE(ac.admit(spec(1), SimTime{0.0}, TokenCount{500}));
+    EXPECT_FALSE(ac.admit(spec(2), SimTime{0.0}, TokenCount{2000}));
     EXPECT_EQ(ac.rejected(), 1u);
 }
 

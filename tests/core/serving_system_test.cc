@@ -42,6 +42,7 @@ TEST(PolicyName, AllNamesDistinct)
     EXPECT_STREQ(policyName(Policy::SarathiSjf), "Sarathi-SJF");
     EXPECT_STREQ(policyName(Policy::SarathiSrpf), "Sarathi-SRPF");
     EXPECT_STREQ(policyName(Policy::Medha), "Medha");
+    EXPECT_STREQ(policyName(Policy::SlosServeDp), "SLOs-Serve-DP");
 }
 
 TEST(MakePredictor, OnlyQoServeWithDynamicChunkingNeedsOne)
@@ -66,7 +67,8 @@ TEST(ServingSystem, FactoryProducesNamedSchedulers)
 {
     for (Policy policy :
          {Policy::QoServe, Policy::SarathiFcfs, Policy::SarathiEdf,
-          Policy::SarathiSjf, Policy::SarathiSrpf, Policy::Medha}) {
+          Policy::SarathiSjf, Policy::SarathiSrpf, Policy::Medha,
+          Policy::SlosServeDp}) {
         ServingConfig cfg;
         cfg.policy = policy;
         cfg.useForestPredictor = false;

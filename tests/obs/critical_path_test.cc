@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for critical-path extraction: chain reconstruction over span
- * DAGs, coalescing, dominance, aggregation across requests, and the
- * aggregate CSV round trip.
+ * Tests for critical-path extraction: chain reconstruction over
+ * serial timelines, coalescing, dominance, aggregation across
+ * requests, and the aggregate CSV round trip.
  */
 
 #include "obs/critical_path.hh"
@@ -65,23 +65,15 @@ TEST(CriticalPath, ConsecutiveSamePhaseSpansCoalesce)
               (CriticalSegment{TracePhase::Prefill, 1, 1.0}));
 }
 
-TEST(CriticalPath, OverlappingSpansPickTheLongerBranch)
+TEST(CriticalPathDeathTest, OverlappingSpansPanic)
 {
-    // A hypothetical concurrent timeline: two overlapping middle
-    // spans (e.g. disaggregated prefill on two replicas). Only the
-    // longer one can sit on the critical path; a naive sum would
-    // double count.
+    // Timelines are serial by construction; two spans that overlap
+    // (e.g. prefill on two replicas at once) are a reconstruction bug.
     RequestTimeline tl;
     tl.spans.push_back(span(TracePhase::Queued, -1, 0.0, 1.0));
     tl.spans.push_back(span(TracePhase::Prefill, 0, 1.0, 4.0));
     tl.spans.push_back(span(TracePhase::Prefill, 1, 1.0, 2.0));
-    tl.spans.push_back(span(TracePhase::Decode, 0, 4.0, 6.0));
-
-    CriticalPath path = criticalPathFor(tl);
-    ASSERT_EQ(path.segments.size(), 3u);
-    EXPECT_EQ(path.segments[1].replica, 0);
-    EXPECT_DOUBLE_EQ(path.segments[1].seconds, 3.0);
-    EXPECT_DOUBLE_EQ(path.totalSeconds, 6.0);
+    EXPECT_DEATH(criticalPathFor(tl), "overlaps the previous one");
 }
 
 TEST(CriticalPath, ZeroLengthSpansAreDropped)

@@ -30,7 +30,8 @@ TEST_F(BaselineTest, FcfsServesInArrivalOrder)
     sched.enqueue(late, SimTime{5.0});
     sched.enqueue(early, SimTime{5.0});
 
-    Batch batch = sched.formBatch(SimTime{5.0});
+    Batch batch;
+    sched.formBatchInto(batch, SimTime{5.0});
     ASSERT_FALSE(batch.prefills.empty());
     EXPECT_EQ(batch.prefills[0].request, early);
 }
@@ -45,7 +46,8 @@ TEST_F(BaselineTest, EdfServesEarliestDeadlineFirst)
     sched.enqueue(batch_req, SimTime{1.0});
     sched.enqueue(urgent, SimTime{1.0});
 
-    Batch batch = sched.formBatch(SimTime{1.0});
+    Batch batch;
+    sched.formBatchInto(batch, SimTime{1.0});
     ASSERT_FALSE(batch.prefills.empty());
     EXPECT_EQ(batch.prefills[0].request, urgent);
 }
@@ -58,7 +60,8 @@ TEST_F(BaselineTest, SjfPrefersShortTotalJobs)
     sched.enqueue(big, SimTime{1.0});
     sched.enqueue(small, SimTime{1.0});
 
-    Batch batch = sched.formBatch(SimTime{1.0});
+    Batch batch;
+    sched.formBatchInto(batch, SimTime{1.0});
     ASSERT_FALSE(batch.prefills.empty());
     EXPECT_EQ(batch.prefills[0].request, small);
 }
@@ -72,7 +75,8 @@ TEST_F(BaselineTest, SrpfPrefersLeastRemainingPrompt)
     sched.enqueue(small, SimTime{1.0});
 
     // Small runs first despite arriving later.
-    Batch b1 = sched.formBatch(SimTime{1.0});
+    Batch b1;
+    sched.formBatchInto(b1, SimTime{1.0});
     EXPECT_EQ(b1.prefills[0].request, small);
 }
 
@@ -92,7 +96,8 @@ TEST_F(BaselineTest, SrpfReordersAsRemainingShrinks)
     // 120), even though 120 < 600.
     Request *b = fx_.makeRequest(2, now, 120, 2, 1);
     sched.enqueue(b, now);
-    Batch batch = sched.formBatch(now);
+    Batch batch;
+    sched.formBatchInto(batch, now);
     EXPECT_EQ(batch.prefills[0].request, a);
 }
 
@@ -100,7 +105,7 @@ TEST_F(BaselineTest, AllBaselinesCompleteAMixedWorkload)
 {
     for (int policy = 0; policy < 4; ++policy) {
         SchedEnvFixture fx;
-        std::unique_ptr<ChunkedScheduler> sched;
+        std::unique_ptr<Scheduler> sched;
         switch (policy) {
           case 0:
             sched = std::make_unique<FcfsScheduler>(fx.env);
@@ -146,7 +151,8 @@ TEST_F(BaselineTest, MedhaShrinksChunkAsContextGrows)
     std::vector<int> chunks;
     while (req->phase() != RequestPhase::Decoding &&
            req->phase() != RequestPhase::Finished) {
-        Batch batch = sched.formBatch(now);
+        Batch batch;
+        sched.formBatchInto(batch, now);
         ASSERT_FALSE(batch.prefills.empty());
         chunks.push_back(batch.prefills[0].chunkTokens);
         now += fx_.perf.iterationTime(batch.work());
@@ -172,7 +178,8 @@ TEST_F(BaselineTest, MedhaRespectsTbtTargetPerIteration)
 
     SimTime now;
     while (req->prefillRemaining() > 0) {
-        Batch batch = sched.formBatch(now);
+        Batch batch;
+        sched.formBatchInto(batch, now);
         double latency = fx_.perf.iterationTime(batch.work());
         // One-step quantisation can overshoot slightly; never by
         // more than the cost of one extra step.

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the shared chunked-scheduler machinery, exercised via
- * the FCFS policy (the thinnest subclass).
+ * Tests for the queue and batch machinery of the Scheduler class,
+ * exercised via the FCFS policy (the thinnest subclass).
  */
 
 #include "sched/baseline_schedulers.hh"
@@ -26,7 +26,9 @@ TEST_F(ChunkedSchedulerTest, EmptySchedulerHasNoWork)
 {
     FcfsScheduler sched(fx_.env);
     EXPECT_FALSE(sched.hasWork());
-    EXPECT_TRUE(sched.formBatch(SimTime{0.0}).empty());
+    Batch batch;
+    sched.formBatchInto(batch, SimTime{0.0});
+    EXPECT_TRUE(batch.empty());
     EXPECT_EQ(sched.prefillQueueSize(), 0u);
     EXPECT_EQ(sched.decodeQueueSize(), 0u);
 }
@@ -36,7 +38,8 @@ TEST_F(ChunkedSchedulerTest, ChunkBudgetLimitsPrefillTokens)
     FcfsScheduler sched(fx_.env);
     sched.enqueue(fx_.makeRequest(1, SimTime{0.0}, 1000, 5, 0), SimTime{0.0});
 
-    Batch batch = sched.formBatch(SimTime{0.0});
+    Batch batch;
+    sched.formBatchInto(batch, SimTime{0.0});
     ASSERT_EQ(batch.prefills.size(), 1u);
     EXPECT_EQ(batch.prefills[0].chunkTokens, 256);
     EXPECT_EQ(batch.prefillTokens(), 256);
@@ -49,7 +52,8 @@ TEST_F(ChunkedSchedulerTest, BudgetSpansMultipleRequests)
     sched.enqueue(fx_.makeRequest(2, SimTime{0.1}, 100, 5, 0), SimTime{0.1});
     sched.enqueue(fx_.makeRequest(3, SimTime{0.2}, 500, 5, 0), SimTime{0.2});
 
-    Batch batch = sched.formBatch(SimTime{0.3});
+    Batch batch;
+    sched.formBatchInto(batch, SimTime{0.3});
     ASSERT_EQ(batch.prefills.size(), 3u);
     EXPECT_EQ(batch.prefills[0].chunkTokens, 100);
     EXPECT_EQ(batch.prefills[1].chunkTokens, 100);
@@ -103,7 +107,8 @@ TEST_F(ChunkedSchedulerTest, DecodesAllRunEveryIteration)
     runIteration(sched, fx_.perf, now); // all prefills fit one chunk
     EXPECT_EQ(sched.decodeQueueSize(), 3u);
 
-    Batch batch = sched.formBatch(now);
+    Batch batch;
+    sched.formBatchInto(batch, now);
     EXPECT_EQ(batch.decodes.size(), 3u);
     EXPECT_TRUE(batch.prefills.empty());
 }
@@ -142,7 +147,8 @@ TEST_F(ChunkedSchedulerTest, DecodeBatchCapHoldsBackFinalChunk)
         sched.enqueue(fx_.makeRequest(i, SimTime{0.0}, 64, 10, 0), SimTime{0.0});
 
     SimTime now;
-    Batch batch = sched.formBatch(now);
+    Batch batch;
+    sched.formBatchInto(batch, now);
     // Third request cannot complete its prefill: it is scheduled for
     // all but one token.
     ASSERT_EQ(batch.prefills.size(), 3u);

@@ -55,7 +55,8 @@ TEST_F(DpSchedulerTest, UrgentRequestWinsTheKnapsack)
     sched.enqueue(urgent, SimTime{5.0});
     sched.enqueue(fresh, SimTime{5.0});
 
-    Batch batch = sched.formBatch(SimTime{5.0});
+    Batch batch;
+    sched.formBatchInto(batch, SimTime{5.0});
     ASSERT_FALSE(batch.prefills.empty());
     EXPECT_EQ(batch.prefills[0].request, urgent);
 }
@@ -67,7 +68,8 @@ TEST_F(DpSchedulerTest, BudgetRespected)
     DpScheduler sched = makeSched(opts);
     for (int i = 0; i < 6; ++i)
         sched.enqueue(fx_.makeRequest(i, SimTime{0.0}, 1000, 3, 0), SimTime{0.0});
-    Batch batch = sched.formBatch(SimTime{0.0});
+    Batch batch;
+    sched.formBatchInto(batch, SimTime{0.0});
     EXPECT_LE(batch.prefillTokens(), 512);
     EXPECT_GT(batch.prefillTokens(), 0);
 }
@@ -81,7 +83,8 @@ TEST_F(DpSchedulerTest, DpCostGrowsLinearlyWithQueueDepth)
         DpScheduler sched(fx.env, DpScheduler::Options{});
         for (int i = 0; i < n; ++i)
             sched.enqueue(fx.makeRequest(i, SimTime{0.0}, 2000, 3, i % 3), SimTime{0.0});
-        sched.formBatch(SimTime{0.0});
+        Batch batch;
+        sched.formBatchInto(batch, SimTime{0.0});
         return sched.dpCellsEvaluated();
     };
 

@@ -46,7 +46,8 @@ TEST_F(QoServeTest, MaxChunkWhenNoInteractiveDecodes)
     QoServeScheduler sched(fx_.env);
     sched.enqueue(fx_.makeRequest(1, SimTime{0.0}, 10000, 5, 2), SimTime{0.0});
 
-    Batch batch = sched.formBatch(SimTime{0.0});
+    Batch batch;
+    sched.formBatchInto(batch, SimTime{0.0});
     ASSERT_EQ(batch.prefills.size(), 1u);
     EXPECT_EQ(batch.prefills[0].chunkTokens,
               sched.qosConfig().maxChunkTokens);
@@ -71,7 +72,8 @@ TEST_F(QoServeTest, ChunkShrinksUnderTightDecodeSlack)
     // A long batch prefill arrives; the chunk must fit that slack —
     // far below the time a 2560-token chunk needs.
     sched.enqueue(fx_.makeRequest(2, now, 10000, 5, 2), now);
-    Batch batch = sched.formBatch(now);
+    Batch batch;
+    sched.formBatchInto(batch, now);
     ASSERT_FALSE(batch.prefills.empty());
     int chunk = batch.prefillTokens();
     EXPECT_GT(chunk, 0);
@@ -95,7 +97,8 @@ TEST_F(QoServeTest, SlackAccumulationOpensChunkBackUp)
     // First token arrived at ~40 ms; deadline for token 2 is
     // 6.05 s: nearly 6 s of slack. A big chunk is admissible.
     sched.enqueue(fx_.makeRequest(2, now, 10000, 5, 2), now);
-    Batch batch = sched.formBatch(now);
+    Batch batch;
+    sched.formBatchInto(batch, now);
     EXPECT_EQ(batch.prefillTokens(), sched.qosConfig().maxChunkTokens);
 }
 
@@ -114,7 +117,8 @@ TEST_F(QoServeTest, HybridPriorityInterpolatesEdfAndSrpf)
     sched.enqueue(long_early, SimTime{10.0});
     sched.enqueue(short_late, SimTime{10.0});
 
-    Batch batch = sched.formBatch(SimTime{10.0});
+    Batch batch;
+    sched.formBatchInto(batch, SimTime{10.0});
     EXPECT_EQ(batch.prefills[0].request, short_late);
 }
 
@@ -130,7 +134,8 @@ TEST_F(QoServeTest, AlphaZeroIsPureEdf)
     sched.enqueue(short_late, SimTime{10.0});
 
     // Pure EDF: earlier arrival = earlier TTLT deadline wins.
-    Batch batch = sched.formBatch(SimTime{10.0});
+    Batch batch;
+    sched.formBatchInto(batch, SimTime{10.0});
     EXPECT_EQ(batch.prefills[0].request, long_early);
 }
 
@@ -142,7 +147,8 @@ TEST_F(QoServeTest, InteractiveDeadlineBeatsBatchDeadline)
     sched.enqueue(batch_req, SimTime{1.0});
     sched.enqueue(inter, SimTime{1.0});
 
-    Batch b = sched.formBatch(SimTime{1.0});
+    Batch b;
+    sched.formBatchInto(b, SimTime{1.0});
     EXPECT_EQ(b.prefills[0].request, inter);
 }
 
@@ -165,7 +171,8 @@ TEST_F(QoServeTest, ViolatingRequestIsRelegatedNotServed)
     sched.enqueue(fresh, SimTime{7.0});
 
     // At t=7 the first request already missed its 6 s TTFT deadline.
-    Batch batch = sched.formBatch(SimTime{7.0});
+    Batch batch;
+    sched.formBatchInto(batch, SimTime{7.0});
     EXPECT_TRUE(doomed->relegated());
     ASSERT_FALSE(batch.prefills.empty());
     EXPECT_EQ(batch.prefills[0].request, fresh);
@@ -195,7 +202,8 @@ TEST_F(QoServeTest, RelegationDisabledKeepsFifoDiscipline)
     QoServeScheduler sched(fx_.env, cfg);
     Request *doomed = fx_.makeRequest(1, SimTime{0.0}, 2000, 5, 0);
     sched.enqueue(doomed, SimTime{7.0});
-    sched.formBatch(SimTime{7.0});
+    Batch batch;
+    sched.formBatchInto(batch, SimTime{7.0});
     EXPECT_FALSE(doomed->relegated());
     EXPECT_EQ(sched.stats().relegations, 0u);
 }
@@ -251,7 +259,8 @@ TEST_F(QoServeTest, SelectivePreemptionProtectsUrgentInflight)
     Request *newcomer = fx_.makeRequest(2, SimTime{5.85}, 200, 5, 0);
     sched.enqueue(newcomer, now);
 
-    Batch batch = sched.formBatch(now);
+    Batch batch;
+    sched.formBatchInto(batch, now);
     ASSERT_FALSE(batch.prefills.empty());
     EXPECT_EQ(batch.prefills[0].request, inflight);
 }
@@ -339,7 +348,8 @@ TEST_F(QoServeTest, MinChunkFloorGuaranteesPrefillProgress)
     // Jump to 20 ms before the next token deadline.
     now = tight->nextTokenDeadline() - 0.02;
     sched.enqueue(fx_.makeRequest(2, now, 10000, 5, 2), now);
-    Batch batch = sched.formBatch(now);
+    Batch batch;
+    sched.formBatchInto(batch, now);
     EXPECT_EQ(batch.prefillTokens(),
               sched.qosConfig().minChunkTokens);
 }
@@ -359,7 +369,8 @@ TEST_F(QoServeTest, LateDecodesDoNotGateTheChunk)
     ASSERT_LT(late->nextTokenDeadline(), now); // negative slack
 
     sched.enqueue(fx_.makeRequest(2, now, 10000, 5, 2), now);
-    Batch batch = sched.formBatch(now);
+    Batch batch;
+    sched.formBatchInto(batch, now);
     EXPECT_EQ(batch.prefillTokens(),
               sched.qosConfig().maxChunkTokens);
     // The late request still decodes every iteration.

@@ -66,7 +66,8 @@ struct SchedEnvFixture
 inline Batch
 runIteration(Scheduler &sched, const PerfModel &perf, SimTime &now)
 {
-    Batch batch = sched.formBatch(now);
+    Batch batch;
+    sched.formBatchInto(batch, now);
     if (!batch.empty()) {
         now += perf.iterationTime(batch.work());
         sched.onBatchComplete(batch, now);
