@@ -268,11 +268,16 @@ class Request
     /** True if token @p token_index would be late when emitted now. */
     bool nextTokenCheckMissed(SimTime now, int token_index) const;
 
-    // Hot scheduling state first: together with the public
-    // cachedPriority above, every field the schedulers touch each
-    // iteration sits in the object's leading bytes, so queue scans
-    // over pooled requests stay within the first cache lines and
-    // never drag the cold spec/tier/record payload in.
+    // Progress state first: together with the public cachedPriority
+    // above, the phase, relegation flag, KV slot and progress
+    // counters sit in the object's leading bytes. Per-iteration work
+    // is not confined to them: for every decode token,
+    // applyDecodeToken() reads spec_.decodeTokens, spec_.arrival and
+    // tier_ and writes record_.maxTbt and record_.tbtDeadlineMisses,
+    // and nextTokenDeadline() (the dynamic chunk's slack scan) reads
+    // tier_ and spec_.arrival. Copying those fields up here measured
+    // within run-to-run noise on the decode-heavy ShareGPT workload,
+    // so they stay in the payload below.
     RequestPhase phase_ = RequestPhase::WaitingPrefill;
     bool relegated_ = false;
     KvSlot kvSlot_;
@@ -293,8 +298,8 @@ class Request
 
     SimTime lastTokenTime_ = kTimeNever;
 
-    // Cold payload: read at admission and completion, not per
-    // iteration.
+    // Payload: the spec, tier and app stats are fixed after
+    // admission; the record fills in as the request progresses.
     RequestSpec spec_;
     QosTier tier_;
     AppStats appStats_;

@@ -152,80 +152,90 @@ Scheduler::formBatchInto(Batch &batch, SimTime now)
     batch.clear();
     batch.decodes = decodes_;
 
-    int budget = kvCappedBudget(chunkBudget(now, batch));
-    int decode_slots =
-        cfg_.maxDecodeBatch - static_cast<int>(decodes_.size());
-
     // Largest budget the batch was ever allowed to draw from; the
     // audit at the end of this function checks the scheduled tokens
     // never exceeded it.
-    int budget_cap = budget;
+    int budget_cap = 0;
 
-    takenScratch_.clear();
-    std::unordered_set<Request *> &taken = takenScratch_;
+    // Everything below up to the audit only schedules prefill chunks,
+    // and every request it can schedule is in the prefill queue
+    // (partially prefilled ones included). A decode-only iteration
+    // therefore skips it whole, chunk-budget solve included: the
+    // budget has no consumer without a queued prefill.
+    if (!prefillQueue_.empty()) {
+        int budget = kvCappedBudget(chunkBudget(now, batch));
+        int decode_slots =
+            cfg_.maxDecodeBatch - static_cast<int>(decodes_.size());
+        budget_cap = budget;
 
-    // Pass 0: in-flight requests that would violate their deadline if
-    // delayed one more iteration are protected from preemption.
-    urgentScratch_.clear();
-    std::vector<Request *> &urgent = urgentScratch_;
-    collectUrgentInflight(now, urgent);
-    for (Request *req : urgent) {
-        if (budget <= 0)
-            break;
-        if (taken.count(req))
-            continue;
-        int got = tryScheduleChunk(req, batch, budget, decode_slots);
-        if (got > 0) {
-            budget -= got;
-            taken.insert(req);
-        }
-    }
+        takenScratch_.clear();
+        std::unordered_set<Request *> &taken = takenScratch_;
 
-    // Guard against a wedged queue: every block held by paused
-    // partial prefills, nothing decoding, nothing schedulable.
-    // Reclaim one victim so the walk below can make progress. Only a
-    // batch with no scheduled work is wedged — if pass 0 consumed the
-    // whole budget the engine is making progress, and refreshing the
-    // budget here would both overfill the iteration and risk evicting
-    // a request already in the batch.
-    if (budget <= 0 && batch.prefills.empty() && decodes_.empty() &&
-        !prefillQueue_.empty()) {
-        if (preemptForKv(now)) {
-            budget = kvCappedBudget(chunkBudget(now, batch));
-            budget_cap = std::max(budget_cap, budget);
-        }
-    }
-
-    // Main pass: walk the queue in priority order filling the budget
-    // (Algorithm 1). Relegation re-inserts the request behind every
-    // regular one, so the forward walk revisits it when it lands
-    // ahead of the cursor — relegated requests are serviced
-    // opportunistically when budget remains. A second pass picks up
-    // requests relegated behind the cursor (e.g. the sole queued
-    // request), so relegation can never starve the engine. The walk
-    // touches only as many requests as it can schedule, relegate or
-    // skip, so its cost is bounded by the budget, not queue length.
-    for (int pass = 0; pass < 2; ++pass) {
-        bool relegated_any = false;
-        auto it = prefillQueue_.begin();
-        while (budget > 0 && it != prefillQueue_.end()) {
-            Request *req = *it;
-            ++it; // Advance before mutating req's queue position.
+        // Pass 0: in-flight requests that would violate their
+        // deadline if delayed one more iteration are protected from
+        // preemption.
+        urgentScratch_.clear();
+        std::vector<Request *> &urgent = urgentScratch_;
+        collectUrgentInflight(now, urgent);
+        for (Request *req : urgent) {
+            if (budget <= 0)
+                break;
             if (taken.count(req))
                 continue;
-            if (!req->relegated() && shouldRelegate(*req, now)) {
-                relegate(req, now);
-                relegated_any = true;
-                continue;
-            }
             int got = tryScheduleChunk(req, batch, budget, decode_slots);
             if (got > 0) {
                 budget -= got;
                 taken.insert(req);
             }
         }
-        if (!(relegated_any && batch.prefills.empty()))
-            break;
+
+        // Guard against a wedged queue: every block held by paused
+        // partial prefills, nothing decoding, nothing schedulable.
+        // Reclaim one victim so the walk below can make progress.
+        // Only a batch with no scheduled work is wedged — if pass 0
+        // consumed the whole budget the engine is making progress,
+        // and refreshing the budget here would both overfill the
+        // iteration and risk evicting a request already in the batch.
+        if (budget <= 0 && batch.prefills.empty() && decodes_.empty()) {
+            if (preemptForKv(now)) {
+                budget = kvCappedBudget(chunkBudget(now, batch));
+                budget_cap = std::max(budget_cap, budget);
+            }
+        }
+
+        // Main pass: walk the queue in priority order filling the
+        // budget (Algorithm 1). Relegation re-inserts the request
+        // behind every regular one, so the forward walk revisits it
+        // when it lands ahead of the cursor — relegated requests are
+        // serviced opportunistically when budget remains. A second
+        // pass picks up requests relegated behind the cursor (e.g.
+        // the sole queued request), so relegation can never starve
+        // the engine. The walk touches only as many requests as it
+        // can schedule, relegate or skip, so its cost is bounded by
+        // the budget, not queue length.
+        for (int pass = 0; pass < 2; ++pass) {
+            bool relegated_any = false;
+            auto it = prefillQueue_.begin();
+            while (budget > 0 && it != prefillQueue_.end()) {
+                Request *req = *it;
+                ++it; // Advance before mutating req's queue position.
+                if (taken.count(req))
+                    continue;
+                if (!req->relegated() && shouldRelegate(*req, now)) {
+                    relegate(req, now);
+                    relegated_any = true;
+                    continue;
+                }
+                int got =
+                    tryScheduleChunk(req, batch, budget, decode_slots);
+                if (got > 0) {
+                    budget -= got;
+                    taken.insert(req);
+                }
+            }
+            if (!(relegated_any && batch.prefills.empty()))
+                break;
+        }
     }
 
     if constexpr (audit::cheapChecks()) {
@@ -378,15 +388,19 @@ Scheduler::onBatchComplete(const Batch &batch, SimTime end)
         req->applyDecodeToken(end);
     }
 
-    // Retire finished decodes (stable_partition keeps the finished
-    // group intact in the tail, unlike remove_if).
-    auto mid = std::stable_partition(
-        decodes_.begin(), decodes_.end(), [](Request *r) {
-            return r->phase() != RequestPhase::Finished;
-        });
-    std::vector<Request *> done(mid, decodes_.end());
-    decodes_.erase(mid, decodes_.end());
-    for (Request *req : done)
+    // Retire finished decodes in one stable pass: the survivors keep
+    // their order in decodes_ and the finished ones theirs in the
+    // reused scratch, so a steady decode iteration allocates nothing.
+    doneScratch_.clear();
+    auto kept = decodes_.begin();
+    for (Request *req : decodes_) {
+        if (req->phase() == RequestPhase::Finished)
+            doneScratch_.push_back(req);
+        else
+            *kept++ = req;
+    }
+    decodes_.erase(kept, decodes_.end());
+    for (Request *req : doneScratch_)
         finish(req);
 }
 

@@ -209,7 +209,8 @@ class Scheduler
     virtual double priorityOf(const Request &req, SimTime now) const = 0;
 
     /**
-     * Prefill token budget for this iteration.
+     * Prefill token budget for this iteration. formBatchInto() asks
+     * only when a prefill is queued; a decode-only iteration skips it.
      *
      * @param now Iteration start time.
      * @param batch Batch under construction; decodes are final.
@@ -334,6 +335,9 @@ class Scheduler
     /** Per-iteration scratch hoisted out of formBatchInto(). */
     std::vector<Request *> urgentScratch_;
     std::unordered_set<Request *> takenScratch_;
+
+    /** Per-iteration scratch of onBatchComplete(): finished decodes. */
+    std::vector<Request *> doneScratch_;
 
     /** Cached estimate: prefill tokens per second at large chunks. */
     double prefillRate_ = 0.0;

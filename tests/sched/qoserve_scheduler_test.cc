@@ -22,6 +22,39 @@ class QoServeTest : public ::testing::Test
     SchedEnvFixture fx_;
 };
 
+/** Predictor that counts its calls and reports a latency every budget
+ *  fits, so one chunk-budget solve probes exactly once (the largest
+ *  chunk first). */
+class CountingPredictor : public LatencyPredictor
+{
+  public:
+    SimDuration
+    predict(const BatchFeatures &) const override
+    {
+        ++predictCalls;
+        return 1e-6;
+    }
+
+    mutable int predictCalls = 0;
+};
+
+/** QoServe scheduler that counts its chunk-budget calls. */
+class CountingQoServeScheduler : public QoServeScheduler
+{
+  public:
+    using QoServeScheduler::QoServeScheduler;
+
+    mutable int chunkBudgetCalls = 0;
+
+  protected:
+    int
+    chunkBudget(SimTime now, const Batch &batch) const override
+    {
+        ++chunkBudgetCalls;
+        return QoServeScheduler::chunkBudget(now, batch);
+    }
+};
+
 TEST_F(QoServeTest, RequiresPredictorForDynamicChunking)
 {
     SchedulerEnv env = fx_.env;
@@ -388,6 +421,61 @@ TEST_F(QoServeTest, StatsCountRelegationsAcrossRun)
     for (int i = 0; i < 3; ++i)
         runIteration(sched, fx_.perf, now);
     EXPECT_GE(sched.stats().relegations, 5u);
+}
+
+TEST_F(QoServeTest, DecodeOnlyIterationSkipsTheChunkBudgetSolve)
+{
+    CountingPredictor predictor;
+    SchedulerEnv env = fx_.env;
+    env.predictor = &predictor;
+    CountingQoServeScheduler sched(env);
+
+    // Four interactive prompts fit one iteration's chunk, so a single
+    // iteration moves all of them to decode.
+    SimTime now{0.0};
+    for (int i = 0; i < 4; ++i)
+        sched.enqueue(fx_.makeRequest(i, now, 64, 50, 0), now);
+    runIteration(sched, fx_.perf, now);
+    ASSERT_EQ(sched.decodeQueueSize(), 4u);
+    ASSERT_EQ(sched.prefillQueueSize(), 0u);
+    sched.chunkBudgetCalls = 0;
+    predictor.predictCalls = 0;
+
+    // Decode-only: every decode runs and no budget is solved.
+    SchedulerStats before = sched.stats();
+    Batch batch;
+    sched.formBatchInto(batch, now);
+    EXPECT_EQ(batch.decodes.size(), 4u);
+    EXPECT_TRUE(batch.prefills.empty());
+    EXPECT_EQ(sched.chunkBudgetCalls, 0);
+    EXPECT_EQ(predictor.predictCalls, 0);
+    EXPECT_EQ(sched.stats().batchesFormed - before.batchesFormed, 1u);
+    EXPECT_EQ(sched.stats().decodeTokensScheduled -
+                  before.decodeTokensScheduled,
+              4u);
+    EXPECT_EQ(sched.stats().prefillTokensScheduled,
+              before.prefillTokensScheduled);
+    now += fx_.perf.iterationTime(batch.work());
+    sched.onBatchComplete(batch, now);
+    ASSERT_GT(batch.decodes[0]->nextTokenDeadline() - now, 0.0)
+        << "the decodes must constrain the chunk for the solve to run";
+
+    // One queued prefill: exactly one budget solve of one probe, and
+    // the batch counters move as in the decode-only iteration.
+    sched.enqueue(fx_.makeRequest(10, now, 1000, 5, 2), now);
+    before = sched.stats();
+    sched.formBatchInto(batch, now);
+    EXPECT_EQ(batch.decodes.size(), 4u);
+    ASSERT_EQ(batch.prefills.size(), 1u);
+    EXPECT_EQ(sched.chunkBudgetCalls, 1);
+    EXPECT_EQ(predictor.predictCalls, 1);
+    EXPECT_EQ(sched.stats().batchesFormed - before.batchesFormed, 1u);
+    EXPECT_EQ(sched.stats().decodeTokensScheduled -
+                  before.decodeTokensScheduled,
+              4u);
+    EXPECT_EQ(sched.stats().prefillTokensScheduled -
+                  before.prefillTokensScheduled,
+              static_cast<std::uint64_t>(batch.prefillTokens()));
 }
 
 } // namespace
