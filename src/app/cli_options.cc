@@ -418,18 +418,6 @@ applyFlag(const FlagRow &row, Scenario &sc, const std::string &value)
         row.field(sc));
 }
 
-Policy
-parsePolicyName(const std::string &name)
-{
-    return lookup<Policy>("policy", name);
-}
-
-ReplicaHwConfig
-parseHwName(const std::string &name)
-{
-    return lookup<ReplicaHwConfig>("hardware preset", name);
-}
-
 std::string
 cliUsage()
 {

@@ -99,13 +99,6 @@ std::string cliUsage();
  */
 std::string toFlagLine(const Scenario &sc);
 
-/** Parse a policy name ("qoserve", "fcfs", "edf", ...). Fatal on
- *  unknown names. */
-Policy parsePolicyName(const std::string &name);
-
-/** Parse a hardware preset name ("llama3-8b-a100-tp1", ...). */
-ReplicaHwConfig parseHwName(const std::string &name);
-
 } // namespace qoserve
 
 #endif // QOSERVE_APP_CLI_OPTIONS_HH

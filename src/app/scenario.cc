@@ -31,9 +31,9 @@ Scenario::validate() const
     sharedPrefix.validate();
 
     // Rules that relate two fields; every single-field range is a row.
-    if (serving.qoserve.maxChunkTokens < serving.qoserve.chunkStep)
+    if (serving.qoserve.maxChunkTokens < QoServeConfig::kChunkStep)
         QOSERVE_FATAL("--max-chunk must be at least the chunk step (",
-                      serving.qoserve.chunkStep, " tokens), got ",
+                      QoServeConfig::kChunkStep, " tokens), got ",
                       serving.qoserve.maxChunkTokens);
     if (serving.cacheAffinityRouting && !serving.prefixCache.enabled)
         QOSERVE_FATAL("--cache-affinity requires --prefix-cache");

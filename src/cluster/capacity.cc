@@ -4,7 +4,7 @@
  *
  * The search runs in two phases. Bracketing doubles the QPS until a
  * load point fails (or the cap is hit). Refinement then repeatedly
- * subdivides the bracket into GoodputSearch::gridFan sub-intervals
+ * subdivides the bracket into GoodputSearch::kGridFan sub-intervals
  * and evaluates the interior grid points; the first failing point
  * (all grid points being independent simulations) tightens the
  * bracket for the next round. Grid points of one round fan out
@@ -30,7 +30,7 @@ meetsGoodputCriteria(const RunSummary &summary,
 {
     double rate = criteria.includeTbt ? summary.violationRateWithTbt
                                       : summary.violationRate;
-    return rate <= criteria.maxViolationRate;
+    return rate <= GoodputCriteria::kMaxViolationRate;
 }
 
 namespace {
@@ -77,7 +77,6 @@ measureMaxGoodput(const LoadRunner &runner,
 {
     QOSERVE_ASSERT(search.startQps > 0.0 && search.resolutionQps > 0.0,
                    "bad goodput search bounds");
-    QOSERVE_ASSERT(search.gridFan >= 2, "gridFan must be at least 2");
     int jobs = par::resolveJobs(search.jobs);
 
     // Bracket: the doubling ladder start * 2^i, capped at maxQps.
@@ -113,11 +112,11 @@ measureMaxGoodput(const LoadRunner &runner,
     lo = ladder[failed - 1];
     double hi = ladder[failed];
 
-    // Refine: subdivide the bracket into gridFan sub-intervals (never
+    // Refine: subdivide the bracket into kGridFan sub-intervals (never
     // finer than the resolution) and evaluate the interior points as
     // one parallel grid; the first failure picks the next bracket.
     while (hi - lo > search.resolutionQps) {
-        double spacing = (hi - lo) / search.gridFan;
+        double spacing = (hi - lo) / GoodputSearch::kGridFan;
         if (spacing < search.resolutionQps)
             spacing = search.resolutionQps;
 

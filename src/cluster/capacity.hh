@@ -26,7 +26,7 @@ namespace qoserve {
 struct GoodputCriteria
 {
     /** Maximum tolerated SLO violation fraction (paper: 1%). */
-    double maxViolationRate = 0.01;
+    static constexpr double kMaxViolationRate = 0.01;
 
     /**
      * Count TBT SLO misses as violations too. Off by default
@@ -57,7 +57,7 @@ struct GoodputSearch
      * more parallelism per round at the cost of extra probes when
      * running serially.
      */
-    int gridFan = 4;
+    static constexpr int kGridFan = 4;
 
     /**
      * Worker threads evaluating grid points (0 = hardware

@@ -16,7 +16,7 @@ DecodeReplica::DecodeReplica(
     SimDuration strictest_tbt, int max_batch,
     Replica::CompletionFn on_complete)
     : eq_(eq), perf_(cfg.hw, cfg.perfParams),
-      kv_(TokenCount{cfg.hw.kvCapacityTokens()}, TokenCount{cfg.kvBlockTokens}), policy_(policy),
+      kv_(TokenCount{cfg.hw.kvCapacityTokens()}), policy_(policy),
       strictestTbt_(strictest_tbt), maxBatch_(max_batch),
       onComplete_(std::move(on_complete))
 {
@@ -68,8 +68,11 @@ DecodeReplica::selectBatch()
     // add requests in deadline order while the predicted iteration
     // still completes before the earliest selected deadline.
     std::vector<Request *> sorted = active_;
+    // total: equal deadlines break on request id.
     std::sort(sorted.begin(), sorted.end(), [](Request *a, Request *b) {
-        return a->nextTokenDeadline() < b->nextTokenDeadline();
+        if (a->nextTokenDeadline() != b->nextTokenDeadline())
+            return a->nextTokenDeadline() < b->nextTokenDeadline();
+        return a->id() < b->id();
     });
 
     std::vector<Request *> batch;
@@ -125,20 +128,26 @@ DecodeReplica::maybeStart()
 }
 
 void
-DecodeReplica::completeIteration(std::vector<Request *> batch)
+DecodeReplica::completeIteration(const std::vector<Request *> &batch)
 {
     busy_ = false;
     SimTime now = eq_.now();
     for (Request *r : batch)
         r->applyDecodeToken(now);
 
-    auto mid = std::stable_partition(
-        active_.begin(), active_.end(), [](Request *r) {
-            return r->phase() != RequestPhase::Finished;
-        });
-    std::vector<Request *> done(mid, active_.end());
-    active_.erase(mid, active_.end());
-    for (Request *r : done) {
+    // Retire finished requests in one stable pass: the survivors keep
+    // their order in active_ and the finished ones theirs in the
+    // reused scratch, so a steady iteration allocates nothing.
+    doneScratch_.clear();
+    auto kept = active_.begin();
+    for (Request *r : active_) {
+        if (r->phase() == RequestPhase::Finished)
+            doneScratch_.push_back(r);
+        else
+            *kept++ = r;
+    }
+    active_.erase(kept, active_.end());
+    for (Request *r : doneScratch_) {
         kv_.release(r->kvSlot());
         RequestRecord rec = r->takeRecord();
         owned_.erase(r->id());

@@ -75,7 +75,7 @@ class DecodeReplica
 
   private:
     void maybeStart();
-    void completeIteration(std::vector<Request *> batch);
+    void completeIteration(const std::vector<Request *> &batch);
     std::vector<Request *> selectBatch();
     SimDuration iterTime(const std::vector<Request *> &batch) const;
 
@@ -89,6 +89,10 @@ class DecodeReplica
 
     /** Requests with KV resident, eligible for iterations. */
     std::vector<Request *> active_;
+
+    /** Per-iteration scratch of completeIteration(): finished
+     *  requests. */
+    std::vector<Request *> doneScratch_;
 
     /** Admitted but waiting for KV space / batch slots. */
     std::deque<Request *> pending_;

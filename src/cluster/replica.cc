@@ -18,7 +18,7 @@ Replica::Replica(EventQueue &eq, Config cfg,
                  std::vector<AppStats> app_stats,
                  CompletionFn on_complete)
     : eq_(eq), perf_(cfg.hw, cfg.perfParams),
-      kv_(TokenCount{cfg.hw.kvCapacityTokens()}, TokenCount{cfg.kvBlockTokens}),
+      kv_(TokenCount{cfg.hw.kvCapacityTokens()}),
       factory_(factory), predictor_(predictor), tiers_(std::move(tiers)),
       appStats_(std::move(app_stats)),
       onComplete_(std::move(on_complete))

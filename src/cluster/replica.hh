@@ -59,7 +59,6 @@ class Replica
     {
         ReplicaHwConfig hw;
         PerfModelParams perfParams{};
-        int kvBlockTokens = 16;
 
         /** Shared-prefix cache (disabled by default). */
         PrefixCacheConfig prefixCache{};

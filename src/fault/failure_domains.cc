@@ -95,8 +95,6 @@ DomainInjector::startOutage(int z)
     SimTime now = cluster_.eventQueue().now();
     ++stats_.zoneOutages;
     outageSince_[static_cast<std::size_t>(z)] = now;
-    events_.push_back(
-        {FaultKind::ZoneOutage, static_cast<std::size_t>(z), now, 1.0});
     if (TraceSink *sink = cluster_.traceSink()) {
         sink->emit({TraceEventKind::ZoneOutage, now, kNoTraceRequest,
                     -1, z, 0.0});
@@ -106,8 +104,8 @@ DomainInjector::startOutage(int z)
     // correlated event the independent model cannot produce. A
     // replica already crashed by an independent fault keeps its own
     // repair schedule and is not claimed by this outage. The
-    // per-replica Crash events keep every downstream consumer
-    // (timelines, availability replay) correct without special
+    // per-replica Crash events keep every downstream consumer (the
+    // timeline and Perfetto exporters) correct without special
     // cases; arg = 1 marks them zone-correlated.
     auto &downed = downedByZone_[static_cast<std::size_t>(z)];
     for (std::size_t i = 0; i < cluster_.numReplicas(); ++i) {
@@ -150,8 +148,6 @@ DomainInjector::endOutage(int z)
     stats_.zoneDownSeconds +=
         now - outageSince_[static_cast<std::size_t>(z)];
     outageSince_[static_cast<std::size_t>(z)] = kTimeNever;
-    events_.push_back({FaultKind::ZoneRecovery,
-                       static_cast<std::size_t>(z), now, 1.0});
     if (TraceSink *sink = cluster_.traceSink()) {
         sink->emit({TraceEventKind::ZoneRestore, now, kNoTraceRequest,
                     -1, z, 0.0});
@@ -198,7 +194,6 @@ DomainInjector::startPartition()
         cluster_.blindReplica(i);
 
     ++stats_.partitions;
-    events_.push_back({FaultKind::PartitionStart, k, now, 1.0});
     if (TraceSink *sink = cluster_.traceSink()) {
         sink->emit({TraceEventKind::PartitionStart, now,
                     kNoTraceRequest, -1,
@@ -221,7 +216,6 @@ DomainInjector::endPartition()
         cluster_.unblindReplica(i);
     blinded_.clear();
     ++stats_.partitionHeals;
-    events_.push_back({FaultKind::PartitionEnd, 0, now, 1.0});
     if (TraceSink *sink = cluster_.traceSink()) {
         sink->emit({TraceEventKind::PartitionEnd, now, kNoTraceRequest,
                     -1, 0, 0.0});

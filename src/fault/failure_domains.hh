@@ -135,11 +135,6 @@ class DomainInjector
     /** Aggregate statistics so far. */
     const DomainStats &stats() const { return stats_; }
 
-    /** Chronological log of domain transitions. ZoneOutage /
-     *  ZoneRecovery entries carry the zone id in `replica`;
-     *  PartitionStart carries the blinded-replica count. */
-    const std::vector<FaultEvent> &events() const { return events_; }
-
     /** Zone of replica @p i (contiguous ranges). */
     int zoneOf(std::size_t i) const { return zoneOf_[i]; }
 
@@ -170,7 +165,6 @@ class DomainInjector
 
     std::vector<SimTime> outageSince_;
     DomainStats stats_;
-    std::vector<FaultEvent> events_;
 };
 
 } // namespace qoserve

@@ -88,7 +88,6 @@ FaultInjector::crash(std::size_t i)
     cluster_.replica(i).fail();
     ++stats_.crashes;
     downSince_[i] = now;
-    events_.push_back({FaultKind::Crash, i, now, 1.0});
 
     // The repair is always delivered, even past the horizon: a
     // replica never stays down only because injection stopped.
@@ -109,8 +108,11 @@ FaultInjector::recoverReplica(std::size_t i)
     cluster_.replica(i).recover();
     ++stats_.recoveries;
     stats_.downSeconds += now - downSince_[i];
+    // Crashes are never injected past the horizon; repairs may land
+    // beyond it, so clip each outage to [0, horizon].
+    downClipped_ += std::min(now, cfg_.horizon) -
+                    std::min(downSince_[i], cfg_.horizon);
     downSince_[i] = kTimeNever;
-    events_.push_back({FaultKind::Recovery, i, now, 1.0});
     scheduleNextCrash(i);
 }
 
@@ -143,8 +145,6 @@ FaultInjector::startEpisode(std::size_t i)
     cluster_.replica(i).setSlowdown(cfg_.stragglerFactor);
     ++stats_.stragglerEpisodes;
     std::uint64_t epoch = ++episodeEpoch_[i];
-    events_.push_back(
-        {FaultKind::StragglerStart, i, now, cfg_.stragglerFactor});
 
     SimDuration duration =
         stragglerRng_[i].exponential(1.0 / cfg_.stragglerDuration);
@@ -167,8 +167,6 @@ FaultInjector::endEpisode(std::size_t i, std::uint64_t epoch)
                         static_cast<int>(i), 0, 0.0});
         }
         cluster_.replica(i).setSlowdown(1.0);
-        events_.push_back({FaultKind::StragglerEnd, i,
-                           cluster_.eventQueue().now(), 1.0});
     }
     scheduleNextEpisode(i);
 }
@@ -179,21 +177,10 @@ FaultInjector::machineAvailability() const
     if (!cfg_.enabled() || cluster_.numReplicas() == 0)
         return 1.0;
 
-    // Replay the event log, clipping every outage to [0, horizon].
-    // Crashes are never injected past the horizon; recoveries may
-    // land beyond it.
-    std::vector<SimTime> open(cluster_.numReplicas(), kTimeNever);
-    double down = 0.0;
-    for (const FaultEvent &ev : events_) {
-        if (ev.kind == FaultKind::Crash) {
-            open[ev.replica] = ev.when;
-        } else if (ev.kind == FaultKind::Recovery) {
-            down += std::min(ev.when, cfg_.horizon) -
-                    std::min(open[ev.replica], cfg_.horizon);
-            open[ev.replica] = kTimeNever;
-        }
-    }
-    for (SimTime since : open) {
+    // Completed repairs accrued as they landed; outages still open
+    // run to the horizon.
+    double down = downClipped_;
+    for (SimTime since : downSince_) {
         if (since != kTimeNever)
             down += cfg_.horizon - std::min(since, cfg_.horizon);
     }

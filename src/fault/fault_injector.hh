@@ -74,31 +74,6 @@ struct FaultConfig
     }
 };
 
-/** Kind of one injected fault transition. */
-enum class FaultKind
-{
-    Crash,          ///< Replica went down.
-    Recovery,       ///< Replica came back up.
-    StragglerStart, ///< Slowdown factor applied.
-    StragglerEnd,   ///< Slowdown factor cleared.
-    ZoneOutage,     ///< Correlated zone failure (replica = zone id).
-    ZoneRecovery,   ///< Zone repair completed (replica = zone id).
-    PartitionStart, ///< Control-plane partition began (replica =
-                    ///< replicas blinded).
-    PartitionEnd,   ///< Control-plane partition healed.
-};
-
-/** One entry of the injected-fault log. */
-struct FaultEvent
-{
-    FaultKind kind = FaultKind::Crash;
-    std::size_t replica = 0;
-    SimTime when;
-
-    /** Slowdown factor (StragglerStart only; 1.0 otherwise). */
-    double factor = 1.0;
-};
-
 /** Aggregate fault statistics. */
 struct FaultStats
 {
@@ -146,9 +121,6 @@ class FaultInjector
     /** Aggregate statistics so far. */
     const FaultStats &stats() const { return stats_; }
 
-    /** Chronological log of injected transitions. */
-    const std::vector<FaultEvent> &events() const { return events_; }
-
     /**
      * Fraction of replica-seconds the machines were up over
      * [0, horizon] (an infrastructure metric: crashes only, not
@@ -176,9 +148,13 @@ class FaultInjector
      *  with an episode. */
     std::vector<std::uint64_t> episodeEpoch_;
 
+    /** Crash time of each replica still down; kTimeNever when up. */
     std::vector<SimTime> downSince_;
+
+    /** Outage time inside [0, horizon] of every completed repair,
+     *  added as each repair lands. */
+    double downClipped_ = 0.0;
     FaultStats stats_;
-    std::vector<FaultEvent> events_;
 };
 
 } // namespace qoserve

@@ -34,13 +34,6 @@ BlockManager::BlockManager(TokenCount capacity, TokenCount block_size)
     }
 }
 
-double
-BlockManager::utilization() const
-{
-    return static_cast<double>(usedBlocks_) /
-           static_cast<double>(totalBlocks_);
-}
-
 void
 BlockManager::notOpen(KvSlot slot, const char *op) const
 {
@@ -82,23 +75,6 @@ BlockManager::blocksNeeded(const Ownership &o, TokenCount growth) const
     std::int64_t target_blocks =
         (target_tokens + blockTokens_ - 1) / blockTokens_;
     return target_blocks - o.blocks;
-}
-
-std::int64_t
-BlockManager::blocksNeeded(KvSlot slot, TokenCount new_tokens) const
-{
-    return blocksNeeded(record(slot, "block estimate"), new_tokens);
-}
-
-bool
-BlockManager::canGrow(KvSlot slot, TokenCount new_tokens) const
-{
-    std::int64_t needed = blocksNeeded(slot, new_tokens);
-    if (needed <= freeBlocks())
-        return true;
-    // Evictable cached blocks can be reclaimed on demand, but only if
-    // a handler is installed to do the reclaiming.
-    return evictionHandler_ && needed <= availableBlocks();
 }
 
 bool

@@ -128,9 +128,6 @@ class BlockManager
     /** Tokens per block. */
     int blockTokens() const { return blockTokens_; }
 
-    /** Fraction of blocks in use, in [0, 1]. */
-    double utilization() const;
-
     /**
      * Open an empty ownership record for @p owner and return its
      * slot. The most recently released slot is reused first.
@@ -149,18 +146,6 @@ class BlockManager
     {
         return record(slot, "owner lookup").owner;
     }
-
-    /**
-     * Blocks needed to extend @p slot by @p new_tokens tokens.
-     *
-     * Accounts for slack already present in the owner's last
-     * partially-filled block. Shared blocks are always full, so only
-     * the private region enters the computation.
-     */
-    std::int64_t blocksNeeded(KvSlot slot, TokenCount new_tokens) const;
-
-    /** True if grow() for the same arguments would succeed. */
-    bool canGrow(KvSlot slot, TokenCount new_tokens) const;
 
     /**
      * Extend @p slot's cached tokens by @p new_tokens.
@@ -377,7 +362,9 @@ class BlockManager
     /** grow() past the tail block's slack: allocates blocks. */
     bool growBlocks(Ownership &o, TokenCount new_tokens);
 
-    /** blocksNeeded() on a resolved record. */
+    /** Blocks needed to extend @p o by @p new_tokens, counting the
+     *  slack of its partially filled tail block. Shared blocks are
+     *  always full, so only the private region enters. */
     std::int64_t blocksNeeded(const Ownership &o,
                               TokenCount new_tokens) const;
 

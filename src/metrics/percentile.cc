@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <numeric>
 
 #include "core/check_level.hh"
 #include "simcore/logging.hh"
@@ -112,15 +111,6 @@ percentile(std::vector<double> values, double p)
     double out = 0.0;
     selectPercentiles(values, {&p, 1}, {&out, 1});
     return out;
-}
-
-double
-mean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    return std::accumulate(values.begin(), values.end(), 0.0) /
-           static_cast<double>(values.size());
 }
 
 } // namespace qoserve

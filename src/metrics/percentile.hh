@@ -49,9 +49,6 @@ double percentileSorted(const std::vector<double> &sorted, double p);
 void selectPercentiles(std::vector<double> &values,
                        std::span<const double> ps, std::span<double> out);
 
-/** Arithmetic mean (0 for empty). */
-double mean(const std::vector<double> &values);
-
 } // namespace qoserve
 
 #endif // QOSERVE_METRICS_PERCENTILE_HH

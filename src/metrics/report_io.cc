@@ -22,7 +22,6 @@ const char *const kRecordsHeader =
     "id,arrival,prompt_tokens,decode_tokens,tier_id,important,"
     "ttft,ttlt,max_tbt,tbt_misses,violated,relegated,"
     "kv_preemptions,retries,retry_exhausted";
-const char *const kRollingHeader = "window_start,value,count";
 const char *const kSummaryHeader = "metric,value";
 
 // max_digits10: doubles survive the round trip through readRecordsCsv
@@ -177,50 +176,6 @@ std::vector<RecordsCsvRow>
 readRecordsCsvFile(const std::string &path)
 {
     return readArtefactFile(path, "records", readRecordsCsv);
-}
-
-void
-writeRollingCsv(const std::vector<RollingPoint> &points,
-                std::ostream &out)
-{
-    RowWriter row(out, 17);
-    row << kRollingHeader << '\n';
-    for (const RollingPoint &p : points) {
-        row << p.windowStart.seconds() << ',' << p.value << ',' << p.count
-            << '\n';
-    }
-}
-
-std::vector<RollingPoint>
-readRollingCsv(std::istream &in)
-{
-    std::vector<RollingPoint> points;
-    CsvReader csv(in, "rolling", kRollingHeader);
-    while (csv.next()) {
-        points.push_back({SimTime{csv.number<double>(0)},
-                          csv.number<double>(1),
-                          csv.number<std::size_t>(2)});
-    }
-    return points;
-}
-
-std::vector<SummaryCsvRow>
-readSummaryCsv(std::istream &in)
-{
-    std::vector<SummaryCsvRow> rows;
-    CsvReader csv(in, "summary", kSummaryHeader);
-    while (csv.next()) {
-        if (csv.field(0).empty())
-            csv.fail("empty key");
-        rows.push_back({csv.field(0), csv.number<double>(1)});
-    }
-    return rows;
-}
-
-std::vector<SummaryCsvRow>
-readSummaryCsvFile(const std::string &path)
-{
-    return readArtefactFile(path, "summary", readSummaryCsv);
 }
 
 void

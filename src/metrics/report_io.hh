@@ -72,24 +72,6 @@ class RecordsCsvStreamWriter
  */
 void writeSummaryCsv(const RunSummary &summary, std::ostream &out);
 
-/** One parsed key,value row of a summary CSV. */
-struct SummaryCsvRow
-{
-    std::string key;
-    double value = 0.0;
-};
-
-/**
- * Parse a summary CSV written by writeSummaryCsv.
- *
- * Fatal (with the 1-based line number) on a malformed header, a row
- * without exactly two fields, an empty key, or a non-numeric value.
- */
-std::vector<SummaryCsvRow> readSummaryCsv(std::istream &in);
-
-/** Read a summary CSV from a file (fatal on error). */
-std::vector<SummaryCsvRow> readSummaryCsvFile(const std::string &path);
-
 /** One parsed row of a records CSV (the explainer's join input). */
 struct RecordsCsvRow
 {
@@ -119,19 +101,6 @@ std::vector<RecordsCsvRow> readRecordsCsv(std::istream &in);
 
 /** Read a records CSV from a file (fatal on error). */
 std::vector<RecordsCsvRow> readRecordsCsvFile(const std::string &path);
-
-/**
- * Write a rolling-percentile series (see rollingLatency) as CSV with
- * header `window_start,value,count`, round-trip exact.
- */
-void writeRollingCsv(const std::vector<RollingPoint> &points,
-                     std::ostream &out);
-
-/**
- * Parse a rolling-series CSV written by writeRollingCsv. Fatal (with
- * the 1-based line number) on a malformed header or row.
- */
-std::vector<RollingPoint> readRollingCsv(std::istream &in);
 
 /** Render a human-readable summary table to @p out. */
 void printSummary(const RunSummary &summary, const TierTable &tiers,

@@ -34,15 +34,6 @@ class TelemetryRecorder
      */
     BatchObserver observerFor(ReplicaId replica_id);
 
-    /** All observations in arrival order. */
-    const std::vector<BatchObservation> &observations() const
-    {
-        return observations_;
-    }
-
-    /** Replica ids parallel to observations(). */
-    const std::vector<int> &replicaIds() const { return replicaIds_; }
-
     /** Number of recorded iterations. */
     std::size_t size() const { return observations_.size(); }
 
@@ -56,6 +47,7 @@ class TelemetryRecorder
     void writeCsvFile(const std::string &path) const;
 
   private:
+    /** Observations in arrival order, and the replica of each. */
     std::vector<BatchObservation> observations_;
     std::vector<int> replicaIds_;
 };

@@ -33,16 +33,6 @@ MetricsHistogram::observe(double v)
     sum_ += v;
 }
 
-std::int64_t
-MetricsHistogram::bucketCount(std::size_t i) const
-{
-    QOSERVE_ASSERT(i < bounds_.size(), "histogram bucket out of range");
-    std::int64_t total = 0;
-    for (std::size_t b = 0; b <= i; ++b)
-        total += counts_[b];
-    return total;
-}
-
 namespace {
 
 /** Bound rendered for a column name: `4` not `4.000000`. */

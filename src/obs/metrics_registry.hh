@@ -44,9 +44,6 @@ class MetricsHistogram
 
     const std::vector<double> &bounds() const { return bounds_; }
 
-    /** Cumulative count of observations <= bounds()[i]. */
-    std::int64_t bucketCount(std::size_t i) const;
-
     /** Per-bucket (non-cumulative) counts; the last is the +inf
      *  bucket. */
     const std::vector<std::int64_t> &bucketCounts() const

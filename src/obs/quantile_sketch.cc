@@ -74,14 +74,6 @@ QuantileSketch::insert(double v)
 }
 
 double
-QuantileSketch::max() const
-{
-    if (infCount_ > 0)
-        return std::numeric_limits<double>::infinity();
-    return maxFinite_;
-}
-
-double
 QuantileSketch::quantile(double p) const
 {
     QOSERVE_ASSERT(p >= 0.0 && p <= 100.0,

@@ -66,12 +66,7 @@ class QuantileSketch
     /** Smallest finite observation (+inf when none). */
     double min() const { return min_; }
 
-    /** Largest observation (-inf when empty; +inf once an infinite
-     *  value was recorded). */
-    double max() const;
-
-    /** Largest *finite* observation (-inf when none) — the raw
-     *  serialized state behind max(). */
+    /** Largest *finite* observation (-inf when none). */
     double maxFinite() const { return maxFinite_; }
 
     /**

@@ -79,7 +79,7 @@ RegressionTree::build(const std::vector<TrainSample> &samples,
     nodes_[node_id].value = targetMean(samples, idx, lo, hi);
 
     int n = hi - lo;
-    if (depth >= params.maxDepth || n < 2 * params.minSamplesLeaf)
+    if (depth >= params.maxDepth || n < 2 * ForestParams::kMinSamplesLeaf)
         return node_id;
 
     double parent_sse = targetSse(samples, idx, lo, hi);
@@ -122,7 +122,7 @@ RegressionTree::build(const std::vector<TrainSample> &samples,
         double total_y = scratch.prefY[n];
         double total_y2 = scratch.prefY2[n];
 
-        for (int c = 0; c < params.splitCandidates; ++c) {
+        for (int c = 0; c < ForestParams::kSplitCandidates; ++c) {
             double thr = rng.uniform(fmin, fmax);
             // Left side takes values <= thr.
             int ln = static_cast<int>(
@@ -130,7 +130,8 @@ RegressionTree::build(const std::vector<TrainSample> &samples,
                                  scratch.values.end(), thr) -
                 scratch.values.begin());
             int rn = n - ln;
-            if (ln < params.minSamplesLeaf || rn < params.minSamplesLeaf)
+            if (ln < ForestParams::kMinSamplesLeaf ||
+                rn < ForestParams::kMinSamplesLeaf)
                 continue;
             double ls = scratch.prefY[ln];
             double lss = scratch.prefY2[ln];
@@ -229,7 +230,7 @@ RandomForest::fit(const std::vector<TrainSample> &samples,
     Rng root(seed);
     std::size_t draw =
         std::max<std::size_t>(1, static_cast<std::size_t>(
-            params.bootstrapFraction * samples.size()));
+            ForestParams::kBootstrapFraction * samples.size()));
 
     // Each tree's randomness is split from (seed, t) rather than
     // drawn from a shared stream, so the trees can be grown in any

@@ -88,13 +88,13 @@ struct ForestParams
     int maxDepth = 12;
 
     /** Minimum samples required in a leaf. */
-    int minSamplesLeaf = 4;
+    static constexpr int kMinSamplesLeaf = 4;
 
     /** Candidate split thresholds evaluated per feature per node. */
-    int splitCandidates = 16;
+    static constexpr int kSplitCandidates = 16;
 
     /** Fraction of the training set drawn (with replacement) per tree. */
-    double bootstrapFraction = 1.0;
+    static constexpr double kBootstrapFraction = 1.0;
 };
 
 /**

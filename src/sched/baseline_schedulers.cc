@@ -67,7 +67,7 @@ MedhaScheduler::MedhaScheduler(const SchedulerEnv &env, Options options,
     : Scheduler(env, cfg), options_(options)
 {
     QOSERVE_ASSERT(options_.tbtTarget > 0.0, "TBT target must be positive");
-    QOSERVE_ASSERT(options_.maxChunkTokens >= options_.chunkStep,
+    QOSERVE_ASSERT(options_.maxChunkTokens >= Options::kChunkStep,
                    "max chunk below one step");
 }
 
@@ -100,7 +100,7 @@ MedhaScheduler::chunkBudget(SimTime, const Batch &batch) const
         return env().perf->iterationTime(w);
     };
 
-    int step = options_.chunkStep;
+    int step = Options::kChunkStep;
     int lo = 0;
     int hi = options_.maxChunkTokens / step;
     if (iter_time(hi * step) <= options_.tbtTarget)

@@ -88,7 +88,7 @@ class MedhaScheduler : public Scheduler
         int maxChunkTokens = 4096;
 
         /** Chunk granularity. */
-        int chunkStep = 64;
+        static constexpr int kChunkStep = 64;
     };
 
     MedhaScheduler(const SchedulerEnv &env, Options options,

@@ -16,10 +16,9 @@ DpScheduler::DpScheduler(const SchedulerEnv &env, Options options,
                          ChunkedSchedulerConfig cfg)
     : Scheduler(env, cfg), options_(options)
 {
-    QOSERVE_ASSERT(options_.chunkTokens > 0 && options_.tokenQuantum > 0,
-                   "bad DP options");
-    QOSERVE_ASSERT(options_.maxItemTokens >= options_.tokenQuantum,
-                   "item below one quantum");
+    QOSERVE_ASSERT(options_.chunkTokens > 0, "bad DP options");
+    static_assert(Options::kMaxItemTokens >= Options::kTokenQuantum,
+                  "item below one quantum");
 }
 
 double
@@ -51,7 +50,7 @@ DpScheduler::formBatchInto(Batch &batch, SimTime now)
     prefillSnapshotInto(candidates_);
     if (budget > 0 && !candidates_.empty()) {
         // Build knapsack items: one per queued request.
-        int capacity = budget / options_.tokenQuantum;
+        int capacity = budget / Options::kTokenQuantum;
         int n = static_cast<int>(candidates_.size());
 
         weight_.assign(static_cast<std::size_t>(n), 0);
@@ -59,10 +58,10 @@ DpScheduler::formBatchInto(Batch &batch, SimTime now)
         for (int i = 0; i < n; ++i) {
             Request *r = candidates_[i];
             int take =
-                std::min(r->prefillRemaining(), options_.maxItemTokens);
+                std::min(r->prefillRemaining(), Options::kMaxItemTokens);
             weight_[i] = std::max(
-                1, (take + options_.tokenQuantum - 1) /
-                       options_.tokenQuantum);
+                1, (take + Options::kTokenQuantum - 1) /
+                       Options::kTokenQuantum);
             // Urgency value: inverse slack to the urgency deadline,
             // so requests close to violating dominate the solution;
             // a completion bonus favours finishing prefills.
@@ -110,16 +109,20 @@ DpScheduler::formBatchInto(Batch &batch, SimTime now)
             }
         }
         // Serve the chosen set most-urgent first.
+        // total: equal deadlines break on request id.
         std::sort(chosen_.begin(), chosen_.end(),
                   [](Request *a, Request *b) {
-                      return a->urgencyDeadline() < b->urgencyDeadline();
+                      if (a->urgencyDeadline() != b->urgencyDeadline())
+                          return a->urgencyDeadline() <
+                                 b->urgencyDeadline();
+                      return a->id() < b->id();
                   });
         for (Request *r : chosen_) {
             if (budget <= 0)
                 break;
             int cap =
                 std::min(budget, std::min(r->prefillRemaining(),
-                                          options_.maxItemTokens));
+                                          Options::kMaxItemTokens));
             int got = tryScheduleChunk(r, batch, cap, decode_slots);
             budget -= got;
         }

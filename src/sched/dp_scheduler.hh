@@ -38,10 +38,10 @@ class DpScheduler : public Scheduler
         int chunkTokens = 512;
 
         /** Knapsack quantum: tokens per DP capacity unit. */
-        int tokenQuantum = 64;
+        static constexpr int kTokenQuantum = 64;
 
         /** Largest chunk one request may take per iteration. */
-        int maxItemTokens = 512;
+        static constexpr int kMaxItemTokens = 512;
     };
 
     DpScheduler(const SchedulerEnv &env, Options options,

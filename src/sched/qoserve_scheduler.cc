@@ -20,7 +20,7 @@ QoServeScheduler::QoServeScheduler(const SchedulerEnv &env,
 {
     if (qosCfg_.enableDynamicChunking && env.predictor == nullptr)
         QOSERVE_FATAL("dynamic chunking requires a latency predictor");
-    QOSERVE_ASSERT(qosCfg_.maxChunkTokens >= qosCfg_.chunkStep,
+    QOSERVE_ASSERT(qosCfg_.maxChunkTokens >= QoServeConfig::kChunkStep,
                    "max chunk below one step");
     QOSERVE_ASSERT(qosCfg_.alphaMsPerToken >= 0.0, "negative alpha");
 }
@@ -37,7 +37,7 @@ QoServeScheduler::effectiveAlpha() const
     // overload threshold.
     double load = estPrefillTime(static_cast<double>(
                       pendingPrefillTokens())) /
-                  qosCfg_.overloadThreshold;
+                  QoServeConfig::kOverloadThreshold;
     load = std::min(1.0, std::max(0.0, load));
     double alpha_ms = qosCfg_.alphaLowLoadMs +
                       (qosCfg_.alphaMsPerToken - qosCfg_.alphaLowLoadMs) *
@@ -112,7 +112,8 @@ QoServeScheduler::chunkBudget(SimTime now, const Batch &batch) const
         min_slack <= 0.0
             ? 0
             : solveChunkBudget(*env().predictor, f, min_slack,
-                               qosCfg_.maxChunkTokens, qosCfg_.chunkStep,
+                               qosCfg_.maxChunkTokens,
+                               QoServeConfig::kChunkStep,
                                memo);
 
     // When slack is exhausted, revert to the TBT-sized floor rather
@@ -133,7 +134,7 @@ QoServeScheduler::overloaded(SimTime now) const
 {
     (void)now;
     return estPrefillTime(static_cast<double>(pendingPrefillTokens())) >
-           qosCfg_.overloadThreshold;
+           QoServeConfig::kOverloadThreshold;
 }
 
 bool

@@ -81,7 +81,7 @@ struct QoServeConfig
     int maxChunkTokens = 2560;
 
     /** Dynamic chunk granularity. */
-    int chunkStep = 64;
+    static constexpr int kChunkStep = 64;
 
     /**
      * Memoise the chunk-budget solve's predictor queries across
@@ -97,7 +97,7 @@ struct QoServeConfig
      * considered overloaded and non-important requests are eagerly
      * relegated before they violate.
      */
-    SimDuration overloadThreshold = 6.0;
+    static constexpr SimDuration kOverloadThreshold = 6.0;
 };
 
 /**

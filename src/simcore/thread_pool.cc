@@ -6,7 +6,6 @@
 #include "simcore/thread_pool.hh"
 
 #include <atomic>
-#include <string>
 
 #include "simcore/logging.hh"
 
@@ -26,12 +25,6 @@ resolveJobs(int jobs)
     if (jobs == 0)
         return hardwareJobs();
     return jobs < 1 ? 1 : jobs;
-}
-
-Rng
-taskRng(std::uint64_t seed, std::size_t index)
-{
-    return Rng(seed).split("task" + std::to_string(index));
 }
 
 ThreadPool::ThreadPool(int threads)

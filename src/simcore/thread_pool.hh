@@ -9,8 +9,9 @@
  * fan-outs on a small work-queue thread pool while preserving
  * bit-for-bit determinism:
  *
- *  - tasks never share mutable state; each derives any randomness it
- *    needs from (seed, index) via taskRng(), not from a shared stream;
+ *  - tasks never share mutable state; each splits any randomness it
+ *    needs from (seed, index) — Rng(seed).split(<name><index>) — not
+ *    from a shared stream;
  *  - results are joined in index order, so reductions see the same
  *    operand order regardless of completion order;
  *  - exceptions are re-thrown in index order (the lowest failing
@@ -34,8 +35,6 @@
 #include <utility>
 #include <vector>
 
-#include "simcore/rng.hh"
-
 namespace qoserve {
 namespace par {
 
@@ -50,13 +49,6 @@ int hardwareJobs();
  * concurrency); anything else is clamped to at least 1.
  */
 int resolveJobs(int jobs);
-
-/**
- * Independent RNG stream for task @p index of a fan-out seeded by
- * @p seed. A pure function of (seed, index): the stream does not
- * depend on which thread runs the task or in what order.
- */
-Rng taskRng(std::uint64_t seed, std::size_t index);
 
 /**
  * A small fixed-size work-queue thread pool.
@@ -117,7 +109,7 @@ void runIndexed(int jobs, std::size_t n,
  * @param jobs Worker threads (0 = hardware concurrency).
  * @param n Iteration count.
  * @param body Iteration body; must not share mutable state across
- *        indices (derive per-task randomness via taskRng()).
+ *        indices (split per-task randomness from (seed, index)).
  */
 template <typename Body>
 void

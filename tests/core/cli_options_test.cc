@@ -233,22 +233,28 @@ TEST(CliOptions, HelpFlag)
 
 TEST(CliOptions, PolicyNames)
 {
-    EXPECT_EQ(parsePolicyName("qoserve"), Policy::QoServe);
-    EXPECT_EQ(parsePolicyName("fcfs"), Policy::SarathiFcfs);
-    EXPECT_EQ(parsePolicyName("edf"), Policy::SarathiEdf);
-    EXPECT_EQ(parsePolicyName("sjf"), Policy::SarathiSjf);
-    EXPECT_EQ(parsePolicyName("srpf"), Policy::SarathiSrpf);
-    EXPECT_EQ(parsePolicyName("medha"), Policy::Medha);
-    EXPECT_EQ(parsePolicyName("dp"), Policy::SlosServeDp);
-    EXPECT_DEATH(parsePolicyName("vllm"), "unknown policy");
+    auto policy = [](const char *name) {
+        return parseCliOptions({"--policy", name}).serving.policy;
+    };
+    EXPECT_EQ(policy("qoserve"), Policy::QoServe);
+    EXPECT_EQ(policy("fcfs"), Policy::SarathiFcfs);
+    EXPECT_EQ(policy("edf"), Policy::SarathiEdf);
+    EXPECT_EQ(policy("sjf"), Policy::SarathiSjf);
+    EXPECT_EQ(policy("srpf"), Policy::SarathiSrpf);
+    EXPECT_EQ(policy("medha"), Policy::Medha);
+    EXPECT_EQ(policy("dp"), Policy::SlosServeDp);
+    EXPECT_DEATH(policy("vllm"), "unknown --policy: vllm");
 }
 
 TEST(CliOptions, HwPresets)
 {
-    EXPECT_EQ(parseHwName("llama3-8b-a100-tp1").tpDegree, 1);
-    EXPECT_EQ(parseHwName("qwen-7b-a100-tp2").tpDegree, 2);
-    EXPECT_EQ(parseHwName("llama3-70b-h100-tp4").tpDegree, 4);
-    EXPECT_DEATH(parseHwName("tpu"), "unknown hardware");
+    auto tp = [](const char *name) {
+        return parseCliOptions({"--hw", name}).serving.hw.tpDegree;
+    };
+    EXPECT_EQ(tp("llama3-8b-a100-tp1"), 1);
+    EXPECT_EQ(tp("qwen-7b-a100-tp2"), 2);
+    EXPECT_EQ(tp("llama3-70b-h100-tp4"), 4);
+    EXPECT_DEATH(tp("tpu"), "unknown --hw: tpu");
 }
 
 TEST(CliOptions, UnknownFlagIsFatal)

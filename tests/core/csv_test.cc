@@ -200,9 +200,6 @@ TEST(RowWriter, EveryWriterIgnoresTheStreamFormatState)
 
     const std::vector<std::function<void(std::ostream &)>> writers = {
         [&](std::ostream &o) { writeSummaryCsv(summary, o); },
-        [&](std::ostream &o) {
-            writeRollingCsv({{SimTime{1.0 / 3.0}, 0.5, 4}}, o);
-        },
         [&](std::ostream &o) { writeTraceCsv(trace, o); },
         [&](std::ostream &o) { writeSketchBankCsv(bank, o); },
         [&](std::ostream &o) {
@@ -288,10 +285,6 @@ TEST(CsvDeathTest, EveryReaderRejectsATrailingEmptyField)
                       "phase,replica,seconds,dominant_requests\n"
                       "total,-1,1.0,1,\n"),
                  "critical-path CSV line 2: expected 4 fields, got 5");
-    EXPECT_DEATH(feed(readSummaryCsv, "metric,value\ncount,1,\n"),
-                 "summary CSV line 2: expected 2 fields, got 3");
-    EXPECT_DEATH(feed(readRollingCsv, "window_start,value,count\n0,1,2,\n"),
-                 "rolling CSV line 2: expected 3 fields, got 4");
     EXPECT_DEATH(feed(readRecordsCsv,
                       "id,arrival,prompt_tokens,decode_tokens,tier_id,"
                       "important,ttft,ttlt,max_tbt,tbt_misses,violated,"

@@ -83,9 +83,9 @@ struct ScenarioRun
 
 /** Artefact file names, in the order they are reported. */
 const std::vector<std::string> kArtefacts = {
-    "trace.csv",    "records.csv", "summary.csv", "rolling.csv",
-    "events.csv",   "sketches.csv", "alerts.csv", "critical.csv",
-    "telemetry.csv", "metrics.csv",
+    "trace.csv",    "records.csv",  "summary.csv", "events.csv",
+    "sketches.csv", "alerts.csv",   "critical.csv", "telemetry.csv",
+    "metrics.csv",
 };
 
 ScenarioRun
@@ -203,10 +203,6 @@ runScenario(const std::string &dir)
         std::ofstream out(path("summary.csv"));
         writeSummaryCsv(summarize(metrics), out);
     }
-    {
-        std::ofstream out(path("rolling.csv"));
-        writeRollingCsv(rollingLatency(metrics, 10.0, 0.9), out);
-    }
     sink.writeCsvFile(path("events.csv"));
     writeSketchBankCsvFile(bank, path("sketches.csv"));
     writeAlertsCsvFile(monitor.alerts(), path("alerts.csv"));
@@ -281,7 +277,6 @@ TEST_F(GoldenArtefacts, DigestsMatchCheckedInValues)
         {"trace.csv", "3146972158474814"},
         {"records.csv", "6638b0705f5abad9"},
         {"summary.csv", "8bd6a3f0596fa6bc"},
-        {"rolling.csv", "33bdac67864893c8"},
         {"events.csv", "c9033585702c1979"},
         {"sketches.csv", "ec0dab7d8ddbf98c"},
         {"alerts.csv", "9921d118e58121af"},
@@ -330,22 +325,9 @@ TEST_F(GoldenArtefacts, ReadersRoundTripEveryArtefactByteExactly)
         EXPECT_EQ(out.str(), slurp(file("critical.csv")));
     }
     {
-        std::ifstream in(file("rolling.csv"));
-        std::ostringstream out;
-        writeRollingCsv(readRollingCsv(in), out);
-        EXPECT_EQ(out.str(), slurp(file("rolling.csv")));
-    }
-    {
         std::vector<RecordsCsvRow> rows =
             readRecordsCsvFile(file("records.csv"));
         EXPECT_EQ(rows.size(), run_->records);
-    }
-    {
-        std::vector<SummaryCsvRow> rows =
-            readSummaryCsvFile(file("summary.csv"));
-        ASSERT_FALSE(rows.empty());
-        EXPECT_EQ(rows[0].key, "count");
-        EXPECT_EQ(rows[0].value, static_cast<double>(run_->records));
     }
 }
 

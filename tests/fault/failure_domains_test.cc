@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/trace_sink.hh"
 #include "sched/baseline_schedulers.hh"
 #include "workload/arrival.hh"
 
@@ -53,6 +54,26 @@ outageConfig(const Trace &trace, std::uint64_t seed = 7)
     return dc;
 }
 
+/** The domain transitions on the trace stream, in order. */
+std::vector<TraceEvent>
+domainEvents(const TraceSink &sink)
+{
+    std::vector<TraceEvent> out;
+    for (const TraceEvent &ev : sink.events()) {
+        switch (ev.kind) {
+          case TraceEventKind::ZoneOutage:
+          case TraceEventKind::ZoneRestore:
+          case TraceEventKind::PartitionStart:
+          case TraceEventKind::PartitionEnd:
+            out.push_back(ev);
+            break;
+          default:
+            break;
+        }
+    }
+    return out;
+}
+
 TEST(FailureDomains, DisabledInjectorIsByteNeutral)
 {
     Trace trace = smallTrace(3.0, 200);
@@ -63,11 +84,13 @@ TEST(FailureDomains, DisabledInjectorIsByteNeutral)
 
     ClusterSim sim(defaultConfig(), trace);
     sim.addReplicaGroup(4, fcfsFactory());
+    TraceSink sink;
+    sim.setTraceSink(&sink);
     DomainConfig off; // zones and partitions both disabled
     DomainInjector injector(off, sim);
     std::vector<RequestRecord> with = sim.run().records();
 
-    EXPECT_TRUE(injector.events().empty());
+    EXPECT_TRUE(domainEvents(sink).empty());
     EXPECT_EQ(injector.stats().zoneOutages, 0u);
     EXPECT_EQ(injector.stats().partitions, 0u);
     ASSERT_EQ(with.size(), without.size());
@@ -109,6 +132,8 @@ TEST(FailureDomains, ZoneOutagesFailAndRestoreTogether)
     Trace trace = smallTrace(4.0, 400, 3);
     ClusterSim sim(defaultConfig(), trace);
     sim.addReplicaGroup(4, fcfsFactory());
+    TraceSink sink;
+    sim.setTraceSink(&sink);
     DomainInjector injector(outageConfig(trace), sim);
     sim.run();
 
@@ -122,19 +147,19 @@ TEST(FailureDomains, ZoneOutagesFailAndRestoreTogether)
     for (std::size_t i = 0; i < sim.numReplicas(); ++i)
         EXPECT_EQ(sim.replica(i).health(), ReplicaHealth::Up);
 
-    // The event log pairs outages with recoveries per zone, in
-    // chronological order.
+    // The trace pairs outages with restores per zone (zone id in
+    // arg), in chronological order.
     std::vector<int> open(2, 0);
     SimTime last{0.0};
-    for (const FaultEvent &ev : injector.events()) {
-        EXPECT_GE(ev.when, last);
-        last = ev.when;
-        if (ev.kind == FaultKind::ZoneOutage) {
-            ASSERT_EQ(open[ev.replica], 0) << "zone failed twice";
-            open[ev.replica] = 1;
-        } else if (ev.kind == FaultKind::ZoneRecovery) {
-            ASSERT_EQ(open[ev.replica], 1) << "recovery without outage";
-            open[ev.replica] = 0;
+    for (const TraceEvent &ev : domainEvents(sink)) {
+        EXPECT_GE(ev.time, last);
+        last = ev.time;
+        if (ev.kind == TraceEventKind::ZoneOutage) {
+            ASSERT_EQ(open[ev.arg], 0) << "zone failed twice";
+            open[ev.arg] = 1;
+        } else if (ev.kind == TraceEventKind::ZoneRestore) {
+            ASSERT_EQ(open[ev.arg], 1) << "recovery without outage";
+            open[ev.arg] = 0;
         }
     }
     EXPECT_EQ(open[0] + open[1], 0) << "an outage never healed";
@@ -147,29 +172,22 @@ TEST(FailureDomains, ScheduleIsDeterministicPerSeed)
     auto eventsFor = [&](std::uint64_t seed) {
         ClusterSim sim(defaultConfig(), trace);
         sim.addReplicaGroup(4, fcfsFactory());
+        TraceSink sink;
+        sim.setTraceSink(&sink);
         DomainConfig dc = outageConfig(trace, seed);
         dc.partitionMtbf = 30.0;
         dc.partitionMttr = 6.0;
         DomainInjector injector(dc, sim);
         sim.run();
-        return injector.events();
+        return domainEvents(sink);
     };
 
     auto a = eventsFor(7);
     auto b = eventsFor(7);
-    ASSERT_EQ(a.size(), b.size());
     ASSERT_FALSE(a.empty());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].kind, b[i].kind);
-        EXPECT_EQ(a[i].replica, b[i].replica);
-        EXPECT_EQ(a[i].when, b[i].when);
-    }
-
-    auto c = eventsFor(8);
-    bool differs = c.size() != a.size();
-    for (std::size_t i = 0; !differs && i < a.size(); ++i)
-        differs = a[i].when != c[i].when || a[i].kind != c[i].kind;
-    EXPECT_TRUE(differs) << "different seeds gave the same schedule";
+    EXPECT_EQ(a, b);
+    EXPECT_NE(eventsFor(8), a)
+        << "different seeds gave the same schedule";
 }
 
 TEST(FailureDomains, PartitionsBlindAndHealTheRoutingView)
@@ -177,6 +195,8 @@ TEST(FailureDomains, PartitionsBlindAndHealTheRoutingView)
     Trace trace = smallTrace(4.0, 400, 9);
     ClusterSim sim(defaultConfig(), trace);
     sim.addReplicaGroup(4, fcfsFactory());
+    TraceSink sink;
+    sim.setTraceSink(&sink);
     DomainConfig dc;
     dc.partitionMtbf = 20.0;
     dc.partitionMttr = 8.0;
@@ -193,9 +213,9 @@ TEST(FailureDomains, PartitionsBlindAndHealTheRoutingView)
 
     // PartitionStart events carry the blinded-replica count: half the
     // fleet at frac 0.5.
-    for (const FaultEvent &ev : injector.events()) {
-        if (ev.kind == FaultKind::PartitionStart) {
-            EXPECT_EQ(ev.replica, 2u);
+    for (const TraceEvent &ev : domainEvents(sink)) {
+        if (ev.kind == TraceEventKind::PartitionStart) {
+            EXPECT_EQ(ev.arg, 2);
         }
     }
 }

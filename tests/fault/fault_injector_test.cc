@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "obs/trace_sink.hh"
 #include "sched/baseline_schedulers.hh"
 #include "workload/arrival.hh"
 
@@ -49,6 +52,61 @@ crashyConfig(std::uint64_t seed = 7)
     return fc;
 }
 
+/** The injector's transitions on the trace stream, in order. */
+std::vector<TraceEvent>
+faultEvents(const TraceSink &sink)
+{
+    std::vector<TraceEvent> out;
+    for (const TraceEvent &ev : sink.events()) {
+        switch (ev.kind) {
+          case TraceEventKind::Crash:
+          case TraceEventKind::Recover:
+          case TraceEventKind::StragglerStart:
+          case TraceEventKind::StragglerEnd:
+            out.push_back(ev);
+            break;
+          default:
+            break;
+        }
+    }
+    return out;
+}
+
+/**
+ * Reference machine availability: replay the first @p count trace
+ * events' independent Crash/Recover transitions (arg 0), clipping
+ * every outage to [0, horizon]; outages still open run to the
+ * horizon.
+ */
+double
+replayAvailability(const TraceSink &sink, std::size_t count,
+                   SimTime horizon, std::size_t replicas)
+{
+    std::vector<SimTime> open(replicas, kTimeNever);
+    double down = 0.0;
+    std::size_t seen = 0;
+    for (const TraceEvent &ev : sink.events()) {
+        if (seen++ == count)
+            break;
+        if (ev.arg != 0)
+            continue;
+        auto r = static_cast<std::size_t>(ev.replica);
+        if (ev.kind == TraceEventKind::Crash) {
+            open[r] = ev.time;
+        } else if (ev.kind == TraceEventKind::Recover) {
+            down += std::min(ev.time, horizon) -
+                    std::min(open[r], horizon);
+            open[r] = kTimeNever;
+        }
+    }
+    for (SimTime since : open) {
+        if (since != kTimeNever)
+            down += horizon - std::min(since, horizon);
+    }
+    double total = horizon.seconds() * static_cast<double>(replicas);
+    return std::max(0.0, 1.0 - down / total);
+}
+
 TEST(FaultInjector, DisabledInjectorSchedulesNothing)
 {
     Trace trace = smallTrace(2.0, 100);
@@ -59,11 +117,13 @@ TEST(FaultInjector, DisabledInjectorSchedulesNothing)
 
     ClusterSim injected(defaultConfig(), trace);
     injected.addReplicaGroup(2, fcfsFactory());
+    TraceSink sink;
+    injected.setTraceSink(&sink);
     FaultConfig off; // both rates zero
     FaultInjector injector(off, injected);
     RunSummary with = summarize(injected.run());
 
-    EXPECT_TRUE(injector.events().empty());
+    EXPECT_TRUE(faultEvents(sink).empty());
     EXPECT_EQ(injector.stats().crashes, 0u);
     EXPECT_EQ(with.count, without.count);
     EXPECT_EQ(with.p99Latency, without.p99Latency);
@@ -78,26 +138,19 @@ TEST(FaultInjector, ScheduleIsDeterministicPerSeed)
     auto eventsFor = [&](std::uint64_t seed) {
         ClusterSim sim(defaultConfig(), trace);
         sim.addReplicaGroup(3, fcfsFactory());
+        TraceSink sink;
+        sim.setTraceSink(&sink);
         FaultInjector injector(crashyConfig(seed), sim);
         sim.run();
-        return injector.events();
+        return faultEvents(sink);
     };
 
     auto a = eventsFor(7);
     auto b = eventsFor(7);
-    ASSERT_EQ(a.size(), b.size());
     ASSERT_FALSE(a.empty());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].kind, b[i].kind);
-        EXPECT_EQ(a[i].replica, b[i].replica);
-        EXPECT_EQ(a[i].when, b[i].when);
-    }
-
-    auto c = eventsFor(8);
-    bool differs = c.size() != a.size();
-    for (std::size_t i = 0; !differs && i < a.size(); ++i)
-        differs = a[i].when != c[i].when || a[i].kind != c[i].kind;
-    EXPECT_TRUE(differs) << "different seeds gave the same schedule";
+    EXPECT_EQ(a, b);
+    EXPECT_NE(eventsFor(8), a)
+        << "different seeds gave the same schedule";
 }
 
 TEST(FaultInjector, EveryCrashIsRepairedAndCountsMatch)
@@ -105,6 +158,8 @@ TEST(FaultInjector, EveryCrashIsRepairedAndCountsMatch)
     Trace trace = smallTrace(3.0, 200, 5);
     ClusterSim sim(defaultConfig(), trace);
     sim.addReplicaGroup(3, fcfsFactory());
+    TraceSink sink;
+    sim.setTraceSink(&sink);
     FaultInjector injector(crashyConfig(), sim);
     sim.run();
 
@@ -117,10 +172,10 @@ TEST(FaultInjector, EveryCrashIsRepairedAndCountsMatch)
         EXPECT_EQ(sim.replica(i).health(), ReplicaHealth::Up);
 
     std::uint64_t logged_crashes = 0;
-    for (const FaultEvent &ev : injector.events()) {
-        if (ev.kind == FaultKind::Crash) {
+    for (const TraceEvent &ev : faultEvents(sink)) {
+        if (ev.kind == TraceEventKind::Crash) {
             ++logged_crashes;
-            EXPECT_LE(ev.when, injector.config().horizon);
+            EXPECT_LE(ev.time, injector.config().horizon);
         }
     }
     EXPECT_EQ(logged_crashes, stats.crashes);
@@ -135,6 +190,8 @@ TEST(FaultInjector, StragglerEpisodesSetAndClearSlowdown)
     Trace trace = smallTrace(2.0, 150, 9);
     ClusterSim sim(defaultConfig(), trace);
     sim.addReplicaGroup(2, fcfsFactory());
+    TraceSink sink;
+    sim.setTraceSink(&sink);
 
     FaultConfig fc;
     fc.stragglerMtbf = 15.0;
@@ -152,17 +209,70 @@ TEST(FaultInjector, StragglerEpisodesSetAndClearSlowdown)
         EXPECT_DOUBLE_EQ(sim.replica(i).slowdown(), 1.0);
     }
     bool saw_start = false, saw_end = false;
-    for (const FaultEvent &ev : injector.events()) {
-        saw_start |= ev.kind == FaultKind::StragglerStart;
-        saw_end |= ev.kind == FaultKind::StragglerEnd;
-        if (ev.kind == FaultKind::StragglerStart) {
-            EXPECT_DOUBLE_EQ(ev.factor, 3.0);
+    for (const TraceEvent &ev : faultEvents(sink)) {
+        saw_start |= ev.kind == TraceEventKind::StragglerStart;
+        saw_end |= ev.kind == TraceEventKind::StragglerEnd;
+        if (ev.kind == TraceEventKind::StragglerStart) {
+            EXPECT_DOUBLE_EQ(ev.value, 3.0);
         }
     }
     EXPECT_TRUE(saw_start);
     EXPECT_TRUE(saw_end);
     // Stragglers slow requests down but never lose them.
     EXPECT_EQ(sim.metrics().size(), trace.requests.size());
+}
+
+TEST(FaultInjector, MachineAvailabilityMatchesATraceReplay)
+{
+    // Availability accrues as repairs land; replaying the trace's
+    // Crash/Recover events must give the same value bit for bit, both
+    // mid-run (probes) and after the run. Long repairs leave outages
+    // open at the probes and land repairs past the horizon.
+    Trace trace = smallTrace(3.0, 200, 5);
+    std::size_t open_at_probe = 0, repairs_past_horizon = 0;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        ClusterSim sim(defaultConfig(), trace);
+        sim.addReplicaGroup(3, fcfsFactory());
+        TraceSink sink;
+        sim.setTraceSink(&sink);
+        FaultConfig fc = crashyConfig(seed);
+        fc.crashMttr = 15.0;
+        fc.horizon = SimTime{60.0};
+        FaultInjector injector(fc, sim);
+
+        struct Probe
+        {
+            std::size_t events = 0;
+            double availability = 0.0;
+        };
+        std::vector<Probe> probes;
+        for (double at : {30.0, 60.5}) {
+            sim.eventQueue().schedule(SimTime{at}, [&]() {
+                for (std::size_t i = 0; i < sim.numReplicas(); ++i)
+                    open_at_probe +=
+                        sim.replica(i).health() == ReplicaHealth::Down;
+                probes.push_back(
+                    {sink.size(), injector.machineAvailability()});
+            });
+        }
+        sim.run();
+        probes.push_back({sink.size(), injector.machineAvailability()});
+
+        ASSERT_EQ(probes.size(), 3u);
+        for (const Probe &p : probes) {
+            EXPECT_EQ(p.availability,
+                      replayAvailability(sink, p.events, fc.horizon,
+                                         sim.numReplicas()))
+                << "seed " << seed << " after " << p.events
+                << " events";
+        }
+        for (const TraceEvent &ev : faultEvents(sink))
+            repairs_past_horizon += ev.kind == TraceEventKind::Recover &&
+                                    ev.time > fc.horizon;
+        EXPECT_LT(probes.back().availability, 1.0) << "seed " << seed;
+    }
+    EXPECT_GT(open_at_probe, 0u);
+    EXPECT_GT(repairs_past_horizon, 0u);
 }
 
 TEST(FaultInjectorDeath, EnabledWithoutHorizonIsFatal)

@@ -37,9 +37,9 @@ TEST(BlockManager, GrowReusesPartialBlockSlack)
     BlockManager bm(TokenCount{1600}, TokenCount{16});
     KvSlot a = bm.open(1);
     ASSERT_TRUE(bm.grow(a, TokenCount{10})); // 1 block, 6 tokens slack
-    EXPECT_EQ(bm.blocksNeeded(a, TokenCount{6}), 0);
     ASSERT_TRUE(bm.grow(a, TokenCount{6}));
     EXPECT_EQ(bm.ownedBlocks(a), 1);
+    EXPECT_EQ(bm.usedBlocks(), 1);
     ASSERT_TRUE(bm.grow(a, TokenCount{1}));
     EXPECT_EQ(bm.ownedBlocks(a), 2);
 }
@@ -57,16 +57,18 @@ TEST(BlockManager, GrowFailsAtomicallyWhenFull)
     EXPECT_TRUE(bm.grow(b, TokenCount{16}));
 }
 
-TEST(BlockManager, CanGrowAgreesWithGrow)
+TEST(BlockManager, GrowSucceedsExactlyWhenBlocksSuffice)
 {
     BlockManager bm(TokenCount{96}, TokenCount{16}); // 6 blocks
     KvSlot a = bm.open(1);
     KvSlot b = bm.open(2);
     ASSERT_TRUE(bm.grow(a, TokenCount{50})); // 4 blocks, 2 free
-    EXPECT_FALSE(bm.canGrow(b, TokenCount{33})); // needs 3 blocks
-    EXPECT_TRUE(bm.canGrow(b, TokenCount{32}));  // needs 2 blocks
-    EXPECT_TRUE(bm.canGrow(a, TokenCount{14}));  // fits in owner 1's slack
-    EXPECT_FALSE(bm.canGrow(a, TokenCount{47})); // needs 3 more blocks
+    EXPECT_FALSE(bm.grow(b, TokenCount{33})); // needs 3 blocks
+    EXPECT_FALSE(bm.grow(a, TokenCount{47})); // needs 3 more blocks
+    EXPECT_TRUE(bm.grow(a, TokenCount{14}));  // fits in owner 1's slack
+    EXPECT_EQ(bm.freeBlocks(), 2);
+    EXPECT_TRUE(bm.grow(b, TokenCount{32})); // needs 2 blocks
+    EXPECT_EQ(bm.freeBlocks(), 0);
 }
 
 TEST(BlockManager, ReleaseReturnsAllBlocks)
@@ -169,12 +171,13 @@ TEST(BlockManager, ZeroGrowthIsFreeAndSucceeds)
 TEST(BlockManager, UtilizationTracksUsage)
 {
     BlockManager bm(TokenCount{160}, TokenCount{16}); // 10 blocks
-    EXPECT_DOUBLE_EQ(bm.utilization(), 0.0);
+    EXPECT_EQ(bm.usedBlocks(), 0);
     KvSlot a = bm.open(1);
     ASSERT_TRUE(bm.grow(a, TokenCount{80}));
-    EXPECT_DOUBLE_EQ(bm.utilization(), 0.5);
+    EXPECT_EQ(bm.usedBlocks(), 5);
+    EXPECT_EQ(bm.freeBlocks(), 5);
     bm.release(a);
-    EXPECT_DOUBLE_EQ(bm.utilization(), 0.0);
+    EXPECT_EQ(bm.usedBlocks(), 0);
 }
 
 /** Property: random grow/release sequences keep accounting exact. */
@@ -193,8 +196,9 @@ TEST(BlockManagerProperty, RandomOperationsConserveBlocks)
                 slots[owner] = bm.open(owner);
             auto tokens = rng.uniformInt(0, 200);
             std::int64_t before_free = bm.freeBlocks();
+            std::int64_t target = bm.ownedTokens(slots[owner]) + tokens;
             std::int64_t need =
-                bm.blocksNeeded(slots[owner], TokenCount{tokens});
+                (target + 15) / 16 - bm.ownedBlocks(slots[owner]);
             bool ok = bm.grow(slots[owner], TokenCount{tokens});
             EXPECT_EQ(ok, need <= before_free);
             if (ok) {

@@ -160,7 +160,6 @@ TEST(SharedBlocks, GrowEvictsThroughHandlerWhenFreeBlocksShort)
     });
 
     // 40 tokens need 3 blocks; only 1 is free, so 2 must be evicted.
-    EXPECT_TRUE(bm.canGrow(s2, TokenCount{40}));
     EXPECT_TRUE(bm.grow(s2, TokenCount{40}));
     EXPECT_EQ(handler_calls, 1);
     EXPECT_EQ(bm.ownedTokens(s2), 40);
@@ -186,7 +185,6 @@ TEST(SharedBlocks, DoomedGrowDoesNotDrainTheCache)
 
     // 5 blocks can never be satisfied, even evicting everything: the
     // handler must not be consulted for a request that is doomed.
-    EXPECT_FALSE(bm.canGrow(s2, TokenCount{80}));
     EXPECT_FALSE(bm.grow(s2, TokenCount{80}));
     EXPECT_EQ(handler_calls, 0);
     EXPECT_EQ(bm.evictableBlocks(), 2);
@@ -204,7 +202,6 @@ TEST(SharedBlocks, GrowWithoutHandlerIgnoresEvictableBlocks)
     ASSERT_EQ(bm.freeBlocks(), 1);
 
     // No handler installed: only genuinely free blocks count.
-    EXPECT_FALSE(bm.canGrow(s2, TokenCount{32}));
     EXPECT_FALSE(bm.grow(s2, TokenCount{32}));
     EXPECT_TRUE(bm.grow(s2, TokenCount{16}));
 }

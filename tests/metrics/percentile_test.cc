@@ -99,11 +99,5 @@ TEST(PercentileDeathTest, OutOfRangePercentilePanics)
     EXPECT_DEATH(percentileSorted({1.0, 2.0}, 101.0), "out of range");
 }
 
-TEST(Mean, BasicAndEmpty)
-{
-    EXPECT_EQ(mean({}), 0.0);
-    EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
-}
-
 } // namespace
 } // namespace qoserve

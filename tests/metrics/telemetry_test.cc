@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.hh"
+#include "core/csv.hh"
 #include "sched/baseline_schedulers.hh"
 
 namespace qoserve {
@@ -37,11 +39,12 @@ TEST(Telemetry, AggregatesBasicStats)
     sink(obs(SimTime{0.15}, 0.05, 0, 5));
 
     EXPECT_EQ(rec.size(), 3u);
-    ASSERT_EQ(rec.observations().size(), 3u);
-    EXPECT_EQ(rec.observations()[0].prefillTokens, 256);
-    EXPECT_EQ(rec.observations()[1].prefillTokens, 1024);
-    EXPECT_EQ(rec.observations()[2].numDecodes, 5);
-    EXPECT_EQ(rec.replicaIds(), std::vector<int>(3, 0));
+    std::stringstream out;
+    rec.writeCsv(out);
+    EXPECT_EQ(out.str(), "replica,start,latency,prefill_tokens,num_decodes\n"
+                         "0,0,0.05,256,4\n"
+                         "0,0.05,0.1,1024,4\n"
+                         "0,0.15,0.05,0,5\n");
 }
 
 TEST(Telemetry, CsvContainsReplicaTags)
@@ -73,11 +76,21 @@ TEST(Telemetry, IntegratesWithClusterReplicas)
 
     EXPECT_EQ(rec.size(),
               sim.replica(0).iterations() + sim.replica(1).iterations());
-    EXPECT_TRUE(std::any_of(rec.observations().begin(),
-                            rec.observations().end(),
-                            [](const BatchObservation &o) {
-                                return o.prefillTokens > 0;
-                            }));
+    // Both replicas tagged their rows, and some iteration prefilled.
+    std::stringstream out;
+    rec.writeCsv(out);
+    std::set<std::string> replicas;
+    bool prefilled = false;
+    std::string line;
+    std::getline(out, line); // header
+    while (std::getline(out, line)) {
+        std::vector<std::string> fields = splitCsv(line);
+        ASSERT_EQ(fields.size(), 5u) << line;
+        replicas.insert(fields[0]);
+        prefilled |= fields[3] != "0";
+    }
+    EXPECT_EQ(replicas, (std::set<std::string>{"0", "1"}));
+    EXPECT_TRUE(prefilled);
 }
 
 } // namespace

@@ -18,9 +18,8 @@ TEST(MetricsHistogram, CumulativeBucketsAndTotals)
     MetricsHistogram h({1.0, 4.0, 16.0});
     for (double v : {0.5, 1.0, 3.0, 20.0})
         h.observe(v);
-    EXPECT_EQ(h.bucketCount(0), 2); // <= 1
-    EXPECT_EQ(h.bucketCount(1), 3); // <= 4
-    EXPECT_EQ(h.bucketCount(2), 3); // <= 16
+    // Per bucket: <= 1, (1, 4], (4, 16], +inf.
+    EXPECT_EQ(h.bucketCounts(), (std::vector<std::int64_t>{2, 1, 0, 1}));
     EXPECT_EQ(h.count(), 4);
     EXPECT_EQ(h.sum(), 24.5);
 }

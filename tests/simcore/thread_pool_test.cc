@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "simcore/rng.hh"
+
 namespace qoserve {
 namespace {
 
@@ -92,36 +94,15 @@ TEST(ThreadPool, ParallelMapJoinsInIndexOrder)
     }
 }
 
-TEST(ThreadPool, TaskRngIsPureFunctionOfSeedAndIndex)
+TEST(ThreadPool, SplitRngStreamsMatchAcrossJobCounts)
 {
-    // Same (seed, index) -> same stream; different index or seed ->
-    // different stream.
-    Rng a = par::taskRng(42, 3);
-    Rng b = par::taskRng(42, 3);
-    for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(a.nextU64(), b.nextU64());
-
-    Rng c = par::taskRng(42, 4);
-    Rng d = par::taskRng(43, 3);
-    Rng a2 = par::taskRng(42, 3);
-    int same_c = 0, same_d = 0;
-    for (int i = 0; i < 100; ++i) {
-        std::uint64_t ref = a2.nextU64();
-        same_c += c.nextU64() == ref;
-        same_d += d.nextU64() == ref;
-    }
-    EXPECT_LE(same_c, 1);
-    EXPECT_LE(same_d, 1);
-}
-
-TEST(ThreadPool, TaskRngStreamsMatchAcrossJobCounts)
-{
-    // A fan-out that sums one draw per task must reduce to the same
-    // total at any thread count — the determinism contract end to end.
+    // A fan-out that sums one draw per task, each task splitting its
+    // stream from (seed, index), must reduce to the same total at any
+    // thread count — the determinism contract end to end.
     auto draw_sum = [](int jobs) {
         std::vector<std::uint64_t> draws = par::parallelMap(
             jobs, 64, [](std::size_t i) {
-                return par::taskRng(7, i).nextU64();
+                return Rng(7).split("task" + std::to_string(i)).nextU64();
             });
         return std::accumulate(draws.begin(), draws.end(),
                                std::uint64_t{0});
