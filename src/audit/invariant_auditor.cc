@@ -295,7 +295,72 @@ InvariantAuditor::checkScheduler(const Scheduler &sched,
     // just the scalar counters, so don't make the scheduler
     // materialise its whole backlog (O(queue) per iteration adds up
     // to quadratic cost under overload).
-    checkSchedulerView(sched.auditView(full()), kv, now);
+    SchedulerAuditView view = sched.auditView(full());
+    checkSchedulerView(view, kv, now);
+    checkDecodeLanes(view, now);
+}
+
+void
+InvariantAuditor::checkDecodeLanes(const SchedulerAuditView &view,
+                                   SimTime now)
+{
+    if (!full())
+        return;
+
+    if (view.lanes.size() != view.decodes.size()) {
+        report("sched-decode-lane",
+               detail::composeMessage(view.lanes.size(),
+                                      " decode lanes for ",
+                                      view.decodes.size(), " decodes"),
+               now);
+        return;
+    }
+    std::int64_t ctx_sum = 0;
+    for (std::size_t i = 0; i < view.lanes.size(); ++i) {
+        const DecodeLane &lane = view.lanes[i];
+        const Request *req = view.decodes[i];
+        ctx_sum += req->contextLength();
+        if (lane.req != req) {
+            report("sched-decode-lane",
+                   detail::composeMessage(
+                       "decode lane ", i, " holds request ",
+                       lane.req != nullptr ? lane.req->id() : 0,
+                       " but the decode queue has ", req->id()),
+                   now);
+            continue;
+        }
+        if (req->phase() != RequestPhase::Decoding) {
+            report("sched-decode-lane",
+                   detail::composeMessage(
+                       "decode lane of request ", req->id(),
+                       " but the request's phase is ",
+                       static_cast<int>(req->phase())),
+                   now);
+        }
+        // The view is taken after the write-back, so the request and
+        // its lane must agree on every field, the Eq. 2 terms and the
+        // KV slot (copied when the lane opened) included.
+        DecodeProgress own = req->decodeProgress();
+        if (own != lane.progress || req->kvSlot() != lane.kvSlot) {
+            report("sched-decode-lane",
+                   detail::composeMessage(
+                       "request ", req->id(), " (", own.done, "/",
+                       own.target, " tokens, ", own.tbtMisses,
+                       " misses, slot ", req->kvSlot(),
+                       ") differs from its decode lane (",
+                       lane.progress.done, "/", lane.progress.target,
+                       " tokens, ", lane.progress.tbtMisses,
+                       " misses, slot ", lane.kvSlot, ")"),
+                   now);
+        }
+    }
+    if (ctx_sum != view.decodeCtxSum) {
+        report("sched-decode-ctx-sum",
+               detail::composeMessage("decode contexts sum to ", ctx_sum,
+                                      " but the running sum says ",
+                                      view.decodeCtxSum),
+               now);
+    }
 }
 
 void

@@ -219,7 +219,10 @@ Replica::fail()
     }
 
     // Snapshot every live request in id order — live_ is hash-ordered
-    // and the hand-back order must be deterministic.
+    // and the hand-back order must be deterministic. A decoding
+    // request's progress lives in its scheduler's decode lane until
+    // written back.
+    scheduler_->writeBackDecodeLanes();
     std::vector<RequestFailureSnapshot> snaps;
     snaps.reserve(live_.size());
     // qoserve-lint: allow(unordered-iter) — sorted below.

@@ -89,8 +89,7 @@ MedhaScheduler::chunkBudget(SimTime, const Batch &batch) const
 
     BatchWork base;
     base.numDecodes = static_cast<int>(batch.decodes.size());
-    for (const Request *r : batch.decodes)
-        base.decodeCtxSum += r->contextLength();
+    base.decodeCtxSum = batch.decodeCtxSum;
 
     auto iter_time = [&](int chunk) {
         BatchWork w = base;

@@ -16,24 +16,12 @@ Batch::prefillTokens() const
     return total;
 }
 
-std::int64_t
-Batch::decodeCtxSum() const
-{
-    if (decodeCtxSumCache_ < 0) {
-        std::int64_t sum = 0;
-        for (const Request *r : decodes)
-            sum += r->contextLength();
-        decodeCtxSumCache_ = sum;
-    }
-    return decodeCtxSumCache_;
-}
-
 void
 Batch::clear()
 {
     prefills.clear();
     decodes.clear();
-    decodeCtxSumCache_ = -1;
+    decodeCtxSum = 0;
 }
 
 BatchWork
@@ -47,7 +35,7 @@ Batch::work() const
             (static_cast<double>(c.contextBefore) + c.chunkTokens / 2.0);
     }
     w.numDecodes = static_cast<int>(decodes.size());
-    w.decodeCtxSum = decodeCtxSum();
+    w.decodeCtxSum = decodeCtxSum;
     return w;
 }
 

@@ -50,25 +50,18 @@ struct Batch
     }
 
     /**
-     * Summed KV context over the decode side, computed once.
-     *
-     * Several consumers (the dynamic-chunk solver, the execution-time
-     * model) need this sum each iteration; the first call walks the
-     * decode list, later calls return the memo. Valid only while the
-     * decode set and contexts are frozen, i.e. between formBatchInto()
-     * and onBatchComplete().
+     * Summed KV context over the decode side. The scheduler sets it
+     * from its running sum when it fills the decode side; the
+     * requests themselves may lag their decode lanes, so nothing
+     * recomputes it from them.
      */
-    std::int64_t decodeCtxSum() const;
+    std::int64_t decodeCtxSum = 0;
 
     /** Reset for reuse, keeping vector capacity. */
     void clear();
 
     /** Aggregate work for the execution-time model. */
     BatchWork work() const;
-
-  private:
-    /** Memo for decodeCtxSum(); -1 until computed. */
-    mutable std::int64_t decodeCtxSumCache_ = -1;
 };
 
 } // namespace qoserve

@@ -33,7 +33,7 @@ void
 DpScheduler::formBatchInto(Batch &batch, SimTime now)
 {
     batch.clear();
-    batch.decodes = decodeQueue();
+    fillDecodes(batch);
 
     int budget = kvCappedBudget(options_.chunkTokens);
     int decode_slots = config().maxDecodeBatch -

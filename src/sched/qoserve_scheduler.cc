@@ -77,17 +77,17 @@ QoServeScheduler::chunkBudget(SimTime now, const Batch &batch) const
 
     // Minimum TBT slack across interactive decoding requests: the
     // iteration must finish before the earliest next-token deadline
-    // (§3.3). Non-interactive decodes impose no per-token deadline.
-    // Requests already past their token schedule (negative slack —
-    // their Eq. 2 deadlines are anchored to a missed TTFT) cannot be
-    // saved by pacing and must not drag the whole replica to the
-    // floor chunk for their entire decode; they still receive a
-    // token every iteration.
+    // (§3.3). The scan reads only the decode lanes, which are the
+    // batch's decodes. Non-interactive decodes impose no per-token
+    // deadline: theirs is kTimeNever, so their slack is infinite and
+    // never lowers the minimum. Requests already past their token
+    // schedule (negative slack — their Eq. 2 deadlines are anchored
+    // to a missed TTFT) cannot be saved by pacing and must not drag
+    // the whole replica to the floor chunk for their entire decode;
+    // they still receive a token every iteration.
     SimDuration min_slack = kDurationNever;
-    for (const Request *r : batch.decodes) {
-        if (!r->tier().interactive)
-            continue;
-        SimDuration slack = r->nextTokenDeadline() - now;
+    for (const DecodeLane &lane : decodeLanes()) {
+        SimDuration slack = lane.progress.nextTokenDeadline() - now;
         if (slack <= 0.0)
             continue;
         min_slack = std::min(min_slack, slack);
@@ -98,10 +98,10 @@ QoServeScheduler::chunkBudget(SimTime now, const Batch &batch) const
 
     BatchFeatures f;
     f.numDecodes = static_cast<double>(batch.decodes.size());
-    // Integer-valued contexts sum exactly in doubles, so the batch's
-    // memoised integer sum is bitwise identical to the old per-call
-    // accumulation loop.
-    f.decodeCtxSum = static_cast<double>(batch.decodeCtxSum());
+    // Integer-valued contexts sum exactly in doubles, so the
+    // scheduler's running integer sum is bitwise identical to a
+    // per-call accumulation loop.
+    f.decodeCtxSum = static_cast<double>(batch.decodeCtxSum);
     const Request *head = peekPrefillHead();
     f.prefillContext =
         head != nullptr ? static_cast<double>(head->contextLength()) : 0.0;

@@ -5,7 +5,7 @@
 
 #include "sched/request.hh"
 
-#include <algorithm>
+#include <utility>
 
 #include "simcore/logging.hh"
 
@@ -101,30 +101,14 @@ Request::applyPrefill(TokenCount chunk, SimTime now)
         // next output token: the first one for a fresh request, or
         // token resumedTokens_+1 when resuming after a failure (the
         // first token was already delivered in a previous life).
-        if (decodeDone_ == 0) {
+        // Before the first token lastTokenTime_ is kTimeNever, so the
+        // shared step records no gap for it.
+        if (decodeDone_ == 0)
             record_.firstTokenTime = now;
-        } else if (lastTokenTime_ != kTimeNever) {
-            record_.maxTbt =
-                std::max(record_.maxTbt, now - lastTokenTime_);
-        }
-        lastTokenTime_ = now;
-        ++decodeDone_;
-        if (nextTokenCheckMissed(now, decodeDone_))
-            ++record_.tbtDeadlineMisses;
-        if (decodeDone_ == spec_.decodeTokens) {
-            phase_ = RequestPhase::Finished;
-            record_.finishTime = now;
-        } else {
-            phase_ = RequestPhase::Decoding;
-        }
+        DecodeProgress progress = decodeProgress();
+        progress.emitToken(now);
+        storeDecodeProgress(progress);
     }
-}
-
-bool
-Request::nextTokenCheckMissed(SimTime now, int token_index) const
-{
-    SimTime dl = tier_.tokenDeadline(spec_.arrival, token_index);
-    return tier_.interactive && now > dl;
 }
 
 void
@@ -132,15 +116,39 @@ Request::applyDecodeToken(SimTime now)
 {
     QOSERVE_ASSERT(phase_ == RequestPhase::Decoding,
                    "decode token in wrong phase");
-    ++decodeDone_;
-    if (lastTokenTime_ != kTimeNever)
-        record_.maxTbt = std::max(record_.maxTbt, now - lastTokenTime_);
-    lastTokenTime_ = now;
-    if (nextTokenCheckMissed(now, decodeDone_))
-        ++record_.tbtDeadlineMisses;
-    if (decodeDone_ == spec_.decodeTokens) {
+    DecodeProgress progress = decodeProgress();
+    progress.emitToken(now);
+    storeDecodeProgress(progress);
+}
+
+DecodeProgress
+Request::decodeProgress() const
+{
+    DecodeProgress p;
+    if (tier_.interactive) {
+        p.deadlineBase = spec_.arrival + tier_.ttftSlo;
+        p.tbtSlo = tier_.tbtSlo;
+    }
+    p.lastTokenTime = lastTokenTime_;
+    p.maxTbt = record_.maxTbt;
+    p.done = decodeDone_;
+    p.target = spec_.decodeTokens;
+    p.tbtMisses = record_.tbtDeadlineMisses;
+    return p;
+}
+
+void
+Request::storeDecodeProgress(const DecodeProgress &progress)
+{
+    decodeDone_ = progress.done;
+    lastTokenTime_ = progress.lastTokenTime;
+    record_.maxTbt = progress.maxTbt;
+    record_.tbtDeadlineMisses = progress.tbtMisses;
+    if (progress.finished()) {
         phase_ = RequestPhase::Finished;
-        record_.finishTime = now;
+        record_.finishTime = progress.lastTokenTime;
+    } else {
+        phase_ = RequestPhase::Decoding;
     }
 }
 

@@ -10,6 +10,7 @@
 #ifndef QOSERVE_SCHED_REQUEST_HH
 #define QOSERVE_SCHED_REQUEST_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 
@@ -101,6 +102,72 @@ struct RequestFailureSnapshot
 
     /** Re-dispatch attempts consumed so far. */
     int retries = 0;
+};
+
+/**
+ * The per-token decode state of one request: everything emitting an
+ * output token reads or writes, in one small value.
+ *
+ * Request::decodeProgress() copies it out of a request and
+ * Request::storeDecodeProgress() writes it back. A scheduler keeps
+ * one per decoding request in a dense lane array, so a steady decode
+ * token touches only its lane (DESIGN.md §11, "Decode lanes").
+ */
+struct DecodeProgress
+{
+    /** arrival + TTFT SLO, Eq. 2's constant term; kTimeNever for a
+     *  non-interactive tier (no token deadline). */
+    SimTime deadlineBase = kTimeNever;
+
+    /** Eq. 2's per-token step; 0 for a non-interactive tier. */
+    SimDuration tbtSlo = 0.0;
+
+    /** Emission time of the newest token (kTimeNever before any). */
+    SimTime lastTokenTime = kTimeNever;
+
+    /** Largest gap between consecutive tokens so far. */
+    SimDuration maxTbt = 0.0;
+
+    /** Output tokens emitted. */
+    int done = 0;
+
+    /** Output tokens the request emits in all. */
+    int target = 0;
+
+    /** Tokens emitted after their Eq. 2 deadline. */
+    int tbtMisses = 0;
+
+    /**
+     * Deadline of the next token, token done + 1 (Eq. 2). The sum
+     * adds the same terms in the same order as
+     * QosTier::tokenDeadline(), so the result is bit-identical.
+     */
+    SimTime
+    nextTokenDeadline() const
+    {
+        return deadlineBase + done * tbtSlo;
+    }
+
+    /**
+     * Emit one output token at @p now: the Eq. 2 step every decode
+     * path shares. Updates the gap maximum and the miss count.
+     */
+    void
+    emitToken(SimTime now)
+    {
+        SimTime deadline = nextTokenDeadline();
+        ++done;
+        if (lastTokenTime != kTimeNever)
+            maxTbt = std::max(maxTbt, now - lastTokenTime);
+        lastTokenTime = now;
+        if (now > deadline)
+            ++tbtMisses;
+    }
+
+    /** True once every output token was emitted. */
+    bool finished() const { return done == target; }
+
+    bool operator==(const DecodeProgress &) const = default;
 };
 
 /**
@@ -211,6 +278,17 @@ class Request
      */
     void applyDecodeToken(SimTime now);
 
+    /** The per-token decode state, copied out (a decode lane's seed). */
+    DecodeProgress decodeProgress() const;
+
+    /**
+     * Write @p progress back: the token count, last-token time, max
+     * TBT and miss count. Transitions to Finished, stamping the
+     * finish time, once every token is emitted; otherwise the
+     * request is Decoding.
+     */
+    void storeDecodeProgress(const DecodeProgress &progress);
+
     /**
      * Initialise this request as a decode-stage continuation in a
      * disaggregated deployment: the prefill node already computed
@@ -265,19 +343,18 @@ class Request
     RequestRecord takeRecord() { return std::move(record_); }
 
   private:
-    /** True if token @p token_index would be late when emitted now. */
-    bool nextTokenCheckMissed(SimTime now, int token_index) const;
-
     // Progress state first: together with the public cachedPriority
     // above, the phase, relegation flag, KV slot and progress
-    // counters sit in the object's leading bytes. Per-iteration work
-    // is not confined to them: for every decode token,
-    // applyDecodeToken() reads spec_.decodeTokens, spec_.arrival and
-    // tier_ and writes record_.maxTbt and record_.tbtDeadlineMisses,
-    // and nextTokenDeadline() (the dynamic chunk's slack scan) reads
-    // tier_ and spec_.arrival. Copying those fields up here measured
-    // within run-to-run noise on the decode-heavy ShareGPT workload,
-    // so they stay in the payload below.
+    // counters sit in the object's leading bytes. A scheduler's
+    // steady decode token writes nothing here and reads only phase_
+    // (a cheap-level assert): its decode lane (DecodeProgress, copied
+    // out when the request starts decoding) holds the token count,
+    // last-token time, max TBT, miss count and Eq. 2 terms, and is
+    // written back when the request leaves the decode set. While it
+    // decodes there, decodeDone_, lastTokenTime_ and the record's
+    // maxTbt and tbtDeadlineMisses lag the lane. Hoisting the
+    // per-token fields into the first cache line instead measured no
+    // gain (DESIGN.md §11).
     RequestPhase phase_ = RequestPhase::WaitingPrefill;
     bool relegated_ = false;
     KvSlot kvSlot_;

@@ -150,7 +150,7 @@ void
 Scheduler::formBatchInto(Batch &batch, SimTime now)
 {
     batch.clear();
-    batch.decodes = decodes_;
+    fillDecodes(batch);
 
     // Largest budget the batch was ever allowed to draw from; the
     // audit at the end of this function checks the scheduled tokens
@@ -267,6 +267,54 @@ Scheduler::finish(Request *req)
 }
 
 void
+Scheduler::fillDecodes(Batch &batch) const
+{
+    batch.decodes = decodes_;
+    batch.decodeCtxSum = decodeCtxSum_;
+}
+
+void
+Scheduler::startDecode(Request *req)
+{
+    if constexpr (audit::cheapChecks()) {
+        QOSERVE_ASSERT(req->phase() == RequestPhase::Decoding,
+                       "decode lane opened for request ", req->id(),
+                       " in phase ", static_cast<int>(req->phase()));
+    }
+    decodes_.push_back(req);
+    lanes_.push_back(DecodeLane{req, req->kvSlot(), req->decodeProgress()});
+    decodeCtxSum_ += req->contextLength();
+}
+
+void
+Scheduler::writeBack(const DecodeLane &lane) const
+{
+    // Nothing writes a decoding request but its lane: a request that
+    // left Decoding behind the lane's back is a bookkeeping bug.
+    if constexpr (audit::cheapChecks()) {
+        QOSERVE_ASSERT(lane.req->phase() == RequestPhase::Decoding,
+                       "decode lane of request ", lane.req->id(),
+                       " retired in phase ",
+                       static_cast<int>(lane.req->phase()));
+    }
+    lane.req->storeDecodeProgress(lane.progress);
+}
+
+void
+Scheduler::writeBackDecodeLanes() const
+{
+    for (const DecodeLane &lane : lanes_)
+        writeBack(lane);
+}
+
+void
+Scheduler::leaveDecode(const DecodeLane &lane)
+{
+    writeBack(lane);
+    decodeCtxSum_ -= lane.req->contextLength();
+}
+
+void
 Scheduler::releaseKv(Request *req)
 {
     env_.kv->release(req->kvSlot());
@@ -314,6 +362,8 @@ Scheduler::preemptForKv(SimTime now)
     if (decodes_.empty())
         return false;
     victim = decodes_.back();
+    leaveDecode(lanes_.back());
+    lanes_.pop_back();
     decodes_.pop_back();
     releaseKv(victim);
     victim->resetAfterKvPreemption();
@@ -351,7 +401,7 @@ Scheduler::onBatchComplete(const Batch &batch, SimTime end)
             break;
           case RequestPhase::Decoding:
             partiallyPrefilled_.erase(req);
-            decodes_.push_back(req);
+            startDecode(req);
             // The prompt KV is now complete: offer its full blocks to
             // the shared-prefix cache so later requests with the same
             // prefix can skip recomputing them.
@@ -372,34 +422,55 @@ Scheduler::onBatchComplete(const Batch &batch, SimTime end)
         }
     }
 
-    // Apply decode progress: one token per decoding request.
-    for (Request *req : batch.decodes) {
-        if (req->phase() != RequestPhase::Decoding)
-            continue; // Evicted by a KV preemption this iteration.
-        while (req->phase() == RequestPhase::Decoding &&
-               !env_.kv->grow(req->kvSlot(), TokenCount{1})) {
+    // Apply decode progress: one token per decoding request of the
+    // batch. Those are the first batch.decodes.size() lanes; requests
+    // that started decoding above sit behind them. A KV preemption
+    // pops the newest lane, which may be the current one, so the
+    // lane count bounds the walk too.
+    const std::size_t ran = batch.decodes.size();
+    std::int64_t emitted = 0;
+    for (std::size_t i = 0; i < ran && i < lanes_.size(); ++i) {
+        while (i < lanes_.size() &&
+               !env_.kv->grow(lanes_[i].kvSlot, TokenCount{1})) {
             if (!preemptForKv(end)) {
-                QOSERVE_PANIC("KV exhausted: request ", req->id(),
+                QOSERVE_PANIC("KV exhausted: request ",
+                              lanes_[i].req->id(),
                               " cannot fit even alone");
             }
         }
-        if (req->phase() != RequestPhase::Decoding)
-            continue; // Self-evicted: no token this iteration.
-        req->applyDecodeToken(end);
+        if (i >= lanes_.size())
+            break; // Self-evicted: no token this iteration.
+        DecodeLane &lane = lanes_[i];
+        if constexpr (audit::cheapChecks()) {
+            QOSERVE_ASSERT(lane.req->phase() == RequestPhase::Decoding,
+                           "decode token in wrong phase");
+        }
+        lane.progress.emitToken(end);
+        ++emitted;
     }
+    decodeCtxSum_ += emitted;
 
     // Retire finished decodes in one stable pass: the survivors keep
-    // their order in decodes_ and the finished ones theirs in the
-    // reused scratch, so a steady decode iteration allocates nothing.
+    // their order in the lanes and decodes_ and the finished ones
+    // theirs in the reused scratch, so a steady decode iteration
+    // allocates nothing.
     doneScratch_.clear();
-    auto kept = decodes_.begin();
-    for (Request *req : decodes_) {
-        if (req->phase() == RequestPhase::Finished)
-            doneScratch_.push_back(req);
-        else
-            *kept++ = req;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+        const DecodeLane &lane = lanes_[i];
+        if (lane.progress.finished()) {
+            leaveDecode(lane);
+            doneScratch_.push_back(lane.req);
+        } else {
+            if (kept != i) {
+                lanes_[kept] = lane;
+                decodes_[kept] = lane.req;
+            }
+            ++kept;
+        }
     }
-    decodes_.erase(kept, decodes_.end());
+    lanes_.resize(kept);
+    decodes_.resize(kept);
     for (Request *req : doneScratch_)
         finish(req);
 }
@@ -422,9 +493,12 @@ Scheduler::auditView(bool full_detail) const
     SchedulerAuditView view;
     view.prefillCount = prefillQueue_.size();
     view.decodeCount = decodes_.size();
+    view.decodeCtxSum = decodeCtxSum_;
     if (full_detail) {
+        writeBackDecodeLanes();
         view.prefills.assign(prefillQueue_.begin(), prefillQueue_.end());
         view.decodes.assign(decodes_.begin(), decodes_.end());
+        view.lanes = lanes_;
     }
     view.pendingPrefillTokens = pendingPrefill_;
     view.maxDecodeBatch = cfg_.maxDecodeBatch;

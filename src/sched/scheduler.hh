@@ -85,6 +85,24 @@ struct SchedulerStats
 };
 
 /**
+ * One decoding request's entry in its scheduler's dense lane array
+ * (DESIGN.md §11, "Decode lanes"). While the request decodes, the
+ * lane is the authoritative copy of its per-token state; the
+ * scheduler writes it back into the Request when the request leaves
+ * the decode set and on writeBackDecodeLanes().
+ */
+struct DecodeLane
+{
+    Request *req = nullptr;
+
+    /** The request's KV slot, copied so the per-token grow reads only
+     *  the lane. */
+    KvSlot kvSlot;
+
+    DecodeProgress progress;
+};
+
+/**
  * Read-only snapshot of a scheduler's queues for invariant auditing
  * (consumed by qoserve::InvariantAuditor; see DESIGN.md §7).
  */
@@ -99,6 +117,13 @@ struct SchedulerAuditView
 
     /** Decode-phase requests in admission order (full detail only). */
     std::vector<const Request *> decodes;
+
+    /** Decode lanes, parallel to decodes (full detail only; taken
+     *  after the lanes were written back into their requests). */
+    std::vector<DecodeLane> lanes;
+
+    /** The scheduler's running KV-context sum over its decodes. */
+    std::int64_t decodeCtxSum = 0;
 
     /** Prefill-queue length (always filled, even without vectors). */
     std::size_t prefillCount = 0;
@@ -171,8 +196,19 @@ class Scheduler
      *        (counts, counters, bounds) are filled in — the queue
      *        vectors stay empty. The cheap audit level uses this to
      *        avoid materialising the whole backlog every iteration.
+     *        When true, the decode lanes are written back first, so
+     *        every queued request's state is current.
      */
     virtual SchedulerAuditView auditView(bool full_detail) const;
+
+    /**
+     * Write every decode lane back into its request, so the
+     * requests' progress and record fields are current (the replica
+     * calls this before snapshotting a crash; tests before reading a
+     * decoding request). Const: the lanes and queues do not change,
+     * only the requests they point at.
+     */
+    void writeBackDecodeLanes() const;
 
     /** Human-readable policy name for reports. */
     virtual const char *name() const = 0;
@@ -243,8 +279,12 @@ class Scheduler
     /** Configuration. */
     const ChunkedSchedulerConfig &config() const { return cfg_; }
 
-    /** Requests currently holding a spot in the decode queue. */
-    const std::vector<Request *> &decodeQueue() const { return decodes_; }
+    /** Decode lanes, parallel to the decode queue. */
+    const std::vector<DecodeLane> &decodeLanes() const { return lanes_; }
+
+    /** Set @p batch's decode side: every decoding request and their
+     *  summed KV context. */
+    void fillDecodes(Batch &batch) const;
 
     /** Highest-priority prefill request, or nullptr when idle. */
     Request *peekPrefillHead() const;
@@ -320,6 +360,18 @@ class Scheduler
     /** Finish bookkeeping for a completed request. */
     void finish(Request *req);
 
+    /** Append @p req, which just started decoding, to the decode
+     *  queue and open its lane. */
+    void startDecode(Request *req);
+
+    /** Copy @p lane's progress into its request. */
+    void writeBack(const DecodeLane &lane) const;
+
+    /** Write @p lane back as its request leaves the decode set and
+     *  drop its context from the running sum (the caller removes
+     *  the lane). */
+    void leaveDecode(const DecodeLane &lane);
+
     /** Release @p req's KV slot (all its blocks) and clear it. */
     void releaseKv(Request *req);
 
@@ -328,6 +380,14 @@ class Scheduler
     PrefillQueue prefillQueue_;
     std::unordered_set<Request *> partiallyPrefilled_;
     std::vector<Request *> decodes_;
+
+    /** One lane per decoding request: lanes_[i].req == decodes_[i]. */
+    std::vector<DecodeLane> lanes_;
+
+    /** Summed KV context (contextLength()) over the decoding
+     *  requests, kept as tokens are emitted. */
+    std::int64_t decodeCtxSum_ = 0;
+
     std::int64_t pendingPrefill_ = 0;
     SchedulerStats stats_;
     CompletionFn onComplete_;

@@ -64,7 +64,7 @@ EventQueue::schedule(SimTime when, EventFn fn)
     std::uint32_t index = acquireSlot(std::move(fn));
     std::uint32_t gen = slots_[index].gen;
     heap_.push_back(HeapEntry{when, nextSeq_++, index, gen});
-    std::push_heap(heap_.begin(), heap_.end(), later);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
     ++pendingCount_;
     return (static_cast<EventId>(index) << 32) | gen;
 }
@@ -123,7 +123,7 @@ EventQueue::takeNext(SimTime until, SimTime &when, EventFn &fn)
         Slot &slot = slots_[top.slot];
         if (slot.gen != top.gen || !slot.active) {
             // Tombstone of a cancelled event.
-            std::pop_heap(heap_.begin(), heap_.end(), later);
+            std::pop_heap(heap_.begin(), heap_.end(), Later{});
             heap_.pop_back();
             continue;
         }
@@ -131,7 +131,7 @@ EventQueue::takeNext(SimTime until, SimTime &when, EventFn &fn)
             return false;
         when = top.when;
         std::uint32_t index = top.slot;
-        std::pop_heap(heap_.begin(), heap_.end(), later);
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
         heap_.pop_back();
         fn = std::move(slot.fn);
         releaseSlot(index);
@@ -158,21 +158,6 @@ EventQueue::run(SimTime until)
         ++firedCount_;
     }
     return fired;
-}
-
-bool
-EventQueue::step()
-{
-    SimTime when;
-    EventFn fn;
-    if (!takeNext(kTimeNever, when, fn))
-        return false;
-    QOSERVE_ASSERT(when >= now_,
-                   "clock would move backwards: ", when, " < ", now_);
-    now_ = when;
-    fn();
-    ++firedCount_;
-    return true;
 }
 
 } // namespace qoserve

@@ -132,13 +132,6 @@ class EventQueue
      */
     std::uint64_t run(SimTime until = kTimeNever);
 
-    /**
-     * Fire exactly one event, if any.
-     *
-     * @return True if an event fired.
-     */
-    bool step();
-
     /** Total events executed over the queue's lifetime. */
     std::uint64_t firedEvents() const { return firedCount_; }
 
@@ -164,14 +157,21 @@ class EventQueue
         std::uint32_t gen;
     };
 
-    /** Min-heap order on (when, seq). */
-    static bool
-    later(const HeapEntry &a, const HeapEntry &b)
+    /**
+     * Min-heap order on (when, seq), a total order. A function
+     * object, not a function pointer, so the heap algorithms inline
+     * the compare.
+     */
+    struct Later
     {
-        if (a.when != b.when)
-            return a.when > b.when;
-        return a.seq > b.seq;
-    }
+        bool
+        operator()(const HeapEntry &a, const HeapEntry &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.seq > b.seq;
+        }
+    };
 
     /** Acquire a slot for @p fn; returns its index. */
     std::uint32_t acquireSlot(EventFn fn);

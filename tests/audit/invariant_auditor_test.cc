@@ -299,6 +299,106 @@ TEST(InvariantAuditor, HealthyBlockManagerPasses)
     EXPECT_TRUE(auditor.clean());
 }
 
+// --- Decode lanes -----------------------------------------------------------
+
+/** A full-detail view whose lanes mirror @p decodes exactly. */
+SchedulerAuditView
+makeLaneView(const std::vector<Request *> &decodes)
+{
+    SchedulerAuditView view = makeView({}, {});
+    for (Request *req : decodes) {
+        view.decodes.push_back(req);
+        view.lanes.push_back(
+            DecodeLane{req, req->kvSlot(), req->decodeProgress()});
+        view.decodeCtxSum += req->contextLength();
+    }
+    return view;
+}
+
+TEST(InvariantAuditor, LanesOfALiveSchedulerAreClean)
+{
+    PerfModel perf(llama3_8b_a100_tp1());
+    BlockManager kv(TokenCount{perf.hw().kvCapacityTokens()},
+                    TokenCount{16});
+    SchedulerEnv env;
+    env.kv = &kv;
+    env.perf = &perf;
+    FcfsScheduler sched(env);
+    auto a = makeRequest(1, 100, 50);
+    auto b = makeRequest(2, 120, 3);
+    sched.enqueue(a.get(), SimTime{0.0});
+    sched.enqueue(b.get(), SimTime{0.0});
+
+    // Several decode iterations, one finishing b, with no write-back
+    // in between: the full-detail view writes the lanes back itself.
+    auto auditor = makeAuditor();
+    SimTime now;
+    for (int i = 0; i < 6; ++i) {
+        Batch batch;
+        sched.formBatchInto(batch, now);
+        now += perf.iterationTime(batch.work());
+        sched.onBatchComplete(batch, now);
+        auditor.checkScheduler(sched, &kv, now);
+    }
+    EXPECT_TRUE(auditor.clean());
+    EXPECT_EQ(a->decodeDone(), 6);
+    EXPECT_EQ(b->phase(), RequestPhase::Finished);
+}
+
+TEST(InvariantAuditor, DetectsLaneOfTheWrongRequest)
+{
+    auto a = makeDecodingRequest(1, 50, 10);
+    auto b = makeDecodingRequest(2, 60, 10);
+    auto view = makeLaneView({a.get(), b.get()});
+    std::swap(view.lanes[0], view.lanes[1]);
+    auto auditor = makeAuditor();
+    auditor.checkDecodeLanes(view, SimTime{0.0});
+    EXPECT_EQ(soleViolation(auditor), "sched-decode-lane");
+}
+
+TEST(InvariantAuditor, DetectsMissingLane)
+{
+    auto a = makeDecodingRequest(1, 50, 10);
+    auto view = makeLaneView({a.get()});
+    view.lanes.clear();
+    auto auditor = makeAuditor();
+    auditor.checkDecodeLanes(view, SimTime{0.0});
+    EXPECT_EQ(soleViolation(auditor), "sched-decode-lane");
+}
+
+TEST(InvariantAuditor, DetectsRequestBehindItsLane)
+{
+    // A write-back that missed a field leaves the request behind.
+    auto a = makeDecodingRequest(1, 50, 10);
+    auto view = makeLaneView({a.get()});
+    view.lanes[0].progress.emitToken(SimTime{1.05});
+    auto auditor = makeAuditor();
+    auditor.checkDecodeLanes(view, SimTime{1.05});
+    EXPECT_EQ(soleViolation(auditor), "sched-decode-lane");
+}
+
+TEST(InvariantAuditor, DetectsLaneOfANonDecodingRequest)
+{
+    auto a = makeRequest(1, 50, 10);
+    auto view = makeLaneView({a.get()});
+    auto auditor = makeAuditor();
+    auditor.checkDecodeLanes(view, SimTime{0.0});
+    EXPECT_EQ(soleViolation(auditor), "sched-decode-lane");
+}
+
+TEST(InvariantAuditor, DetectsDriftedDecodeContextSum)
+{
+    auto a = makeDecodingRequest(1, 50, 10);
+    auto view = makeLaneView({a.get()});
+    view.decodeCtxSum -= 1;
+    auto auditor = makeAuditor(audit::CheckLevel::Cheap);
+    auditor.checkDecodeLanes(view, SimTime{0.0});
+    EXPECT_TRUE(auditor.clean()); // A full-level walk.
+    auto full = makeAuditor();
+    full.checkDecodeLanes(view, SimTime{0.0});
+    EXPECT_EQ(soleViolation(full), "sched-decode-ctx-sum");
+}
+
 // --- Shared-block refcount conservation ----------------------------------
 
 /** A consistent snapshot: one shared block held by one owner plus

@@ -457,6 +457,7 @@ TEST_F(QoServeTest, DecodeOnlyIterationSkipsTheChunkBudgetSolve)
               before.prefillTokensScheduled);
     now += fx_.perf.iterationTime(batch.work());
     sched.onBatchComplete(batch, now);
+    sched.writeBackDecodeLanes();
     ASSERT_GT(batch.decodes[0]->nextTokenDeadline() - now, 0.0)
         << "the decodes must constrain the chunk for the solve to run";
 

@@ -124,20 +124,6 @@ TEST(EventQueue, EventsScheduledDuringRunAreExecuted)
     EXPECT_EQ(eq.now(), SimTime{2.0});
 }
 
-TEST(EventQueue, StepExecutesExactlyOneEvent)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(SimTime{1.0}, [&] { ++fired; });
-    eq.schedule(SimTime{2.0}, [&] { ++fired; });
-
-    EXPECT_TRUE(eq.step());
-    EXPECT_EQ(fired, 1);
-    EXPECT_TRUE(eq.step());
-    EXPECT_EQ(fired, 2);
-    EXPECT_FALSE(eq.step());
-}
-
 TEST(EventQueue, PoolSlotsBoundedByPeakConcurrency)
 {
     // The arena property: slots are recycled on fire/cancel, so the
