@@ -43,7 +43,6 @@ runAt(double qps, DecodePolicy policy, const Trace &trace_template,
     cfg.prefillFactory = makeSchedulerFactory(sc);
     cfg.predictor = predictor;
     cfg.decodePolicy = policy;
-    cfg.maxDecodeBatch = 256;
 
     DisaggCluster sim(cfg, trace);
     return summarize(sim.run());

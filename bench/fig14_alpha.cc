@@ -35,7 +35,6 @@ run(const bench::BenchOptions &opts)
                 pt.label = "alpha=" + std::to_string(alphas[a]);
             } else {
                 pt.scenario.serving.qoserve.adaptiveAlpha = true;
-                pt.scenario.serving.qoserve.alphaLowLoadMs = 1.0;
                 pt.scenario.serving.qoserve.alphaMsPerToken = 8.0;
                 pt.label = "alpha=adaptive";
             }

@@ -93,7 +93,7 @@ BM_SlosServeDpIteration(benchmark::State &state)
     PerfModel perf(llama3_8b_a100_tp1());
     BlockManager kv(TokenCount{perf.hw().kvCapacityTokens()}, TokenCount{16});
     SchedulerEnv env{&kv, &perf, nullptr};
-    DpScheduler sched(env, DpScheduler::Options{});
+    DpScheduler sched(env);
     runIterationBenchmark(state, sched, perf);
 }
 

@@ -81,7 +81,6 @@ main()
         cfg.prefillFactory = makeSchedulerFactory(sc);
         cfg.predictor = predictor.get();
         cfg.decodePolicy = policy;
-        cfg.maxDecodeBatch = 256;
 
         DisaggCluster sim(cfg, trace);
         const MetricsCollector &metrics = sim.run();

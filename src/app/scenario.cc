@@ -31,9 +31,9 @@ Scenario::validate() const
     sharedPrefix.validate();
 
     // Rules that relate two fields; every single-field range is a row.
-    if (serving.qoserve.maxChunkTokens < QoServeConfig::kChunkStep)
-        QOSERVE_FATAL("--max-chunk must be at least the chunk step (",
-                      QoServeConfig::kChunkStep, " tokens), got ",
+    if (serving.qoserve.maxChunkTokens < QoServeConfig::kMinChunkTokens)
+        QOSERVE_FATAL("--max-chunk must be at least the chunk floor (",
+                      QoServeConfig::kMinChunkTokens, " tokens), got ",
                       serving.qoserve.maxChunkTokens);
     if (serving.cacheAffinityRouting && !serving.prefixCache.enabled)
         QOSERVE_FATAL("--cache-affinity requires --prefix-cache");

@@ -67,9 +67,9 @@ makeSchedulerFactory(const ServingConfig &cfg)
             return std::make_unique<MedhaScheduler>(env, opts, base);
         };
       case Policy::SlosServeDp:
-        return [opts = cfg.dp, base = cfg.base](
+        return [base = cfg.base](
                    const SchedulerEnv &env) -> std::unique_ptr<Scheduler> {
-            return std::make_unique<DpScheduler>(env, opts, base);
+            return std::make_unique<DpScheduler>(env, base);
         };
     }
     QOSERVE_PANIC("unknown policy");
@@ -89,11 +89,8 @@ makePredictor(const ServingConfig &cfg)
         return nullptr;
 
     PerfModel model(cfg.hw, cfg.perfParams);
-    if (cfg.useForestPredictor) {
-        ForestLatencyPredictor::Options options;
-        options.trainJobs = cfg.trainJobs;
-        return std::make_shared<ForestLatencyPredictor>(model, options);
-    }
+    if (cfg.useForestPredictor)
+        return std::make_shared<ForestLatencyPredictor>(model, cfg.trainJobs);
     return std::make_shared<OracleLatencyPredictor>(model);
 }
 

@@ -62,9 +62,6 @@ struct ServingConfig
     /** Medha knobs (used when policy == Medha). */
     MedhaScheduler::Options medha{};
 
-    /** DP-scheduler knobs (used when policy == SlosServeDp). */
-    DpScheduler::Options dp{};
-
     /** Base chunked-scheduler knobs (chunk size, decode batch cap). */
     ChunkedSchedulerConfig base{};
 

@@ -35,7 +35,7 @@ InvariantAuditor::report(const char *invariant, std::string detail,
         QOSERVE_PANIC("invariant violated [", invariant, "] at t=", when,
                       ": ", detail);
     }
-    if (violations_.size() < opts_.maxRetained)
+    if (violations_.size() < Options::kMaxRetained)
         violations_.push_back({invariant, std::move(detail), when});
 }
 

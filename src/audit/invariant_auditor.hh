@@ -86,6 +86,7 @@ class InvariantAuditor
     struct Options
     {
         /** Runtime check level (default: the compiled level). */
+        // qoserve-lint: allow(unset-option) perfbench runs at Full
         audit::CheckLevel level = audit::kCompiledLevel;
 
         /**
@@ -93,11 +94,12 @@ class InvariantAuditor
          * corrupt simulation must not keep producing numbers).
          * Disable in tests to collect and inspect violations.
          */
+        // qoserve-lint: allow(unset-option) a test seam
         bool failFast = true;
 
         /** Retained violations when failFast is off (count is
          *  unbounded; the list is capped). */
-        std::size_t maxRetained = 64;
+        static constexpr std::size_t kMaxRetained = 64;
     };
 
     /** Construct with the compiled default options. */
@@ -207,7 +209,7 @@ class InvariantAuditor
     /** Total violations detected (including ones beyond the cap). */
     std::uint64_t violationCount() const { return violationCount_; }
 
-    /** Retained violations (capped at Options::maxRetained). */
+    /** Retained violations (capped at Options::kMaxRetained). */
     const std::vector<Violation> &violations() const
     {
         return violations_;

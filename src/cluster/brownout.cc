@@ -45,10 +45,6 @@ BrownoutController::BrownoutController(const BrownoutConfig &cfg,
                       "got exit=",
                       cfg_.exitBacklog, " enter=", cfg_.enterBacklog);
     }
-    if (cfg_.enterSamples < 1 || cfg_.exitSamples < 1)
-        QOSERVE_FATAL("brownout sample counts must be >= 1, got "
-                      "enter=",
-                      cfg_.enterSamples, " exit=", cfg_.exitSamples);
     if (cfg_.capTokens <= 0)
         QOSERVE_FATAL("brownout token cap must be positive, got ",
                       cfg_.capTokens);
@@ -127,13 +123,13 @@ BrownoutController::fire()
     if (backlog > cfg_.enterBacklog) {
         ++overCount_;
         underCount_ = 0;
-        if (overCount_ >= cfg_.enterSamples &&
+        if (overCount_ >= BrownoutConfig::kEnterSamples &&
             level_ < kBrownoutModes - 1)
             stepTo(level_ + 1);
     } else if (backlog < cfg_.exitBacklog) {
         ++underCount_;
         overCount_ = 0;
-        if (underCount_ >= cfg_.exitSamples && level_ > 0)
+        if (underCount_ >= BrownoutConfig::kExitSamples && level_ > 0)
             stepTo(level_ - 1);
     } else {
         // Inside the hysteresis band: hold the level, reset both

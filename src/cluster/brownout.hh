@@ -58,21 +58,24 @@ struct BrownoutConfig
 
     /**
      * Mean pending prefill tokens per live replica above which the
-     * controller steps one level deeper (after enterSamples
+     * controller steps one level deeper (after kEnterSamples
      * consecutive samples above it). Required positive when enabled.
      */
     double enterBacklog = 4096.0;
 
     /** Backlog below which it steps one level back (after
-     *  exitSamples consecutive samples below it); must be strictly
+     *  kExitSamples consecutive samples below it); must be strictly
      *  below enterBacklog for the hysteresis band to exist. */
     double exitBacklog = 1024.0;
 
     /** Consecutive over-threshold samples before stepping deeper. */
-    int enterSamples = 3;
+    static constexpr int kEnterSamples = 3;
 
     /** Consecutive under-threshold samples before stepping back. */
-    int exitSamples = 5;
+    static constexpr int kExitSamples = 5;
+
+    static_assert(kEnterSamples >= 1 && kExitSamples >= 1,
+                  "brownout sample counts must be at least one");
 
     /** Decode-token cap applied at level >= 1. */
     int capTokens = 128;
@@ -97,8 +100,8 @@ class BrownoutController
     /**
      * @param cfg Thresholds and cadence. Fatal (user error) on a
      *        degenerate combination: non-positive interval or cap,
-     *        an empty hysteresis band, sample counts below one, or a
-     *        shed tier outside the cluster's tier table.
+     *        an empty hysteresis band, or a shed tier outside the
+     *        cluster's tier table.
      * @param cluster Target cluster; must already have its replicas.
      */
     BrownoutController(const BrownoutConfig &cfg, ClusterSim &cluster);

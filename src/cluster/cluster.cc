@@ -16,9 +16,9 @@ SimDuration
 RetryPolicy::backoffFor(int attempt) const
 {
     SimDuration delay = initialBackoff;
-    for (int i = 0; i < attempt && delay < maxBackoff; ++i)
-        delay *= backoffMultiplier;
-    return std::min(delay, maxBackoff);
+    for (int i = 0; i < attempt && delay < kMaxBackoff; ++i)
+        delay *= kBackoffMultiplier;
+    return std::min(delay, kMaxBackoff);
 }
 
 ClusterSim::ClusterSim(Config cfg, Trace trace)

@@ -52,10 +52,10 @@ struct RetryPolicy
     SimDuration initialBackoff = 0.05;
 
     /** Backoff growth per attempt. */
-    double backoffMultiplier = 2.0;
+    static constexpr double kBackoffMultiplier = 2.0;
 
     /** Backoff ceiling, seconds. */
-    SimDuration maxBackoff = 2.0;
+    static constexpr SimDuration kMaxBackoff = 2.0;
 
     /** Backoff before attempt @p attempt (0-based). */
     SimDuration backoffFor(int attempt) const;

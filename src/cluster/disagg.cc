@@ -13,15 +13,12 @@ namespace qoserve {
 
 DecodeReplica::DecodeReplica(
     EventQueue &eq, Replica::Config cfg, DecodePolicy policy,
-    SimDuration strictest_tbt, int max_batch,
-    Replica::CompletionFn on_complete)
+    SimDuration strictest_tbt, Replica::CompletionFn on_complete)
     : eq_(eq), perf_(cfg.hw, cfg.perfParams),
       kv_(TokenCount{cfg.hw.kvCapacityTokens()}), policy_(policy),
-      strictestTbt_(strictest_tbt), maxBatch_(max_batch),
-      onComplete_(std::move(on_complete))
+      strictestTbt_(strictest_tbt), onComplete_(std::move(on_complete))
 {
     QOSERVE_ASSERT(strictestTbt_ > 0.0, "TBT target must be positive");
-    QOSERVE_ASSERT(maxBatch_ > 0, "decode batch must be positive");
 }
 
 void
@@ -105,7 +102,7 @@ DecodeReplica::maybeStart()
     // KV plus all remaining tokens) up front so iterations never run
     // out of blocks mid-flight.
     while (!pending_.empty() &&
-           active_.size() < static_cast<std::size_t>(maxBatch_)) {
+           active_.size() < static_cast<std::size_t>(kMaxBatch)) {
         Request *r = pending_.front();
         std::int64_t reserve = r->contextLength() + r->decodeRemaining();
         if (!kv_.grow(r->kvSlot(), TokenCount{reserve}))
@@ -166,8 +163,6 @@ DisaggCluster::DisaggCluster(Config cfg, Trace trace)
                    "pools must be non-empty");
     QOSERVE_ASSERT(cfg_.prefillFactory != nullptr,
                    "prefill factory required");
-    QOSERVE_ASSERT(cfg_.kvTransferBandwidth > 0.0,
-                   "transfer bandwidth must be positive");
 
     SimDuration strictest_tbt = kDurationNever;
     for (const QosTier &tier : trace_.tiers) {
@@ -186,7 +181,6 @@ DisaggCluster::DisaggCluster(Config cfg, Trace trace)
     for (int i = 0; i < cfg_.numDecodeReplicas; ++i) {
         decodePool_.push_back(std::make_unique<DecodeReplica>(
             eq_, cfg_.replica, cfg_.decodePolicy, strictest_tbt,
-            cfg_.maxDecodeBatch,
             [this](RequestRecord &&rec) {
                 metrics_.record(std::move(rec));
             }));
@@ -221,7 +215,7 @@ DisaggCluster::onPrefillDone(const RequestRecord &rec)
         static_cast<double>(spec.promptTokens) *
         static_cast<double>(cfg_.replica.hw.model.kvBytesPerToken());
     kvBytesTransferred_ += bytes;
-    SimDuration delay = bytes / cfg_.kvTransferBandwidth;
+    SimDuration delay = bytes / Config::kKvTransferBandwidth;
 
     eq_.scheduleAfter(delay, [this, spec, first_token]() {
         AppStats stats;

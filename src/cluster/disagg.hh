@@ -46,17 +46,19 @@ enum class DecodePolicy
 class DecodeReplica
 {
   public:
+    /** Hard cap on concurrent decodes per iteration. */
+    static constexpr int kMaxBatch = 256;
+
     /**
      * @param eq Shared event queue.
      * @param cfg Hardware configuration.
      * @param policy Batch-selection policy.
      * @param strictest_tbt Strictest TBT across tiers (cap sizing).
-     * @param max_batch Hard cap on concurrent decodes per iteration.
      * @param on_complete Completion callback.
      */
     DecodeReplica(EventQueue &eq, Replica::Config cfg,
                   DecodePolicy policy, SimDuration strictest_tbt,
-                  int max_batch, Replica::CompletionFn on_complete);
+                  Replica::CompletionFn on_complete);
 
     /**
      * Admit a decode-stage request (KV already transferred).
@@ -84,7 +86,6 @@ class DecodeReplica
     BlockManager kv_;
     DecodePolicy policy_;
     SimDuration strictestTbt_;
-    int maxBatch_;
     Replica::CompletionFn onComplete_;
 
     /** Requests with KV resident, eligible for iterations. */
@@ -130,15 +131,12 @@ class DisaggCluster
         /** Decode-pool policy. */
         DecodePolicy decodePolicy = DecodePolicy::StrictestTbtCap;
 
-        /** Cap on concurrent decodes per decode replica. */
-        int maxDecodeBatch = 128;
-
         /**
          * Effective KV-transfer bandwidth between pools, bytes/s
          * (NVLink/IB class; the transfer of a 2K-token Llama3-8B
          * context at 50 GB/s costs ~5 ms).
          */
-        double kvTransferBandwidth = 50e9;
+        static constexpr double kKvTransferBandwidth = 50e9;
     };
 
     /**

@@ -51,7 +51,7 @@ struct ModelConfig
     int headDim = 0;
 
     /** Bytes per parameter / activation element (2 for bf16). */
-    int bytesPerParam = 2;
+    static constexpr int kBytesPerParam = 2;
 
     /** Attention layout. */
     AttentionKind attention = AttentionKind::GQA;
@@ -65,14 +65,14 @@ struct ModelConfig
     std::int64_t
     kvBytesPerToken() const
     {
-        return 2LL * numLayers * numKvHeads * headDim * bytesPerParam;
+        return 2LL * numLayers * numKvHeads * headDim * kBytesPerParam;
     }
 
     /** Total weight bytes. */
     std::int64_t
     weightBytes() const
     {
-        return numParams * static_cast<std::int64_t>(bytesPerParam);
+        return numParams * static_cast<std::int64_t>(kBytesPerParam);
     }
 
     bool operator==(const ModelConfig &) const = default;

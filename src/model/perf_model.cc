@@ -82,7 +82,7 @@ PerfModel::commTime(TokenCount total_tokens) const
     // moves ~2x the payload per participant.
     double payload = static_cast<double>(total_tokens.value()) *
                      static_cast<double>(hw_.model.hiddenSize) *
-                     static_cast<double>(hw_.model.bytesPerParam);
+                     static_cast<double>(ModelConfig::kBytesPerParam);
     double bytes_moved = 2.0 * 2.0 * payload *
                          static_cast<double>(hw_.model.numLayers);
     return bytes_moved /

@@ -124,7 +124,7 @@ diffRuns(const RunArtifacts &before, const RunArtifacts &after,
         if (itb != after.sketches.end())
             sd.countAfter = itb->second.count();
         if (!sd.onlyBefore && !sd.onlyAfter) {
-            for (double pct : cfg.percentiles) {
+            for (double pct : RunDiffConfig::kPercentiles) {
                 QuantileDelta qd;
                 qd.pct = pct;
                 qd.before = ita->second.quantile(pct);

@@ -17,6 +17,7 @@
 #ifndef QOSERVE_OBS_RUN_DIFF_HH
 #define QOSERVE_OBS_RUN_DIFF_HH
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -41,7 +42,8 @@ struct RunDiffConfig
     double shareTolerance = 0.10;
 
     /** Percentiles compared per sketch. */
-    std::vector<double> percentiles = {50.0, 95.0, 99.0};
+    static constexpr std::array<double, 3> kPercentiles = {50.0, 95.0,
+                                                           99.0};
 };
 
 /** One compared percentile of one sketch. */

@@ -89,7 +89,6 @@ SloMonitor::tick()
             st.window.pop_front();
         const double shortBurn = burnOver(st, now, cfg_.shortWindow);
         const double longBurn = burnOver(st, now, cfg_.longWindow);
-        st.lastShortBurn = shortBurn;
         const bool firing =
             shortBurn >= cfg_.burn && longBurn >= cfg_.burn;
         if (firing && !st.active) {
@@ -123,13 +122,6 @@ SloMonitor::activeTiers() const
         if (st.active)
             out.push_back(tier);
     return out;
-}
-
-double
-SloMonitor::shortBurn(int tier) const
-{
-    auto it = tiers_.find(tier);
-    return it == tiers_.end() ? 0.0 : it->second.lastShortBurn;
 }
 
 void

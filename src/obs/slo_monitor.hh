@@ -110,10 +110,6 @@ class SloMonitor
     /** Every alert episode, in raise order. */
     const std::vector<SloAlert> &alerts() const { return alerts_; }
 
-    /** Short-window burn rate of @p tier as of the last tick (0 when
-     *  the window held no observations). */
-    double shortBurn(int tier) const;
-
   private:
     /** One tier's observation window and alert state. */
     struct TierState
@@ -121,7 +117,6 @@ class SloMonitor
         std::deque<std::pair<SimTime, bool>> window;
         bool active = false;
         std::size_t openAlert = 0; ///< Index into alerts_ when active.
-        double lastShortBurn = 0.0;
     };
 
     /** Violations/total over (now - span, now], as a burn rate. */

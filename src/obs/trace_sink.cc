@@ -95,12 +95,6 @@ isSmallInteger(double v)
 
 } // namespace
 
-TraceLog::TraceLog(std::initializer_list<TraceEvent> events)
-{
-    for (const TraceEvent &ev : events)
-        append(ev);
-}
-
 void
 TraceLog::append(const TraceEvent &ev)
 {

@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <iosfwd>
 #include <iterator>
 #include <memory>
@@ -51,7 +50,6 @@ class TraceLog
     static constexpr std::size_t kChunkBytes = 64 * 1024;
 
     TraceLog() = default;
-    TraceLog(std::initializer_list<TraceEvent> events);
     TraceLog(TraceLog &&) = default;
     TraceLog &operator=(TraceLog &&) = default;
 

@@ -25,27 +25,19 @@ OracleLatencyPredictor::predict(const BatchFeatures &features) const
     return margin_ * model_.iterationTime(features.toWork());
 }
 
-ForestLatencyPredictor::ForestLatencyPredictor(const PerfModel &model)
-    : ForestLatencyPredictor(model, Options{})
-{
-}
-
 ForestLatencyPredictor::ForestLatencyPredictor(const PerfModel &model,
-                                               Options options)
-    : options_(std::move(options))
+                                               int train_jobs)
 {
-    auto samples = collectProfile(model, options_.grid, options_.seed);
-    forest_.fit(samples, options_.forest, options_.seed,
-                options_.trainJobs);
+    forest_.fit(collectProfile(model, kSeed), kSeed, train_jobs);
 }
 
 SimDuration
 ForestLatencyPredictor::predict(const BatchFeatures &features) const
 {
     auto x = features.toArray();
-    double est = forest_.predictQuantile(x.data(), BatchFeatures::kCount,
-                                         options_.quantile);
-    return est * options_.safetyMargin;
+    double est =
+        forest_.predictQuantile(x.data(), BatchFeatures::kCount, kQuantile);
+    return est * kSafetyMargin;
 }
 
 namespace {
@@ -107,8 +99,8 @@ ForestLatencyPredictor::buildChunkPlane(const BatchFeatures &features,
         features.decodeCtxSum + kPlaneContextSlack};
     forest_.restrictToBox(lo, hi, BatchFeatures::kCount, out.forest,
                           out.support);
-    out.quantile = options_.quantile;
-    out.safetyMargin = options_.safetyMargin;
+    out.quantile = kQuantile;
+    out.safetyMargin = kSafetyMargin;
     return true;
 }
 

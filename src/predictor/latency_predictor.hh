@@ -133,32 +133,24 @@ class OracleLatencyPredictor : public LatencyPredictor
 class ForestLatencyPredictor : public LatencyPredictor
 {
   public:
-    /** Knobs for training and conservatism. */
-    struct Options
-    {
-        ForestParams forest;
-        ProfileGrid grid;
-        std::uint64_t seed = 7;
+    /** Seed of the profile noise and of the forest's bootstrap. */
+    static constexpr std::uint64_t kSeed = 7;
 
-        /** Quantile of tree outputs used as the estimate. */
-        double quantile = 0.6;
+    /** Quantile of tree outputs used as the estimate. */
+    static constexpr double kQuantile = 0.6;
 
-        /** Extra multiplicative safety margin on the estimate. */
-        double safetyMargin = 1.05;
+    /** Extra multiplicative safety margin on the estimate. */
+    static constexpr double kSafetyMargin = 1.05;
 
-        /**
-         * Worker threads used to train the forest (0 = hardware
-         * concurrency). The fitted predictor is bit-identical for
-         * every value; 1 trains serially.
-         */
-        int trainJobs = 0;
-    };
-
-    /** Train on profiles of @p model with default options. */
-    explicit ForestLatencyPredictor(const PerfModel &model);
-
-    /** Train on profiles of @p model. */
-    ForestLatencyPredictor(const PerfModel &model, Options options);
+    /**
+     * Train on profiles of @p model.
+     *
+     * @param train_jobs Worker threads used to train the forest
+     *        (0 = hardware concurrency). The fitted predictor is
+     *        bit-identical for every value; 1 trains serially.
+     */
+    explicit ForestLatencyPredictor(const PerfModel &model,
+                                    int train_jobs = 0);
 
     SimDuration predict(const BatchFeatures &features) const override;
 
@@ -169,12 +161,8 @@ class ForestLatencyPredictor : public LatencyPredictor
     /** Access the fitted ensemble (tests, diagnostics). */
     const RandomForest &forest() const { return forest_; }
 
-    /** Options used at construction. */
-    const Options &options() const { return options_; }
-
   private:
     RandomForest forest_;
-    Options options_;
 };
 
 /**

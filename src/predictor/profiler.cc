@@ -20,19 +20,19 @@ BatchFeatures::toWork() const
 }
 
 std::vector<TrainSample>
-collectProfile(const PerfModel &model, const ProfileGrid &grid,
-               std::uint64_t seed)
+collectProfile(const PerfModel &model, std::uint64_t seed)
 {
+    using G = ProfileGrid;
     Rng rng(seed);
     std::vector<TrainSample> samples;
-    samples.reserve(grid.chunkSizes.size() * grid.prefillContexts.size() *
-                    grid.decodeBatchSizes.size() *
-                    grid.avgDecodeContexts.size());
+    samples.reserve(G::kChunkSizes.size() * G::kPrefillContexts.size() *
+                    G::kDecodeBatchSizes.size() *
+                    G::kAvgDecodeContexts.size());
 
-    for (double chunk : grid.chunkSizes) {
-        for (double pctx : grid.prefillContexts) {
-            for (double nd : grid.decodeBatchSizes) {
-                for (double dctx : grid.avgDecodeContexts) {
+    for (double chunk : G::kChunkSizes) {
+        for (double pctx : G::kPrefillContexts) {
+            for (double nd : G::kDecodeBatchSizes) {
+                for (double dctx : G::kAvgDecodeContexts) {
                     BatchFeatures f;
                     f.chunkTokens = chunk;
                     f.prefillContext = chunk > 0 ? pctx : 0.0;
@@ -42,13 +42,12 @@ collectProfile(const PerfModel &model, const ProfileGrid &grid,
                         continue;
                     // With no prefill, the prefill-context axis is
                     // redundant; keep only one copy.
-                    if (chunk == 0 && pctx != grid.prefillContexts[0])
+                    if (chunk == 0 && pctx != G::kPrefillContexts[0])
                         continue;
 
                     double latency =
                         model.iterationTime(f.toWork());
-                    double noise =
-                        rng.normal(1.0, grid.noiseStddev);
+                    double noise = rng.normal(1.0, G::kNoiseStddev);
                     if (noise < 0.5)
                         noise = 0.5;
 

@@ -59,28 +59,29 @@ struct BatchFeatures
 /** Sweep grid for profiling. */
 struct ProfileGrid
 {
-    std::vector<double> chunkSizes =
-        {0, 64, 128, 256, 384, 512, 768, 1024, 1536, 2048, 2560, 3072,
-         4096};
-    std::vector<double> prefillContexts = {0, 1024, 4096, 10240};
-    std::vector<double> decodeBatchSizes = {0, 8, 16, 32, 64, 128, 256};
-    std::vector<double> avgDecodeContexts = {128, 512, 1024, 2048, 4096};
+    static constexpr std::array<double, 13> kChunkSizes = {
+        0, 64, 128, 256, 384, 512, 768, 1024, 1536, 2048, 2560, 3072,
+        4096};
+    static constexpr std::array<double, 4> kPrefillContexts = {
+        0, 1024, 4096, 10240};
+    static constexpr std::array<double, 7> kDecodeBatchSizes = {
+        0, 8, 16, 32, 64, 128, 256};
+    static constexpr std::array<double, 5> kAvgDecodeContexts = {
+        128, 512, 1024, 2048, 4096};
 
     /** Relative std-dev of multiplicative measurement noise. */
-    double noiseStddev = 0.03;
+    static constexpr double kNoiseStddev = 0.03;
 };
 
 /**
- * Collect latency training samples over the grid.
+ * Collect latency training samples over the ProfileGrid.
  *
  * @param model Execution model to profile.
- * @param grid Sweep specification.
  * @param seed Noise seed.
  * @return One TrainSample per grid point (empty batches skipped);
  *         targets in seconds.
  */
 std::vector<TrainSample> collectProfile(const PerfModel &model,
-                                        const ProfileGrid &grid,
                                         std::uint64_t seed);
 
 } // namespace qoserve

@@ -6,6 +6,7 @@
 #include "predictor/random_forest.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -71,15 +72,15 @@ targetSse(const std::vector<TrainSample> &samples,
 int
 RegressionTree::build(const std::vector<TrainSample> &samples,
                       std::vector<std::uint32_t> &idx, int lo, int hi,
-                      int depth, const ForestParams &params, Rng &rng,
-                      SplitScratch &scratch)
+                      int depth, Rng &rng, SplitScratch &scratch)
 {
     int node_id = static_cast<int>(nodes_.size());
     nodes_.emplace_back();
     nodes_[node_id].value = targetMean(samples, idx, lo, hi);
 
     int n = hi - lo;
-    if (depth >= params.maxDepth || n < 2 * ForestParams::kMinSamplesLeaf)
+    if (depth >= ForestParams::kMaxDepth ||
+        n < 2 * ForestParams::kMinSamplesLeaf)
         return node_id;
 
     double parent_sse = targetSse(samples, idx, lo, hi);
@@ -159,18 +160,15 @@ RegressionTree::build(const std::vector<TrainSample> &samples,
 
     nodes_[node_id].feature = best_feature;
     nodes_[node_id].threshold = best_threshold;
-    int left =
-        build(samples, idx, lo, mid, depth + 1, params, rng, scratch);
-    int right =
-        build(samples, idx, mid, hi, depth + 1, params, rng, scratch);
+    int left = build(samples, idx, lo, mid, depth + 1, rng, scratch);
+    int right = build(samples, idx, mid, hi, depth + 1, rng, scratch);
     nodes_[node_id].left = left;
     nodes_[node_id].right = right;
     return node_id;
 }
 
 void
-RegressionTree::fit(const std::vector<TrainSample> &samples,
-                    const ForestParams &params, Rng &rng)
+RegressionTree::fit(const std::vector<TrainSample> &samples, Rng &rng)
 {
     QOSERVE_ASSERT(!samples.empty(), "empty training set");
     nodes_.clear();
@@ -178,8 +176,7 @@ RegressionTree::fit(const std::vector<TrainSample> &samples,
     for (std::size_t i = 0; i < idx.size(); ++i)
         idx[i] = static_cast<std::uint32_t>(i);
     SplitScratch scratch;
-    build(samples, idx, 0, static_cast<int>(idx.size()), 0, params, rng,
-          scratch);
+    build(samples, idx, 0, static_cast<int>(idx.size()), 0, rng, scratch);
 }
 
 void
@@ -221,12 +218,11 @@ RegressionTree::predict(const std::vector<double> &x) const
 
 void
 RandomForest::fit(const std::vector<TrainSample> &samples,
-                  ForestParams params, std::uint64_t seed, int jobs)
+                  std::uint64_t seed, int jobs)
 {
     QOSERVE_ASSERT(!samples.empty(), "empty training set");
-    QOSERVE_ASSERT(params.numTrees > 0, "need at least one tree");
 
-    trees_.assign(params.numTrees, RegressionTree{});
+    trees_.assign(ForestParams::kNumTrees, RegressionTree{});
     Rng root(seed);
     std::size_t draw =
         std::max<std::size_t>(1, static_cast<std::size_t>(
@@ -236,7 +232,7 @@ RandomForest::fit(const std::vector<TrainSample> &samples,
     // drawn from a shared stream, so the trees can be grown in any
     // order — or concurrently — with bit-identical results.
     par::parallelFor(
-        jobs, static_cast<std::size_t>(params.numTrees),
+        jobs, static_cast<std::size_t>(ForestParams::kNumTrees),
         [&](std::size_t t) {
             Rng tree_rng = root.split("tree" + std::to_string(t));
             std::vector<TrainSample> boot;
@@ -246,7 +242,7 @@ RandomForest::fit(const std::vector<TrainSample> &samples,
                     0, static_cast<std::int64_t>(samples.size()) - 1));
                 boot.push_back(samples[j]);
             }
-            trees_[t].fit(boot, params, tree_rng);
+            trees_[t].fit(boot, tree_rng);
         });
 
     // Flatten the trained ensemble into one contiguous node array so
@@ -307,73 +303,74 @@ RandomForest::evalTree(std::uint32_t root, const double *x,
 
 namespace {
 
-/** Largest ensemble sorted with the branchless network. */
-constexpr std::size_t kMaxNetworkSort = 64;
+constexpr int kTrees = ForestParams::kNumTrees;
+
+/** Per-tree predictions of one query, one slot per tree. */
+using TreePreds = std::array<double, kTrees>;
 
 /**
- * Batcher odd-even compare-exchange schedules for every size up to
- * kMaxNetworkSort, built once. A fixed network sorts with min/max
- * selects only — no data-dependent branches — which matters because
- * the quantile sort runs once per chunk-solver probe and mispredicted
- * comparison sorts dominated that path.
+ * Visit Batcher's odd-even merge-sort compare-exchanges for kTrees
+ * inputs, in network order.
  */
-const std::vector<std::pair<int, int>> &
-sortNetwork(std::size_t n)
+template <typename Visit>
+constexpr void
+forEachComparator(Visit &&visit)
 {
-    static const auto table = [] {
-        std::vector<std::vector<std::pair<int, int>>> nets(
-            kMaxNetworkSort + 1);
-        for (int size = 2; size <= static_cast<int>(kMaxNetworkSort);
-             ++size) {
-            auto &net = nets[static_cast<std::size_t>(size)];
-            for (int p = 1; p < size; p <<= 1) {
-                for (int k = p; k >= 1; k >>= 1) {
-                    for (int j = k % p; j + k < size; j += 2 * k) {
-                        for (int i = 0;
-                             i < k && i + j + k < size; ++i) {
-                            if ((i + j) / (2 * p) ==
-                                (i + j + k) / (2 * p))
-                                net.emplace_back(i + j, i + j + k);
-                        }
-                    }
+    for (int p = 1; p < kTrees; p <<= 1) {
+        for (int k = p; k >= 1; k >>= 1) {
+            for (int j = k % p; j + k < kTrees; j += 2 * k) {
+                for (int i = 0; i < k && i + j + k < kTrees; ++i) {
+                    if ((i + j) / (2 * p) == (i + j + k) / (2 * p))
+                        visit(i + j, i + j + k);
                 }
             }
         }
-        return nets;
-    }();
-    return table[n];
+    }
 }
+
+struct Comparator
+{
+    int a = 0;
+    int b = 0;
+};
+
+constexpr std::size_t kNetworkSize = [] {
+    std::size_t n = 0;
+    forEachComparator([&n](int, int) { ++n; });
+    return n;
+}();
+
+/**
+ * The compare-exchange schedule that sorts one query's tree
+ * predictions, built at compile time. A fixed network sorts with
+ * min/max selects only — no data-dependent branches — which matters
+ * because the quantile sort runs once per chunk-solver probe and
+ * mispredicted comparison sorts dominated that path.
+ */
+constexpr std::array<Comparator, kNetworkSize> kSortNetwork = [] {
+    std::array<Comparator, kNetworkSize> net{};
+    std::size_t n = 0;
+    forEachComparator([&](int a, int b) { net[n++] = {a, b}; });
+    return net;
+}();
 
 /** Shared quantile-of-tree-predictions kernel. */
 double
-quantileOfPreds(std::vector<double> &preds, double q)
+quantileOfPreds(TreePreds &preds, double q)
 {
     // The interpolation reads only the lo-th and (lo+1)-th smallest
-    // values; any correct sort or selection produces exactly the
-    // doubles the original sort-and-interpolate placed there, so both
-    // paths below stay bitwise identical to it.
-    double pos = q * (preds.size() - 1);
+    // values; the network places exactly the doubles a sort would
+    // there, so this is bitwise identical to sort-and-interpolate.
+    double pos = q * (kTrees - 1);
     auto lo = static_cast<std::size_t>(pos);
-    auto hi = std::min(lo + 1, preds.size() - 1);
+    auto hi = std::min<std::size_t>(lo + 1, kTrees - 1);
     double frac = pos - static_cast<double>(lo);
-    double v_lo, v_hi;
-    if (preds.size() >= 2 && preds.size() <= kMaxNetworkSort) {
-        double *v = preds.data();
-        for (auto [a, b] : sortNetwork(preds.size())) {
-            double x = v[a], y = v[b];
-            v[a] = std::min(x, y);
-            v[b] = std::max(x, y);
-        }
-        v_lo = v[lo];
-        v_hi = v[hi];
-    } else {
-        auto pivot = preds.begin() + static_cast<std::ptrdiff_t>(lo);
-        std::nth_element(preds.begin(), pivot, preds.end());
-        v_lo = *pivot;
-        v_hi = hi > lo ? *std::min_element(pivot + 1, preds.end())
-                       : v_lo;
+    for (Comparator c : kSortNetwork) {
+        double x = preds[c.a], y = preds[c.b];
+        preds[c.a] = std::min(x, y);
+        preds[c.b] = std::max(x, y);
     }
-    return v_lo * (1.0 - frac) + v_hi * frac;
+    return preds[lo] * (1.0 - frac) + preds[hi] * frac;
 }
 
 /**
@@ -387,28 +384,22 @@ quantileOfPreds(std::vector<double> &preds, double q)
  */
 void
 lockstepFill(const FlatNode *nodes, const std::uint32_t *roots,
-             std::size_t n, int max_depth, const double *x,
-             double *preds)
+             int max_depth, const double *x, TreePreds &preds)
 {
-    constexpr std::size_t kBlock = 32;
-    for (std::size_t base = 0; base < n; base += kBlock) {
-        std::size_t m = std::min(kBlock, n - base);
-        std::uint32_t cur[kBlock];
-        for (std::size_t t = 0; t < m; ++t)
-            cur[t] = roots[base + t];
-        for (int level = 0; level < max_depth; ++level) {
-            for (std::size_t t = 0; t < m; ++t) {
-                const FlatNode &nd = nodes[cur[t]];
-                bool leaf = nd.feature < 0;
-                std::int32_t f = leaf ? 0 : nd.feature;
-                std::uint32_t next =
-                    x[f] <= nd.key ? cur[t] + 1 : nd.right;
-                cur[t] = leaf ? cur[t] : next;
-            }
+    std::uint32_t cur[kTrees];
+    for (int t = 0; t < kTrees; ++t)
+        cur[t] = roots[t];
+    for (int level = 0; level < max_depth; ++level) {
+        for (int t = 0; t < kTrees; ++t) {
+            const FlatNode &nd = nodes[cur[t]];
+            bool leaf = nd.feature < 0;
+            std::int32_t f = leaf ? 0 : nd.feature;
+            std::uint32_t next = x[f] <= nd.key ? cur[t] + 1 : nd.right;
+            cur[t] = leaf ? cur[t] : next;
         }
-        for (std::size_t t = 0; t < m; ++t)
-            preds[base + t] = nodes[cur[t]].key;
     }
+    for (int t = 0; t < kTrees; ++t)
+        preds[t] = nodes[cur[t]].key;
 }
 
 } // namespace
@@ -429,10 +420,8 @@ RestrictedForest::predictQuantile(const double *x, int dims,
     QOSERVE_ASSERT(valid(), "predictQuantile() on an empty restriction");
     QOSERVE_ASSERT(dims >= featureDims_, "feature vector too short");
     QOSERVE_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range");
-    static thread_local std::vector<double> preds;
-    preds.resize(roots_.size());
-    lockstepFill(flat_.data(), roots_.data(), roots_.size(), maxDepth_,
-                 x, preds.data());
+    TreePreds preds;
+    lockstepFill(flat_.data(), roots_.data(), maxDepth_, x, preds);
     return quantileOfPreds(preds, q);
 }
 
@@ -447,9 +436,8 @@ RestrictedForest::predictQuantileTracked(const double *x, int dims,
     QOSERVE_ASSERT(support.dims >= featureDims_,
                    "support not initialised by the caller");
     const FlatNode *nodes = flat_.data();
-    static thread_local std::vector<double> preds;
-    preds.resize(roots_.size());
-    for (std::size_t t = 0; t < roots_.size(); ++t) {
+    TreePreds preds;
+    for (int t = 0; t < kTrees; ++t) {
         std::uint32_t node = roots_[t];
         std::int32_t f;
         while ((f = nodes[node].feature) >= 0) {
@@ -467,16 +455,6 @@ RestrictedForest::predictQuantileTracked(const double *x, int dims,
         preds[t] = nodes[node].key;
     }
     return quantileOfPreds(preds, q);
-}
-
-void
-RandomForest::fillTreePreds(const double *x, int dims,
-                            std::vector<double> &preds) const
-{
-    QOSERVE_ASSERT(dims >= featureDims_, "feature vector too short");
-    preds.resize(roots_.size());
-    lockstepFill(flat_.data(), roots_.data(), roots_.size(),
-                 maxTreeDepth_, x, preds.data());
 }
 
 void
@@ -586,8 +564,9 @@ RandomForest::predictQuantile(const double *x, int dims, double q) const
 {
     QOSERVE_ASSERT(trained(), "predictQuantile() before fit()");
     QOSERVE_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range");
-    static thread_local std::vector<double> preds;
-    fillTreePreds(x, dims, preds);
+    QOSERVE_ASSERT(dims >= featureDims_, "feature vector too short");
+    TreePreds preds;
+    lockstepFill(flat_.data(), roots_.data(), maxTreeDepth_, x, preds);
     return quantileOfPreds(preds, q);
 }
 

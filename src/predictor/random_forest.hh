@@ -82,10 +82,10 @@ struct TrainSample
 struct ForestParams
 {
     /** Number of trees in the ensemble. */
-    int numTrees = 20;
+    static constexpr int kNumTrees = 20;
 
     /** Maximum tree depth. */
-    int maxDepth = 12;
+    static constexpr int kMaxDepth = 12;
 
     /** Minimum samples required in a leaf. */
     static constexpr int kMinSamplesLeaf = 4;
@@ -104,14 +104,12 @@ class RegressionTree
 {
   public:
     /**
-     * Fit the tree.
+     * Fit the tree within the ForestParams growth limits.
      *
      * @param samples Training data; all x must share one length.
-     * @param params Growth limits.
      * @param rng Source of randomness for split-candidate sampling.
      */
-    void fit(const std::vector<TrainSample> &samples,
-             const ForestParams &params, Rng &rng);
+    void fit(const std::vector<TrainSample> &samples, Rng &rng);
 
     /** Predict the target for a feature vector. */
     double predict(const std::vector<double> &x) const;
@@ -149,8 +147,7 @@ class RegressionTree
 
     int build(const std::vector<TrainSample> &samples,
               std::vector<std::uint32_t> &idx, int lo, int hi, int depth,
-              const ForestParams &params, Rng &rng,
-              SplitScratch &scratch);
+              Rng &rng, SplitScratch &scratch);
 
     std::vector<Node> nodes_;
 };
@@ -219,7 +216,8 @@ class RandomForest
 {
   public:
     /**
-     * Fit the ensemble on @p samples with seed-derived randomness.
+     * Fit ForestParams::kNumTrees trees on @p samples with
+     * seed-derived randomness.
      *
      * Each tree's bootstrap draw and growth randomness come from an
      * independent stream split from (seed, tree index), so trees can
@@ -229,8 +227,8 @@ class RandomForest
      * @param jobs Worker threads training trees (0 = hardware
      *        concurrency, 1 = serial).
      */
-    void fit(const std::vector<TrainSample> &samples, ForestParams params,
-             std::uint64_t seed, int jobs = 1);
+    void fit(const std::vector<TrainSample> &samples, std::uint64_t seed,
+             int jobs = 1);
 
     /** Mean prediction across trees (flattened fast path). */
     double predict(const std::vector<double> &x) const;
@@ -292,8 +290,6 @@ class RandomForest
 
   private:
     double evalTree(std::uint32_t root, const double *x, int dims) const;
-    void fillTreePreds(const double *x, int dims,
-                       std::vector<double> &preds) const;
 
     std::vector<RegressionTree> trees_;
 

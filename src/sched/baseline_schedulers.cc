@@ -67,8 +67,8 @@ MedhaScheduler::MedhaScheduler(const SchedulerEnv &env, Options options,
     : Scheduler(env, cfg), options_(options)
 {
     QOSERVE_ASSERT(options_.tbtTarget > 0.0, "TBT target must be positive");
-    QOSERVE_ASSERT(options_.maxChunkTokens >= Options::kChunkStep,
-                   "max chunk below one step");
+    static_assert(Options::kMaxChunkTokens >= Options::kChunkStep,
+                  "max chunk below one step");
 }
 
 double
@@ -101,7 +101,7 @@ MedhaScheduler::chunkBudget(SimTime, const Batch &batch) const
 
     int step = Options::kChunkStep;
     int lo = 0;
-    int hi = options_.maxChunkTokens / step;
+    int hi = Options::kMaxChunkTokens / step;
     if (iter_time(hi * step) <= options_.tbtTarget)
         return hi * step;
     while (hi - lo > 1) {

@@ -25,8 +25,6 @@ class FcfsScheduler : public Scheduler
   public:
     FcfsScheduler(const SchedulerEnv &env, ChunkedSchedulerConfig cfg = {});
 
-    const char *name() const override { return "Sarathi-FCFS"; }
-
   protected:
     double priorityOf(const Request &req, SimTime now) const override;
 };
@@ -36,8 +34,6 @@ class EdfScheduler : public Scheduler
 {
   public:
     EdfScheduler(const SchedulerEnv &env, ChunkedSchedulerConfig cfg = {});
-
-    const char *name() const override { return "Sarathi-EDF"; }
 
   protected:
     double priorityOf(const Request &req, SimTime now) const override;
@@ -49,8 +45,6 @@ class SjfScheduler : public Scheduler
   public:
     SjfScheduler(const SchedulerEnv &env, ChunkedSchedulerConfig cfg = {});
 
-    const char *name() const override { return "Sarathi-SJF"; }
-
   protected:
     double priorityOf(const Request &req, SimTime now) const override;
 };
@@ -60,8 +54,6 @@ class SrpfScheduler : public Scheduler
 {
   public:
     SrpfScheduler(const SchedulerEnv &env, ChunkedSchedulerConfig cfg = {});
-
-    const char *name() const override { return "Sarathi-SRPF"; }
 
   protected:
     double priorityOf(const Request &req, SimTime now) const override;
@@ -85,7 +77,7 @@ class MedhaScheduler : public Scheduler
         SimDuration tbtTarget = 0.05;
 
         /** Upper bound on the chunk. */
-        int maxChunkTokens = 4096;
+        static constexpr int kMaxChunkTokens = 4096;
 
         /** Chunk granularity. */
         static constexpr int kChunkStep = 64;
@@ -93,8 +85,6 @@ class MedhaScheduler : public Scheduler
 
     MedhaScheduler(const SchedulerEnv &env, Options options,
                    ChunkedSchedulerConfig cfg = {});
-
-    const char *name() const override { return "Medha"; }
 
   protected:
     double priorityOf(const Request &req, SimTime now) const override;

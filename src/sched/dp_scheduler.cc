@@ -8,16 +8,15 @@
 #include <algorithm>
 #include <cmath>
 
-#include "simcore/logging.hh"
 
 namespace qoserve {
 
-DpScheduler::DpScheduler(const SchedulerEnv &env, Options options,
+DpScheduler::DpScheduler(const SchedulerEnv &env,
                          ChunkedSchedulerConfig cfg)
-    : Scheduler(env, cfg), options_(options)
+    : Scheduler(env, cfg)
 {
-    QOSERVE_ASSERT(options_.chunkTokens > 0, "bad DP options");
-    static_assert(Options::kMaxItemTokens >= Options::kTokenQuantum,
+    static_assert(kChunkTokens > 0, "empty DP budget");
+    static_assert(kMaxItemTokens >= kTokenQuantum,
                   "item below one quantum");
 }
 
@@ -35,8 +34,8 @@ DpScheduler::formBatchInto(Batch &batch, SimTime now)
     batch.clear();
     fillDecodes(batch);
 
-    int budget = kvCappedBudget(options_.chunkTokens);
-    int decode_slots = config().maxDecodeBatch -
+    int budget = kvCappedBudget(kChunkTokens);
+    int decode_slots = ChunkedSchedulerConfig::kMaxDecodeBatch -
                        static_cast<int>(batch.decodes.size());
 
     // Same wedge guard as the base scheduler: if every block is held
@@ -44,24 +43,22 @@ DpScheduler::formBatchInto(Batch &batch, SimTime now)
     if (budget <= 0 && batch.decodes.empty() &&
         prefillQueueSize() > 0) {
         if (preemptForKv(now))
-            budget = kvCappedBudget(options_.chunkTokens);
+            budget = kvCappedBudget(kChunkTokens);
     }
 
     prefillSnapshotInto(candidates_);
     if (budget > 0 && !candidates_.empty()) {
         // Build knapsack items: one per queued request.
-        int capacity = budget / Options::kTokenQuantum;
+        int capacity = budget / kTokenQuantum;
         int n = static_cast<int>(candidates_.size());
 
         weight_.assign(static_cast<std::size_t>(n), 0);
         value_.assign(static_cast<std::size_t>(n), 0.0);
         for (int i = 0; i < n; ++i) {
             Request *r = candidates_[i];
-            int take =
-                std::min(r->prefillRemaining(), Options::kMaxItemTokens);
-            weight_[i] = std::max(
-                1, (take + Options::kTokenQuantum - 1) /
-                       Options::kTokenQuantum);
+            int take = std::min(r->prefillRemaining(), kMaxItemTokens);
+            weight_[i] =
+                std::max(1, (take + kTokenQuantum - 1) / kTokenQuantum);
             // Urgency value: inverse slack to the urgency deadline,
             // so requests close to violating dominate the solution;
             // a completion bonus favours finishing prefills.
@@ -120,9 +117,8 @@ DpScheduler::formBatchInto(Batch &batch, SimTime now)
         for (Request *r : chosen_) {
             if (budget <= 0)
                 break;
-            int cap =
-                std::min(budget, std::min(r->prefillRemaining(),
-                                          Options::kMaxItemTokens));
+            int cap = std::min(
+                budget, std::min(r->prefillRemaining(), kMaxItemTokens));
             int got = tryScheduleChunk(r, batch, cap, decode_slots);
             budget -= got;
         }

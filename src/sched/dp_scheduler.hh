@@ -31,23 +31,17 @@ namespace qoserve {
 class DpScheduler : public Scheduler
 {
   public:
-    /** Tuning knobs. */
-    struct Options
-    {
-        /** Token budget per iteration (fixed, like Sarathi). */
-        int chunkTokens = 512;
+    /** Token budget per iteration (fixed, like Sarathi). */
+    static constexpr int kChunkTokens = 512;
 
-        /** Knapsack quantum: tokens per DP capacity unit. */
-        static constexpr int kTokenQuantum = 64;
+    /** Knapsack quantum: tokens per DP capacity unit. */
+    static constexpr int kTokenQuantum = 64;
 
-        /** Largest chunk one request may take per iteration. */
-        static constexpr int kMaxItemTokens = 512;
-    };
+    /** Largest chunk one request may take per iteration. */
+    static constexpr int kMaxItemTokens = 512;
 
-    DpScheduler(const SchedulerEnv &env, Options options,
-                ChunkedSchedulerConfig cfg = {});
-
-    const char *name() const override { return "SLOs-Serve-DP"; }
+    explicit DpScheduler(const SchedulerEnv &env,
+                         ChunkedSchedulerConfig cfg = {});
 
     void formBatchInto(Batch &batch, SimTime now) override;
 
@@ -58,7 +52,6 @@ class DpScheduler : public Scheduler
     double priorityOf(const Request &req, SimTime now) const override;
 
   private:
-    Options options_;
     std::uint64_t dpCells_ = 0;
 
     /** Per-iteration scratch hoisted out of formBatchInto(). */

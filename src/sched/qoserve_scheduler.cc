@@ -7,7 +7,6 @@
 
 #include <algorithm>
 
-#include "core/check_level.hh"
 #include "predictor/latency_predictor.hh"
 #include "simcore/logging.hh"
 
@@ -20,8 +19,10 @@ QoServeScheduler::QoServeScheduler(const SchedulerEnv &env,
 {
     if (qosCfg_.enableDynamicChunking && env.predictor == nullptr)
         QOSERVE_FATAL("dynamic chunking requires a latency predictor");
-    QOSERVE_ASSERT(qosCfg_.maxChunkTokens >= QoServeConfig::kChunkStep,
-                   "max chunk below one step");
+    QOSERVE_ASSERT(qosCfg_.maxChunkTokens >= QoServeConfig::kMinChunkTokens,
+                   "max chunk ", qosCfg_.maxChunkTokens,
+                   " below the ", QoServeConfig::kMinChunkTokens,
+                   "-token chunk floor");
     QOSERVE_ASSERT(qosCfg_.alphaMsPerToken >= 0.0, "negative alpha");
 }
 
@@ -39,9 +40,8 @@ QoServeScheduler::effectiveAlpha() const
                       pendingPrefillTokens())) /
                   QoServeConfig::kOverloadThreshold;
     load = std::min(1.0, std::max(0.0, load));
-    double alpha_ms = qosCfg_.alphaLowLoadMs +
-                      (qosCfg_.alphaMsPerToken - qosCfg_.alphaLowLoadMs) *
-                          load;
+    constexpr double kLow = QoServeConfig::kAlphaLowLoadMs;
+    double alpha_ms = kLow + (qosCfg_.alphaMsPerToken - kLow) * load;
     return alpha_ms * 1e-3;
 }
 
@@ -65,7 +65,7 @@ QoServeScheduler::auditView(bool full_detail) const
 {
     SchedulerAuditView view = Scheduler::auditView(full_detail);
     if (qosCfg_.enableDynamicChunking)
-        view.minChunkTokens = qosCfg_.minChunkTokens;
+        view.minChunkTokens = QoServeConfig::kMinChunkTokens;
     return view;
 }
 
@@ -119,14 +119,7 @@ QoServeScheduler::chunkBudget(SimTime now, const Batch &batch) const
     // When slack is exhausted, revert to the TBT-sized floor rather
     // than starving prefill (§3.5): per-token deadlines are absolute,
     // so a small transient deficit heals on subsequent iterations.
-    int budget = std::max(solved, qosCfg_.minChunkTokens);
-    if constexpr (audit::cheapChecks()) {
-        QOSERVE_ASSERT(budget >= qosCfg_.minChunkTokens,
-                       "dynamic chunk ", budget,
-                       " below the configured floor ",
-                       qosCfg_.minChunkTokens);
-    }
-    return budget;
+    return std::max(solved, QoServeConfig::kMinChunkTokens);
 }
 
 bool
@@ -169,9 +162,6 @@ void
 QoServeScheduler::collectUrgentInflight(SimTime now,
                                         std::vector<Request *> &out) const
 {
-    if (!qosCfg_.enableSelectivePreemption)
-        return;
-
     // A partially prefilled request whose TTFT/TTLT deadline cannot
     // absorb one more iteration of delay must not be preempted this
     // iteration (§3.4 condition 2).

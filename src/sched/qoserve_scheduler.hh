@@ -33,7 +33,8 @@ namespace qoserve {
  * Feature flags and tuning parameters of QoServe.
  *
  * The three enable* flags correspond to the ablation rows of
- * Table 5 (DC, DC+ER, DC+ER+HP).
+ * Table 5 (DC, DC+ER, DC+ER+HP). Selective preemption (§3.4) is
+ * always on.
  */
 struct QoServeConfig
 {
@@ -43,7 +44,7 @@ struct QoServeConfig
     /**
      * Load-adaptive alpha (§3.6, "For variable-QPS, we employ
      * load-adaptive tuning"): when enabled, the effective alpha
-     * interpolates between alphaLowLoadMs at an empty queue and
+     * interpolates between kAlphaLowLoadMs at an empty queue and
      * alphaMsPerToken once the prefill backlog reaches the overload
      * threshold — small alpha protects tail latency at low load,
      * large alpha minimizes violations under overload (Fig. 14).
@@ -51,7 +52,7 @@ struct QoServeConfig
     bool adaptiveAlpha = false;
 
     /** Alpha used at low load when adaptiveAlpha is on (ms/token). */
-    double alphaLowLoadMs = 1.0;
+    static constexpr double kAlphaLowLoadMs = 1.0;
 
     /** Enable dynamic chunking (needs env.predictor). */
     bool enableDynamicChunking = true;
@@ -61,9 +62,6 @@ struct QoServeConfig
 
     /** Enable the SRPF term; disabled makes the priority pure EDF. */
     bool enableHybridPriority = true;
-
-    /** Enable urgent-inflight protection (selective preemption). */
-    bool enableSelectivePreemption = true;
 
     /**
      * Lower bound for the dynamic chunk: the "original smaller chunk
@@ -75,9 +73,10 @@ struct QoServeConfig
      * TBT budget with a loaded decode batch, where 256 sits right at
      * the edge.
      */
-    int minChunkTokens = 192;
+    static constexpr int kMinChunkTokens = 192;
 
-    /** Upper bound for the dynamic chunk (throughput saturation). */
+    /** Upper bound for the dynamic chunk (throughput saturation); at
+     *  least kMinChunkTokens. */
     int maxChunkTokens = 2560;
 
     /** Dynamic chunk granularity. */
@@ -115,8 +114,6 @@ class QoServeScheduler : public Scheduler
      */
     QoServeScheduler(const SchedulerEnv &env, QoServeConfig qos_cfg = {},
                      ChunkedSchedulerConfig cfg = {});
-
-    const char *name() const override { return "QoServe"; }
 
     /** Configuration in effect. */
     const QoServeConfig &qosConfig() const { return qosCfg_; }

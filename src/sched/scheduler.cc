@@ -20,7 +20,6 @@ Scheduler::Scheduler(const SchedulerEnv &env, ChunkedSchedulerConfig cfg)
     QOSERVE_ASSERT(env_.kv != nullptr, "scheduler needs a BlockManager");
     QOSERVE_ASSERT(env_.perf != nullptr, "scheduler needs a PerfModel");
     QOSERVE_ASSERT(cfg_.fixedChunkTokens > 0, "chunk must be positive");
-    QOSERVE_ASSERT(cfg_.maxDecodeBatch > 0, "decode batch must be positive");
 
     // Coarse processing-rate estimates used for relegation decisions
     // and priority terms. Prefill rate: throughput at a large chunk.
@@ -165,7 +164,8 @@ Scheduler::formBatchInto(Batch &batch, SimTime now)
     if (!prefillQueue_.empty()) {
         int budget = kvCappedBudget(chunkBudget(now, batch));
         int decode_slots =
-            cfg_.maxDecodeBatch - static_cast<int>(decodes_.size());
+            ChunkedSchedulerConfig::kMaxDecodeBatch -
+            static_cast<int>(decodes_.size());
         budget_cap = budget;
 
         takenScratch_.clear();
@@ -244,9 +244,10 @@ Scheduler::formBatchInto(Batch &batch, SimTime now)
                        " prefill tokens exceeds its budget ",
                        budget_cap);
         QOSERVE_ASSERT(static_cast<int>(batch.decodes.size()) <=
-                           cfg_.maxDecodeBatch,
+                           ChunkedSchedulerConfig::kMaxDecodeBatch,
                        "decode batch of ", batch.decodes.size(),
-                       " exceeds the cap ", cfg_.maxDecodeBatch);
+                       " exceeds the cap ",
+                       ChunkedSchedulerConfig::kMaxDecodeBatch);
     }
 
     if (!batch.empty()) {
@@ -501,7 +502,7 @@ Scheduler::auditView(bool full_detail) const
         view.lanes = lanes_;
     }
     view.pendingPrefillTokens = pendingPrefill_;
-    view.maxDecodeBatch = cfg_.maxDecodeBatch;
+    view.maxDecodeBatch = ChunkedSchedulerConfig::kMaxDecodeBatch;
     return view;
 }
 

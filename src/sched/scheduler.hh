@@ -153,7 +153,7 @@ struct ChunkedSchedulerConfig
     int fixedChunkTokens = 256;
 
     /** Maximum concurrent decode-phase requests. */
-    int maxDecodeBatch = 128;
+    static constexpr int kMaxDecodeBatch = 128;
 };
 
 /**
@@ -209,9 +209,6 @@ class Scheduler
      * only the requests they point at.
      */
     void writeBackDecodeLanes() const;
-
-    /** Human-readable policy name for reports. */
-    virtual const char *name() const = 0;
 
     /** True if any request is waiting or in flight. */
     bool

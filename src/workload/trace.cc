@@ -69,8 +69,9 @@ SharedPrefixConfig::validate() const
     if (numPools < 1)
         QOSERVE_FATAL("prefix pool count must be positive, got ",
                       numPools);
-    if (poolTokensLo < 1 || poolTokensHi < poolTokensLo) {
-        QOSERVE_FATAL("bad pool token range [", poolTokensLo, ", ",
+    static_assert(kPoolTokensLo >= 1, "empty system prompts");
+    if (poolTokensHi < kPoolTokensLo) {
+        QOSERVE_FATAL("bad pool token range [", kPoolTokensLo, ", ",
                       poolTokensHi, "]");
     }
     if (!(multiTurnFrac >= 0.0 && multiTurnFrac <= 1.0)) {
@@ -189,7 +190,8 @@ TraceBuilder::generate(const ArrivalProcess &arrivals,
         pool_tokens.reserve(static_cast<std::size_t>(sp.numPools));
         for (int p = 0; p < sp.numPools; ++p) {
             pool_tokens.push_back(static_cast<int>(
-                prefix_rng.uniformInt(sp.poolTokensLo, sp.poolTokensHi)));
+                prefix_rng.uniformInt(SharedPrefixConfig::kPoolTokensLo,
+                                      sp.poolTokensHi)));
         }
     }
 

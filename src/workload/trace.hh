@@ -134,8 +134,10 @@ struct SharedPrefixConfig
     /** Number of distinct system prompts in the pool. */
     int numPools = 8;
 
-    /** System-prompt length range in tokens, inclusive. */
-    int poolTokensLo = 128;
+    /** System-prompt length range in tokens, inclusive: from
+     *  kPoolTokensLo to poolTokensHi (at least kPoolTokensLo). */
+    static constexpr int kPoolTokensLo = 128;
+    // qoserve-lint: allow(unset-option) the golden artefacts pin 512
     int poolTokensHi = 1024;
 
     /** Of the shared requests, the fraction that continue an earlier

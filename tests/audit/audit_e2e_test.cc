@@ -119,8 +119,6 @@ TEST(AuditE2E, FeatureAblationRunsClean)
          [](QoServeConfig &q) { q.enableEagerRelegation = false; }},
         {"no-hybrid-priority",
          [](QoServeConfig &q) { q.enableHybridPriority = false; }},
-        {"no-selective-preemption",
-         [](QoServeConfig &q) { q.enableSelectivePreemption = false; }},
     };
     for (const Variant &variant : variants) {
         ServingConfig cfg;

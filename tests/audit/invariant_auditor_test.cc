@@ -771,16 +771,18 @@ TEST(InvariantAuditor, RetainsViolationsUpToCap)
     InvariantAuditor::Options opts;
     opts.level = audit::CheckLevel::Full;
     opts.failFast = false;
-    opts.maxRetained = 2;
     InvariantAuditor auditor(opts);
     auto view = makeView({}, {});
     view.pendingPrefillTokens = -1;
     // Each check trips the negative counter twice: the cheap bound
-    // and the full-level sum-vs-counter comparison.
-    for (int i = 0; i < 5; ++i)
+    // and the full-level sum-vs-counter comparison. 40 checks make 80
+    // violations, past the 64 the auditor keeps.
+    for (int i = 0; i < 40; ++i)
         auditor.checkSchedulerView(view, nullptr, SimTime{0.0});
-    EXPECT_EQ(auditor.violationCount(), 10u);
-    EXPECT_EQ(auditor.violations().size(), 2u);
+    EXPECT_EQ(auditor.violationCount(), 80u);
+    EXPECT_EQ(auditor.violations().size(),
+              InvariantAuditor::Options::kMaxRetained);
+    EXPECT_EQ(InvariantAuditor::Options::kMaxRetained, 64u);
     EXPECT_EQ(auditor.violations().front().invariant,
               "sched-pending-prefill");
 }

@@ -7,6 +7,8 @@
  */
 
 #include <cmath>
+#include <functional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -161,8 +163,6 @@ TEST(Brownout, StepsThroughDegradedModesUnderOverload)
     bc.interval = 0.5;
     bc.enterBacklog = 50.0;
     bc.exitBacklog = 10.0;
-    bc.enterSamples = 1;
-    bc.exitSamples = 1;
     bc.capTokens = 16;
     BrownoutController ctl(bc, sim);
     ctl.start();
@@ -186,6 +186,71 @@ TEST(Brownout, StepsThroughDegradedModesUnderOverload)
         }
     }
     EXPECT_EQ(rejected, sim.brownoutShed());
+}
+
+TEST(Brownout, StepsAfterThreeSamplesOverAndFiveUnder)
+{
+    // One replica at twice its capacity for a while, then a light
+    // tail of one arrival every 2 s: the backlog climbs past the enter
+    // threshold and then drains below the exit one.
+    Trace trace = smallTrace(4.0, 240, 61);
+    for (std::size_t i = 180; i < trace.requests.size(); ++i)
+        trace.requests[i].arrival =
+            trace.requests[179].arrival + 2.0 * static_cast<double>(i - 179);
+    ClusterSim sim(defaultConfig(), trace);
+    sim.addReplicaGroup(1, fcfsFactory());
+
+    BrownoutConfig bc;
+    bc.enabled = true;
+    bc.interval = 0.5;
+    bc.enterBacklog = 2000.0;
+    bc.exitBacklog = 500.0;
+    BrownoutController ctl(bc, sim);
+
+    // A probe scheduled before the controller fires just ahead of it
+    // at every tick: it reads the backlog the controller is about to
+    // read and the level the previous tick left.
+    std::vector<double> backlog;
+    std::vector<int> levelBefore;
+    std::function<void()> probe = [&] {
+        backlog.push_back(ctl.backlogPerReplica());
+        levelBefore.push_back(ctl.level());
+        if (sim.eventQueue().hasRealWork())
+            sim.eventQueue().scheduleDaemonAfter(bc.interval, probe);
+    };
+    sim.eventQueue().scheduleDaemon(SimTime{0.0}, probe);
+    ctl.start();
+    sim.run();
+
+    // Replay the hysteresis rule at 3 samples in and 5 out.
+    int level = 0, over = 0, under = 0, ups = 0, downs = 0;
+    ASSERT_GT(backlog.size(), 20u);
+    for (std::size_t k = 0; k + 1 < backlog.size(); ++k) {
+        ASSERT_EQ(levelBefore[k], level) << "tick " << k;
+        if (backlog[k] > bc.enterBacklog) {
+            ++over;
+            under = 0;
+            if (over == 3 && level < kBrownoutModes - 1) {
+                ++level;
+                ++ups;
+                over = 0;
+            }
+        } else if (backlog[k] < bc.exitBacklog) {
+            ++under;
+            over = 0;
+            if (under == 5 && level > 0) {
+                --level;
+                ++downs;
+                under = 0;
+            }
+        } else {
+            over = 0;
+            under = 0;
+        }
+    }
+    EXPECT_GE(ups, 2);
+    EXPECT_GE(downs, 1);
+    EXPECT_EQ(ctl.steps(), static_cast<std::uint64_t>(ups + downs));
 }
 
 TEST(Brownout, DisabledControllerIsByteNeutral)
@@ -266,8 +331,7 @@ TEST(RetryBackoff, IsMonotoneAndSaturatesWithoutOverflow)
 {
     RetryPolicy policy;
     policy.initialBackoff = 0.05;
-    policy.backoffMultiplier = 2.0;
-    policy.maxBackoff = 2.0;
+    constexpr SimDuration kCap = RetryPolicy::kMaxBackoff;
 
     // Property sweep far past where a naive pow() would overflow
     // (0.05 * 2^70 ~ 5.9e19): the backoff must be finite, positive,
@@ -280,29 +344,28 @@ TEST(RetryBackoff, IsMonotoneAndSaturatesWithoutOverflow)
         EXPECT_TRUE(std::isfinite(delay)) << "attempt " << attempt;
         EXPECT_GT(delay, 0.0);
         EXPECT_GE(delay, prev) << "backoff regressed at " << attempt;
-        EXPECT_LE(delay, policy.maxBackoff);
+        EXPECT_LE(delay, kCap);
         if (saturated) {
-            EXPECT_EQ(delay, policy.maxBackoff);
+            EXPECT_EQ(delay, kCap);
         }
-        if (delay == policy.maxBackoff)
+        if (delay == kCap)
             saturated = true;
         prev = delay;
     }
     EXPECT_TRUE(saturated);
     EXPECT_EQ(policy.backoffFor(60), policy.backoffFor(70));
 
-    // An aggressive multiplier saturates faster but still never
-    // overflows past the cap.
-    RetryPolicy steep;
-    steep.initialBackoff = 0.001;
-    steep.backoffMultiplier = 10.0;
-    steep.maxBackoff = 60.0;
+    // A tiny first backoff takes many doublings to reach the cap but
+    // still saturates there.
+    RetryPolicy tiny;
+    tiny.initialBackoff = 1e-9;
     for (int attempt = 0; attempt <= 100; ++attempt) {
-        SimDuration delay = steep.backoffFor(attempt);
+        SimDuration delay = tiny.backoffFor(attempt);
         EXPECT_TRUE(std::isfinite(delay));
-        EXPECT_LE(delay, steep.maxBackoff);
+        EXPECT_LE(delay, kCap);
     }
-    EXPECT_EQ(steep.backoffFor(100), steep.maxBackoff);
+    EXPECT_LT(tiny.backoffFor(30), kCap);
+    EXPECT_EQ(tiny.backoffFor(100), kCap);
 }
 
 } // namespace

@@ -72,23 +72,30 @@ TEST(DisaggCluster, KvIsTransferredForEveryRequest)
 
 TEST(DisaggCluster, TransferDelayShowsUpBetweenFirstTokens)
 {
-    // With a deliberately slow interconnect, the gap between the
-    // first token (prefill node) and the second (decode node) must
-    // include the transfer time.
-    DisaggCluster::Config cfg = defaultConfig();
-    cfg.kvTransferBandwidth = 1e9; // 1 GB/s: ~0.13 s per 1K tokens
+    // The gap between the first token (prefill node) and the second
+    // (decode node) must include the transfer time at 50 GB/s
+    // (~2.7 ms per 1K tokens).
+    constexpr double kBandwidth = DisaggCluster::Config::kKvTransferBandwidth;
+    EXPECT_EQ(kBandwidth, 50e9);
 
     Trace trace = smallTrace(0.2, 10);
-    DisaggCluster sim(cfg, trace);
+    DisaggCluster sim(defaultConfig(), trace);
     const MetricsCollector &metrics = sim.run();
 
+    // The second token also waits for one decode iteration, which
+    // costs at least a lone decode over the prompt's context.
+    PerfModel perf(llama3_8b_a100_tp1());
     for (const auto &rec : metrics.records()) {
         if (rec.spec.decodeTokens < 2)
             continue;
         double min_transfer =
             rec.spec.promptTokens *
-            static_cast<double>(llama3_8b().kvBytesPerToken()) / 1e9;
-        EXPECT_GE(rec.maxTbt, min_transfer * 0.999);
+            static_cast<double>(llama3_8b().kvBytesPerToken()) / kBandwidth;
+        BatchWork lone;
+        lone.numDecodes = 1;
+        lone.decodeCtxSum = rec.spec.promptTokens;
+        EXPECT_GE(rec.maxTbt,
+                  (min_transfer + perf.iterationTime(lone)) * 0.999);
     }
 }
 

@@ -209,15 +209,14 @@ TEST(FailureRecovery, DisabledFaultsMatchPlainClusterBitwise)
 
 TEST(FailureRecovery, BackoffIsCappedExponential)
 {
+    // Doubling per attempt, capped at 2 s.
     RetryPolicy policy;
-    policy.initialBackoff = 0.1;
-    policy.backoffMultiplier = 2.0;
-    policy.maxBackoff = 0.5;
-    EXPECT_DOUBLE_EQ(policy.backoffFor(0), 0.1);
-    EXPECT_DOUBLE_EQ(policy.backoffFor(1), 0.2);
-    EXPECT_DOUBLE_EQ(policy.backoffFor(2), 0.4);
-    EXPECT_DOUBLE_EQ(policy.backoffFor(3), 0.5);
-    EXPECT_DOUBLE_EQ(policy.backoffFor(10), 0.5);
+    policy.initialBackoff = 0.3;
+    EXPECT_DOUBLE_EQ(policy.backoffFor(0), 0.3);
+    EXPECT_DOUBLE_EQ(policy.backoffFor(1), 0.6);
+    EXPECT_DOUBLE_EQ(policy.backoffFor(2), 1.2);
+    EXPECT_DOUBLE_EQ(policy.backoffFor(3), 2.0);
+    EXPECT_DOUBLE_EQ(policy.backoffFor(10), 2.0);
 }
 
 } // namespace

@@ -304,7 +304,16 @@ TEST(CliOptions, SchedulerKnobRangesAreUserErrors)
     EXPECT_DEATH(parseCliOptions({"--alpha", "-1"}),
                  "--alpha must be non-negative");
     EXPECT_DEATH(parseCliOptions({"--max-chunk", "32"}),
-                 "--max-chunk must be at least the chunk step");
+                 "--max-chunk must be at least the chunk floor \\(192 "
+                 "tokens\\), got 32");
+    // Below the floor but a whole number of steps: the floor would
+    // lift every chunk past the cap.
+    EXPECT_DEATH(parseCliOptions({"--max-chunk", "128"}),
+                 "--max-chunk must be at least the chunk floor \\(192 "
+                 "tokens\\), got 128");
+    EXPECT_EQ(parseCliOptions({"--max-chunk", "192"})
+                  .serving.qoserve.maxChunkTokens,
+              192);
     EXPECT_DEATH(parseCliOptions({"--chunk", "0"}),
                  "--chunk must be positive");
 }

@@ -257,7 +257,7 @@ repair(Scenario &sc)
     if (sc.sloAlert.shortWindow > sc.sloAlert.longWindow)
         std::swap(sc.sloAlert.shortWindow, sc.sloAlert.longWindow);
     sc.serving.qoserve.maxChunkTokens = std::max(
-        sc.serving.qoserve.maxChunkTokens, QoServeConfig::kChunkStep);
+        sc.serving.qoserve.maxChunkTokens, QoServeConfig::kMinChunkTokens);
     sc.sharedPrefix.numPools = std::max(sc.sharedPrefix.numPools, 1);
     if (sc.sloAlertsOut)
         sc.sloMonitor = true;

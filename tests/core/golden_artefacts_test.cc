@@ -97,7 +97,6 @@ runScenario(const std::string &dir)
     SharedPrefixConfig prefix;
     prefix.shareRatio = 0.5;
     prefix.numPools = 4;
-    prefix.poolTokensLo = 128;
     prefix.poolTokensHi = 512;
     Trace trace = TraceBuilder()
                       .dataset(azureCode())

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <typeindex>
+#include <typeinfo>
 #include <utility>
 
 #include "app/scenario.hh"
@@ -65,10 +67,16 @@ TEST(MakePredictor, OnlyQoServeWithDynamicChunkingNeedsOne)
 
 TEST(ServingSystem, FactoryProducesNamedSchedulers)
 {
-    for (Policy policy :
-         {Policy::QoServe, Policy::SarathiFcfs, Policy::SarathiEdf,
-          Policy::SarathiSjf, Policy::SarathiSrpf, Policy::Medha,
-          Policy::SlosServeDp}) {
+    const std::pair<Policy, std::type_index> cases[] = {
+        {Policy::QoServe, typeid(QoServeScheduler)},
+        {Policy::SarathiFcfs, typeid(FcfsScheduler)},
+        {Policy::SarathiEdf, typeid(EdfScheduler)},
+        {Policy::SarathiSjf, typeid(SjfScheduler)},
+        {Policy::SarathiSrpf, typeid(SrpfScheduler)},
+        {Policy::Medha, typeid(MedhaScheduler)},
+        {Policy::SlosServeDp, typeid(DpScheduler)},
+    };
+    for (const auto &[policy, type] : cases) {
         ServingConfig cfg;
         cfg.policy = policy;
         cfg.useForestPredictor = false;
@@ -82,7 +90,9 @@ TEST(ServingSystem, FactoryProducesNamedSchedulers)
         env.predictor = predictor.get();
 
         auto sched = makeSchedulerFactory(cfg)(env);
-        EXPECT_STREQ(sched->name(), policyName(policy));
+        ASSERT_NE(sched, nullptr);
+        const Scheduler &made = *sched;
+        EXPECT_EQ(std::type_index(typeid(made)), type) << policyName(policy);
     }
 }
 

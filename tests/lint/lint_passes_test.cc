@@ -131,7 +131,7 @@ TEST(SourceFile, AllowedCoversMarkerLineAndNext)
 }
 
 // ---------------------------------------------------------------------------
-// Pass 1 + pass 5: token rules and stale-suppression accounting.
+// Pass 1 + pass 6: token rules and stale-suppression accounting.
 
 TEST(TokenRules, FlagsRngAndHonorsSuppression)
 {
@@ -324,6 +324,57 @@ TEST(RawUnit, IgnoresImplementationFiles)
     std::vector<Finding> findings;
     rawUnitPass(files, findings);
     EXPECT_TRUE(findings.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Pass 5: option-struct fields that no program sets.
+
+TEST(UnsetOption, FlagsFieldsOnlyTestsSet)
+{
+    // Setters outside tests/ count: an assignment, a compound
+    // assignment through ->, a nested .a.b chain, an aggregate
+    // Type{...} and a flag-table F(...) path. Comparisons and the
+    // test file's assignment do not.
+    std::vector<SourceFile> files = {
+        load("tree/src/core/option_structs.hh"),
+        load("tree/tools/option_setters.cc"),
+        load("tree/tests/option_setters_test.cc"),
+    };
+    std::vector<Finding> findings;
+    unsetOptionPass(files, findings);
+
+    std::vector<std::string> flagged;
+    for (const Finding &f : findings) {
+        EXPECT_EQ(f.rule, "unset-option");
+        EXPECT_NE(f.file.find("option_structs.hh"), std::string::npos);
+        flagged.push_back(f.message.substr(0, f.message.find(' ')));
+    }
+    EXPECT_EQ(flagged, (std::vector<std::string>{
+                           "WidgetConfig::setOnlyInTests",
+                           "WidgetConfig::neverSet",
+                           "PairParams::second",
+                           "Holder::Options::nestedField",
+                       }));
+    ASSERT_EQ(findings.size(), 4u);
+    EXPECT_EQ(findings[1].line, 25u);
+
+    // The reasoned marker suppressed its finding, so it is not stale.
+    std::vector<Finding> stale;
+    staleSuppressionPass(files, stale);
+    EXPECT_TRUE(stale.empty());
+}
+
+TEST(UnsetOption, EverySetterIsNeeded)
+{
+    // Without the program, every field is unset except the one the
+    // marker covers.
+    std::vector<SourceFile> files = {
+        load("tree/src/core/option_structs.hh"),
+        load("tree/tests/option_setters_test.cc"),
+    };
+    std::vector<Finding> findings;
+    unsetOptionPass(files, findings);
+    EXPECT_EQ(findings.size(), 10u);
 }
 
 // ---------------------------------------------------------------------------

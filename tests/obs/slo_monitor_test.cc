@@ -98,7 +98,6 @@ TEST(SloMonitor, TiersAlertIndependently)
     // Tier 0 never recovered: the episode is open at drain.
     EXPECT_EQ(mon.alerts()[0].cleared, kTimeNever);
     EXPECT_EQ(mon.activeTiers(), std::vector<int>{0});
-    EXPECT_DOUBLE_EQ(mon.shortBurn(1), 0.0);
 }
 
 TEST(SloMonitor, EmitsTypedAlertEventsIntoTheSink)

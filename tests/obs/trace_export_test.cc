@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <map>
 #include <sstream>
 #include <string>
@@ -24,11 +25,21 @@ ev(TraceEventKind kind, SimTime t, std::uint64_t request, int replica,
     return {kind, t, request, replica, arg, value};
 }
 
+/** A log holding @p events in order. */
+TraceLog
+logOf(std::initializer_list<TraceEvent> events)
+{
+    TraceLog log;
+    for (const TraceEvent &e : events)
+        log.append(e);
+    return log;
+}
+
 /** The canonical served request: queue, two chunks, decode, finish. */
 TraceLog
 servedStream()
 {
-    return {
+    return logOf({
         ev(TraceEventKind::Arrival, SimTime{0.0}, 1, -1),
         ev(TraceEventKind::Dispatch, SimTime{0.0}, 1, 0),
         ev(TraceEventKind::ChunkStart, SimTime{1.0}, 1, 0, 512),
@@ -36,7 +47,7 @@ servedStream()
         ev(TraceEventKind::ChunkStart, SimTime{3.0}, 1, 0, 100),
         ev(TraceEventKind::ChunkEnd, SimTime{4.0}, 1, 0, 0), // prefill done
         ev(TraceEventKind::Finish, SimTime{6.0}, 1, 0),
-    };
+    });
 }
 
 TEST(TraceExport, TimelineTilesServedLifetimeWithoutGaps)
@@ -80,14 +91,14 @@ TEST(TraceExport, BreakdownAttributesEverything)
 
 TEST(TraceExport, PreemptionOpensStalledSpan)
 {
-    auto timelines = buildRequestTimelines({
+    auto timelines = buildRequestTimelines(logOf({
         ev(TraceEventKind::Dispatch, SimTime{0.0}, 1, 0),
         ev(TraceEventKind::ChunkStart, SimTime{1.0}, 1, 0, 256),
         ev(TraceEventKind::Preempt, SimTime{2.0}, 1, 0),
         ev(TraceEventKind::ChunkStart, SimTime{5.0}, 1, 0, 256),
         ev(TraceEventKind::ChunkEnd, SimTime{6.0}, 1, 0, 0),
         ev(TraceEventKind::Finish, SimTime{7.0}, 1, 0),
-    });
+    }));
     const RequestTimeline &tl = timelines.at(RequestId{1});
     ASSERT_EQ(tl.spans.size(), 5u);
     EXPECT_EQ(tl.spans[2].phase, TracePhase::Preempted);
@@ -97,7 +108,7 @@ TEST(TraceExport, PreemptionOpensStalledSpan)
 
 TEST(TraceExport, CrashRetryOpensRetrySpanAndCountsFailures)
 {
-    auto timelines = buildRequestTimelines({
+    auto timelines = buildRequestTimelines(logOf({
         ev(TraceEventKind::Dispatch, SimTime{0.0}, 1, 0),
         ev(TraceEventKind::RequestFailed, SimTime{2.0}, 1, 0),
         ev(TraceEventKind::RetryQueued, SimTime{2.0}, 1, -1, 1),
@@ -108,7 +119,7 @@ TEST(TraceExport, CrashRetryOpensRetrySpanAndCountsFailures)
         ev(TraceEventKind::ChunkStart, SimTime{4.5}, 1, 1, 64),
         ev(TraceEventKind::ChunkEnd, SimTime{5.0}, 1, 1, 0),
         ev(TraceEventKind::Finish, SimTime{5.5}, 1, 1),
-    });
+    }));
     const RequestTimeline &tl = timelines.at(RequestId{1});
     EXPECT_EQ(tl.failures, 1);
     EXPECT_FALSE(tl.abandoned);
@@ -124,12 +135,12 @@ TEST(TraceExport, CrashRetryOpensRetrySpanAndCountsFailures)
 
 TEST(TraceExport, AbandonmentClosesTheTimeline)
 {
-    auto timelines = buildRequestTimelines({
+    auto timelines = buildRequestTimelines(logOf({
         ev(TraceEventKind::Dispatch, SimTime{0.0}, 1, 0),
         ev(TraceEventKind::RequestFailed, SimTime{1.0}, 1, 0),
         ev(TraceEventKind::RetryQueued, SimTime{1.0}, 1, -1, 1),
         ev(TraceEventKind::RetryExhausted, SimTime{3.0}, 1, -1, 1),
-    });
+    }));
     const RequestTimeline &tl = timelines.at(RequestId{1});
     EXPECT_TRUE(tl.abandoned);
     ASSERT_EQ(tl.spans.size(), 2u);
@@ -140,10 +151,10 @@ TEST(TraceExport, AbandonmentClosesTheTimeline)
 
 TEST(TraceExport, RejectionYieldsNoSpans)
 {
-    auto timelines = buildRequestTimelines({
+    auto timelines = buildRequestTimelines(logOf({
         ev(TraceEventKind::Arrival, SimTime{1.0}, 7, -1),
         ev(TraceEventKind::AdmissionReject, SimTime{1.0}, 7, -1),
-    });
+    }));
     const RequestTimeline &tl = timelines.at(RequestId{7});
     EXPECT_TRUE(tl.rejected);
     EXPECT_TRUE(tl.spans.empty());
@@ -152,11 +163,11 @@ TEST(TraceExport, RejectionYieldsNoSpans)
 
 TEST(TraceExport, TruncatedStreamClosesOpenSpansAtStreamEnd)
 {
-    auto timelines = buildRequestTimelines({
+    auto timelines = buildRequestTimelines(logOf({
         ev(TraceEventKind::Dispatch, SimTime{0.0}, 1, 0),
         ev(TraceEventKind::ChunkStart, SimTime{1.0}, 1, 0, 256),
         ev(TraceEventKind::IterStart, SimTime{2.0}, kNoTraceRequest, 0, 256, 1),
-    });
+    }));
     const RequestTimeline &tl = timelines.at(RequestId{1});
     ASSERT_EQ(tl.spans.size(), 2u);
     EXPECT_EQ(tl.spans.back().phase, TracePhase::Prefill);
@@ -165,7 +176,7 @@ TEST(TraceExport, TruncatedStreamClosesOpenSpansAtStreamEnd)
 
 TEST(TraceExport, CacheHitsAccumulateTokens)
 {
-    auto timelines = buildRequestTimelines({
+    auto timelines = buildRequestTimelines(logOf({
         ev(TraceEventKind::Dispatch, SimTime{0.0}, 1, 0),
         ev(TraceEventKind::CacheHit, SimTime{0.0}, 1, 0, 128),
         ev(TraceEventKind::RequestFailed, SimTime{1.0}, 1, 0),
@@ -173,7 +184,7 @@ TEST(TraceExport, CacheHitsAccumulateTokens)
         ev(TraceEventKind::Dispatch, SimTime{2.0}, 1, 1, 1),
         ev(TraceEventKind::CacheHit, SimTime{2.0}, 1, 1, 64),
         ev(TraceEventKind::Finish, SimTime{3.0}, 1, 1),
-    });
+    }));
     EXPECT_EQ(timelines.at(RequestId{1}).cachedTokens, 128 + 64);
 }
 
@@ -228,7 +239,9 @@ TEST(TraceExport, PerfettoSpuriousIterEndIsDropped)
     // unmatched E.
     std::stringstream out;
     writePerfettoJson(
-        {ev(TraceEventKind::IterEnd, SimTime{1.0}, kNoTraceRequest, 0, 1)}, out);
+        logOf({ev(TraceEventKind::IterEnd, SimTime{1.0}, kNoTraceRequest, 0,
+                  1)}),
+        out);
     EXPECT_EQ(countOf(out.str(), "\"ph\":\"E\""), 0u);
 }
 
@@ -241,7 +254,7 @@ TraceLog
 truncatedMixedStream()
 {
     using K = TraceEventKind;
-    return {
+    return logOf({
         ev(K::Arrival, SimTime{0.0}, 9, -1),
         ev(K::Dispatch, SimTime{0.0}, 9, 2),
         ev(K::Arrival, SimTime{0.5}, 3, -1),
@@ -267,7 +280,7 @@ truncatedMixedStream()
         ev(K::Dispatch, SimTime{4.5}, 5, 2),
         ev(K::Finish, SimTime{5.0}, 9, 2),
         ev(K::CacheHit, SimTime{5.0}, 5, 2, 16),
-    };
+    });
 }
 
 TEST(TraceExport, ManyRequestsInFlightKeepTheirOwnSpans)

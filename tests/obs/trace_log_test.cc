@@ -253,12 +253,11 @@ TEST(TraceLog, IteratorsWalkForwardAndCompareByPosition)
     EXPECT_EQ(empty.size(), 0u);
     EXPECT_TRUE(empty.begin() == empty.end());
 
-    TraceLog log = {
-        {TraceEventKind::Arrival, SimTime{1.0}, 4, -1, 0, 0.0},
-        {TraceEventKind::Dispatch, SimTime{1.0}, 4, 2, 0, 0.0},
-        {TraceEventKind::IterStart, SimTime{2.5}, kNoTraceRequest, 2, 512,
-         3.0},
-    };
+    TraceLog log;
+    log.append({TraceEventKind::Arrival, SimTime{1.0}, 4, -1, 0, 0.0});
+    log.append({TraceEventKind::Dispatch, SimTime{1.0}, 4, 2, 0, 0.0});
+    log.append({TraceEventKind::IterStart, SimTime{2.5}, kNoTraceRequest, 2,
+                512, 3.0});
     EXPECT_EQ(log.size(), 3u);
     EXPECT_EQ(std::distance(log.begin(), log.end()), 3);
     auto it = log.begin();

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace qoserve {
@@ -45,7 +46,7 @@ class ProfilerTest : public ::testing::Test
 
 TEST_F(ProfilerTest, GridProducesSamples)
 {
-    auto samples = collectProfile(model_, ProfileGrid{}, 1);
+    auto samples = collectProfile(model_, 1);
     EXPECT_GT(samples.size(), 1000u);
     for (const auto &s : samples) {
         EXPECT_EQ(s.x.size(), 4u);
@@ -55,16 +56,14 @@ TEST_F(ProfilerTest, GridProducesSamples)
 
 TEST_F(ProfilerTest, SkipsEmptyBatches)
 {
-    auto samples = collectProfile(model_, ProfileGrid{}, 1);
+    auto samples = collectProfile(model_, 1);
     for (const auto &s : samples)
         EXPECT_GT(s.x[0] + s.x[2], 0.0);
 }
 
 TEST_F(ProfilerTest, NoiseIsBounded)
 {
-    ProfileGrid grid;
-    grid.noiseStddev = 0.03;
-    auto samples = collectProfile(model_, grid, 2);
+    auto samples = collectProfile(model_, 2);
     for (const auto &s : samples) {
         BatchFeatures f;
         f.chunkTokens = s.x[0];
@@ -76,25 +75,29 @@ TEST_F(ProfilerTest, NoiseIsBounded)
     }
 }
 
-TEST_F(ProfilerTest, ZeroNoiseMatchesModelExactly)
+TEST_F(ProfilerTest, SamplesAreModelTimesSeededNoise)
 {
-    ProfileGrid grid;
-    grid.noiseStddev = 0.0;
-    auto samples = collectProfile(model_, grid, 3);
+    // Each sample is the model's latency times one draw of
+    // N(1, kNoiseStddev) clamped at 0.5, drawn in sample order from
+    // the seed's stream.
+    auto samples = collectProfile(model_, 3);
+    Rng rng(3);
     for (const auto &s : samples) {
         BatchFeatures f;
         f.chunkTokens = s.x[0];
         f.prefillContext = s.x[1];
         f.numDecodes = s.x[2];
         f.decodeCtxSum = s.x[3];
-        EXPECT_DOUBLE_EQ(s.y, model_.iterationTime(f.toWork()));
+        double noise =
+            std::max(0.5, rng.normal(1.0, ProfileGrid::kNoiseStddev));
+        EXPECT_EQ(s.y, model_.iterationTime(f.toWork()) * noise);
     }
 }
 
 TEST_F(ProfilerTest, DeterministicForSeed)
 {
-    auto a = collectProfile(model_, ProfileGrid{}, 7);
-    auto b = collectProfile(model_, ProfileGrid{}, 7);
+    auto a = collectProfile(model_, 7);
+    auto b = collectProfile(model_, 7);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_DOUBLE_EQ(a[i].y, b[i].y);

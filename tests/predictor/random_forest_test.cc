@@ -39,7 +39,7 @@ TEST(RegressionTree, FitsConstantTarget)
         data.push_back({{static_cast<double>(i)}, 7.5});
     RegressionTree tree;
     Rng rng(1);
-    tree.fit(data, ForestParams{}, rng);
+    tree.fit(data, rng);
     EXPECT_DOUBLE_EQ(tree.predict({3.0}), 7.5);
     // No split reduces variance of a constant: single leaf.
     EXPECT_EQ(tree.numNodes(), 1u);
@@ -54,21 +54,45 @@ TEST(RegressionTree, SeparatesTwoClusters)
     }
     RegressionTree tree;
     Rng rng(2);
-    tree.fit(data, ForestParams{}, rng);
+    tree.fit(data, rng);
     EXPECT_NEAR(tree.predict({1.0}), 10.0, 1e-9);
     EXPECT_NEAR(tree.predict({9.0}), 50.0, 1e-9);
 }
 
+/** Deepest root-to-leaf edge count of @p tree, from its preorder
+ *  flattening (a node's children follow it). */
+int
+treeDepth(const RegressionTree &tree)
+{
+    std::vector<FlatNode> nodes;
+    tree.flattenInto(nodes);
+    std::vector<int> depth(nodes.size(), 0);
+    int deepest = 0;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        deepest = std::max(deepest, depth[i]);
+        if (nodes[i].feature < 0)
+            continue;
+        depth[i + 1] = depth[i] + 1;
+        depth[nodes[i].right] = depth[i] + 1;
+    }
+    return deepest;
+}
+
 TEST(RegressionTree, RespectsMaxDepth)
 {
-    auto data = makeLinearData(500, 3);
-    ForestParams params;
-    params.maxDepth = 2;
+    // Noisy data keeps every node splittable, so only the depth cap
+    // stops growth: every path ends at kMaxDepth or above it.
+    auto data = makeLinearData(20000, 3, 1.0);
     RegressionTree tree;
     Rng rng(4);
-    tree.fit(data, params, rng);
-    // Depth 2 allows at most 7 nodes.
-    EXPECT_LE(tree.numNodes(), 7u);
+    tree.fit(data, rng);
+    EXPECT_EQ(treeDepth(tree), ForestParams::kMaxDepth);
+
+    RandomForest forest;
+    forest.fit(data, 5);
+    for (std::size_t t = 0; t < forest.numTrees(); ++t)
+        EXPECT_LE(treeDepth(forest.tree(t)), ForestParams::kMaxDepth)
+            << "tree " << t;
 }
 
 TEST(RegressionTree, LearnsSmoothFunction)
@@ -76,7 +100,7 @@ TEST(RegressionTree, LearnsSmoothFunction)
     auto data = makeLinearData(4000, 5);
     RegressionTree tree;
     Rng rng(6);
-    tree.fit(data, ForestParams{}, rng);
+    tree.fit(data, rng);
 
     double max_err = 0.0;
     Rng probe(7);
@@ -96,7 +120,7 @@ TEST(RandomForest, PredictsMeanOfConstantData)
     for (int i = 0; i < 50; ++i)
         data.push_back({{static_cast<double>(i)}, 3.0});
     RandomForest forest;
-    forest.fit(data, ForestParams{}, 11);
+    forest.fit(data, 11);
     EXPECT_DOUBLE_EQ(forest.predict({25.0}), 3.0);
 }
 
@@ -104,7 +128,7 @@ TEST(RandomForest, AccurateOnNoisyLinearData)
 {
     auto data = makeLinearData(5000, 13, 0.5);
     RandomForest forest;
-    forest.fit(data, ForestParams{}, 17);
+    forest.fit(data, 17);
 
     Rng probe(19);
     double sum_rel = 0.0;
@@ -124,8 +148,8 @@ TEST(RandomForest, DeterministicForSeed)
 {
     auto data = makeLinearData(1000, 23, 0.2);
     RandomForest a, b;
-    a.fit(data, ForestParams{}, 29);
-    b.fit(data, ForestParams{}, 29);
+    a.fit(data, 29);
+    b.fit(data, 29);
     for (double x = 0.5; x < 10.0; x += 0.5)
         EXPECT_DOUBLE_EQ(a.predict({x, x}), b.predict({x, x}));
 }
@@ -134,7 +158,7 @@ TEST(RandomForest, QuantilesOrdered)
 {
     auto data = makeLinearData(2000, 31, 1.0);
     RandomForest forest;
-    forest.fit(data, ForestParams{}, 37);
+    forest.fit(data, 37);
     std::vector<double> x = {5.0, 5.0};
     double q10 = forest.predictQuantile(x, 0.1);
     double q50 = forest.predictQuantile(x, 0.5);
@@ -149,7 +173,7 @@ TEST(RandomForest, LowQuantileSitsBelowMean)
     // outputs sits at or below the ensemble mean almost always.
     auto data = makeLinearData(3000, 41, 1.0);
     RandomForest forest;
-    forest.fit(data, ForestParams{}, 43);
+    forest.fit(data, 43);
 
     Rng probe(47);
     int below = 0, total = 200;
@@ -165,11 +189,10 @@ TEST(RandomForest, TrainedFlagAndTreeCount)
 {
     RandomForest forest;
     EXPECT_FALSE(forest.trained());
-    ForestParams params;
-    params.numTrees = 7;
-    forest.fit(makeLinearData(100, 53), params, 59);
+    forest.fit(makeLinearData(100, 53), 59);
     EXPECT_TRUE(forest.trained());
-    EXPECT_EQ(forest.numTrees(), 7u);
+    EXPECT_EQ(forest.numTrees(),
+              static_cast<std::size_t>(ForestParams::kNumTrees));
 }
 
 } // namespace

@@ -131,7 +131,7 @@ TEST_F(BaselineTest, AllBaselinesCompleteAMixedWorkload)
         int guard = 0;
         while (sched->hasWork() && ++guard < 500)
             runIteration(*sched, fx.perf, now);
-        EXPECT_EQ(completed, 12) << "policy " << sched->name();
+        EXPECT_EQ(completed, 12) << "policy " << policy;
     }
 }
 
@@ -139,7 +139,6 @@ TEST_F(BaselineTest, MedhaShrinksChunkAsContextGrows)
 {
     MedhaScheduler::Options opts;
     opts.tbtTarget = 0.05;
-    opts.maxChunkTokens = 4096;
     MedhaScheduler sched(fx_.env, opts);
 
     // One very long prompt: chunk sizes should be non-increasing as

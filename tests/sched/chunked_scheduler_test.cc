@@ -138,25 +138,29 @@ TEST_F(ChunkedSchedulerTest, KvGrowsWithProgressAndReleasesAtEnd)
 
 TEST_F(ChunkedSchedulerTest, DecodeBatchCapHoldsBackFinalChunk)
 {
+    // One more short prompt than the decode cap admits, all in one
+    // chunk budget.
+    constexpr int kCap = ChunkedSchedulerConfig::kMaxDecodeBatch;
     ChunkedSchedulerConfig cfg;
-    cfg.fixedChunkTokens = 256;
-    cfg.maxDecodeBatch = 2;
+    cfg.fixedChunkTokens = 512;
     FcfsScheduler sched(fx_.env, cfg);
 
-    for (int i = 0; i < 3; ++i)
-        sched.enqueue(fx_.makeRequest(i, SimTime{0.0}, 64, 10, 0), SimTime{0.0});
+    for (int i = 0; i <= kCap; ++i)
+        sched.enqueue(fx_.makeRequest(i, SimTime{0.0}, 2, 10, 0), SimTime{0.0});
 
     SimTime now;
     Batch batch;
     sched.formBatchInto(batch, now);
-    // Third request cannot complete its prefill: it is scheduled for
-    // all but one token.
-    ASSERT_EQ(batch.prefills.size(), 3u);
-    EXPECT_EQ(batch.prefills[2].chunkTokens, 63);
+    // The request past the cap cannot complete its prefill: it is
+    // scheduled for all but one token.
+    ASSERT_EQ(batch.prefills.size(), static_cast<std::size_t>(kCap + 1));
+    for (int i = 0; i < kCap; ++i)
+        EXPECT_EQ(batch.prefills[i].chunkTokens, 2) << "request " << i;
+    EXPECT_EQ(batch.prefills[kCap].chunkTokens, 1);
 
     now += fx_.perf.iterationTime(batch.work());
     sched.onBatchComplete(batch, now);
-    EXPECT_EQ(sched.decodeQueueSize(), 2u);
+    EXPECT_EQ(sched.decodeQueueSize(), static_cast<std::size_t>(kCap));
     EXPECT_EQ(sched.prefillQueueSize(), 1u);
 }
 

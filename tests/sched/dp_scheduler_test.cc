@@ -21,9 +21,9 @@ class DpSchedulerTest : public ::testing::Test
     SchedEnvFixture fx_;
 
     DpScheduler
-    makeSched(DpScheduler::Options opts = {})
+    makeSched()
     {
-        return DpScheduler(fx_.env, opts);
+        return DpScheduler(fx_.env);
     }
 };
 
@@ -63,14 +63,12 @@ TEST_F(DpSchedulerTest, UrgentRequestWinsTheKnapsack)
 
 TEST_F(DpSchedulerTest, BudgetRespected)
 {
-    DpScheduler::Options opts;
-    opts.chunkTokens = 512;
-    DpScheduler sched = makeSched(opts);
+    DpScheduler sched = makeSched();
     for (int i = 0; i < 6; ++i)
         sched.enqueue(fx_.makeRequest(i, SimTime{0.0}, 1000, 3, 0), SimTime{0.0});
     Batch batch;
     sched.formBatchInto(batch, SimTime{0.0});
-    EXPECT_LE(batch.prefillTokens(), 512);
+    EXPECT_LE(batch.prefillTokens(), DpScheduler::kChunkTokens);
     EXPECT_GT(batch.prefillTokens(), 0);
 }
 
@@ -80,7 +78,7 @@ TEST_F(DpSchedulerTest, DpCostGrowsLinearlyWithQueueDepth)
     // proportional to queue length; QoServe's walk is not.
     auto cells_for = [&](int n) {
         SchedEnvFixture fx;
-        DpScheduler sched(fx.env, DpScheduler::Options{});
+        DpScheduler sched(fx.env);
         for (int i = 0; i < n; ++i)
             sched.enqueue(fx.makeRequest(i, SimTime{0.0}, 2000, 3, i % 3), SimTime{0.0});
         Batch batch;
@@ -91,12 +89,6 @@ TEST_F(DpSchedulerTest, DpCostGrowsLinearlyWithQueueDepth)
     std::uint64_t c100 = cells_for(100);
     std::uint64_t c400 = cells_for(400);
     EXPECT_NEAR(static_cast<double>(c400) / c100, 4.0, 0.5);
-}
-
-TEST_F(DpSchedulerTest, NameReportsPolicy)
-{
-    DpScheduler sched = makeSched();
-    EXPECT_STREQ(sched.name(), "SLOs-Serve-DP");
 }
 
 } // namespace

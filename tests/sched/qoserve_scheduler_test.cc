@@ -62,6 +62,18 @@ TEST_F(QoServeTest, RequiresPredictorForDynamicChunking)
     EXPECT_DEATH({ QoServeScheduler sched(env); }, "predictor");
 }
 
+TEST_F(QoServeTest, MaxChunkBelowTheFloorIsRejected)
+{
+    // The floor would lift every slack-starved chunk past such a cap.
+    QoServeConfig cfg;
+    cfg.maxChunkTokens = QoServeConfig::kMinChunkTokens - 64;
+    EXPECT_DEATH({ QoServeScheduler sched(fx_.env, cfg); },
+                 "max chunk 128 below the 192-token chunk floor");
+    cfg.maxChunkTokens = QoServeConfig::kMinChunkTokens;
+    QoServeScheduler sched(fx_.env, cfg);
+    EXPECT_EQ(sched.qosConfig().maxChunkTokens, 192);
+}
+
 TEST_F(QoServeTest, NoPredictorNeededWhenDynamicChunkingOff)
 {
     SchedulerEnv env = fx_.env;
@@ -69,7 +81,11 @@ TEST_F(QoServeTest, NoPredictorNeededWhenDynamicChunkingOff)
     QoServeConfig cfg;
     cfg.enableDynamicChunking = false;
     QoServeScheduler sched(env, cfg);
-    EXPECT_STREQ(sched.name(), "QoServe");
+    // The fixed Sarathi chunk stands in for the solve.
+    sched.enqueue(fx_.makeRequest(1, SimTime{0.0}, 10000, 5, 0), SimTime{0.0});
+    Batch batch;
+    sched.formBatchInto(batch, SimTime{0.0});
+    EXPECT_EQ(batch.prefillTokens(), ChunkedSchedulerConfig{}.fixedChunkTokens);
 }
 
 TEST_F(QoServeTest, MaxChunkWhenNoInteractiveDecodes)
@@ -329,8 +345,8 @@ TEST_F(QoServeTest, AdaptiveAlphaRampsWithBacklog)
 {
     QoServeConfig cfg;
     cfg.adaptiveAlpha = true;
-    cfg.alphaLowLoadMs = 1.0;
     cfg.alphaMsPerToken = 8.0;
+    ASSERT_EQ(QoServeConfig::kAlphaLowLoadMs, 1.0);
     QoServeScheduler sched(fx_.env, cfg);
 
     // Empty queue: alpha at the low-load value.
@@ -383,8 +399,7 @@ TEST_F(QoServeTest, MinChunkFloorGuaranteesPrefillProgress)
     sched.enqueue(fx_.makeRequest(2, now, 10000, 5, 2), now);
     Batch batch;
     sched.formBatchInto(batch, now);
-    EXPECT_EQ(batch.prefillTokens(),
-              sched.qosConfig().minChunkTokens);
+    EXPECT_EQ(batch.prefillTokens(), QoServeConfig::kMinChunkTokens);
 }
 
 TEST_F(QoServeTest, LateDecodesDoNotGateTheChunk)

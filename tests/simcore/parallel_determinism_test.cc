@@ -244,14 +244,12 @@ makeTrainingData(int n, std::uint64_t seed)
 TEST(ParallelDeterminism, ForestFitIsIdenticalAcrossJobCounts)
 {
     std::vector<TrainSample> data = makeTrainingData(400, 5);
-    ForestParams params;
-    params.numTrees = 16;
-
     RandomForest serial, parallel;
-    serial.fit(data, params, 99, /*jobs=*/1);
-    parallel.fit(data, params, 99, /*jobs=*/4);
-    ASSERT_EQ(serial.numTrees(), 16u);
-    ASSERT_EQ(parallel.numTrees(), 16u);
+    serial.fit(data, 99, /*jobs=*/1);
+    parallel.fit(data, 99, /*jobs=*/4);
+    const auto trees = static_cast<std::size_t>(ForestParams::kNumTrees);
+    ASSERT_EQ(serial.numTrees(), trees);
+    ASSERT_EQ(parallel.numTrees(), trees);
 
     // Every prediction — mean and quantile — must be bit-identical:
     // the per-tree RNG streams derive from (seed, tree index), never
@@ -275,7 +273,7 @@ TEST(ParallelDeterminism, ForestGeneralizesAfterSplitScanRewrite)
     // summation order changed).
     std::vector<TrainSample> train = makeTrainingData(600, 11);
     RandomForest forest;
-    forest.fit(train, ForestParams{}, 31, /*jobs=*/2);
+    forest.fit(train, 31, /*jobs=*/2);
 
     std::vector<TrainSample> test = makeTrainingData(150, 12);
     double sse = 0.0, var = 0.0, mean = 0.0;

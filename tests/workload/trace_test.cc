@@ -5,7 +5,9 @@
 
 #include "workload/trace.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -195,6 +197,33 @@ TEST(TraceBuilder, SharedPrefixDrawsSystemPromptsFromPool)
     EXPECT_LE(leads.size(), 4u);
 }
 
+TEST(TraceBuilder, SystemPromptsSpanThePoolTokenRange)
+{
+    // One system prompt per request: each pool's length is one draw
+    // from [kPoolTokensLo, poolTokensHi], both ends inclusive.
+    SharedPrefixConfig sp;
+    sp.shareRatio = 1.0;
+    sp.numPools = 200;
+    sp.multiTurnFrac = 0.0;
+    Trace trace = TraceBuilder()
+                      .seed(15)
+                      .sharedPrefix(sp)
+                      .buildCount(PoissonArrivals(5.0), 2000);
+    int lo = std::numeric_limits<int>::max();
+    int hi = 0;
+    for (const auto &r : trace.requests) {
+        ASSERT_EQ(r.promptSegments.size(), 2u);
+        lo = std::min(lo, r.promptSegments[0].tokens);
+        hi = std::max(hi, r.promptSegments[0].tokens);
+    }
+    EXPECT_GE(lo, SharedPrefixConfig::kPoolTokensLo);
+    EXPECT_LE(hi, sp.poolTokensHi);
+    EXPECT_EQ(sp.poolTokensHi, 1024);
+    // 200 uniform draws reach within 5% of either end of the range.
+    EXPECT_LT(lo, 128 + 45);
+    EXPECT_GT(hi, 1024 - 45);
+}
+
 TEST(TraceBuilder, MultiTurnContinuationExtendsAnEarlierPrompt)
 {
     SharedPrefixConfig sp;
@@ -323,9 +352,8 @@ TEST(SharedPrefixConfig, ValidateRejectsBadRanges)
     sp.numPools = 0;
     EXPECT_DEATH(sp.validate(), "pool count");
     sp.numPools = 4;
-    sp.poolTokensLo = 256;
-    sp.poolTokensHi = 128;
-    EXPECT_DEATH(sp.validate(), "pool token range");
+    sp.poolTokensHi = SharedPrefixConfig::kPoolTokensLo - 1;
+    EXPECT_DEATH(sp.validate(), "pool token range \\[128, 127\\]");
     sp.poolTokensHi = 512;
     sp.multiTurnFrac = -0.1;
     EXPECT_DEATH(sp.validate(), "multi-turn fraction");

@@ -17,13 +17,18 @@
  *                           simulated time as a bare `double` or
  *                           token counts as a bare `int`; use the
  *                           core/units.hh strong types.
- *  5. staleSuppressionPass — every `allow(...)` marker must have
- *                           suppressed something in passes 1-4.
+ *  5. unsetOptionPass     — a field of a src/ option struct (a
+ *                           *Config, *Options, *Params, *Policy,
+ *                           *Grid, *Search or *Criteria) must be set
+ *                           somewhere outside tests/; otherwise it is
+ *                           a constant.
+ *  6. staleSuppressionPass — every `allow(...)` marker must have
+ *                           suppressed something in passes 1-5.
  *
  * Passes that need cross-file state (unordered container names,
- * project enums) take the whole corpus; the rest run per file. All
- * suppression goes through report()/allowed() in lint.hh so pass 5
- * sees exact usage.
+ * project enums, option setters) take the whole corpus; the rest run
+ * per file. All suppression goes through report()/allowed() in
+ * lint.hh so pass 6 sees exact usage.
  */
 
 #ifndef QOSERVE_TOOLS_LINT_PASSES_HH
@@ -76,7 +81,11 @@ void exhaustiveSwitchPass(std::vector<SourceFile> &files,
 void rawUnitPass(std::vector<SourceFile> &files,
                  std::vector<Finding> &out);
 
-/** Pass 5: markers whose rules never suppressed anything. */
+/** Pass 5: option-struct fields that no file outside tests/ sets. */
+void unsetOptionPass(std::vector<SourceFile> &files,
+                     std::vector<Finding> &out);
+
+/** Pass 6: markers whose rules never suppressed anything. */
 void staleSuppressionPass(std::vector<SourceFile> &files,
                           std::vector<Finding> &out);
 

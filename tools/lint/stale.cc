@@ -1,13 +1,13 @@
 /**
  * @file
- * Pass 5: suppression markers that no longer suppress anything.
+ * Pass 6: suppression markers that no longer suppress anything.
  *
  * Every `allow(rule)` suppression marker is a standing exception
  * to a rule, and exceptions rot: the flagged code gets rewritten,
  * the marker stays, and the next reader inherits a license to
  * violate the rule where none is needed. allowed() (lint.hh)
  * records which (marker, rule) pairs actually suppressed a finding
- * during passes 1-4; this pass turns every unconsumed pair into an
+ * during passes 1-5; this pass turns every unconsumed pair into an
  * error so markers are deleted the moment they stop earning their
  * keep. A typo in the rule name fails the same way, since a
  * misspelled rule can never match.

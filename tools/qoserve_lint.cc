@@ -5,8 +5,8 @@
  * Loads every .hh/.cc under the given paths, then runs the pass
  * sequence from tools/lint/passes.hh: determinism/style token rules,
  * the include-graph layering check (when a manifest is given), the
- * exhaustive-switch and raw-unit semantic passes, and finally the
- * stale-suppression accounting. Findings go to stderr in
+ * exhaustive-switch, raw-unit and unset-option semantic passes, and
+ * finally the stale-suppression accounting. Findings go to stderr in
  * `file:line: [rule] message` form and, with --json, to a SARIF
  * 2.1.0 log for CI annotation.
  *
@@ -135,6 +135,7 @@ main(int argc, char **argv)
     EnumTable enums = collectProjectEnums(files);
     exhaustiveSwitchPass(files, enums, findings);
     rawUnitPass(files, findings);
+    unsetOptionPass(files, findings);
     staleSuppressionPass(files, findings);
 
     std::sort(findings.begin(), findings.end(),
