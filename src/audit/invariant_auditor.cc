@@ -307,28 +307,10 @@ InvariantAuditor::checkDecodeLanes(const SchedulerAuditView &view,
     if (!full())
         return;
 
-    if (view.lanes.size() != view.decodes.size()) {
-        report("sched-decode-lane",
-               detail::composeMessage(view.lanes.size(),
-                                      " decode lanes for ",
-                                      view.decodes.size(), " decodes"),
-               now);
-        return;
-    }
     std::int64_t ctx_sum = 0;
-    for (std::size_t i = 0; i < view.lanes.size(); ++i) {
-        const DecodeLane &lane = view.lanes[i];
-        const Request *req = view.decodes[i];
+    for (const DecodeLane &lane : view.lanes) {
+        const Request *req = lane.req;
         ctx_sum += req->contextLength();
-        if (lane.req != req) {
-            report("sched-decode-lane",
-                   detail::composeMessage(
-                       "decode lane ", i, " holds request ",
-                       lane.req != nullptr ? lane.req->id() : 0,
-                       " but the decode queue has ", req->id()),
-                   now);
-            continue;
-        }
         if (req->phase() != RequestPhase::Decoding) {
             report("sched-decode-lane",
                    detail::composeMessage(
@@ -372,9 +354,9 @@ InvariantAuditor::checkSchedulerView(const SchedulerAuditView &view,
 
     // Cheap: counters inside their configured bounds. Hand-built
     // views (tests) may fill only the vectors, so take the larger of
-    // the scalar count and the vector size.
+    // the scalar count and the lane count.
     std::size_t decode_count =
-        std::max(view.decodeCount, view.decodes.size());
+        std::max(view.decodeCount, view.lanes.size());
     if (view.maxDecodeBatch > 0 &&
         decode_count > static_cast<std::size_t>(view.maxDecodeBatch)) {
         report("sched-decode-bound",
@@ -457,7 +439,8 @@ InvariantAuditor::checkSchedulerView(const SchedulerAuditView &view,
                now);
     }
 
-    for (const Request *req : view.decodes) {
+    for (const DecodeLane &lane : view.lanes) {
+        const Request *req = lane.req;
         if (!seen.insert(req->id()).second) {
             report("sched-exclusivity",
                    detail::composeMessage("request ", req->id(),
@@ -536,8 +519,8 @@ InvariantAuditor::checkSchedulerView(const SchedulerAuditView &view,
         };
         for (const Request *req : view.prefills)
             check_kv(req);
-        for (const Request *req : view.decodes)
-            check_kv(req);
+        for (const DecodeLane &lane : view.lanes)
+            check_kv(lane.req);
         for (const KvOwnerUsage &u : kv->ownerUsage()) {
             if (carried.count(u.slot.value()) == 0) {
                 report("kv-slot-orphan",

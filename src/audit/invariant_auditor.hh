@@ -177,11 +177,10 @@ class InvariantAuditor
                             const BlockManager *kv, SimTime now);
 
     /**
-     * Check a full-detail view's decode lanes (full level): one lane
-     * per decode, lanes[i].req == decodes[i], every lane's request is
-     * Decoding and, the lanes having been written back, equals its
-     * lane (progress, Eq. 2 terms and KV slot), and the decodes'
-     * contexts sum to the scheduler's running sum.
+     * Check a full-detail view's decode lanes (full level): every
+     * lane's request is Decoding and, the lanes having been written
+     * back, equals its lane (progress, Eq. 2 terms and KV slot), and
+     * the lanes' contexts sum to the scheduler's running sum.
      */
     void checkDecodeLanes(const SchedulerAuditView &view, SimTime now);
 

@@ -333,15 +333,19 @@ ClusterSim::injectArrival(std::size_t index)
     // defaults) both tests are constant-false and the arrival passes
     // through by reference, untouched.
     if (modes_.shedTier >= 0 && spec.tierId == modes_.shedTier) {
-        recordShed(spec);
+        // A shed arrival ends unserved, shaped like an admission
+        // rejection; its BrownoutShed event tells them apart.
+        ++brownoutShed_;
+        traceScope_.emit(TraceEventKind::BrownoutShed, spec.id);
+        recordUnserved(spec, nullptr);
     } else if (modes_.capTokens > 0 &&
                spec.decodeTokens > modes_.capTokens) {
         RequestSpec capped = spec;
         capped.decodeTokens = modes_.capTokens;
         ++brownoutCapped_;
-        dispatchArrival(capped);
+        dispatch(capped, nullptr);
     } else {
-        dispatchArrival(spec);
+        dispatch(spec, nullptr);
     }
 
     // Chain the next arrival instead of pre-scheduling the whole
@@ -354,65 +358,37 @@ ClusterSim::injectArrival(std::size_t index)
 }
 
 void
-ClusterSim::dispatchArrival(const RequestSpec &spec)
+ClusterSim::dispatch(const RequestSpec &spec,
+                     const RequestFailureSnapshot *retry)
 {
     Group &group = groups_[tierRoute_[spec.tierId]];
-    std::size_t replica_idx = pickReplica(group, spec);
-    if (replica_idx == kNoReplica) {
-        // No candidate at all — every replica is down (or
-        // breaker-blocked). The request enters the retry path
-        // (backoff + budget) instead of being dropped; admission
-        // control only ever evaluates dispatches that reach a live
-        // replica.
-        RequestFailureSnapshot snap;
-        snap.spec = spec;
-        requeue(std::move(snap));
+    const std::size_t idx = pickReplica(group, spec);
+    // No usable replica at all, or a blind front door (stale partition
+    // view, health-unaware routing) picked a dead box, whose bounce
+    // feeds the breaker: the request retries instead of being dropped.
+    // The retry budget bounds the loop even if the group never heals.
+    if (idx == kNoReplica ||
+        replicas_[idx]->health() == ReplicaHealth::Down) {
+        if (idx != kNoReplica)
+            noteDispatchFailure(idx);
+        requeue(retry != nullptr ? *retry : RequestFailureSnapshot{spec});
         return;
     }
-    if (replicas_[replica_idx]->health() == ReplicaHealth::Down) {
-        // A blind front door (partition-stale view, or health-unaware
-        // routing) picked a dead box. The bounce feeds the breaker
-        // and the request retries.
-        noteDispatchFailure(replica_idx);
-        RequestFailureSnapshot snap;
-        snap.spec = spec;
-        requeue(std::move(snap));
+    noteDispatchSuccess(idx);
+    Replica &target = *replicas_[idx];
+    const int retries = retry != nullptr ? retry->retries : 0;
+    // Admission judges a request once, on its first attempt; a
+    // re-dispatch always has retries >= 1.
+    if (retries == 0 &&
+        !admission_.admit(spec, eq_.now(),
+                          TokenCount{target.scheduler()
+                                         .pendingPrefillTokens()})) {
+        recordUnserved(spec, nullptr);
         return;
     }
-    noteDispatchSuccess(replica_idx);
-    const TokenCount backlog{
-        replicas_[replica_idx]->scheduler().pendingPrefillTokens()};
-    if (admission_.admit(spec, eq_.now(), backlog)) {
-        traceScope_.emitOn(ReplicaId{static_cast<int>(replica_idx)},
-                           TraceEventKind::Dispatch, spec.id);
-        replicas_[replica_idx]->submit(spec);
-    } else {
-        // Rejected outright: record an un-served request (infinite
-        // latencies, counted as a violation).
-        RequestRecord rec;
-        rec.spec = spec;
-        rec.rejected = true;
-        if (auditor_ != nullptr)
-            auditor_->checkRecord(rec, trace_.tiers);
-        metrics_.record(std::move(rec));
-    }
-}
-
-void
-ClusterSim::recordShed(const RequestSpec &spec)
-{
-    // A shed arrival terminates unserved, shaped like an admission
-    // rejection (infinite latencies, zero retries) so the records CSV
-    // schema is untouched; the BrownoutShed trace event is what
-    // distinguishes it downstream.
-    ++brownoutShed_;
-    traceScope_.emit(TraceEventKind::BrownoutShed, spec.id);
-    RequestRecord rec;
-    rec.spec = spec;
-    rec.rejected = true;
-    if (auditor_ != nullptr)
-        auditor_->checkRecord(rec, trace_.tiers);
-    metrics_.record(std::move(rec));
+    traceScope_.emitOn(ReplicaId{static_cast<int>(idx)},
+                       TraceEventKind::Dispatch, spec.id, retries);
+    target.submit(spec, retry);
 }
 
 void
@@ -429,13 +405,20 @@ void
 ClusterSim::requeue(RequestFailureSnapshot snap)
 {
     if (snap.retries >= cfg_.retry.maxRetries) {
-        recordExhausted(snap);
+        ++retriesExhausted_;
+        traceScope_.emit(TraceEventKind::RetryExhausted, snap.spec.id,
+                         snap.retries);
+        recordUnserved(snap.spec, &snap);
         return;
     }
     SimDuration delay = cfg_.retry.backoffFor(snap.retries);
     if (cfg_.deadlineCancel &&
         deadlineUnreachable(snap, eq_.now() + delay)) {
-        recordCancelled(snap);
+        // Burning a retry on it could not meet the SLO.
+        ++deadlineCancelled_;
+        traceScope_.emit(TraceEventKind::DeadlineCancel, snap.spec.id,
+                         snap.retries);
+        recordUnserved(snap.spec, &snap);
         return;
     }
     snap.retries += 1;
@@ -443,32 +426,8 @@ ClusterSim::requeue(RequestFailureSnapshot snap)
     traceScope_.emit(TraceEventKind::RetryQueued, snap.spec.id,
                      snap.retries);
     eq_.scheduleAfter(delay, [this, snap = std::move(snap)]() {
-        redispatch(snap);
+        dispatch(snap.spec, &snap);
     });
-}
-
-void
-ClusterSim::redispatch(RequestFailureSnapshot snap)
-{
-    Group &group = groups_[tierRoute_[snap.spec.tierId]];
-    std::size_t replica_idx = pickReplica(group, snap.spec);
-    if (replica_idx == kNoReplica) {
-        // Still no candidate: burn another attempt. The budget bounds
-        // this loop, so the run terminates even if the whole group
-        // never recovers.
-        requeue(std::move(snap));
-        return;
-    }
-    if (replicas_[replica_idx]->health() == ReplicaHealth::Down) {
-        noteDispatchFailure(replica_idx);
-        requeue(std::move(snap));
-        return;
-    }
-    noteDispatchSuccess(replica_idx);
-    traceScope_.emitOn(ReplicaId{static_cast<int>(replica_idx)},
-                       TraceEventKind::Dispatch, snap.spec.id,
-                       snap.retries);
-    replicas_[replica_idx]->resubmit(snap);
 }
 
 bool
@@ -512,48 +471,24 @@ ClusterSim::deadlineUnreachable(const RequestFailureSnapshot &snap,
 }
 
 void
-ClusterSim::recordCancelled(const RequestFailureSnapshot &snap)
+ClusterSim::recordUnserved(const RequestSpec &spec,
+                           const RequestFailureSnapshot *abandoned)
 {
-    // Cancelled on entry to the retry path: the request terminates
-    // unserved. Shaped like a retry-exhausted abandonment (same CSV
-    // flag, infinite latencies, partial progress preserved); the
-    // DeadlineCancel trace event and the deadlineCancelled counter
-    // are what distinguish it.
     RequestRecord rec;
-    rec.spec = snap.spec;
-    rec.firstTokenTime = snap.firstTokenTime;
-    rec.maxTbt = snap.maxTbt;
-    rec.tbtDeadlineMisses = snap.tbtDeadlineMisses;
-    rec.wasRelegated = snap.wasRelegated;
-    rec.kvPreemptions = snap.kvPreemptions;
-    rec.retries = snap.retries;
-    rec.retryExhausted = true;
-    ++deadlineCancelled_;
-    traceScope_.emit(TraceEventKind::DeadlineCancel, snap.spec.id,
-                     snap.retries);
-    if (auditor_ != nullptr)
-        auditor_->checkRecord(rec, trace_.tiers);
-    metrics_.record(std::move(rec));
-}
-
-void
-ClusterSim::recordExhausted(const RequestFailureSnapshot &snap)
-{
-    // Abandoned after the retry budget: the request terminates
-    // unserved. Latencies stay infinite (like a rejection) but the
-    // partial progress fields survive for failure attribution.
-    RequestRecord rec;
-    rec.spec = snap.spec;
-    rec.firstTokenTime = snap.firstTokenTime;
-    rec.maxTbt = snap.maxTbt;
-    rec.tbtDeadlineMisses = snap.tbtDeadlineMisses;
-    rec.wasRelegated = snap.wasRelegated;
-    rec.kvPreemptions = snap.kvPreemptions;
-    rec.retries = snap.retries;
-    rec.retryExhausted = true;
-    ++retriesExhausted_;
-    traceScope_.emit(TraceEventKind::RetryExhausted, snap.spec.id,
-                     snap.retries);
+    rec.spec = spec;
+    if (abandoned == nullptr) {
+        rec.rejected = true;
+    } else {
+        // The partial progress survives for failure attribution. A
+        // snapshot taken before any dispatch carries the defaults.
+        rec.firstTokenTime = abandoned->firstTokenTime;
+        rec.maxTbt = abandoned->maxTbt;
+        rec.tbtDeadlineMisses = abandoned->tbtDeadlineMisses;
+        rec.wasRelegated = abandoned->wasRelegated;
+        rec.kvPreemptions = abandoned->kvPreemptions;
+        rec.retries = abandoned->retries;
+        rec.retryExhausted = true;
+    }
     if (auditor_ != nullptr)
         auditor_->checkRecord(rec, trace_.tiers);
     metrics_.record(std::move(rec));

@@ -356,13 +356,15 @@ class ClusterSim
     /** A dispatch routed to @p idx reached a live process. */
     void noteDispatchSuccess(std::size_t idx);
 
-    /** Pick a target for a (possibly degraded) arrival and dispatch
-     *  it: submit on a live replica, retry path on a dead target,
-     *  rejection record when admission refuses it. */
-    void dispatchArrival(const RequestSpec &spec);
-
-    /** Record an arrival shed by the brownout controller. */
-    void recordShed(const RequestSpec &spec);
+    /**
+     * Send a request to a replica of its tier's group. @p retry is
+     * null on the first attempt and the failed attempt's snapshot on
+     * a re-dispatch. A pick that finds no usable replica, or lands on
+     * a dead one, enters the retry path; only a first attempt that
+     * reaches a live replica faces admission control.
+     */
+    void dispatch(const RequestSpec &spec,
+                  const RequestFailureSnapshot *retry);
 
     /**
      * True when @p snap's completion deadline is unreachable even
@@ -379,14 +381,15 @@ class ClusterSim
      */
     void requeue(RequestFailureSnapshot snap);
 
-    /** Attempt one re-dispatch of a failed request. */
-    void redispatch(RequestFailureSnapshot snap);
-
-    /** Record an abandoned request (budget exhausted). */
-    void recordExhausted(const RequestFailureSnapshot &snap);
-
-    /** Record a request abandoned by deadline-aware cancellation. */
-    void recordCancelled(const RequestFailureSnapshot &snap);
+    /**
+     * Record a request that ends unserved, with infinite latencies:
+     * rejected (admission or brownout shed) when @p abandoned is
+     * null, else abandoned in the retry path with its partial
+     * progress. The caller's counter and trace event tell the
+     * endings apart.
+     */
+    void recordUnserved(const RequestSpec &spec,
+                        const RequestFailureSnapshot *abandoned);
 
     Config cfg_;
     Trace trace_;

@@ -154,8 +154,28 @@ DecodeReplica::completeIteration(const std::vector<Request *> &batch)
     maybeStart();
 }
 
+namespace {
+
+/**
+ * @p trace in prefill-stage form: a request "completes" on the
+ * prefill pool when its first token is produced. The appStats stay
+ * those of the input trace, so prefill schedulers rank requests by
+ * their applications' real decode lengths.
+ */
+Trace
+prefillStageTrace(Trace trace)
+{
+    for (RequestSpec &spec : trace.requests)
+        spec.decodeTokens = 1;
+    return trace;
+}
+
+} // namespace
+
 DisaggCluster::DisaggCluster(Config cfg, Trace trace)
     : cfg_(std::move(cfg)), trace_(std::move(trace)),
+      prefill_({.replica = cfg_.replica, .predictor = cfg_.predictor},
+               prefillStageTrace(trace_)),
       metrics_(trace_.tiers)
 {
     QOSERVE_ASSERT(cfg_.numPrefillReplicas > 0 &&
@@ -163,6 +183,13 @@ DisaggCluster::DisaggCluster(Config cfg, Trace trace)
                    "pools must be non-empty");
     QOSERVE_ASSERT(cfg_.prefillFactory != nullptr,
                    "prefill factory required");
+    // onPrefillDone() finds a request's full spec by its id.
+    for (std::size_t i = 0; i < trace_.requests.size(); ++i) {
+        QOSERVE_ASSERT(trace_.requests[i].id == i,
+                       "disaggregated trace needs ids dense from 0 in "
+                       "arrival order; request ",
+                       i, " has id ", trace_.requests[i].id);
+    }
 
     SimDuration strictest_tbt = kDurationNever;
     for (const QosTier &tier : trace_.tiers) {
@@ -172,35 +199,18 @@ DisaggCluster::DisaggCluster(Config cfg, Trace trace)
     if (strictest_tbt == kDurationNever)
         strictest_tbt = 0.1; // No interactive tier: loose default.
 
-    for (int i = 0; i < cfg_.numPrefillReplicas; ++i) {
-        prefillPool_.push_back(std::make_unique<Replica>(
-            eq_, cfg_.replica, cfg_.prefillFactory, cfg_.predictor,
-            trace_.tiers, trace_.appStats,
-            [this](const RequestRecord &rec) { onPrefillDone(rec); }));
-    }
+    prefill_.addReplicaGroup(cfg_.numPrefillReplicas,
+                             cfg_.prefillFactory);
+    MetricsCollector &prefill_records = prefill_.metricsCollector();
+    prefill_records.setRetainRecords(false);
+    prefill_records.setRecordSink(
+        [this](const RequestRecord &rec) { onPrefillDone(rec); });
     for (int i = 0; i < cfg_.numDecodeReplicas; ++i) {
         decodePool_.push_back(std::make_unique<DecodeReplica>(
-            eq_, cfg_.replica, cfg_.decodePolicy, strictest_tbt,
-            [this](RequestRecord &&rec) {
+            prefill_.eventQueue(), cfg_.replica, cfg_.decodePolicy,
+            strictest_tbt, [this](RequestRecord &&rec) {
                 metrics_.record(std::move(rec));
             }));
-    }
-}
-
-void
-DisaggCluster::injectArrival(std::size_t index)
-{
-    // Prefill nodes see the request as prefill-only: it "completes"
-    // there when the first token is produced.
-    RequestSpec prefill_spec = trace_.requests[index];
-    prefill_spec.decodeTokens = 1;
-    prefillPool_[prefillRr_]->submit(prefill_spec);
-    prefillRr_ = (prefillRr_ + 1) % prefillPool_.size();
-
-    std::size_t next = index + 1;
-    if (next < trace_.requests.size()) {
-        eq_.schedule(trace_.requests[next].arrival,
-                     [this, next]() { injectArrival(next); });
     }
 }
 
@@ -217,7 +227,8 @@ DisaggCluster::onPrefillDone(const RequestRecord &rec)
     kvBytesTransferred_ += bytes;
     SimDuration delay = bytes / Config::kKvTransferBandwidth;
 
-    eq_.scheduleAfter(delay, [this, spec, first_token]() {
+    prefill_.eventQueue().scheduleAfter(delay, [this, spec,
+                                                first_token]() {
         AppStats stats;
         if (spec.appId >= 0 &&
             spec.appId < static_cast<int>(trace_.appStats.size())) {
@@ -238,14 +249,10 @@ DisaggCluster::onPrefillDone(const RequestRecord &rec)
 const MetricsCollector &
 DisaggCluster::run()
 {
-    QOSERVE_ASSERT(!ran_, "DisaggCluster::run() called twice");
-    ran_ = true;
     metrics_.reserve(trace_.requests.size());
-    if (!trace_.requests.empty()) {
-        eq_.schedule(trace_.requests.front().arrival,
-                     [this]() { injectArrival(0); });
-    }
-    eq_.run();
+    // The decode pool shares the prefill cluster's event queue, so
+    // this drains both stages.
+    prefill_.run();
     QOSERVE_ASSERT(metrics_.size() == trace_.requests.size(),
                    "requests lost in disaggregated pipeline: ",
                    metrics_.size(), " of ", trace_.requests.size());

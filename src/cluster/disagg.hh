@@ -28,8 +28,7 @@
 #include <memory>
 #include <vector>
 
-#include "cluster/replica.hh"
-#include "metrics/slo_report.hh"
+#include "cluster/cluster.hh"
 
 namespace qoserve {
 
@@ -104,8 +103,12 @@ class DecodeReplica
 };
 
 /**
- * Full disaggregated deployment: prefill pool + transfer + decode
- * pool.
+ * Full disaggregated deployment: a prefill cluster, the KV transfer
+ * and a decode pool. The prefill pool is a ClusterSim with one
+ * round-robin group over the trace in prefill-stage form (one output
+ * token per request); each prefill record schedules its transfer,
+ * after which the request decodes on the decode pool, on the same
+ * event queue.
  */
 class DisaggCluster
 {
@@ -141,7 +144,8 @@ class DisaggCluster
 
     /**
      * @param cfg Deployment configuration.
-     * @param trace Workload (copied); tiers define TBT targets.
+     * @param trace Workload (copied); tiers define TBT targets. Its
+     *        request ids must be dense from 0 in arrival order.
      */
     DisaggCluster(Config cfg, Trace trace);
 
@@ -158,19 +162,15 @@ class DisaggCluster
     DecodeReplica &decodeReplica(std::size_t i) { return *decodePool_[i]; }
 
   private:
-    void injectArrival(std::size_t index);
     void onPrefillDone(const RequestRecord &rec);
 
     Config cfg_;
     Trace trace_;
-    EventQueue eq_;
-    std::vector<std::unique_ptr<Replica>> prefillPool_;
+    ClusterSim prefill_;
     std::vector<std::unique_ptr<DecodeReplica>> decodePool_;
-    std::size_t prefillRr_ = 0;
     std::size_t decodeRr_ = 0;
     MetricsCollector metrics_;
     double kvBytesTransferred_ = 0.0;
-    bool ran_ = false;
 };
 
 } // namespace qoserve

@@ -63,8 +63,9 @@ Replica::buildScheduler()
     });
 }
 
-Request *
-Replica::admit(const RequestSpec &spec)
+void
+Replica::submit(const RequestSpec &spec,
+                const RequestFailureSnapshot *resume)
 {
     QOSERVE_ASSERT(health_ != ReplicaHealth::Down,
                    "request submitted to a down replica");
@@ -85,45 +86,25 @@ Replica::admit(const RequestSpec &spec)
         spec.appId < static_cast<int>(appStats_.size())) {
         stats = appStats_[spec.appId];
     }
-    Request *ptr = pool_.create(spec, tiers_[spec.tierId], stats);
-    auto [it, inserted] = live_.emplace(spec.id, ptr);
+    Request *req = pool_.create(spec, tiers_[spec.tierId], stats);
+    auto [it, inserted] = live_.emplace(spec.id, req);
     if (!inserted) {
-        pool_.destroy(ptr);
+        pool_.destroy(req);
         QOSERVE_PANIC("duplicate request id submitted: ", spec.id);
     }
-    return ptr;
-}
-
-void
-Replica::submit(const RequestSpec &spec)
-{
-    Request *req = admit(spec);
-    attachCachedPrefix(req);
+    if (resume != nullptr)
+        req->restoreForRetry(*resume);
+    // Resolve the prompt's prefix against *this* replica's cache; a
+    // retried request's attachment died with the crashed replica.
+    if (prefixCache_->enabled() && !prefixBypass_) {
+        req->setKvSlot(kv_.open(req->id()));
+        int tokens =
+            prefixCache_->attach(req->kvSlot(), req->spec(), eq_.now());
+        if (tokens > 0)
+            req->attachCachedPrefix(TokenCount{tokens});
+    }
     scheduler_->enqueue(req, eq_.now());
     maybeStartIteration();
-}
-
-void
-Replica::resubmit(const RequestFailureSnapshot &snap)
-{
-    Request *req = admit(snap.spec);
-    req->restoreForRetry(snap);
-    // Re-resolve the prefix against *this* replica's cache — the one
-    // on the crashed replica died with it.
-    attachCachedPrefix(req);
-    scheduler_->enqueue(req, eq_.now());
-    maybeStartIteration();
-}
-
-void
-Replica::attachCachedPrefix(Request *req)
-{
-    if (!prefixCache_->enabled() || prefixBypass_)
-        return;
-    req->setKvSlot(kv_.open(req->id()));
-    int tokens = prefixCache_->attach(req->kvSlot(), req->spec(), eq_.now());
-    if (tokens > 0)
-        req->attachCachedPrefix(TokenCount{tokens});
 }
 
 void
@@ -153,14 +134,14 @@ Replica::maybeStartIteration()
         obs.start = start;
         obs.latency = latency;
         obs.prefillTokens = batch.prefillTokens();
-        obs.numDecodes = static_cast<int>(batch.decodes.size());
+        obs.numDecodes = batch.numDecodes;
         observer_(obs);
     }
 
     if (trace_.on()) {
         trace_.emit(TraceEventKind::IterStart, kNoTraceRequest,
                     batch.prefillTokens(),
-                    static_cast<double>(batch.decodes.size()));
+                    static_cast<double>(batch.numDecodes));
         for (const ScheduledChunk &chunk : batch.prefills) {
             trace_.emit(TraceEventKind::ChunkStart,
                         chunk.request->id(), chunk.chunkTokens);
@@ -172,17 +153,17 @@ Replica::maybeStartIteration()
     // buffer and the iteration hot path performs no heap allocation.
     inflightEvent_ = eq_.scheduleAfter(latency, [this]() {
         busyTime_ += inflightLatency_;
-        completeIteration(inflightBatch_, inflightStart_);
+        completeIteration();
     });
 }
 
 void
-Replica::completeIteration(const Batch &batch, SimTime)
+Replica::completeIteration()
 {
     busy_ = false;
     inflightEvent_ = 0;
     trace_.emit(TraceEventKind::IterEnd);
-    scheduler_->onBatchComplete(batch, eq_.now());
+    scheduler_->onBatchComplete(inflightBatch_, eq_.now());
     // Audit between batch completion and the next formBatch: every
     // queue and the KV cache are at rest here.
     if (auditor_ != nullptr)

@@ -83,15 +83,15 @@ class Replica
     /** Destroys any still-live requests back into the pool. */
     ~Replica();
 
-    /** Admit a request at the current simulation time. */
-    void submit(const RequestSpec &spec);
-
     /**
-     * Admit a request re-dispatched after a failure elsewhere: its
-     * prefill restarts from chunk 0 and decode resumes from the
-     * snapshot's emitted-token count.
+     * Admit a request at the current simulation time. @p resume is
+     * null for a first dispatch; for a request re-dispatched after a
+     * failure elsewhere it is the failed attempt's snapshot: prefill
+     * restarts from chunk 0 and decode resumes from the snapshot's
+     * emitted-token count.
      */
-    void resubmit(const RequestFailureSnapshot &snap);
+    void submit(const RequestSpec &spec,
+                const RequestFailureSnapshot *resume = nullptr);
 
     /** Current health state. */
     ReplicaHealth health() const { return health_; }
@@ -198,9 +198,7 @@ class Replica
 
   private:
     void maybeStartIteration();
-    void completeIteration(const Batch &batch, SimTime start);
-    Request *admit(const RequestSpec &spec);
-    void attachCachedPrefix(Request *req);
+    void completeIteration();
     void buildScheduler();
 
     EventQueue &eq_;

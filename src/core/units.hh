@@ -3,22 +3,22 @@
  * Strong unit types for the QoServe vocabulary layer.
  *
  * The simulator's quantities fall into a handful of dimensions —
- * points in simulated time, spans of simulated time, token counts,
- * KV-block counts, and opaque identifiers. Mixing two of them (a
- * token count where a block count belongs, a replica index where a
- * request id belongs) is the class of bug no unit test reliably
- * catches, because the arithmetic still "works". This header gives
- * each dimension its own explicit-construction wrapper so the
- * compiler rejects the mix-up instead.
+ * points in simulated time, spans of simulated time, token counts
+ * and opaque identifiers. Mixing two of them (a token count where a
+ * time belongs, a replica index where a request id belongs) is the
+ * class of bug no unit test reliably catches, because the arithmetic
+ * still "works". This header gives each dimension its own
+ * explicit-construction wrapper so the compiler rejects the mix-up
+ * instead.
  *
  * Conversion rules (see DESIGN.md §12):
  *  - Construction from the raw representation is always explicit:
  *    `TokenCount{512}`, `SimTime{0.5}`. There are no implicit decays.
  *  - The raw value is recovered through a named accessor (`value()`,
  *    `seconds()`) — grep for these to find every boundary crossing.
- *  - Counts (TokenCount, BlockCount) admit additive arithmetic with
- *    themselves only; identifiers (ReplicaId, RequestId) admit no
- *    arithmetic at all, just comparison and hashing.
+ *  - Counts (TokenCount) admit additive arithmetic with themselves
+ *    only; identifiers (ReplicaId, RequestId) admit no arithmetic at
+ *    all, just comparison and hashing.
  *  - Streaming prints the raw value, so serialized output is
  *    byte-identical to the pre-typed code.
  *
@@ -113,88 +113,6 @@ class TokenCount
 
     friend std::ostream &
     operator<<(std::ostream &out, TokenCount c)
-    {
-        return out << c.count_;
-    }
-
-  private:
-    std::int64_t count_ = 0;
-};
-
-/** A count of fixed-size KV-cache blocks. */
-class BlockCount
-{
-  public:
-    constexpr BlockCount() = default;
-
-    constexpr explicit BlockCount(std::int64_t count) : count_(count) {}
-
-    constexpr std::int64_t value() const { return count_; }
-
-    constexpr BlockCount &
-    operator+=(BlockCount o)
-    {
-        count_ += o.count_;
-        return *this;
-    }
-
-    constexpr BlockCount &
-    operator-=(BlockCount o)
-    {
-        count_ -= o.count_;
-        return *this;
-    }
-
-    friend constexpr BlockCount
-    operator+(BlockCount a, BlockCount b)
-    {
-        return BlockCount(a.count_ + b.count_);
-    }
-
-    friend constexpr BlockCount
-    operator-(BlockCount a, BlockCount b)
-    {
-        return BlockCount(a.count_ - b.count_);
-    }
-
-    friend constexpr bool
-    operator==(BlockCount a, BlockCount b)
-    {
-        return a.count_ == b.count_;
-    }
-
-    friend constexpr bool
-    operator!=(BlockCount a, BlockCount b)
-    {
-        return a.count_ != b.count_;
-    }
-
-    friend constexpr bool
-    operator<(BlockCount a, BlockCount b)
-    {
-        return a.count_ < b.count_;
-    }
-
-    friend constexpr bool
-    operator<=(BlockCount a, BlockCount b)
-    {
-        return a.count_ <= b.count_;
-    }
-
-    friend constexpr bool
-    operator>(BlockCount a, BlockCount b)
-    {
-        return a.count_ > b.count_;
-    }
-
-    friend constexpr bool
-    operator>=(BlockCount a, BlockCount b)
-    {
-        return a.count_ >= b.count_;
-    }
-
-    friend std::ostream &
-    operator<<(std::ostream &out, BlockCount c)
     {
         return out << c.count_;
     }

@@ -88,7 +88,7 @@ MedhaScheduler::chunkBudget(SimTime, const Batch &batch) const
         head != nullptr ? static_cast<double>(head->contextLength()) : 0.0;
 
     BatchWork base;
-    base.numDecodes = static_cast<int>(batch.decodes.size());
+    base.numDecodes = batch.numDecodes;
     base.decodeCtxSum = batch.decodeCtxSum;
 
     auto iter_time = [&](int chunk) {

@@ -20,7 +20,7 @@ void
 Batch::clear()
 {
     prefills.clear();
-    decodes.clear();
+    numDecodes = 0;
     decodeCtxSum = 0;
 }
 
@@ -34,7 +34,7 @@ Batch::work() const
             static_cast<double>(c.chunkTokens) *
             (static_cast<double>(c.contextBefore) + c.chunkTokens / 2.0);
     }
-    w.numDecodes = static_cast<int>(decodes.size());
+    w.numDecodes = numDecodes;
     w.decodeCtxSum = decodeCtxSum;
     return w;
 }

@@ -36,8 +36,9 @@ struct Batch
     /** Prefill chunks, in scheduling order. */
     std::vector<ScheduledChunk> prefills;
 
-    /** All requests in decode phase this iteration. */
-    std::vector<Request *> decodes;
+    /** Requests decoding one token this iteration: the scheduler's
+     *  first numDecodes decode lanes. */
+    int numDecodes = 0;
 
     /** Total prefill tokens across chunks. */
     int prefillTokens() const;
@@ -46,7 +47,7 @@ struct Batch
     bool
     empty() const
     {
-        return prefills.empty() && decodes.empty();
+        return prefills.empty() && numDecodes == 0;
     }
 
     /**

@@ -35,12 +35,12 @@ DpScheduler::formBatchInto(Batch &batch, SimTime now)
     fillDecodes(batch);
 
     int budget = kvCappedBudget(kChunkTokens);
-    int decode_slots = ChunkedSchedulerConfig::kMaxDecodeBatch -
-                       static_cast<int>(batch.decodes.size());
+    int decode_slots =
+        ChunkedSchedulerConfig::kMaxDecodeBatch - batch.numDecodes;
 
     // Same wedge guard as the base scheduler: if every block is held
     // by paused prefills and nothing decodes, reclaim a victim.
-    if (budget <= 0 && batch.decodes.empty() &&
+    if (budget <= 0 && batch.numDecodes == 0 &&
         prefillQueueSize() > 0) {
         if (preemptForKv(now))
             budget = kvCappedBudget(kChunkTokens);
@@ -128,7 +128,7 @@ DpScheduler::formBatchInto(Batch &batch, SimTime now)
         SchedulerStats &stats = mutableStats();
         ++stats.batchesFormed;
         stats.prefillTokensScheduled += batch.prefillTokens();
-        stats.decodeTokensScheduled += batch.decodes.size();
+        stats.decodeTokensScheduled += batch.numDecodes;
     }
 }
 

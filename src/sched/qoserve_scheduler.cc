@@ -97,7 +97,7 @@ QoServeScheduler::chunkBudget(SimTime now, const Batch &batch) const
         return qosCfg_.maxChunkTokens;
 
     BatchFeatures f;
-    f.numDecodes = static_cast<double>(batch.decodes.size());
+    f.numDecodes = static_cast<double>(batch.numDecodes);
     // Integer-valued contexts sum exactly in doubles, so the
     // scheduler's running integer sum is bitwise identical to a
     // per-call accumulation loop.

@@ -137,7 +137,7 @@ Scheduler::kvCappedBudget(int policy_budget) const
     // the chunk budget by the remaining KV space. Evictable cached
     // blocks count as available — grow() reclaims them on demand.
     std::int64_t reserved_blocks =
-        static_cast<std::int64_t>(decodes_.size());
+        static_cast<std::int64_t>(lanes_.size());
     std::int64_t free_tokens =
         (env_.kv->availableBlocks() - reserved_blocks) *
         env_.kv->blockTokens();
@@ -164,8 +164,7 @@ Scheduler::formBatchInto(Batch &batch, SimTime now)
     if (!prefillQueue_.empty()) {
         int budget = kvCappedBudget(chunkBudget(now, batch));
         int decode_slots =
-            ChunkedSchedulerConfig::kMaxDecodeBatch -
-            static_cast<int>(decodes_.size());
+            ChunkedSchedulerConfig::kMaxDecodeBatch - batch.numDecodes;
         budget_cap = budget;
 
         takenScratch_.clear();
@@ -196,7 +195,7 @@ Scheduler::formBatchInto(Batch &batch, SimTime now)
         // consumed the whole budget the engine is making progress,
         // and refreshing the budget here would both overfill the
         // iteration and risk evicting a request already in the batch.
-        if (budget <= 0 && batch.prefills.empty() && decodes_.empty()) {
+        if (budget <= 0 && batch.prefills.empty() && lanes_.empty()) {
             if (preemptForKv(now)) {
                 budget = kvCappedBudget(chunkBudget(now, batch));
                 budget_cap = std::max(budget_cap, budget);
@@ -243,9 +242,9 @@ Scheduler::formBatchInto(Batch &batch, SimTime now)
                        "batch of ", batch.prefillTokens(),
                        " prefill tokens exceeds its budget ",
                        budget_cap);
-        QOSERVE_ASSERT(static_cast<int>(batch.decodes.size()) <=
+        QOSERVE_ASSERT(batch.numDecodes <=
                            ChunkedSchedulerConfig::kMaxDecodeBatch,
-                       "decode batch of ", batch.decodes.size(),
+                       "decode batch of ", batch.numDecodes,
                        " exceeds the cap ",
                        ChunkedSchedulerConfig::kMaxDecodeBatch);
     }
@@ -253,7 +252,7 @@ Scheduler::formBatchInto(Batch &batch, SimTime now)
     if (!batch.empty()) {
         ++stats_.batchesFormed;
         stats_.prefillTokensScheduled += batch.prefillTokens();
-        stats_.decodeTokensScheduled += batch.decodes.size();
+        stats_.decodeTokensScheduled += batch.numDecodes;
     }
 }
 
@@ -270,7 +269,7 @@ Scheduler::finish(Request *req)
 void
 Scheduler::fillDecodes(Batch &batch) const
 {
-    batch.decodes = decodes_;
+    batch.numDecodes = static_cast<int>(lanes_.size());
     batch.decodeCtxSum = decodeCtxSum_;
 }
 
@@ -282,7 +281,6 @@ Scheduler::startDecode(Request *req)
                        "decode lane opened for request ", req->id(),
                        " in phase ", static_cast<int>(req->phase()));
     }
-    decodes_.push_back(req);
     lanes_.push_back(DecodeLane{req, req->kvSlot(), req->decodeProgress()});
     decodeCtxSum_ += req->contextLength();
 }
@@ -360,12 +358,11 @@ Scheduler::preemptForKv(SimTime now)
     // Last resort: evict the newest decoding request (vLLM-style
     // recompute). The scheduling policies never choose this; it is
     // the engine's out-of-memory safety valve.
-    if (decodes_.empty())
+    if (lanes_.empty())
         return false;
-    victim = decodes_.back();
+    victim = lanes_.back().req;
     leaveDecode(lanes_.back());
     lanes_.pop_back();
-    decodes_.pop_back();
     releaseKv(victim);
     victim->resetAfterKvPreemption();
     victim->cachedPriority = priorityOf(*victim, now);
@@ -424,11 +421,11 @@ Scheduler::onBatchComplete(const Batch &batch, SimTime end)
     }
 
     // Apply decode progress: one token per decoding request of the
-    // batch. Those are the first batch.decodes.size() lanes; requests
+    // batch. Those are the first batch.numDecodes lanes; requests
     // that started decoding above sit behind them. A KV preemption
     // pops the newest lane, which may be the current one, so the
     // lane count bounds the walk too.
-    const std::size_t ran = batch.decodes.size();
+    const std::size_t ran = static_cast<std::size_t>(batch.numDecodes);
     std::int64_t emitted = 0;
     for (std::size_t i = 0; i < ran && i < lanes_.size(); ++i) {
         while (i < lanes_.size() &&
@@ -452,9 +449,8 @@ Scheduler::onBatchComplete(const Batch &batch, SimTime end)
     decodeCtxSum_ += emitted;
 
     // Retire finished decodes in one stable pass: the survivors keep
-    // their order in the lanes and decodes_ and the finished ones
-    // theirs in the reused scratch, so a steady decode iteration
-    // allocates nothing.
+    // their order in the lanes and the finished ones theirs in the
+    // reused scratch, so a steady decode iteration allocates nothing.
     doneScratch_.clear();
     std::size_t kept = 0;
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
@@ -463,15 +459,12 @@ Scheduler::onBatchComplete(const Batch &batch, SimTime end)
             leaveDecode(lane);
             doneScratch_.push_back(lane.req);
         } else {
-            if (kept != i) {
+            if (kept != i)
                 lanes_[kept] = lane;
-                decodes_[kept] = lane.req;
-            }
             ++kept;
         }
     }
     lanes_.resize(kept);
-    decodes_.resize(kept);
     for (Request *req : doneScratch_)
         finish(req);
 }
@@ -493,12 +486,11 @@ Scheduler::auditView(bool full_detail) const
 {
     SchedulerAuditView view;
     view.prefillCount = prefillQueue_.size();
-    view.decodeCount = decodes_.size();
+    view.decodeCount = lanes_.size();
     view.decodeCtxSum = decodeCtxSum_;
     if (full_detail) {
         writeBackDecodeLanes();
         view.prefills.assign(prefillQueue_.begin(), prefillQueue_.end());
-        view.decodes.assign(decodes_.begin(), decodes_.end());
         view.lanes = lanes_;
     }
     view.pendingPrefillTokens = pendingPrefill_;

@@ -115,10 +115,7 @@ struct SchedulerAuditView
      */
     std::vector<const Request *> prefills;
 
-    /** Decode-phase requests in admission order (full detail only). */
-    std::vector<const Request *> decodes;
-
-    /** Decode lanes, parallel to decodes (full detail only; taken
+    /** Decode lanes in admission order (full detail only; taken
      *  after the lanes were written back into their requests). */
     std::vector<DecodeLane> lanes;
 
@@ -214,11 +211,11 @@ class Scheduler
     bool
     hasWork() const
     {
-        return !prefillQueue_.empty() || !decodes_.empty();
+        return !prefillQueue_.empty() || !lanes_.empty();
     }
 
     /** Requests currently in decode phase. */
-    std::size_t decodeQueueSize() const { return decodes_.size(); }
+    std::size_t decodeQueueSize() const { return lanes_.size(); }
 
     /** Requests waiting for (more) prefill. */
     std::size_t prefillQueueSize() const { return prefillQueue_.size(); }
@@ -276,10 +273,11 @@ class Scheduler
     /** Configuration. */
     const ChunkedSchedulerConfig &config() const { return cfg_; }
 
-    /** Decode lanes, parallel to the decode queue. */
+    /** Decode lanes in decode-admission order; a formed batch's
+     *  decodes are its first Batch::numDecodes lanes. */
     const std::vector<DecodeLane> &decodeLanes() const { return lanes_; }
 
-    /** Set @p batch's decode side: every decoding request and their
+    /** Set @p batch's decode side: one decode per lane and their
      *  summed KV context. */
     void fillDecodes(Batch &batch) const;
 
@@ -376,9 +374,7 @@ class Scheduler
     ChunkedSchedulerConfig cfg_;
     PrefillQueue prefillQueue_;
     std::unordered_set<Request *> partiallyPrefilled_;
-    std::vector<Request *> decodes_;
-
-    /** One lane per decoding request: lanes_[i].req == decodes_[i]. */
+    /** One lane per decoding request, in decode-admission order. */
     std::vector<DecodeLane> lanes_;
 
     /** Summed KV context (contextLength()) over the decoding

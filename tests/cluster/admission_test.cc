@@ -10,6 +10,7 @@
 #include <limits>
 
 #include "cluster/cluster.hh"
+#include "obs/trace_sink.hh"
 #include "sched/baseline_schedulers.hh"
 
 namespace qoserve {
@@ -183,6 +184,52 @@ TEST(ClusterAdmission, DefaultAdmitsEverything)
     });
     RunSummary s = summarize(sim.run());
     EXPECT_EQ(s.rejectedFraction, 0.0);
+}
+
+TEST(ClusterAdmission, RetriedDispatchSkipsAdmission)
+{
+    // The only replica is down when request 0 arrives, so it enters
+    // the retry path and is re-dispatched once the replica is back.
+    // Admission judges first attempts only: requests 1 and 2 get a
+    // verdict, the re-dispatch of request 0 does not.
+    Trace trace =
+        TraceBuilder().seed(89).buildCount(PoissonArrivals(2.0), 3);
+    for (std::size_t i = 0; i < trace.requests.size(); ++i)
+        trace.requests[i].arrival = SimTime{1.0 + static_cast<double>(i)};
+
+    ClusterSim::Config cc;
+    cc.replica.hw = llama3_8b_a100_tp1();
+    cc.admission.policy = AdmissionPolicy::LoadShed;
+    cc.admission.maxBacklogTokens = 1 << 30;
+    ClusterSim sim(cc, trace);
+    TraceSink sink;
+    sim.setTraceSink(&sink);
+    sim.addReplicaGroup(1, [](const SchedulerEnv &env) {
+        return std::make_unique<FcfsScheduler>(env);
+    });
+    sim.replica(0).fail();
+    sim.eventQueue().schedule(SimTime{1.01},
+                              [&sim]() { sim.replica(0).recover(); });
+    const MetricsCollector &metrics = sim.run();
+
+    ASSERT_EQ(metrics.size(), 3u);
+    for (const RequestRecord &rec : metrics.records()) {
+        EXPECT_LT(rec.finishTime, kTimeNever) << rec.spec.id;
+        EXPECT_EQ(rec.retries, rec.spec.id == 0 ? 1 : 0) << rec.spec.id;
+    }
+    EXPECT_EQ(sim.redispatches(), 1u);
+    EXPECT_EQ(sim.admission().admitted() + sim.admission().rejected(),
+              2u);
+
+    // One Dispatch per request, each carrying its retry count.
+    int dispatches = 0;
+    for (const TraceEvent &ev : sink.events()) {
+        if (ev.kind != TraceEventKind::Dispatch)
+            continue;
+        ++dispatches;
+        EXPECT_EQ(ev.arg, ev.request == 0 ? 1 : 0) << ev.request;
+    }
+    EXPECT_EQ(dispatches, 3);
 }
 
 } // namespace

@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <sstream>
+
+#include "app/serving_system.hh"
 #include "cluster/cluster.hh"
+#include "metrics/report_io.hh"
 #include "sched/baseline_schedulers.hh"
 
 namespace qoserve {
@@ -167,6 +172,58 @@ TEST(DecodePolicyTest, DeadlineAwarePacksMoreWithMixedTbt)
     std::int64_t strict = run(DecodePolicy::StrictestTbtCap);
     std::int64_t aware = run(DecodePolicy::DeadlineAware);
     EXPECT_LE(aware, strict);
+}
+
+/** 64-bit FNV-1a of @p bytes, as hex. */
+std::string
+fnv1aHex(const std::string &bytes)
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+TEST(DisaggCluster, RecordsMatchGoldenDigest)
+{
+    // The whole pipeline pinned byte for byte: a QoServe prefill pool
+    // on the forest predictor feeding one decode replica, under each
+    // decode policy. A change that alters these records on purpose
+    // updates the digest and says why.
+    ServingConfig sc;
+    sc.policy = Policy::QoServe;
+    auto predictor = makePredictor(sc);
+    Trace trace = TraceBuilder()
+                      .dataset(sharegpt())
+                      .seed(5)
+                      .build(PoissonArrivals(4.0), 120.0);
+
+    auto digest = [&](DecodePolicy policy) {
+        DisaggCluster::Config cfg = defaultConfig(policy);
+        cfg.numPrefillReplicas = 3;
+        cfg.prefillFactory = makeSchedulerFactory(sc);
+        cfg.predictor = predictor.get();
+        DisaggCluster sim(cfg, trace);
+        std::ostringstream csv;
+        writeRecordsCsv(sim.run(), csv);
+        return fnv1aHex(csv.str());
+    };
+    EXPECT_EQ(digest(DecodePolicy::StrictestTbtCap), "c1b82e32c93b6565");
+    EXPECT_EQ(digest(DecodePolicy::DeadlineAware), "0651a829dee79f79");
+}
+
+TEST(DisaggCluster, TraceIdsMustBeDenseInArrivalOrder)
+{
+    // A prefill record finds its request's full spec by id, so ids
+    // {1, 0} would decode the wrong request.
+    Trace trace = smallTrace(1.0, 2);
+    std::swap(trace.requests[0].id, trace.requests[1].id);
+    EXPECT_DEATH(DisaggCluster(defaultConfig(), trace), "dense from 0");
 }
 
 TEST(DisaggCluster, RunTwicePanics)

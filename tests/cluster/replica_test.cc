@@ -199,7 +199,7 @@ TEST_F(ReplicaTest, RecoveredReplicaServesResubmissions)
         replica->recover();
         EXPECT_EQ(replica->health(), ReplicaHealth::Up);
         ASSERT_EQ(orphans.size(), 1u);
-        replica->resubmit(orphans[0]);
+        replica->submit(orphans[0].spec, &orphans[0]);
     });
     eq_.run();
 
@@ -229,7 +229,7 @@ TEST_F(ReplicaTest, ResubmitAfterFirstTokenKeepsTtft)
         ASSERT_GT(orphans[0].decodeDone, 0)
             << "crash landed before the first token";
         EXPECT_NE(orphans[0].firstTokenTime, kTimeNever);
-        replica->resubmit(orphans[0]);
+        replica->submit(orphans[0].spec, &orphans[0]);
     });
     eq_.run();
 

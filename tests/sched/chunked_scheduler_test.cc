@@ -109,7 +109,7 @@ TEST_F(ChunkedSchedulerTest, DecodesAllRunEveryIteration)
 
     Batch batch;
     sched.formBatchInto(batch, now);
-    EXPECT_EQ(batch.decodes.size(), 3u);
+    EXPECT_EQ(batch.numDecodes, 3);
     EXPECT_TRUE(batch.prefills.empty());
 }
 

@@ -143,13 +143,15 @@ class ShadowBook
         }
     }
 
-    /** The batch's running context sum equals the shadows' sum. */
+    /** The batch's running context sum equals the shadows' sum over
+     *  its decodes, the first batch.numDecodes of @p lanes. */
     void
-    checkDecodeCtxSum(const Batch &batch) const
+    checkDecodeCtxSum(const Batch &batch,
+                      const std::vector<DecodeLane> &lanes) const
     {
         std::int64_t sum = 0;
-        for (const Request *req : batch.decodes)
-            sum += entries_.at(req->id()).shadow->contextLength();
+        for (int i = 0; i < batch.numDecodes; ++i)
+            sum += entries_.at(lanes[i].req->id()).shadow->contextLength();
         EXPECT_EQ(batch.decodeCtxSum, sum);
     }
 
@@ -261,7 +263,7 @@ class ShadowedScheduler : public Base
     {
         Base::formBatchInto(batch, now);
         book_.syncPreemptions(); // The wedge guard may preempt.
-        book_.checkDecodeCtxSum(batch);
+        book_.checkDecodeCtxSum(batch, this->decodeLanes());
     }
 
     void
@@ -272,8 +274,8 @@ class ShadowedScheduler : public Base
         for (const ScheduledChunk &c : batch.prefills)
             chunks.emplace_back(c.request->id(), c.chunkTokens);
         std::vector<std::uint64_t> decodes;
-        for (const Request *req : batch.decodes)
-            decodes.push_back(req->id());
+        for (int i = 0; i < batch.numDecodes; ++i)
+            decodes.push_back(this->decodeLanes()[i].req->id());
 
         Base::onBatchComplete(batch, end);
         book_.onBatchComplete(chunks, decodes, end);
@@ -376,7 +378,7 @@ TEST_P(DecodeLanesTest, LanesMatchAShadowThroughPreemptionsAndACrash)
     eq.schedule(crash_at + 0.5, [&] {
         replica.recover();
         for (const RequestFailureSnapshot &snap : book.snapshots)
-            replica.resubmit(snap);
+            replica.submit(snap.spec, &snap);
         for (const RequestSpec &spec : held)
             replica.submit(spec);
     });

@@ -38,11 +38,13 @@ class CountingPredictor : public LatencyPredictor
     mutable int predictCalls = 0;
 };
 
-/** QoServe scheduler that counts its chunk-budget calls. */
+/** QoServe scheduler that counts its chunk-budget calls and shows
+ *  its decode lanes (a batch's decodes are the first ones). */
 class CountingQoServeScheduler : public QoServeScheduler
 {
   public:
     using QoServeScheduler::QoServeScheduler;
+    using QoServeScheduler::decodeLanes;
 
     mutable int chunkBudgetCalls = 0;
 
@@ -408,7 +410,7 @@ TEST_F(QoServeTest, LateDecodesDoNotGateTheChunk)
     // deadlines anchored behind) must not drag the replica to the
     // floor chunk for its whole decode: late requests are beyond
     // pacing, and viable work rides the full chunk.
-    QoServeScheduler sched(fx_.env);
+    CountingQoServeScheduler sched(fx_.env);
     Request *late = fx_.makeRequest(1, SimTime{0.0}, 100, 50, 0);
     sched.enqueue(late, SimTime{7.0}); // already past its 6 s TTFT
     SimTime now{7.0};
@@ -422,8 +424,8 @@ TEST_F(QoServeTest, LateDecodesDoNotGateTheChunk)
     EXPECT_EQ(batch.prefillTokens(),
               sched.qosConfig().maxChunkTokens);
     // The late request still decodes every iteration.
-    ASSERT_EQ(batch.decodes.size(), 1u);
-    EXPECT_EQ(batch.decodes[0], late);
+    ASSERT_EQ(batch.numDecodes, 1);
+    EXPECT_EQ(sched.decodeLanes()[0].req, late);
 }
 
 TEST_F(QoServeTest, StatsCountRelegationsAcrossRun)
@@ -460,7 +462,7 @@ TEST_F(QoServeTest, DecodeOnlyIterationSkipsTheChunkBudgetSolve)
     SchedulerStats before = sched.stats();
     Batch batch;
     sched.formBatchInto(batch, now);
-    EXPECT_EQ(batch.decodes.size(), 4u);
+    EXPECT_EQ(batch.numDecodes, 4);
     EXPECT_TRUE(batch.prefills.empty());
     EXPECT_EQ(sched.chunkBudgetCalls, 0);
     EXPECT_EQ(predictor.predictCalls, 0);
@@ -472,8 +474,8 @@ TEST_F(QoServeTest, DecodeOnlyIterationSkipsTheChunkBudgetSolve)
               before.prefillTokensScheduled);
     now += fx_.perf.iterationTime(batch.work());
     sched.onBatchComplete(batch, now);
-    sched.writeBackDecodeLanes();
-    ASSERT_GT(batch.decodes[0]->nextTokenDeadline() - now, 0.0)
+    ASSERT_GT(sched.decodeLanes()[0].progress.nextTokenDeadline() - now,
+              0.0)
         << "the decodes must constrain the chunk for the solve to run";
 
     // One queued prefill: exactly one budget solve of one probe, and
@@ -481,7 +483,7 @@ TEST_F(QoServeTest, DecodeOnlyIterationSkipsTheChunkBudgetSolve)
     sched.enqueue(fx_.makeRequest(10, now, 1000, 5, 2), now);
     before = sched.stats();
     sched.formBatchInto(batch, now);
-    EXPECT_EQ(batch.decodes.size(), 4u);
+    EXPECT_EQ(batch.numDecodes, 4);
     ASSERT_EQ(batch.prefills.size(), 1u);
     EXPECT_EQ(sched.chunkBudgetCalls, 1);
     EXPECT_EQ(predictor.predictCalls, 1);

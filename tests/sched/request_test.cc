@@ -217,6 +217,34 @@ TEST(Request, KvPreemptionAfterRetryKeepsTheSnapshotMisses)
     EXPECT_EQ(r.record().tbtDeadlineMisses, 4);
 }
 
+TEST(Request, FreshSnapshotRestoresAFreshRequest)
+{
+    // A request that bounces on its first dispatch retries from a
+    // snapshot of its spec alone; restoring that must leave exactly
+    // a fresh request, so both run the same lifecycle to the same
+    // record.
+    const RequestSpec s = spec(4, SimTime{1.0}, 100, 3, 0);
+    Request fresh(s, interactive(), {});
+    Request restored(s, interactive(), {});
+    restored.restoreForRetry(RequestFailureSnapshot{s});
+    EXPECT_EQ(restored.decodeProgress(), fresh.decodeProgress());
+    for (Request *r : {&fresh, &restored}) {
+        EXPECT_EQ(r->prefillRemaining(), 100);
+        r->applyPrefill(TokenCount{100}, SimTime{2.0});
+        r->applyDecodeToken(SimTime{2.2});
+        r->applyDecodeToken(SimTime{2.3});
+        EXPECT_EQ(r->phase(), RequestPhase::Finished);
+    }
+    RequestRecord a = fresh.takeRecord();
+    RequestRecord b = restored.takeRecord();
+    EXPECT_EQ(a.firstTokenTime, b.firstTokenTime);
+    EXPECT_EQ(a.finishTime, b.finishTime);
+    EXPECT_EQ(a.maxTbt, b.maxTbt);
+    EXPECT_EQ(a.tbtDeadlineMisses, b.tbtDeadlineMisses);
+    EXPECT_EQ(a.retries, b.retries);
+    EXPECT_FALSE(b.retryExhausted);
+}
+
 TEST(Request, OverfillPanics)
 {
     Request r(spec(1, SimTime{0.0}, 100, 5, 0), interactive(), {});

@@ -1,8 +1,9 @@
-# Golden run of one example binary: its stdout must match the SHA-256
-# below byte for byte. The examples take no arguments and print only
-# simulated results, so the digest is fixed for a given source tree.
+# Golden run of one example (or argument-free bench) binary: its
+# stdout must match the SHA-256 below byte for byte. These binaries
+# take no arguments and print only simulated results, so the digest is
+# fixed for a given source tree.
 #
-#   cmake -DBIN=<path to the example> -DCASE=<example name>
+#   cmake -DBIN=<path to the binary> -DCASE=<binary name>
 #         -DOUT=<scratch file> -P examples_golden.cmake
 #
 # A change that alters an example's output on purpose updates its
@@ -20,7 +21,8 @@ set(_expected
     multi_tenant_copilot  35d4dcb85e3ec38696534dd69bba19e2a3c4e9fbeef3b7d9ad5d48bcc63bf1a5
     overload_shedding     be4f5a4946becf59c3fdf91e755616a4cbaf5bee536285f59f33db9cf743507c
     capacity_planner      ec6745e11befd0f3e74c0627f9420e2ddd3f949612ee67ee80b74ad32be90fa0
-    disaggregated_serving 7ff632f89a7056b4e19d72e3db8838cc5da542dba04605899fc39ec4b5530af3)
+    disaggregated_serving 7ff632f89a7056b4e19d72e3db8838cc5da542dba04605899fc39ec4b5530af3
+    ext_decode_pool       65a3705a1d77f65c35827210b2979287f3753d3a3cc55694a1a215f3c1a5fbbd)
 
 list(FIND _expected ${CASE} _at)
 if(_at EQUAL -1)
