@@ -22,7 +22,9 @@ set(_expected
     overload_shedding     be4f5a4946becf59c3fdf91e755616a4cbaf5bee536285f59f33db9cf743507c
     capacity_planner      ec6745e11befd0f3e74c0627f9420e2ddd3f949612ee67ee80b74ad32be90fa0
     disaggregated_serving 7ff632f89a7056b4e19d72e3db8838cc5da542dba04605899fc39ec4b5530af3
-    ext_decode_pool       65a3705a1d77f65c35827210b2979287f3753d3a3cc55694a1a215f3c1a5fbbd)
+    ext_decode_pool       65a3705a1d77f65c35827210b2979287f3753d3a3cc55694a1a215f3c1a5fbbd
+    ext_chaos             a9c8dcd05dc7d0e5ec99d1e208dc38d63021d327f46f4a16bc4804726a3a3208
+    ext_failures          3b16aa76683d1ffa99dda12e391d085c069d9a21deb38ec3731333377013bc4d)
 
 list(FIND _expected ${CASE} _at)
 if(_at EQUAL -1)

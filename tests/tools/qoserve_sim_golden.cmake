@@ -6,7 +6,8 @@
 # rerun into a fresh directory and checked against the same table.
 #
 #   cmake -DSIM=<path to qoserve_sim> -DJOBS=<n> -DOUT=<scratch dir>
-#         -DCASE=obs|obs_nomemo|chaos|help|fcfs|edf|sjf|srpf|medha|dp
+#         -DCASE=obs|obs_nomemo|chaos|faults_domains|help|fcfs|edf|sjf|
+#                srpf|medha|dp
 #         -P qoserve_sim_golden.cmake
 #
 # A change that alters the CLI's output on purpose updates the digests
@@ -69,6 +70,22 @@ elseif(CASE STREQUAL "chaos")
         metrics.csv   7ff23c680277d82cb93717421ee9e29c9edbe4ec0e0b784b7a0015ee769ebf4f
         records.csv   1c2306906c8160426e090ecaf4739ca688e4dabc302fb11e19cfec8118252e2f
         summary.csv   888e85278dd6fc6fd8719e3496c217462724995032c5b0671d3abbf4990e8e6f)
+elseif(CASE STREQUAL "faults_domains")
+    # Independent crashes, stragglers, zone outages and partitions on
+    # one line: the composition rules of the one fault injector.
+    set(_args
+        --replicas 4 --qps 8 --duration 300
+        --fault-mtbf 60 --fault-mttr 10 --straggler-mtbf 40
+        --zones 2 --zone-mtbf 80 --zone-mttr 15
+        --partition-mtbf 60 --partition-mttr 5
+        --trace-csv ${OUT}/events.csv
+        --records-out ${OUT}/records.csv
+        --summary-out ${OUT}/summary.csv)
+    set(_expected
+        stdout.txt    03dd1ae1cbd107b9e77d287d50a6930eca29dbe3b0f3ed18dabf24f5658cc446
+        events.csv    4320f336242abcb39f70779ce6d919755a364befab57d7c3750cb355642a2c84
+        records.csv   69fc898a6a74a76ee80a64f3285ada4fb243ecaef4d1754a8edeb41419618932
+        summary.csv   9cf29365abe2580e7811053e313fa86ee7ef805e7632090287444d9edc7c969a)
 elseif(CASE STREQUAL "help")
     # The --help text, byte for byte (6506 bytes).
     set(_args --help)
