@@ -53,7 +53,7 @@ constexpr ChaosCase kCases[] = {
 struct ChaosResult
 {
     RunSummary summary;
-    DomainStats domains;
+    FaultStats faults;
     std::size_t traceRequests = 0;
     std::size_t recorded = 0;
     std::uint64_t breakerTrips = 0;
@@ -135,8 +135,8 @@ runCase(const ChaosCase &cs, bool smoke)
     ChaosResult out;
     out.summary = res.summary;
     out.wallSeconds = timer.seconds();
-    if (res.domains)
-        out.domains = *res.domains;
+    if (res.faults)
+        out.faults = *res.faults;
     out.traceRequests = trace.requests.size();
     out.recorded = sim.metrics().totalRecorded();
     out.breakerTrips = sim.breakerTrips();
@@ -179,7 +179,7 @@ run(const bench::BenchOptions &opts, bool smoke, double goodput_floor)
             static_cast<unsigned long long>(r.deadlineCancelled),
             static_cast<unsigned long long>(r.brownoutShed),
             static_cast<unsigned long long>(r.redispatches),
-            static_cast<unsigned long long>(r.domains.replicasDowned));
+            static_cast<unsigned long long>(r.faults.replicasDowned));
     }
 
     // ---- invariants -------------------------------------------------
@@ -214,12 +214,12 @@ run(const bench::BenchOptions &opts, bool smoke, double goodput_floor)
 
     // The fault machinery must actually engage where configured —
     // a scenario that silently no-ops would pass the above vacuously.
-    if (results[3].domains.zoneOutages == 0) {
+    if (results[3].faults.zoneOutages == 0) {
         std::fprintf(stderr, "chaos invariant violated: zone scenario "
                              "produced no zone outage\n");
         ++failures;
     }
-    if (results[5].domains.partitions == 0) {
+    if (results[5].faults.partitions == 0) {
         std::fprintf(stderr, "chaos invariant violated: partition "
                              "scenario produced no partition\n");
         ++failures;

@@ -227,13 +227,6 @@ runScenario(const Scenario &sc, Trace trace, const RunHooks &hooks)
     cc.breaker = sc.breaker;
     cc.deadlineCancel = sc.deadlineCancel;
 
-    // Fault injection and failure domains: episodes may start any
-    // time up to the last arrival; in-flight outages still resolve
-    // after that.
-    const SimTime horizon = trace.requests.empty()
-                                ? SimTime{}
-                                : trace.requests.back().arrival;
-
     // The cluster owns the trace from here on; read it through sim.
     result.cluster = std::make_unique<ClusterSim>(cc, std::move(trace));
     ClusterSim &sim = *result.cluster;
@@ -309,29 +302,26 @@ runScenario(const Scenario &sc, Trace trace, const RunHooks &hooks)
             << sc.sloAlert.interval << " s\n";
     }
 
+    // Independent faults, zone outages and control-plane partitions:
+    // episodes may start any time up to the last arrival; in-flight
+    // outages still resolve after that. A trace whose last arrival is
+    // at 0 has nothing to fail.
     std::optional<FaultInjector> faults;
-    FaultConfig fault = sc.fault;
-    fault.horizon = horizon;
-    if (fault.enabled() && horizon > SimTime{}) {
-        faults.emplace(fault, sim);
-        log << "injecting faults: crash MTBF " << fault.crashMtbf
-            << " s, MTTR " << fault.crashMttr
-            << " s, straggler MTBF " << fault.stragglerMtbf
-            << " s (seed " << fault.seed << ")\n";
-    }
-
-    // Correlated zone outages and control-plane partitions.
-    std::optional<DomainInjector> domains;
-    DomainConfig domainCfg = sc.domains;
-    domainCfg.horizon = horizon;
-    if (domainCfg.enabled() && horizon > SimTime{}) {
-        domains.emplace(domainCfg, sim);
-        log << "failure domains: " << domainCfg.zones
-            << " zones, zone MTBF " << domainCfg.zoneMtbf
-            << " s / MTTR " << domainCfg.zoneMttr
-            << " s, partition MTBF " << domainCfg.partitionMtbf
-            << " s / MTTR " << domainCfg.partitionMttr
-            << " s (seed " << domainCfg.seed << ")\n";
+    if ((sc.fault.enabled() || sc.domains.enabled()) &&
+        sim.lastArrival() > SimTime{}) {
+        faults.emplace(sc.fault, sc.domains, sim);
+        if (sc.fault.enabled())
+            log << "injecting faults: crash MTBF " << sc.fault.crashMtbf
+                << " s, MTTR " << sc.fault.crashMttr
+                << " s, straggler MTBF " << sc.fault.stragglerMtbf
+                << " s (seed " << sc.fault.seed << ")\n";
+        if (sc.domains.enabled())
+            log << "failure domains: " << sc.domains.zones
+                << " zones, zone MTBF " << sc.domains.zoneMtbf
+                << " s / MTTR " << sc.domains.zoneMttr
+                << " s, partition MTBF " << sc.domains.partitionMtbf
+                << " s / MTTR " << sc.domains.partitionMttr
+                << " s (seed " << sc.domains.seed << ")\n";
     }
 
     // Graceful degradation: the brownout controller samples backlog
@@ -394,8 +384,6 @@ runScenario(const Scenario &sc, Trace trace, const RunHooks &hooks)
         result.faults = faults->stats();
         result.machineAvailability = faults->machineAvailability();
     }
-    if (domains)
-        result.domains = domains->stats();
     result.brownoutMaxLevel = brownout.maxLevel();
     result.brownoutSteps = brownout.steps();
 

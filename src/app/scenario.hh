@@ -31,7 +31,6 @@
 
 #include "app/serving_system.hh"
 #include "cluster/brownout.hh"
-#include "fault/failure_domains.hh"
 #include "fault/fault_injector.hh"
 #include "obs/slo_monitor.hh"
 #include "workload/trace.hh"
@@ -62,7 +61,6 @@ struct Scenario
     std::uint64_t seed = 42;
     LoadBalancePolicy loadBalance = LoadBalancePolicy::RoundRobin;
 
-    /** Fault and domain horizons are filled in from the workload. */
     FaultConfig fault{};
     DomainConfig domains{};
     RetryPolicy retry{};
@@ -125,12 +123,10 @@ struct ScenarioResult
      *  destroyed and its trace sink detached. */
     std::unique_ptr<ClusterSim> cluster;
 
-    /** Crash/straggler counters, when fault injection ran. */
+    /** Fault counters, when fault injection or failure domains
+     *  ran. */
     std::optional<FaultStats> faults;
     double machineAvailability = 1.0;
-
-    /** Zone/partition counters, when failure domains ran. */
-    std::optional<DomainStats> domains;
 
     /** Brownout controller counters (zero when it is off). */
     int brownoutMaxLevel = 0;
@@ -156,7 +152,7 @@ Trace buildTrace(const Scenario &sc, std::ostream *log = nullptr);
 /**
  * Run @p trace under @p sc (validated first): build the predictor and
  * cluster, attach the trace sink, streamed records, sketch bank, SLO
- * monitor, fault and domain injectors (horizon = last arrival),
+ * monitor, fault injector (horizon = last arrival),
  * brownout controller, telemetry and metrics sampler in that order,
  * run, and write every output file the scenario names.
  *

@@ -275,6 +275,15 @@ class ClusterSim
      *  controllers attached to this cluster). */
     const TierTable &tiers() const { return trace_.tiers; }
 
+    /** Arrival time of the trace's last request (SimTime{} when the
+     *  trace is empty): the fault injector's horizon. */
+    SimTime
+    lastArrival() const
+    {
+        return trace_.requests.empty() ? SimTime{}
+                                       : trace_.requests.back().arrival;
+    }
+
     /**
      * The active invariant auditor, or null when the build has checks
      * off and no auditor was installed.

@@ -169,8 +169,7 @@ TEST(AuditE2E, FaultedRunsAuditClean)
         fc.stragglerMtbf = 15.0;
         fc.stragglerDuration = 4.0;
         fc.stragglerFactor = 2.0;
-        fc.horizon = trace.requests.back().arrival;
-        FaultInjector injector(fc, sim);
+        FaultInjector injector(fc, DomainConfig{}, sim);
         sim.run();
 
         ASSERT_GT(injector.stats().crashes, 0u)
@@ -296,8 +295,7 @@ TEST(AuditE2E, CrashDuringCachedPrefillRunsClean)
     FaultConfig fc;
     fc.crashMtbf = 8.0;
     fc.crashMttr = 3.0;
-    fc.horizon = trace.requests.back().arrival;
-    FaultInjector injector(fc, sim);
+    FaultInjector injector(fc, DomainConfig{}, sim);
     sim.run();
 
     ASSERT_GT(injector.stats().crashes, 0u);

@@ -43,13 +43,12 @@ smallTrace(double qps, std::size_t count, std::uint64_t seed = 1)
 }
 
 FaultConfig
-crashyConfig(const Trace &trace, std::uint64_t seed = 11)
+crashyConfig()
 {
     FaultConfig fc;
     fc.crashMtbf = 15.0;
     fc.crashMttr = 5.0;
-    fc.seed = seed;
-    fc.horizon = trace.requests.back().arrival;
+    fc.seed = 11;
     return fc;
 }
 
@@ -58,7 +57,7 @@ TEST(FailureRecovery, NoRequestIsLost)
     Trace trace = smallTrace(4.0, 400, 21);
     ClusterSim sim(defaultConfig(), trace);
     sim.addReplicaGroup(3, fcfsFactory());
-    FaultInjector injector(crashyConfig(trace), sim);
+    FaultInjector injector(crashyConfig(), DomainConfig{}, sim);
     const MetricsCollector &metrics = sim.run();
 
     ASSERT_GT(injector.stats().crashes, 0u);
@@ -86,7 +85,7 @@ TEST(FailureRecovery, RetryBudgetIsRespected)
     cfg.retry.maxRetries = 2;
     ClusterSim sim(cfg, trace);
     sim.addReplicaGroup(2, fcfsFactory());
-    FaultInjector injector(crashyConfig(trace), sim);
+    FaultInjector injector(crashyConfig(), DomainConfig{}, sim);
     const MetricsCollector &metrics = sim.run();
 
     ASSERT_GT(injector.stats().crashes, 0u);
@@ -101,7 +100,7 @@ TEST(FailureRecovery, ZeroBudgetAbandonsOrphansImmediately)
     cfg.retry.maxRetries = 0;
     ClusterSim sim(cfg, trace);
     sim.addReplicaGroup(2, fcfsFactory());
-    FaultInjector injector(crashyConfig(trace), sim);
+    FaultInjector injector(crashyConfig(), DomainConfig{}, sim);
     const MetricsCollector &metrics = sim.run();
 
     ASSERT_GT(injector.stats().crashes, 0u);
@@ -124,7 +123,7 @@ TEST(FailureRecovery, RetriesRecoverAvailabilityOverNoRetry)
         cfg.healthAwareRouting = aware;
         ClusterSim sim(cfg, trace);
         sim.addReplicaGroup(3, fcfsFactory());
-        FaultInjector injector(crashyConfig(trace), sim);
+        FaultInjector injector(crashyConfig(), DomainConfig{}, sim);
         return summarize(sim.run()).availability;
     };
 
@@ -139,7 +138,7 @@ TEST(FailureRecovery, ResumedDecodePreservesFirstTokenTime)
     Trace trace = smallTrace(4.0, 400, 29);
     ClusterSim sim(defaultConfig(), trace);
     sim.addReplicaGroup(3, fcfsFactory());
-    FaultInjector injector(crashyConfig(trace), sim);
+    FaultInjector injector(crashyConfig(), DomainConfig{}, sim);
     const MetricsCollector &metrics = sim.run();
 
     ASSERT_GT(injector.stats().crashes, 0u);
@@ -164,7 +163,7 @@ TEST(FailureRecovery, IdenticalSeedsGiveIdenticalRuns)
     auto runOnce = [&]() {
         ClusterSim sim(defaultConfig(), trace);
         sim.addReplicaGroup(3, fcfsFactory());
-        FaultInjector injector(crashyConfig(trace), sim);
+        FaultInjector injector(crashyConfig(), DomainConfig{}, sim);
         std::vector<RequestRecord> recs = sim.run().records();
         return recs;
     };
@@ -194,7 +193,7 @@ TEST(FailureRecovery, DisabledFaultsMatchPlainClusterBitwise)
     ClusterSim sim(cfg, trace);
     sim.addReplicaGroup(2, fcfsFactory());
     FaultConfig off;
-    FaultInjector injector(off, sim);
+    FaultInjector injector(off, DomainConfig{}, sim);
     std::vector<RequestRecord> with = sim.run().records();
 
     ASSERT_EQ(with.size(), without.size());

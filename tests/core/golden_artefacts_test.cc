@@ -163,8 +163,7 @@ runScenario(const std::string &dir)
     fc.crashMtbf = 5.0;
     fc.crashMttr = 2.0;
     fc.seed = 3;
-    fc.horizon = trace.requests.back().arrival;
-    FaultInjector faults(fc, sim);
+    FaultInjector faults(fc, DomainConfig{}, sim);
 
     TelemetryRecorder telemetry;
     for (std::size_t i = 0; i < sim.numReplicas(); ++i)

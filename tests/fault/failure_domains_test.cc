@@ -2,11 +2,11 @@
  * @file
  * Tests for correlated failure domains: zone outages that take whole
  * replica groups down at once, control-plane partitions that blind
- * routing to a subset of the fleet, and their composition with the
- * independent per-replica fault injector.
+ * routing to a subset of the fleet, and their composition with
+ * independent per-replica crashes in the same fault injector.
  */
 
-#include "fault/failure_domains.hh"
+#include "fault/fault_injector.hh"
 
 #include <gtest/gtest.h>
 
@@ -43,14 +43,13 @@ smallTrace(double qps, std::size_t count, std::uint64_t seed = 1)
 }
 
 DomainConfig
-outageConfig(const Trace &trace, std::uint64_t seed = 7)
+outageConfig(std::uint64_t seed = 7)
 {
     DomainConfig dc;
     dc.zones = 2;
     dc.zoneMtbf = 25.0;
     dc.zoneMttr = 8.0;
     dc.seed = seed;
-    dc.horizon = trace.requests.back().arrival;
     return dc;
 }
 
@@ -87,7 +86,7 @@ TEST(FailureDomains, DisabledInjectorIsByteNeutral)
     TraceSink sink;
     sim.setTraceSink(&sink);
     DomainConfig off; // zones and partitions both disabled
-    DomainInjector injector(off, sim);
+    FaultInjector injector(FaultConfig{}, off, sim);
     std::vector<RequestRecord> with = sim.run().records();
 
     EXPECT_TRUE(domainEvents(sink).empty());
@@ -106,9 +105,9 @@ TEST(FailureDomains, ZonesPartitionReplicasContiguously)
     Trace trace = smallTrace(2.0, 50);
     ClusterSim sim(defaultConfig(), trace);
     sim.addReplicaGroup(5, fcfsFactory());
-    DomainConfig dc = outageConfig(trace);
+    DomainConfig dc = outageConfig();
     dc.zones = 2;
-    DomainInjector injector(dc, sim);
+    FaultInjector injector(FaultConfig{}, dc, sim);
 
     // Every replica belongs to exactly one zone, zone ids are
     // non-decreasing in replica order, and both zones are non-empty.
@@ -134,10 +133,10 @@ TEST(FailureDomains, ZoneOutagesFailAndRestoreTogether)
     sim.addReplicaGroup(4, fcfsFactory());
     TraceSink sink;
     sim.setTraceSink(&sink);
-    DomainInjector injector(outageConfig(trace), sim);
+    FaultInjector injector(FaultConfig{}, outageConfig(), sim);
     sim.run();
 
-    const DomainStats &stats = injector.stats();
+    const FaultStats &stats = injector.stats();
     ASSERT_GT(stats.zoneOutages, 0u);
     // Restores are always delivered, even past the horizon, and every
     // downed replica comes back.
@@ -174,10 +173,10 @@ TEST(FailureDomains, ScheduleIsDeterministicPerSeed)
         sim.addReplicaGroup(4, fcfsFactory());
         TraceSink sink;
         sim.setTraceSink(&sink);
-        DomainConfig dc = outageConfig(trace, seed);
+        DomainConfig dc = outageConfig(seed);
         dc.partitionMtbf = 30.0;
         dc.partitionMttr = 6.0;
-        DomainInjector injector(dc, sim);
+        FaultInjector injector(FaultConfig{}, dc, sim);
         sim.run();
         return domainEvents(sink);
     };
@@ -201,11 +200,10 @@ TEST(FailureDomains, PartitionsBlindAndHealTheRoutingView)
     dc.partitionMtbf = 20.0;
     dc.partitionMttr = 8.0;
     dc.partitionFrac = 0.5;
-    dc.horizon = trace.requests.back().arrival;
-    DomainInjector injector(dc, sim);
+    FaultInjector injector(FaultConfig{}, dc, sim);
     sim.run();
 
-    const DomainStats &stats = injector.stats();
+    const FaultStats &stats = injector.stats();
     ASSERT_GT(stats.partitions, 0u);
     EXPECT_EQ(stats.partitionHeals, stats.partitions);
     // Every partition healed: routing sees the whole fleet again.
@@ -225,11 +223,11 @@ TEST(FailureDomains, NoRequestIsLostUnderCompoundFailures)
     Trace trace = smallTrace(4.0, 500, 11);
     ClusterSim sim(defaultConfig(), trace);
     sim.addReplicaGroup(4, fcfsFactory());
-    DomainConfig dc = outageConfig(trace);
+    DomainConfig dc = outageConfig();
     dc.partitionMtbf = 25.0;
     dc.partitionMttr = 10.0;
     dc.partitionFrac = 0.5;
-    DomainInjector injector(dc, sim);
+    FaultInjector injector(FaultConfig{}, dc, sim);
     const MetricsCollector &metrics = sim.run();
 
     ASSERT_GT(injector.stats().zoneOutages, 0u);
@@ -253,19 +251,17 @@ TEST(FailureDomains, ComposesWithIndependentFaultInjector)
     fc.crashMtbf = 15.0;
     fc.crashMttr = 5.0;
     fc.seed = 11;
-    fc.horizon = trace.requests.back().arrival;
-    FaultInjector crashes(fc, sim);
-
-    DomainInjector domains(outageConfig(trace), sim);
+    FaultInjector injector(fc, outageConfig(), sim);
     const MetricsCollector &metrics = sim.run();
 
     // Both schedules engaged; composition double-crashes nothing (the
     // run itself asserts on a double fail/recover) and every replica
     // ends healthy.
-    ASSERT_GT(crashes.stats().crashes, 0u);
-    ASSERT_GT(domains.stats().zoneOutages, 0u);
-    EXPECT_EQ(crashes.stats().recoveries, crashes.stats().crashes);
-    EXPECT_EQ(domains.stats().zoneRestores, domains.stats().zoneOutages);
+    const FaultStats &stats = injector.stats();
+    ASSERT_GT(stats.crashes, 0u);
+    ASSERT_GT(stats.zoneOutages, 0u);
+    EXPECT_EQ(stats.recoveries, stats.crashes);
+    EXPECT_EQ(stats.zoneRestores, stats.zoneOutages);
     for (std::size_t i = 0; i < sim.numReplicas(); ++i)
         EXPECT_EQ(sim.replica(i).health(), ReplicaHealth::Up);
     EXPECT_EQ(metrics.size(), trace.requests.size());
@@ -278,23 +274,20 @@ TEST(FailureDomainsDeath, DegenerateConfigsAreFatal)
     ClusterSim sim(defaultConfig(), trace);
     sim.addReplicaGroup(2, fcfsFactory());
 
-    DomainConfig more_zones_than_replicas = outageConfig(trace);
+    const FaultConfig none;
+    DomainConfig more_zones_than_replicas = outageConfig();
     more_zones_than_replicas.zones = 3;
-    EXPECT_DEATH(DomainInjector(more_zones_than_replicas, sim),
+    EXPECT_DEATH(FaultInjector(none, more_zones_than_replicas, sim),
                  "zones");
 
-    DomainConfig zero_mttr = outageConfig(trace);
+    DomainConfig zero_mttr = outageConfig();
     zero_mttr.zoneMttr = 0.0;
-    EXPECT_DEATH(DomainInjector(zero_mttr, sim), "MTTR");
+    EXPECT_DEATH(FaultInjector(none, zero_mttr, sim), "MTTR");
 
-    DomainConfig bad_frac = outageConfig(trace);
+    DomainConfig bad_frac = outageConfig();
     bad_frac.partitionMtbf = 10.0;
     bad_frac.partitionFrac = 1.5;
-    EXPECT_DEATH(DomainInjector(bad_frac, sim), "fraction");
-
-    DomainConfig no_horizon = outageConfig(trace);
-    no_horizon.horizon = SimTime{0.0};
-    EXPECT_DEATH(DomainInjector(no_horizon, sim), "horizon");
+    EXPECT_DEATH(FaultInjector(none, bad_frac, sim), "fraction");
 }
 
 } // namespace

@@ -48,7 +48,6 @@ crashyConfig(std::uint64_t seed = 7)
     fc.crashMtbf = 20.0;
     fc.crashMttr = 5.0;
     fc.seed = seed;
-    fc.horizon = SimTime{100.0};
     return fc;
 }
 
@@ -120,7 +119,7 @@ TEST(FaultInjector, DisabledInjectorSchedulesNothing)
     TraceSink sink;
     injected.setTraceSink(&sink);
     FaultConfig off; // both rates zero
-    FaultInjector injector(off, injected);
+    FaultInjector injector(off, DomainConfig{}, injected);
     RunSummary with = summarize(injected.run());
 
     EXPECT_TRUE(faultEvents(sink).empty());
@@ -140,7 +139,7 @@ TEST(FaultInjector, ScheduleIsDeterministicPerSeed)
         sim.addReplicaGroup(3, fcfsFactory());
         TraceSink sink;
         sim.setTraceSink(&sink);
-        FaultInjector injector(crashyConfig(seed), sim);
+        FaultInjector injector(crashyConfig(seed), DomainConfig{}, sim);
         sim.run();
         return faultEvents(sink);
     };
@@ -160,7 +159,7 @@ TEST(FaultInjector, EveryCrashIsRepairedAndCountsMatch)
     sim.addReplicaGroup(3, fcfsFactory());
     TraceSink sink;
     sim.setTraceSink(&sink);
-    FaultInjector injector(crashyConfig(), sim);
+    FaultInjector injector(crashyConfig(), DomainConfig{}, sim);
     sim.run();
 
     const FaultStats &stats = injector.stats();
@@ -175,7 +174,7 @@ TEST(FaultInjector, EveryCrashIsRepairedAndCountsMatch)
     for (const TraceEvent &ev : faultEvents(sink)) {
         if (ev.kind == TraceEventKind::Crash) {
             ++logged_crashes;
-            EXPECT_LE(ev.time, injector.config().horizon);
+            EXPECT_LE(ev.time, injector.horizon());
         }
     }
     EXPECT_EQ(logged_crashes, stats.crashes);
@@ -197,8 +196,7 @@ TEST(FaultInjector, StragglerEpisodesSetAndClearSlowdown)
     fc.stragglerMtbf = 15.0;
     fc.stragglerDuration = 5.0;
     fc.stragglerFactor = 3.0;
-    fc.horizon = SimTime{60.0};
-    FaultInjector injector(fc, sim);
+    FaultInjector injector(fc, DomainConfig{}, sim);
     sim.run();
 
     EXPECT_GT(injector.stats().stragglerEpisodes, 0u);
@@ -227,8 +225,10 @@ TEST(FaultInjector, MachineAvailabilityMatchesATraceReplay)
     // Availability accrues as repairs land; replaying the trace's
     // Crash/Recover events must give the same value bit for bit, both
     // mid-run (probes) and after the run. Long repairs leave outages
-    // open at the probes and land repairs past the horizon.
+    // open at the probes and land repairs past the horizon (the last
+    // arrival).
     Trace trace = smallTrace(3.0, 200, 5);
+    const SimTime horizon = trace.requests.back().arrival;
     std::size_t open_at_probe = 0, repairs_past_horizon = 0;
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         ClusterSim sim(defaultConfig(), trace);
@@ -237,8 +237,8 @@ TEST(FaultInjector, MachineAvailabilityMatchesATraceReplay)
         sim.setTraceSink(&sink);
         FaultConfig fc = crashyConfig(seed);
         fc.crashMttr = 15.0;
-        fc.horizon = SimTime{60.0};
-        FaultInjector injector(fc, sim);
+        FaultInjector injector(fc, DomainConfig{}, sim);
+        ASSERT_EQ(injector.horizon(), horizon);
 
         struct Probe
         {
@@ -246,8 +246,9 @@ TEST(FaultInjector, MachineAvailabilityMatchesATraceReplay)
             double availability = 0.0;
         };
         std::vector<Probe> probes;
-        for (double at : {30.0, 60.5}) {
-            sim.eventQueue().schedule(SimTime{at}, [&]() {
+        for (SimTime at : {SimTime{horizon.seconds() / 2.0},
+                           horizon + 0.5}) {
+            sim.eventQueue().schedule(at, [&]() {
                 for (std::size_t i = 0; i < sim.numReplicas(); ++i)
                     open_at_probe +=
                         sim.replica(i).health() == ReplicaHealth::Down;
@@ -261,30 +262,18 @@ TEST(FaultInjector, MachineAvailabilityMatchesATraceReplay)
         ASSERT_EQ(probes.size(), 3u);
         for (const Probe &p : probes) {
             EXPECT_EQ(p.availability,
-                      replayAvailability(sink, p.events, fc.horizon,
+                      replayAvailability(sink, p.events, horizon,
                                          sim.numReplicas()))
                 << "seed " << seed << " after " << p.events
                 << " events";
         }
         for (const TraceEvent &ev : faultEvents(sink))
             repairs_past_horizon += ev.kind == TraceEventKind::Recover &&
-                                    ev.time > fc.horizon;
+                                    ev.time > horizon;
         EXPECT_LT(probes.back().availability, 1.0) << "seed " << seed;
     }
     EXPECT_GT(open_at_probe, 0u);
     EXPECT_GT(repairs_past_horizon, 0u);
-}
-
-TEST(FaultInjectorDeath, EnabledWithoutHorizonIsFatal)
-{
-    Trace trace = smallTrace(1.0, 10);
-    ClusterSim sim(defaultConfig(), trace);
-    sim.addReplicaGroup(1, fcfsFactory());
-    FaultConfig fc;
-    fc.crashMtbf = 10.0;
-    fc.horizon = SimTime{0.0};
-    EXPECT_EXIT(FaultInjector(fc, sim),
-                ::testing::ExitedWithCode(1), "horizon");
 }
 
 TEST(FaultInjectorDeath, SubUnityStragglerFactorIsFatal)
@@ -295,8 +284,7 @@ TEST(FaultInjectorDeath, SubUnityStragglerFactorIsFatal)
     FaultConfig fc;
     fc.stragglerMtbf = 10.0;
     fc.stragglerFactor = 0.5;
-    fc.horizon = SimTime{50.0};
-    EXPECT_EXIT(FaultInjector(fc, sim),
+    EXPECT_EXIT(FaultInjector(fc, DomainConfig{}, sim),
                 ::testing::ExitedWithCode(1), "factor");
 }
 
@@ -308,8 +296,7 @@ TEST(FaultInjectorDeath, NonPositiveMttrIsFatal)
     FaultConfig fc;
     fc.crashMtbf = 10.0;
     fc.crashMttr = 0.0;
-    fc.horizon = SimTime{50.0};
-    EXPECT_EXIT(FaultInjector(fc, sim),
+    EXPECT_EXIT(FaultInjector(fc, DomainConfig{}, sim),
                 ::testing::ExitedWithCode(1), "mttr|MTTR|repair");
 }
 

@@ -13,7 +13,6 @@
 #include <sstream>
 #include <utility>
 
-#include "fault/failure_domains.hh"
 #include "fault/fault_injector.hh"
 #include "metrics/report_io.hh"
 #include "obs/explain.hh"
@@ -91,10 +90,9 @@ TEST(ObsE2e, PhaseTilingCoversEveryServedRequest)
             fc.crashMtbf = 20.0;
             fc.crashMttr = 5.0;
             fc.seed = 13;
-            fc.horizon = trace.requests.back().arrival;
             return fc;
         }(),
-        sim);
+        DomainConfig{}, sim);
     TraceSink sink;
     sim.setTraceSink(&sink);
     const MetricsCollector &metrics = sim.run();
@@ -149,8 +147,7 @@ TEST(ObsE2e, PerfettoBalancesWhenCrashesCancelBatchesMidIteration)
     fc.crashMtbf = 8.0;
     fc.crashMttr = 3.0;
     fc.seed = 29;
-    fc.horizon = trace.requests.back().arrival;
-    FaultInjector injector(fc, sim);
+    FaultInjector injector(fc, DomainConfig{}, sim);
     TraceSink sink;
     sim.setTraceSink(&sink);
     sim.run();
@@ -177,8 +174,7 @@ TEST(ObsE2e, PerfettoBalancesWhenAZoneOutageKillsReplicasTogether)
     dc.zoneMtbf = 15.0;
     dc.zoneMttr = 5.0;
     dc.seed = 31;
-    dc.horizon = trace.requests.back().arrival;
-    DomainInjector injector(dc, sim);
+    FaultInjector injector(FaultConfig{}, dc, sim);
     TraceSink sink;
     sim.setTraceSink(&sink);
     sim.run();

@@ -133,8 +133,7 @@ faultSweep(int jobs)
             fc.crashMttr = 4.0;
             fc.stragglerMtbf = 25.0;
             fc.seed = fault_seeds[i];
-            fc.horizon = trace.requests.back().arrival;
-            FaultInjector injector(fc, sim);
+            FaultInjector injector(fc, DomainConfig{}, sim);
             return summarize(sim.run());
         });
 }

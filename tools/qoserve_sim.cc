@@ -45,7 +45,7 @@ main(int argc, char **argv)
     const ClusterSim &sim = *res.cluster;
 
     printSummary(res.summary, sim.tiers(), std::cout);
-    if (res.faults) {
+    if (res.faults && opts.fault.enabled()) {
         const FaultStats &fs = *res.faults;
         std::cout << "faults: " << fs.crashes << " crashes, "
                   << fs.stragglerEpisodes
@@ -57,8 +57,8 @@ main(int argc, char **argv)
                   << " re-dispatches, " << sim.retriesExhausted()
                   << " retry budgets exhausted\n";
     }
-    if (res.domains) {
-        const DomainStats &ds = *res.domains;
+    if (res.faults && opts.domains.enabled()) {
+        const FaultStats &ds = *res.faults;
         std::cout << "domains: " << ds.zoneOutages
                   << " zone outages (" << ds.replicasDowned
                   << " replicas downed, " << ds.zoneDownSeconds
