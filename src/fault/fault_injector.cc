@@ -125,12 +125,8 @@ FaultInjector::bringUp(std::size_t i, Cause cause)
     trace(TraceEventKind::Recover, static_cast<int>(i), cause);
     cluster_.replica(i).recover();
     // Outages never start past the horizon; repairs may land beyond
-    // it, so clip each outage to [0, horizon]. Machine availability
-    // counts independent outages only.
-    if (cause == kIndependent) {
-        downClipped_ +=
-            std::min(now, horizon_) - std::min(out.since, horizon_);
-    }
+    // it, so clip each outage to [0, horizon].
+    downClipped_ += std::min(now, horizon_) - std::min(out.since, horizon_);
     SimDuration down = now - out.since;
     out.since = kTimeNever;
     return down;
@@ -343,7 +339,7 @@ FaultInjector::machineAvailability() const
     // run to the horizon.
     double down = downClipped_;
     for (const Outage &out : outages_) {
-        if (out.since != kTimeNever && out.cause == kIndependent)
+        if (out.since != kTimeNever)
             down += horizon_ - std::min(out.since, horizon_);
     }
     double total = horizon_.seconds() *

@@ -203,8 +203,9 @@ class FaultInjector
 
     /**
      * Fraction of replica-seconds the machines were up over
-     * [0, horizon] (an infrastructure metric: crashes only, not
-     * stragglers; request-level availability lives in RunSummary).
+     * [0, horizon] (an infrastructure metric: independent and zone
+     * crashes, not stragglers; request-level availability lives in
+     * RunSummary).
      */
     double machineAvailability() const;
 

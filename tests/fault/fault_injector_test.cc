@@ -73,9 +73,9 @@ faultEvents(const TraceSink &sink)
 
 /**
  * Reference machine availability: replay the first @p count trace
- * events' independent Crash/Recover transitions (arg 0), clipping
- * every outage to [0, horizon]; outages still open run to the
- * horizon.
+ * events' Crash/Recover transitions, independent (arg 0) and
+ * zone-correlated (arg 1) alike, clipping every outage to
+ * [0, horizon]; outages still open run to the horizon.
  */
 double
 replayAvailability(const TraceSink &sink, std::size_t count,
@@ -87,8 +87,6 @@ replayAvailability(const TraceSink &sink, std::size_t count,
     for (const TraceEvent &ev : sink.events()) {
         if (seen++ == count)
             break;
-        if (ev.arg != 0)
-            continue;
         auto r = static_cast<std::size_t>(ev.replica);
         if (ev.kind == TraceEventKind::Crash) {
             open[r] = ev.time;
@@ -226,54 +224,71 @@ TEST(FaultInjector, MachineAvailabilityMatchesATraceReplay)
     // Crash/Recover events must give the same value bit for bit, both
     // mid-run (probes) and after the run. Long repairs leave outages
     // open at the probes and land repairs past the horizon (the last
-    // arrival).
+    // arrival). The zoned case adds zone outages: their replica-seconds
+    // count like an independent crash's.
     Trace trace = smallTrace(3.0, 200, 5);
     const SimTime horizon = trace.requests.back().arrival;
     std::size_t open_at_probe = 0, repairs_past_horizon = 0;
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        ClusterSim sim(defaultConfig(), trace);
-        sim.addReplicaGroup(3, fcfsFactory());
-        TraceSink sink;
-        sim.setTraceSink(&sink);
-        FaultConfig fc = crashyConfig(seed);
-        fc.crashMttr = 15.0;
-        FaultInjector injector(fc, DomainConfig{}, sim);
-        ASSERT_EQ(injector.horizon(), horizon);
+    std::size_t zone_crashes = 0;
+    for (bool zoned : {false, true}) {
+        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+            ClusterSim sim(defaultConfig(), trace);
+            sim.addReplicaGroup(3, fcfsFactory());
+            TraceSink sink;
+            sim.setTraceSink(&sink);
+            FaultConfig fc = crashyConfig(seed);
+            fc.crashMttr = 15.0;
+            DomainConfig dc;
+            if (zoned) {
+                dc.zones = 2;
+                dc.zoneMtbf = 30.0;
+                dc.zoneMttr = 12.0;
+                dc.seed = seed;
+            }
+            FaultInjector injector(fc, dc, sim);
+            ASSERT_EQ(injector.horizon(), horizon);
 
-        struct Probe
-        {
-            std::size_t events = 0;
-            double availability = 0.0;
-        };
-        std::vector<Probe> probes;
-        for (SimTime at : {SimTime{horizon.seconds() / 2.0},
-                           horizon + 0.5}) {
-            sim.eventQueue().schedule(at, [&]() {
-                for (std::size_t i = 0; i < sim.numReplicas(); ++i)
-                    open_at_probe +=
-                        sim.replica(i).health() == ReplicaHealth::Down;
-                probes.push_back(
-                    {sink.size(), injector.machineAvailability()});
-            });
-        }
-        sim.run();
-        probes.push_back({sink.size(), injector.machineAvailability()});
+            struct Probe
+            {
+                std::size_t events = 0;
+                double availability = 0.0;
+            };
+            std::vector<Probe> probes;
+            for (SimTime at : {SimTime{horizon.seconds() / 2.0},
+                               horizon + 0.5}) {
+                sim.eventQueue().schedule(at, [&]() {
+                    for (std::size_t i = 0; i < sim.numReplicas(); ++i)
+                        open_at_probe += sim.replica(i).health() ==
+                                         ReplicaHealth::Down;
+                    probes.push_back(
+                        {sink.size(), injector.machineAvailability()});
+                });
+            }
+            sim.run();
+            probes.push_back({sink.size(), injector.machineAvailability()});
 
-        ASSERT_EQ(probes.size(), 3u);
-        for (const Probe &p : probes) {
-            EXPECT_EQ(p.availability,
-                      replayAvailability(sink, p.events, horizon,
-                                         sim.numReplicas()))
-                << "seed " << seed << " after " << p.events
-                << " events";
+            ASSERT_EQ(probes.size(), 3u);
+            for (const Probe &p : probes) {
+                EXPECT_EQ(p.availability,
+                          replayAvailability(sink, p.events, horizon,
+                                             sim.numReplicas()))
+                    << (zoned ? "zoned " : "") << "seed " << seed
+                    << " after " << p.events << " events";
+            }
+            for (const TraceEvent &ev : faultEvents(sink)) {
+                repairs_past_horizon +=
+                    ev.kind == TraceEventKind::Recover &&
+                    ev.time > horizon;
+                zone_crashes +=
+                    ev.kind == TraceEventKind::Crash && ev.arg == 1;
+            }
+            EXPECT_LT(probes.back().availability, 1.0)
+                << "seed " << seed;
         }
-        for (const TraceEvent &ev : faultEvents(sink))
-            repairs_past_horizon += ev.kind == TraceEventKind::Recover &&
-                                    ev.time > horizon;
-        EXPECT_LT(probes.back().availability, 1.0) << "seed " << seed;
     }
     EXPECT_GT(open_at_probe, 0u);
     EXPECT_GT(repairs_past_horizon, 0u);
+    EXPECT_GT(zone_crashes, 0u);
 }
 
 TEST(FaultInjectorDeath, SubUnityStragglerFactorIsFatal)

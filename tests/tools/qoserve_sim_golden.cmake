@@ -82,7 +82,7 @@ elseif(CASE STREQUAL "faults_domains")
         --records-out ${OUT}/records.csv
         --summary-out ${OUT}/summary.csv)
     set(_expected
-        stdout.txt    03dd1ae1cbd107b9e77d287d50a6930eca29dbe3b0f3ed18dabf24f5658cc446
+        stdout.txt    90106a28dc685adff5b05b63f8224e669deaf29f602b2510faa397833fc5f953
         events.csv    4320f336242abcb39f70779ce6d919755a364befab57d7c3750cb355642a2c84
         records.csv   69fc898a6a74a76ee80a64f3285ada4fb243ecaef4d1754a8edeb41419618932
         summary.csv   9cf29365abe2580e7811053e313fa86ee7ef805e7632090287444d9edc7c969a)
