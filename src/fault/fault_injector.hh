@@ -191,9 +191,6 @@ class FaultInjector
     FaultInjector(const FaultInjector &) = delete;
     FaultInjector &operator=(const FaultInjector &) = delete;
 
-    /** No new episode starts after this time. */
-    SimTime horizon() const { return horizon_; }
-
     /** Aggregate statistics so far. */
     const FaultStats &stats() const { return stats_; }
 
@@ -251,6 +248,8 @@ class FaultInjector
     FaultConfig faults_;
     DomainConfig domains_;
     ClusterSim &cluster_;
+
+    /** No new episode starts after this time: the last arrival. */
     SimTime horizon_;
 
     /** Independent per-replica and per-zone streams plus one
