@@ -19,10 +19,8 @@ namespace qoserve {
 namespace {
 
 RunSummary
-runAt(double qps, DecodePolicy policy, const Trace &trace_template,
-      const LatencyPredictor *predictor)
+runAt(double qps, DecodePolicy policy, const LatencyPredictor *predictor)
 {
-    (void)trace_template;
     TierTable tiers = {
         interactiveTier(0, "fast", 6.0, fromMillis(50.0)),
         interactiveTier(1, "slow", 6.0, fromMillis(200.0)),
@@ -67,9 +65,9 @@ run()
 
     for (double qps : {3.0, 3.5, 3.75, 4.0, 4.25}) {
         RunSummary strict =
-            runAt(qps, DecodePolicy::StrictestTbtCap, {}, predictor);
+            runAt(qps, DecodePolicy::StrictestTbtCap, predictor);
         RunSummary aware =
-            runAt(qps, DecodePolicy::DeadlineAware, {}, predictor);
+            runAt(qps, DecodePolicy::DeadlineAware, predictor);
         std::printf("%-8.1f %25.2f%% %25.2f%%\n", qps,
                     100.0 * strict.violationRateWithTbt,
                     100.0 * aware.violationRateWithTbt);

@@ -78,19 +78,26 @@ loadBalanceName(LoadBalancePolicy policy)
 
 int
 ClusterSim::addReplicaGroup(int count, const SchedulerFactory &factory,
-                            LoadBalancePolicy lb)
+                            LoadBalancePolicy lb,
+                            MetricsCollector::RecordSink stage_done)
 {
     QOSERVE_ASSERT(count > 0, "group needs at least one replica");
     Group group;
     group.lb = lb;
+    Replica::CompletionFn on_complete = [this](RequestRecord &&rec) {
+        record(std::move(rec));
+    };
+    if (stage_done) {
+        on_complete = [this, stage_done](RequestRecord &&rec) {
+            if (auditor_ != nullptr)
+                auditor_->checkRecord(rec, trace_.tiers);
+            stage_done(rec);
+        };
+    }
     for (int i = 0; i < count; ++i) {
         auto replica = std::make_unique<Replica>(
             eq_, cfg_.replica, factory, cfg_.predictor, trace_.tiers,
-            trace_.appStats, [this](RequestRecord &&rec) {
-                if (auditor_ != nullptr)
-                    auditor_->checkRecord(rec, trace_.tiers);
-                metrics_.record(std::move(rec));
-            });
+            trace_.appStats, on_complete);
         replica->attachAuditor(auditor_);
         replica->setFailureHandler(
             [this](const RequestFailureSnapshot &snap) {
@@ -489,6 +496,12 @@ ClusterSim::recordUnserved(const RequestSpec &spec,
         rec.retries = abandoned->retries;
         rec.retryExhausted = true;
     }
+    record(std::move(rec));
+}
+
+void
+ClusterSim::record(RequestRecord &&rec)
+{
     if (auditor_ != nullptr)
         auditor_->checkRecord(rec, trace_.tiers);
     metrics_.record(std::move(rec));

@@ -175,11 +175,16 @@ class ClusterSim
      * @param count Replica count.
      * @param factory Scheduler factory.
      * @param lb Load-balancing policy within the group.
+     * @param stage_done When set, the group is a pipeline stage (a
+     *        disaggregated deployment's prefill pool): its audited
+     *        records go to this handler instead of the collector,
+     *        and a later stage records the request.
      * @return Group id for routeTier().
      */
     int addReplicaGroup(int count, const SchedulerFactory &factory,
                         LoadBalancePolicy lb =
-                            LoadBalancePolicy::RoundRobin);
+                            LoadBalancePolicy::RoundRobin,
+                        MetricsCollector::RecordSink stage_done = {});
 
     /**
      * Route a tier's requests to a replica group (siloed mode).
@@ -202,6 +207,13 @@ class ClusterSim
     /** Mutable collector access, for attaching a streaming record
      *  sink or disabling retention before run(). */
     MetricsCollector &metricsCollector() { return metrics_; }
+
+    /**
+     * Audit a request's final record and collect it: the path every
+     * replica completion and unserved request takes, open to a
+     * pipeline that finishes a request between stages.
+     */
+    void record(RequestRecord &&rec);
 
     /** Replica access (stats, observers). */
     Replica &replica(std::size_t i) { return *replicas_[i]; }

@@ -92,11 +92,14 @@ Replica::submit(const RequestSpec &spec,
         pool_.destroy(req);
         QOSERVE_PANIC("duplicate request id submitted: ", spec.id);
     }
-    if (resume != nullptr)
+    const bool handoff = resume != nullptr && resume->kvResident;
+    if (handoff)
+        req->primeForDecode(resume->firstTokenTime);
+    else if (resume != nullptr)
         req->restoreForRetry(*resume);
     // Resolve the prompt's prefix against *this* replica's cache; a
     // retried request's attachment died with the crashed replica.
-    if (prefixCache_->enabled() && !prefixBypass_) {
+    if (!handoff && prefixCache_->enabled() && !prefixBypass_) {
         req->setKvSlot(kv_.open(req->id()));
         int tokens =
             prefixCache_->attach(req->kvSlot(), req->spec(), eq_.now());

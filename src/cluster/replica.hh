@@ -88,7 +88,9 @@ class Replica
      * null for a first dispatch; for a request re-dispatched after a
      * failure elsewhere it is the failed attempt's snapshot: prefill
      * restarts from chunk 0 and decode resumes from the snapshot's
-     * emitted-token count.
+     * emitted-token count. A kvResident snapshot is a disaggregated
+     * handoff instead: the request arrives decoding, with its prompt
+     * KV present, and skips the prefix cache.
      */
     void submit(const RequestSpec &spec,
                 const RequestFailureSnapshot *resume = nullptr);

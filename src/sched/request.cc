@@ -158,16 +158,13 @@ Request::primeForDecode(SimTime first_token_time)
     QOSERVE_ASSERT(phase_ == RequestPhase::WaitingPrefill &&
                        prefillDone_ == 0 && decodeDone_ == 0,
                    "primeForDecode on a request with progress");
+    QOSERVE_ASSERT(spec_.decodeTokens > 1,
+                   "primeForDecode on a single-token request");
     prefillDone_ = spec_.promptTokens;
     decodeDone_ = 1;
     record_.firstTokenTime = first_token_time;
     lastTokenTime_ = first_token_time;
-    if (decodeDone_ == spec_.decodeTokens) {
-        phase_ = RequestPhase::Finished;
-        record_.finishTime = first_token_time;
-    } else {
-        phase_ = RequestPhase::Decoding;
-    }
+    phase_ = RequestPhase::Decoding;
 }
 
 void

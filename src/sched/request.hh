@@ -84,10 +84,21 @@ struct RequestRecord
  * Prefill always restarts from chunk 0 on the new replica; a request
  * that was decoding resumes emission from decodeDone (its context —
  * prompt plus emitted tokens — is recomputed as prefill first).
+ *
+ * A disaggregated deployment's prefill-to-decode handoff travels in
+ * the same shape with kvResident set.
  */
 struct RequestFailureSnapshot
 {
     RequestSpec spec;
+
+    /**
+     * True for a handoff, not a failure: the prompt KV was computed
+     * elsewhere and transferred to the target, and the first token
+     * was emitted at firstTokenTime (the only other field read). The
+     * request resumes decoding from token 2 and recomputes nothing.
+     */
+    bool kvResident = false;
 
     /** Output tokens the client had received before the crash. */
     int decodeDone = 0;
@@ -294,8 +305,9 @@ class Request
      * disaggregated deployment: the prefill node already computed
      * the full prompt KV and emitted the first token at
      * @p first_token_time; this instance resumes from token 2.
-     * Only valid before any progress was recorded. Transitions
-     * straight to Decoding (or Finished for single-token requests).
+     * Only valid before any progress was recorded, and only for a
+     * request with tokens left to decode. Transitions straight to
+     * Decoding.
      */
     void primeForDecode(SimTime first_token_time);
 

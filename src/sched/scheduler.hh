@@ -277,6 +277,15 @@ class Scheduler
      *  decodes are its first Batch::numDecodes lanes. */
     const std::vector<DecodeLane> &decodeLanes() const { return lanes_; }
 
+    /** The decode lanes, for a policy that batches a subset of them:
+     *  it may reorder the lanes (their finished requests retire in
+     *  lane order) but not add or drop any. */
+    std::vector<DecodeLane> &mutableDecodeLanes() { return lanes_; }
+
+    /** Append @p req, which just started decoding, to the decode
+     *  queue and open its lane. */
+    void startDecode(Request *req);
+
     /** Set @p batch's decode side: one decode per lane and their
      *  summed KV context. */
     void fillDecodes(Batch &batch) const;
@@ -354,10 +363,6 @@ class Scheduler
 
     /** Finish bookkeeping for a completed request. */
     void finish(Request *req);
-
-    /** Append @p req, which just started decoding, to the decode
-     *  queue and open its lane. */
-    void startDecode(Request *req);
 
     /** Copy @p lane's progress into its request. */
     void writeBack(const DecodeLane &lane) const;
